@@ -18,13 +18,7 @@ from .bounds import (
     pair_bound_prior,
     power_chain,
 )
-from .kernel import (
-    general_eigenvalues,
-    hermitian_eigenvalues,
-    kron,
-    partial_trace,
-    trace_power,
-)
+from .kernel import hermitian_eigenvalues, partial_trace, trace_power
 from .measures import (
     RenyiParam,
     TsallisParam,
@@ -77,9 +71,7 @@ __all__ = [
     "density",
     "f_alpha",
     "g_q",
-    "general_eigenvalues",
     "hermitian_eigenvalues",
-    "kron",
     "ordering_certificate",
     "pair_bound_naive",
     "pair_bound_new",

@@ -1,11 +1,11 @@
 """Scalar bound kernels for powered monogamy relations.
 
-One pairwise tail (``pair_bound_new``) and one chain skeleton
-(``chain_bound``) cover every relation variant: the Tsallis and Renyi
-linear forms share the "linear" coupling, the small-alpha Renyi form uses
-the "squared" coupling with exponent gamma = 2 mu.  Prior published bounds
-are kept alongside for comparison, and ``ordering_certificate`` checks the
-concurrence-ordering hypotheses the chain bounds rely on.
+One pairwise tail formula and one chain skeleton (``chain_bound``) cover
+every relation variant: the Tsallis and Renyi linear forms share the
+"linear" coupling, the small-alpha Renyi form uses the "squared" coupling
+with exponent gamma = 2 mu.  The tightened, prior published and naive tails
+differ only in the coefficient of the cross term.  ``ordering_certificate``
+checks the concurrence-ordering hypotheses the chain bounds rely on.
 """
 
 from __future__ import annotations
@@ -26,6 +26,19 @@ _REGIME_TABLE = {
     "tsallis_q2to3": ("linear", "ref11"),
     "renyi_ge2": ("linear", "ref12_linear"),
     "renyi_window": ("squared", "ref12_squared"),
+}
+
+# Pair tails e1^p + c e1^(p-k) e2^k + (2^mu - c - 1) e2^p by name: the
+# coupling a tail is tied to (None: the caller's) and its cross coefficient
+# c as a function of mu.  The linear coupling has (p, k) = (mu, 1), the
+# squared one (gamma, 2).  ref11 and ref12_* share c = mu/2; both names
+# stay because the figures cite both papers.
+_TAILS = {
+    "new": (None, lambda mu: mu * mu / (mu + 1.0)),
+    "ref11": ("linear", lambda mu: mu / 2.0),
+    "ref12_linear": ("linear", lambda mu: mu / 2.0),
+    "ref12_squared": ("squared", lambda mu: mu / 2.0),
+    "naive": (None, lambda mu: 0.0),
 }
 
 CERTIFIED = "certified"
@@ -111,6 +124,8 @@ def power_chain(x, p):
 
     Returns ``(lhs, tight_mid, loose_mid, naive)`` with
     lhs >= tight_mid >= loose_mid >= naive, all four meeting at x in {0, 1}.
+    The three tails are the new, the prior and the naive pair tails at
+    e1 = 1, e2 = x.
     """
     if isinstance(p, PowerParam):
         mu = p.mu
@@ -123,13 +138,11 @@ def power_chain(x, p):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("x outside [0, 1]")
-    c_tight = mu * mu / (mu + 1.0)
-    c_loose = mu / 2.0
-    xp = arr**mu
     lhs = (1.0 + arr) ** mu
-    tight = 1.0 + c_tight * arr + (2.0**mu - c_tight - 1.0) * xp
-    loose = 1.0 + c_loose * arr + (2.0**mu - c_loose - 1.0) * xp
-    naive = 1.0 + (2.0**mu - 1.0) * xp
+    # Every power of e1 = 1 is exactly 1.  A generator keeps one array of
+    # coefficients alive at a time.
+    coefficients = (_TAILS[name][1](mu) for name in ("new", "ref12_linear", "naive"))
+    tight, loose, naive = _tail_values(1.0, 1.0, arr, arr**mu, 2.0**mu, False, coefficients)
     if np.ndim(x) == 0:
         return float(lhs), float(tight), float(loose), float(naive)
     return lhs, tight, loose, naive
@@ -155,23 +168,47 @@ def _coupling_exponent(param: PowerParam, coupling: str) -> float:
     raise ValueError(f"unknown coupling {coupling!r}; expected one of {COUPLINGS}")
 
 
+def _tail_values(head, lead, e2, last, full, squared: bool, coefficients) -> list:
+    """Pair tails e1^p + c e1^(p-k) e2^k + (2^mu - c - 1) e2^p, one per c.
+
+    Takes the powers head = e1^p, lead = e1^(p-k), last = e2^p and
+    full = 2^mu, shared by all coefficients; k is 2 for the squared
+    coupling and 1 for the linear one.  The cross term is multiplied left
+    to right, one factor of e2 at a time, which fixes how it rounds.
+    """
+    tails = []
+    for c in coefficients:
+        cross = c * lead * e2
+        if squared:
+            cross = cross * e2
+        tails.append(head + cross + (full - c - 1.0) * last)
+    return tails
+
+
+def _tail(e1, e2, p, name: str, coupling: str = "linear"):
+    """Pair tail ``name`` (a key of ``_TAILS``) of the ordered pair e1 >= e2."""
+    if name not in _TAILS:
+        raise ValueError(f"unknown tail {name!r}; expected one of {tuple(_TAILS)}")
+    param = _as_power(p)
+    a, b = _check_ordered(e1, e2)
+    tied, cross = _TAILS[name]
+    coupling = tied or coupling
+    pow_ = _coupling_exponent(param, coupling)
+    squared = coupling == "squared"
+    lead = a ** (pow_ - (2.0 if squared else 1.0))
+    [vals] = _tail_values(
+        a**pow_, lead, b, b**pow_, 2.0**param.mu, squared, [cross(param.mu)]
+    )
+    return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
+
+
 def pair_bound_new(e1, e2, p, coupling: str = "linear"):
     """Tightened two-party tail, coefficient mu^2/(mu+1) on the cross term.
 
     linear:  e1^mu + mu^2/(mu+1) e1^(mu-1) e2 + (2^mu - mu^2/(mu+1) - 1) e2^mu
     squared: e1^g  + mu^2/(mu+1) e1^(g-2) e2^2 + (2^mu - mu^2/(mu+1) - 1) e2^g
     """
-    param = _as_power(p)
-    a, b = _check_ordered(e1, e2)
-    mu = param.mu
-    c = mu * mu / (mu + 1.0)
-    tail = 2.0**mu - c - 1.0
-    if coupling == "linear":
-        vals = a**mu + c * a ** (mu - 1.0) * b + tail * b**mu
-    else:
-        g = _coupling_exponent(param, coupling)
-        vals = a**g + c * a ** (g - 2.0) * b * b + tail * b**g
-    return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
+    return _tail(e1, e2, p, "new", coupling)
 
 
 def pair_bound_prior(e1, e2, p, family: str):
@@ -180,44 +217,21 @@ def pair_bound_prior(e1, e2, p, family: str):
     ref11:        e1^m + (2^m - 1) e2^m + (m/2) e2 (e1^(m-1) - e2^(m-1))
     ref12_linear: e1^m + (m/2) e1^(m-1) e2 + (2^m - m/2 - 1) e2^m
     ref12_squared: e1^g + (g/4) e1^(g-2) e2^2 + (2^(g/2) - g/4 - 1) e2^g
+
+    All three are the tightened tail with cross coefficient mu/2 in place
+    of mu^2/(mu+1) (ref11 expands to ref12_linear).
     """
-    param = _as_power(p)
-    a, b = _check_ordered(e1, e2)
-    mu = param.mu
-    if family == "ref11":
-        vals = a**mu + (2.0**mu - 1.0) * b**mu + (mu / 2.0) * b * (
-            a ** (mu - 1.0) - b ** (mu - 1.0)
-        )
-    elif family == "ref12_linear":
-        vals = a**mu + (mu / 2.0) * a ** (mu - 1.0) * b + (2.0**mu - mu / 2.0 - 1.0) * b**mu
-    elif family == "ref12_squared":
-        g = _coupling_exponent(param, "squared")
-        vals = a**g + (g / 4.0) * a ** (g - 2.0) * b * b + (
-            2.0 ** (g / 2.0) - g / 4.0 - 1.0
-        ) * b**g
-    else:
+    if family not in PRIOR_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {PRIOR_FAMILIES}")
-    return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
+    return _tail(e1, e2, p, family)
 
 
 def pair_bound_naive(e1, e2, p, coupling: str = "linear"):
     """Weakest tail e1^pow + (2^mu - 1) e2^pow (no cross term)."""
-    param = _as_power(p)
-    a, b = _check_ordered(e1, e2)
-    pow_ = _coupling_exponent(param, coupling)
-    vals = a**pow_ + param.h * b**pow_
-    return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
+    return _tail(e1, e2, p, "naive", coupling)
 
 
-def _pair_tail(a, b, param: PowerParam, coupling: str, family: str | None):
-    if family is None:
-        return pair_bound_new(a, b, param, coupling)
-    if family == "naive":
-        return pair_bound_naive(a, b, param, coupling)
-    return pair_bound_prior(a, b, param, family)
-
-
-def chain_bound(values, m: int, p, coupling: str = "linear", tail: str | None = None):
+def chain_bound(values, m: int, p, coupling: str = "linear", tail: str = "new"):
     """Multi-party chain lower bound with split index ``m``.
 
     ``values`` are the per-pair entanglement values (length N-1 >= 2) in the
@@ -226,7 +240,8 @@ def chain_bound(values, m: int, p, coupling: str = "linear", tail: str | None = 
     (fully descending) the tail couples the last two values as
     ``Q(v[N-2], v[N-1])``; smaller ``m`` swaps the tail onto
     ``Q(v[N-1], v[N-2])`` and reweights the middle block.  ``tail`` selects
-    the pairwise tail: None for the tightened one, or a prior family name.
+    the pairwise tail: "new" for the tightened one, a prior family name, or
+    "naive".
     """
     param = _as_power(p)
     vals = [float(v) for v in values]
@@ -242,11 +257,11 @@ def chain_bound(values, m: int, p, coupling: str = "linear", tail: str | None = 
     pow_ = _coupling_exponent(param, coupling)
     if m == n - 2:
         total = sum(h ** (i - 1) * vals[i - 1] ** pow_ for i in range(1, n - 2))
-        q = _pair_tail(vals[-2], vals[-1], param, coupling, tail)
+        q = _tail(vals[-2], vals[-1], param, tail, coupling)
         return total + h ** (n - 3) * q
     total = sum(h ** (i - 1) * vals[i - 1] ** pow_ for i in range(1, m + 1))
     total += h ** (m + 1) * sum(vals[j - 1] ** pow_ for j in range(m + 1, n - 2))
-    q = _pair_tail(vals[-1], vals[-2], param, coupling, tail)
+    q = _tail(vals[-1], vals[-2], param, tail, coupling)
     return total + h**m * q
 
 

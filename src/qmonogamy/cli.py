@@ -4,8 +4,8 @@ Subcommands: ``example`` (reproduce the worked three-qubit regressions),
 ``figure`` (emit the bound-comparison CSV data), ``sweep`` (run an
 inequality family), ``evaluate`` (bound report for a user-supplied state).
 
-Exit codes: 0 success, 1 value-regression failure or sweep violation,
-2 usage or domain error.
+Exit codes: 0 success, 1 value-regression failure, sweep violation or
+non-finite sweep margin, 2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -127,8 +127,13 @@ def cmd_figure(which: int, out_path: str) -> int:
     return 0
 
 
-_AXIS_FLAGS = ("x", "y", "mu")
-_PARAM_FLAGS = ("q", "eta", "alpha", "gamma", "mu")
+# Every axis and parameter name of the registry gets its sweep flags.
+_AXIS_FLAGS = tuple(
+    dict.fromkeys(name for fam in verify.FAMILIES.values() for name, *_ in fam.axes)
+)
+_PARAM_FLAGS = tuple(
+    dict.fromkeys(name for fam in verify.FAMILIES.values() for name, _ in fam.params)
+)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -179,11 +184,13 @@ def _build_sweep_spec(args) -> verify.SweepSpec:
     if fam.kind == "grid":
         if args.states is not None:
             raise ValueError("--states applies to state-level families only")
-        if args.samples is not None:
-            overrides["random_samples"] = args.samples
+        count = args.samples
     else:
         if args.samples is not None:
             raise ValueError("--samples applies to grid families only")
+        count = args.states
+    if count is not None:
+        overrides["random_samples"] = count
     return verify.default_spec(fam.name, **overrides)
 
 
@@ -196,13 +203,13 @@ def cmd_sweep(args, out=None) -> int:
     else:
         report = verify.run_state_check(
             fam.name,
-            n_states=args.states if args.states is not None else verify.DEFAULT_STATES,
-            seed=args.seed,
+            n_states=spec.random_samples,
+            seed=spec.seed,
             params=spec.params,
             tolerance=spec.tolerance,
         )
     print(report.to_json(), file=out)
-    return 0 if not report.violations else 1
+    return 1 if report.violations or report.nonfinite else 0
 
 
 def load_state_file(path: str) -> PureState:

@@ -22,6 +22,8 @@ TRACE_TOL = 1e-8
 ROUNDOFF_ZERO = 1e-14
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+# The spin-flip matrix sigma_y (x) sigma_y; its entries are real.
+YY = np.kron(SIGMA_Y, SIGMA_Y).real
 
 
 def as_matrix(m) -> np.ndarray:
@@ -62,23 +64,6 @@ def require_density(rho, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two complex matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def n_qubits_of(rho) -> int:
-    """Number of qubits of a square matrix whose dimension is a power of two."""
-    arr = as_matrix(rho)
-    dim = arr.shape[0]
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"matrix is not square: shape {arr.shape}")
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
-
-
 def partial_trace(rho, n_qubits: int, keep) -> np.ndarray:
     """Reduced density operator on the qubits in ``keep``.
 
@@ -114,25 +99,6 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     arr = require_hermitian(h)
     vals = np.linalg.eigvalsh(arr)
     return np.sort(vals.real)[::-1].copy()
-
-
-def general_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a small (dim <= 8) square matrix.
-
-    Sorted by descending real part, then descending imaginary part, so the
-    output is deterministic.
-    """
-    arr = as_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"matrix is not square: shape {arr.shape}")
-    if arr.shape[0] > 8:
-        raise ValueError(f"dimension {arr.shape[0]} exceeds the supported maximum 8")
-    try:
-        vals = np.linalg.eigvals(arr)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ValueError(f"eigenvalue iteration did not converge: {exc}") from exc
-    order = np.lexsort((-vals.imag, -vals.real))
-    return vals[order]
 
 
 def trace_power(rho, p: float) -> float:

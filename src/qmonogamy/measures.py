@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .kernel import SIGMA_Y
 from .states import PureState, density
 
 # Index windows for the closed-form two-qubit identities
@@ -176,8 +175,7 @@ def spin_flip_spectrum(rho) -> np.ndarray:
     w, v = np.linalg.eigh(arr)
     w = np.where(w < kernel.ROUNDOFF_ZERO, 0.0, w)  # keep sqrt off roundoff zeros
     root = (v * np.sqrt(w)) @ v.conj().T
-    yy = np.kron(SIGMA_Y, SIGMA_Y).real
-    k = root @ yy @ root.T
+    k = root @ kernel.YY @ root.T
     return np.linalg.svd(k, compute_uv=False)
 
 
@@ -291,8 +289,7 @@ def concurrence_roof_oracle(rho, restarts: int = 200, seed: int = 0) -> float:
     w, v = w[keep], v[:, keep]
     rank = int(w.size)
     x = v * np.sqrt(w)  # subnormalized eigenvectors as columns
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    tau = x.T @ yy @ x  # symmetric rank x rank
+    tau = x.T @ kernel.YY @ x  # symmetric rank x rank
 
     best = float(np.sum(np.abs(np.diagonal(tau))))  # eigendecomposition itself
     if rank == 1:

@@ -9,6 +9,7 @@ lexicographically smallest point.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -51,22 +52,23 @@ class SweepSpec:
             if not values:
                 raise ValueError(f"parameter {name!r} has no values")
 
-    def param_values(self, name: str) -> tuple[float, ...]:
-        for key, values in self.params:
-            if key == name:
-                return values
-        raise KeyError(name)
-
 
 @dataclass
 class SweepReport:
-    """Outcome of one sweep: evaluation count, worst margin and violations."""
+    """Outcome of one sweep: evaluation count, worst margin and violations.
+
+    ``min_margin`` and ``argmin`` cover the finite margins only and are None
+    when no margin is finite.  ``nonfinite`` counts the NaN or infinite
+    margins (overflow in the bound arithmetic); they are neither minima nor
+    violations.
+    """
 
     family: str
     points_checked: int
-    min_margin: float
-    argmin: tuple[float, ...]
+    min_margin: float | None
+    argmin: tuple[float, ...] | None
     violations: list[tuple[tuple[float, ...], float]]
+    nonfinite: int = 0
     spec: SweepSpec = field(repr=False, compare=False, default=None)
 
     def to_json(self) -> str:
@@ -75,10 +77,11 @@ class SweepReport:
                 "family": self.family,
                 "points": self.points_checked,
                 "min_margin": self.min_margin,
-                "argmin": list(self.argmin),
+                "argmin": None if self.argmin is None else list(self.argmin),
                 "violations": [
                     {"point": list(pt), "margin": m} for pt, m in self.violations
                 ],
+                "nonfinite": self.nonfinite,
             }
         )
 
@@ -211,30 +214,15 @@ def _domain_disc_ordered(pts):
     return _domain_disc(pts) & (pts["x"] >= pts["y"])
 
 
-def _gate_unit(name):
-    def gate(values):
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ValueError(f"axis {name!r} must stay inside [0, 1]")
-
-    return gate
-
-
-def _gate_min(name, lo):
-    def gate(values):
-        if np.any(values < lo - 1e-12):
-            raise ValueError(f"{name!r} values must be >= {lo}")
-
-    return gate
-
-
-def _gate_range(name, lo, hi, hi_open=False):
-    def gate(values):
-        above = np.any(values > hi) if not hi_open else np.any(values >= hi)
-        if np.any(values < lo - 1e-12) or above:
-            edge = ")" if hi_open else "]"
-            raise ValueError(f"{name!r} values must lie in [{lo}, {hi}{edge}")
-
-    return gate
+# Parameter gates (lo, hi, hi_open): values must lie in [lo, hi], or in
+# [lo, hi) when hi_open.  Lower edges allow _GATE_SLACK of roundoff.
+_GATE_SLACK = 1e-12
+_UNIT = (0.0, 1.0, False)
+_POWER = (1.0, math.inf, False)
+_Q_BOUND = (2.0, 3.0, False)
+_ALPHA_GE2 = (2.0, math.inf, False)
+_ALPHA_WINDOW = (_WINDOW_MIN, 2.0, True)
+_GAMMA = (2.0, math.inf, False)
 
 
 @dataclass(frozen=True)
@@ -245,7 +233,7 @@ class Family:
     params: tuple[tuple[str, tuple[float, ...]], ...]
     margin: callable
     domain: callable = _domain_all
-    gates: tuple[tuple[str, callable], ...] = ()
+    gates: tuple[tuple[str, float, float, bool], ...] = ()
     tolerance: float = GRID_TOLERANCE
 
 
@@ -265,7 +253,7 @@ _register(
         axes=(("x", 0.0, 1.0, 200), ("mu", 1.0, 4.0, 200)),
         params=(),
         margin=_margin_power_chain,
-        gates=(("x", _gate_unit("x")), ("mu", _gate_min("mu", 1.0))),
+        gates=(("x", *_UNIT), ("mu", *_POWER)),
     )
 )
 _register(
@@ -277,9 +265,9 @@ _register(
         margin=_margin_gq_super,
         domain=_domain_disc,
         gates=(
-            ("x", _gate_unit("x")),
-            ("y", _gate_unit("y")),
-            ("q", _gate_range("q", 2.0, 3.0)),
+            ("x", *_UNIT),
+            ("y", *_UNIT),
+            ("q", *_Q_BOUND),
         ),
     )
 )
@@ -292,9 +280,9 @@ _register(
         margin=_margin_f_add,
         domain=_domain_disc,
         gates=(
-            ("x", _gate_unit("x")),
-            ("y", _gate_unit("y")),
-            ("alpha", _gate_min("alpha", 2.0)),
+            ("x", *_UNIT),
+            ("y", *_UNIT),
+            ("alpha", *_ALPHA_GE2),
         ),
     )
 )
@@ -307,9 +295,9 @@ _register(
         margin=_margin_f_sq_add,
         domain=_domain_disc,
         gates=(
-            ("x", _gate_unit("x")),
-            ("y", _gate_unit("y")),
-            ("alpha", _gate_range("alpha", _WINDOW_MIN, 2.0, hi_open=True)),
+            ("x", *_UNIT),
+            ("y", *_UNIT),
+            ("alpha", *_ALPHA_WINDOW),
         ),
     )
 )
@@ -322,10 +310,10 @@ _register(
         margin=_margin_gq_pair,
         domain=_domain_disc_ordered,
         gates=(
-            ("x", _gate_unit("x")),
-            ("y", _gate_unit("y")),
-            ("q", _gate_range("q", 2.0, 3.0)),
-            ("mu", _gate_min("mu", 1.0)),
+            ("x", *_UNIT),
+            ("y", *_UNIT),
+            ("q", *_Q_BOUND),
+            ("mu", *_POWER),
         ),
     )
 )
@@ -338,10 +326,10 @@ _register(
         margin=_margin_f_pair,
         domain=_domain_disc_ordered,
         gates=(
-            ("x", _gate_unit("x")),
-            ("y", _gate_unit("y")),
-            ("alpha", _gate_min("alpha", 2.0)),
-            ("mu", _gate_min("mu", 1.0)),
+            ("x", *_UNIT),
+            ("y", *_UNIT),
+            ("alpha", *_ALPHA_GE2),
+            ("mu", *_POWER),
         ),
     )
 )
@@ -354,10 +342,10 @@ _register(
         margin=_margin_f_sq_pair,
         domain=_domain_disc_ordered,
         gates=(
-            ("x", _gate_unit("x")),
-            ("y", _gate_unit("y")),
-            ("alpha", _gate_range("alpha", _WINDOW_MIN, 2.0, hi_open=True)),
-            ("gamma", _gate_min("gamma", 2.0)),
+            ("x", *_UNIT),
+            ("y", *_UNIT),
+            ("alpha", *_ALPHA_WINDOW),
+            ("gamma", *_GAMMA),
         ),
     )
 )
@@ -378,7 +366,7 @@ _register(
         axes=(),
         params=(("q", (2.0, 2.5, 3.0)), ("eta", (1.0, 1.5, 2.0, 3.0))),
         margin=_margin_remark1,
-        gates=(("q", _gate_range("q", 2.0, 3.0)), ("eta", _gate_min("eta", 1.0))),
+        gates=(("q", *_Q_BOUND), ("eta", *_POWER)),
         tolerance=STATE_TOLERANCE,
     )
 )
@@ -389,7 +377,7 @@ _register(
         axes=(),
         params=(("alpha", (2.0, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
         margin=_margin_remark2,
-        gates=(("alpha", _gate_min("alpha", 2.0)), ("mu", _gate_min("mu", 1.0))),
+        gates=(("alpha", *_ALPHA_GE2), ("mu", *_POWER)),
         tolerance=STATE_TOLERANCE,
     )
 )
@@ -401,8 +389,8 @@ _register(
         params=(("alpha", (_WINDOW_MIN, 1.5)), ("gamma", (2.0, 3.0, 4.0))),
         margin=_margin_remark3,
         gates=(
-            ("alpha", _gate_range("alpha", _WINDOW_MIN, 2.0, hi_open=True)),
-            ("gamma", _gate_min("gamma", 2.0)),
+            ("alpha", *_ALPHA_WINDOW),
+            ("gamma", *_GAMMA),
         ),
         tolerance=STATE_TOLERANCE,
     )
@@ -436,13 +424,20 @@ def default_spec(family: str, **overrides) -> SweepSpec:
 
 
 def _validate_against_gates(fam: Family, spec: SweepSpec):
-    gates = dict(fam.gates)
-    for name, lo, hi, _steps in spec.grid:
-        if name in gates:
-            gates[name](np.array([lo, hi]))
-    for name, values in spec.params:
-        if name in gates:
-            gates[name](np.asarray(values, dtype=float))
+    """Raise ValueError if an axis range or a parameter value leaves its gate."""
+    gates = {name: (lo, hi, hi_open) for name, lo, hi, hi_open in fam.gates}
+    ranges = [(name, (lo, hi)) for name, lo, hi, _steps in spec.grid]
+    for name, values in ranges + list(spec.params):
+        if name not in gates:
+            continue
+        lo, hi, hi_open = gates[name]
+        arr = np.asarray(values, dtype=float)
+        above = arr >= hi if hi_open else arr > hi
+        if np.any(arr < lo - _GATE_SLACK) or np.any(above):
+            if hi == math.inf:
+                raise ValueError(f"{name!r} values must be >= {lo}")
+            edge = ")" if hi_open else "]"
+            raise ValueError(f"{name!r} values must lie in [{lo}, {hi}{edge}")
 
 
 def _combos(spec: SweepSpec):
@@ -456,40 +451,41 @@ def _combos(spec: SweepSpec):
 
 
 def _scan(margins: np.ndarray, point_of, tolerance: float):
-    """Min margin, its lexicographically smallest point, and violations."""
+    """Min finite margin, its lexicographically smallest point, violations
+    and the number of non-finite margins.
+
+    With no finite margin the minimum is inf and the point None.
+    """
+    finite = np.isfinite(margins)
+    nonfinite = margins.size - int(np.count_nonzero(finite))
+    if nonfinite:
+        margins = np.where(finite, margins, math.inf)
     local_min = float(np.min(margins))
-    idxs = np.flatnonzero(margins == local_min)
-    best_point = min(point_of(int(i)) for i in idxs)
+    best_point = None
+    if local_min < math.inf:
+        idxs = np.flatnonzero(margins == local_min)
+        best_point = min(point_of(int(i)) for i in idxs)
     violations = [
         (point_of(int(i)), float(margins[i]))
         for i in np.flatnonzero(margins < -tolerance)
     ]
-    return local_min, best_point, violations
+    return local_min, best_point, violations, nonfinite
 
 
-def _merge(state, local_min, point, violations):
-    min_margin, argmin, all_violations = state
+def _merge(state, local_min, point, violations, nonfinite):
+    min_margin, argmin, all_violations, all_nonfinite = state
     all_violations.extend(violations)
-    if local_min < min_margin or (local_min == min_margin and point < argmin):
-        return local_min, point, all_violations
-    return min_margin, argmin, all_violations
+    if point is not None and (
+        local_min < min_margin or (local_min == min_margin and point < argmin)
+    ):
+        min_margin, argmin = local_min, point
+    return min_margin, argmin, all_violations, all_nonfinite + nonfinite
 
 
-def run_sweep(spec: SweepSpec) -> SweepReport:
-    """Evaluate a grid family's margin at every grid point and random sample.
-
-    Deterministic for a fixed spec; reports the signed minimum margin, its
-    location, and every point whose margin falls below -tolerance.
-    """
-    fam = family_of(spec.family)
-    if fam.kind != "grid":
-        raise ValueError(
-            f"family {fam.name!r} is state-level; use run_state_check"
-        )
-    _validate_against_gates(fam, spec)
+def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, np.ndarray]:
+    """Grid mesh points inside the family's domain, then the rejection samples."""
     if not spec.grid:
         raise ValueError(f"family {fam.name!r} needs grid axes")
-
     axis_names = [name for name, *_ in spec.grid]
     axis_values = [np.linspace(lo, hi, steps) for _, lo, hi, steps in spec.grid]
     mesh = np.meshgrid(*axis_values, indexing="ij")
@@ -520,31 +516,9 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
             name: np.concatenate([pts[name], *accepted[name]]) for name in axis_names
         }
 
-    n_points = next(iter(pts.values())).size
-    if n_points == 0:
+    if next(iter(pts.values())).size == 0:
         raise ValueError("sweep domain is empty")
-
-    state = (math.inf, None, [])
-    checked = 0
-    for combo in _combos(spec):
-        margins = np.asarray(fam.margin(pts, combo), dtype=float)
-        checked += margins.size
-        combo_tail = tuple(combo[name] for name, _ in spec.params)
-
-        def point_of(i, tail=combo_tail):
-            return tuple(float(pts[name][i]) for name in axis_names) + tail
-
-        state = _merge(state, *_scan(margins, point_of, spec.tolerance))
-
-    min_margin, argmin, violations = state
-    return SweepReport(
-        family=fam.name,
-        points_checked=checked,
-        min_margin=min_margin,
-        argmin=argmin,
-        violations=violations,
-        spec=spec,
-    )
+    return pts
 
 
 def _state_tables(n_states: int, seed: int) -> dict[str, np.ndarray]:
@@ -575,6 +549,64 @@ def _state_tables(n_states: int, seed: int) -> dict[str, np.ndarray]:
         "c_ac": c_ac,
         "c2_full": np.maximum(c2_full, 0.0),
     }
+
+
+def _sweep(spec: SweepSpec) -> SweepReport:
+    """Evaluate the family's margin at every point for every parameter combo.
+
+    Points come from the grid mesh plus rejection samples for grid families
+    and from ``_state_tables`` for state-level ones.  A point is reported as
+    ``(*coordinates, *param values)``, the coordinates being the axis values
+    on a grid and the state index for a state-level family.
+    """
+    fam = family_of(spec.family)
+    _validate_against_gates(fam, spec)
+    if fam.kind == "grid":
+        pts = _grid_points(fam, spec)
+        coordinates = [name for name, *_ in spec.grid]
+    else:
+        pts = _state_tables(spec.random_samples, spec.seed)
+        coordinates = ["index"]
+
+    state = (math.inf, None, [], 0)
+    checked = 0
+    for combo in _combos(spec):
+        # Overflow in the bound arithmetic surfaces as non-finite margins,
+        # which the scan counts and the report carries.
+        with np.errstate(over="ignore", invalid="ignore"):
+            margins = np.asarray(fam.margin(pts, combo), dtype=float)
+        checked += margins.size
+        combo_tail = tuple(combo[name] for name, _ in spec.params)
+
+        def point_of(i, tail=combo_tail):
+            return tuple(float(pts[name][i]) for name in coordinates) + tail
+
+        state = _merge(state, *_scan(margins, point_of, spec.tolerance))
+
+    min_margin, argmin, violations, nonfinite = state
+    return SweepReport(
+        family=fam.name,
+        points_checked=checked,
+        min_margin=None if argmin is None else min_margin,
+        argmin=argmin,
+        violations=violations,
+        nonfinite=nonfinite,
+        spec=spec,
+    )
+
+
+def run_sweep(spec: SweepSpec) -> SweepReport:
+    """Evaluate a grid family's margin at every grid point and random sample.
+
+    Deterministic for a fixed spec; reports the signed minimum margin, its
+    location, and every point whose margin falls below -tolerance.
+    """
+    fam = family_of(spec.family)
+    if fam.kind != "grid":
+        raise ValueError(
+            f"family {fam.name!r} is state-level; use run_state_check"
+        )
+    return _sweep(spec)
 
 
 def run_state_check(
@@ -611,30 +643,7 @@ def run_state_check(
         seed=seed,
         tolerance=tolerance,
     )
-    _validate_against_gates(fam, spec)
-
-    pts = _state_tables(n_states, seed)
-    state = (math.inf, None, [])
-    checked = 0
-    for combo in _combos(spec):
-        margins = np.asarray(fam.margin(pts, combo), dtype=float)
-        checked += margins.size
-        combo_tail = tuple(combo[name] for name, _ in spec.params)
-
-        def point_of(i, tail=combo_tail):
-            return (float(i),) + tail
-
-        state = _merge(state, *_scan(margins, point_of, spec.tolerance))
-
-    min_margin, argmin, violations = state
-    return SweepReport(
-        family=fam.name,
-        points_checked=checked,
-        min_margin=min_margin,
-        argmin=argmin,
-        violations=violations,
-        spec=spec,
-    )
+    return _sweep(spec)
 
 
 def refine_near_equality(report: SweepReport, factor: int) -> SweepReport:
@@ -649,22 +658,14 @@ def refine_near_equality(report: SweepReport, factor: int) -> SweepReport:
     spec = report.spec
     if spec is None:
         raise ValueError("report does not carry its spec; cannot refine")
+    if report.argmin is None:
+        raise ValueError("report has no finite margin; cannot refine")
     fam = family_of(spec.family)
-    # Argmin layout: (*axis values, *param values) for grids,
-    # (state index, *param values) for state-level families.
-    offset = len(spec.grid) if fam.kind == "grid" else 1
+    offset = len(report.argmin) - len(spec.params)
     pinned = tuple(
         (name, (float(report.argmin[offset + j]),))
         for j, (name, _) in enumerate(spec.params)
     )
-    if fam.kind == "state":
-        return run_state_check(
-            spec.family,
-            n_states=spec.random_samples * factor,
-            seed=spec.seed,
-            params=pinned,
-            tolerance=spec.tolerance,
-        )
     new_grid = []
     for j, (name, lo, hi, steps) in enumerate(spec.grid):
         center = float(report.argmin[j])
@@ -672,12 +673,8 @@ def refine_near_equality(report: SweepReport, factor: int) -> SweepReport:
         new_grid.append(
             (name, max(lo, center - width), min(hi, center + width), 2 * factor + 1)
         )
-    refined = SweepSpec(
-        family=spec.family,
-        grid=tuple(new_grid),
-        params=pinned,
-        random_samples=0,
-        seed=spec.seed,
-        tolerance=spec.tolerance,
+    samples = spec.random_samples * factor if fam.kind == "state" else 0
+    refined = dataclasses.replace(
+        spec, grid=tuple(new_grid), params=pinned, random_samples=samples
     )
-    return run_sweep(refined)
+    return _sweep(refined)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,6 +8,27 @@ import pytest
 from qmonogamy import cli, measures, states
 
 WINDOW_ALPHA = measures.RENYI_ANALYTIC_MIN
+
+# sha256 of the figure 2 and 3 CSVs; any change to the bound arithmetic shows.
+FIGURE_SHA256 = {
+    2: "6017ca2038619b5e7489267769499d3b9db297bf354a2187887141bc671667bc",
+    3: "8d41dc918bb836b11f17ef00a69f55dc3305133082c35dc28448af790a523e8e",
+}
+
+# (family, points, min_margin, argmin) of every default `sweep <family>`.
+DEFAULT_SWEEPS = [
+    ("lemma1", 40500, -3.552713678800501e-15, (1.0, 3.517587939698492)),
+    ("gqsuper", 36168, -5.273559366969494e-16, (0.16497611157512027, 0.5398309298185687, 2.0)),
+    ("falphaadd", 13152, 0.0, (0.0, 0.0, 2.0)),
+    ("falphasqadd", 13152, 0.0, (0.0, 0.0, 0.8228756555322954)),
+    ("lemma2", 22980, -4.718447854656915e-16, (0.4915254237288136, 0.3389830508474576, 2.0, 1.0)),
+    ("lemma5", 15320, 0.0, (0.0, 0.0, 2.0, 1.0)),
+    ("lemma6", 22980, 0.0, (0.0, 0.0, 0.8228756555322954, 2.0)),
+    ("ckw", 1000, 0.010071888555996444, (463.0,)),
+    ("remark1", 12000, 2.547492001559996e-05, (310.0, 3.0, 3.0)),
+    ("remark2", 8000, 8.678115314057785e-05, (310.0, 3.0, 3.0)),
+    ("remark3", 6000, 5.6135430146738206e-05, (310.0, 1.5, 4.0)),
+]
 
 
 def run(argv, capsys):
@@ -82,6 +104,13 @@ class TestFigure:
         run(["figure", "3", "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("which", sorted(FIGURE_SHA256))
+    def test_csv_bytes_pinned(self, which, tmp_path, capsys):
+        out = tmp_path / f"fig{which}.csv"
+        code, _, _ = run(["figure", str(which), "--out", str(out)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256[which]
+
     def test_out_dir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
         code, _, _ = run(["figure", "1", "--out", "fig.csv"], capsys)
@@ -103,6 +132,36 @@ class TestSweep:
         data = json.loads(out)
         assert data["family"] == "lemma1"
         assert data["min_margin"] >= -1e-12
+        assert data["violations"] == []
+
+    @pytest.mark.parametrize("family,points,min_margin,argmin", DEFAULT_SWEEPS)
+    def test_default_sweep_pinned(self, family, points, min_margin, argmin, capsys):
+        code, out, _ = run(["sweep", family], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["points"] == points
+        assert data["min_margin"] == min_margin
+        assert tuple(data["argmin"]) == argmin
+        assert data["violations"] == []
+
+    def test_overflowing_margins_are_counted(self, capsys):
+        # 2**mu overflows above mu = 1024: those margins are NaN or infinite.
+        code, out, err = run(["sweep", "lemma1", "--mu-max", "2000"], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        data = json.loads(out)
+        assert 0 < data["nonfinite"] < data["points"]
+        assert math.isfinite(data["min_margin"])
+        assert len(data["argmin"]) == 2
+
+    def test_all_margins_non_finite(self, capsys):
+        code, out, err = run(["sweep", "lemma1", "--mu-min", "1500", "--mu-max", "2000"], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        data = json.loads(out)
+        assert data["nonfinite"] == data["points"]
+        assert data["min_margin"] is None
+        assert data["argmin"] is None
         assert data["violations"] == []
 
     def test_ckw_with_flags(self, capsys):

@@ -7,6 +7,42 @@ import pytest
 from qmonogamy import bounds, measures, verify
 
 
+WINDOW_ALPHA = measures.RENYI_ANALYTIC_MIN
+
+# (family, axis or parameter, lo, hi, hi open) of every registered gate.
+GATES = [
+    ("lemma1", "x", 0.0, 1.0, False),
+    ("lemma1", "mu", 1.0, math.inf, False),
+    ("gqsuper", "x", 0.0, 1.0, False),
+    ("gqsuper", "y", 0.0, 1.0, False),
+    ("gqsuper", "q", 2.0, 3.0, False),
+    ("falphaadd", "x", 0.0, 1.0, False),
+    ("falphaadd", "y", 0.0, 1.0, False),
+    ("falphaadd", "alpha", 2.0, math.inf, False),
+    ("falphasqadd", "x", 0.0, 1.0, False),
+    ("falphasqadd", "y", 0.0, 1.0, False),
+    ("falphasqadd", "alpha", WINDOW_ALPHA, 2.0, True),
+    ("lemma2", "x", 0.0, 1.0, False),
+    ("lemma2", "y", 0.0, 1.0, False),
+    ("lemma2", "q", 2.0, 3.0, False),
+    ("lemma2", "mu", 1.0, math.inf, False),
+    ("lemma5", "x", 0.0, 1.0, False),
+    ("lemma5", "y", 0.0, 1.0, False),
+    ("lemma5", "alpha", 2.0, math.inf, False),
+    ("lemma5", "mu", 1.0, math.inf, False),
+    ("lemma6", "x", 0.0, 1.0, False),
+    ("lemma6", "y", 0.0, 1.0, False),
+    ("lemma6", "alpha", WINDOW_ALPHA, 2.0, True),
+    ("lemma6", "gamma", 2.0, math.inf, False),
+    ("remark1", "q", 2.0, 3.0, False),
+    ("remark1", "eta", 1.0, math.inf, False),
+    ("remark2", "alpha", 2.0, math.inf, False),
+    ("remark2", "mu", 1.0, math.inf, False),
+    ("remark3", "alpha", WINDOW_ALPHA, 2.0, True),
+    ("remark3", "gamma", 2.0, math.inf, False),
+]
+
+
 def small_spec(family, **overrides):
     fam = verify.family_of(family)
     shrunk = tuple((name, lo, hi, min(steps, 25)) for name, lo, hi, steps in fam.axes)
@@ -29,6 +65,43 @@ class TestSweepSpec:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             verify.family_of("lemma99")
+
+
+class TestGates:
+    def test_table_covers_the_registry(self):
+        registered = {
+            (fam.name, gate[0]) for fam in verify.FAMILIES.values() for gate in fam.gates
+        }
+        assert registered == {(family, name) for family, name, *_ in GATES}
+
+    @pytest.mark.parametrize("family,name,lo,hi,hi_open", GATES)
+    def test_edges(self, family, name, lo, hi, hi_open):
+        fam = verify.family_of(family)
+
+        def check(value):
+            grid = tuple(
+                (axis, value, value, 2) if axis == name else (axis, a, b, steps)
+                for axis, a, b, steps in fam.axes
+            )
+            params = tuple(
+                (param, (value,)) if param == name else (param, values)
+                for param, values in fam.params
+            )
+            verify._validate_against_gates(
+                fam, verify.default_spec(family, grid=grid, params=params)
+            )
+
+        check(lo)
+        if not hi_open and math.isfinite(hi):
+            check(hi)
+        rejected = [lo - 1e-9]
+        if math.isfinite(hi):
+            rejected.append(hi + 1e-9)
+        if hi_open:
+            rejected.append(hi)
+        for value in rejected:
+            with pytest.raises(ValueError, match=f"'{name}'"):
+                check(value)
 
 
 class TestRunSweep:
@@ -92,7 +165,10 @@ class TestRunSweep:
     def test_json_wire_format(self):
         report = verify.run_sweep(small_spec("lemma1"))
         data = json.loads(report.to_json())
-        assert set(data) == {"family", "points", "min_margin", "argmin", "violations"}
+        assert set(data) == {
+            "family", "points", "min_margin", "argmin", "violations", "nonfinite"
+        }
+        assert data["nonfinite"] == 0
         assert data["family"] == "lemma1"
         assert data["points"] == report.points_checked
 
@@ -102,7 +178,7 @@ class TestRunSweep:
         xs = np.linspace(0.0, 1.0, 25)
         x, y = map(np.ravel, np.meshgrid(xs, xs))
         grid_points = int(np.count_nonzero(x * x + y * y <= 1.0 + 1e-12))
-        n_alphas = len(spec.param_values("alpha"))
+        n_alphas = len(dict(spec.params)["alpha"])
         assert report.points_checked == (grid_points + 50) * n_alphas
 
     def test_violations_reported_below_tolerance(self):
