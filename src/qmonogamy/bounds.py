@@ -10,6 +10,7 @@ checks the concurrence-ordering hypotheses the chain bounds rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,11 @@ UNDETERMINED = "undetermined"
 
 _CERT_TOL = 1e-10
 
+# 2**mu as a numpy power: past mu = 1024 it overflows to inf, which a sweep
+# counts as a non-finite margin and a bound report rejects, where a Python
+# float power would raise OverflowError.
+_TWO = np.float64(2.0)
+
 
 @dataclass(frozen=True)
 class PowerParam:
@@ -74,7 +80,7 @@ class PowerParam:
     @property
     def h(self) -> float:
         """Tail weight 2**mu - 1 of the chain expansion."""
-        return 2.0**self.mu - 1.0
+        return _TWO**self.mu - 1.0
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,8 @@ class BoundReport:
     """One bound comparison at a fixed exponent.
 
     ``lhs`` is the powered entanglement of the full cut; the three margins
-    are (lhs - new, new - prior, prior - naive).
+    are (lhs - new, new - prior, prior - naive).  Every value must be
+    finite: an exponent large enough to overflow 2**mu is a domain error.
     """
 
     exponent: float
@@ -90,6 +97,14 @@ class BoundReport:
     new_bound: float
     prior_bound: float
     naive_bound: float
+
+    def __post_init__(self):
+        values = (self.lhs, self.new_bound, self.prior_bound, self.naive_bound)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(
+                f"exponent {self.exponent} overflows the bound arithmetic "
+                f"(lhs, new, prior, naive = {values})"
+            )
 
     @property
     def margins(self) -> tuple[float, float, float]:
@@ -142,7 +157,7 @@ def power_chain(x, p):
     # Every power of e1 = 1 is exactly 1.  A generator keeps one array of
     # coefficients alive at a time.
     coefficients = (_TAILS[name][1](mu) for name in ("new", "ref12_linear", "naive"))
-    tight, loose, naive = _tail_values(1.0, 1.0, arr, arr**mu, 2.0**mu, False, coefficients)
+    tight, loose, naive = _tail_values(1.0, 1.0, arr, arr**mu, _TWO**mu, False, coefficients)
     if np.ndim(x) == 0:
         return float(lhs), float(tight), float(loose), float(naive)
     return lhs, tight, loose, naive
@@ -197,7 +212,7 @@ def _tail(e1, e2, p, name: str, coupling: str = "linear"):
     squared = coupling == "squared"
     lead = a ** (pow_ - (2.0 if squared else 1.0))
     [vals] = _tail_values(
-        a**pow_, lead, b, b**pow_, 2.0**param.mu, squared, [cross(param.mu)]
+        a**pow_, lead, b, b**pow_, _TWO**param.mu, squared, [cross(param.mu)]
     )
     return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
 
@@ -258,11 +273,11 @@ def chain_bound(values, m: int, p, coupling: str = "linear", tail: str = "new"):
     if m == n - 2:
         total = sum(h ** (i - 1) * vals[i - 1] ** pow_ for i in range(1, n - 2))
         q = _tail(vals[-2], vals[-1], param, tail, coupling)
-        return total + h ** (n - 3) * q
+        return float(total + h ** (n - 3) * q)
     total = sum(h ** (i - 1) * vals[i - 1] ** pow_ for i in range(1, m + 1))
     total += h ** (m + 1) * sum(vals[j - 1] ** pow_ for j in range(m + 1, n - 2))
     q = _tail(vals[-1], vals[-2], param, tail, coupling)
-    return total + h**m * q
+    return float(total + h**m * q)
 
 
 def compare_bounds(lhs: float, e1: float, e2: float, p, regime: str) -> BoundReport:
@@ -276,13 +291,15 @@ def compare_bounds(lhs: float, e1: float, e2: float, p, regime: str) -> BoundRep
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     coupling, family = _REGIME_TABLE[regime]
     pow_ = _coupling_exponent(param, coupling)
-    return BoundReport(
-        exponent=pow_,
-        lhs=float(lhs) ** pow_,
-        new_bound=pair_bound_new(e1, e2, param, coupling),
-        prior_bound=pair_bound_prior(e1, e2, param, family),
-        naive_bound=pair_bound_naive(e1, e2, param, coupling),
-    )
+    # An overflow shows as a non-finite bound, which BoundReport rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return BoundReport(
+            exponent=pow_,
+            lhs=float(lhs) ** pow_,
+            new_bound=pair_bound_new(e1, e2, param, coupling),
+            prior_bound=pair_bound_prior(e1, e2, param, family),
+            naive_bound=pair_bound_naive(e1, e2, param, coupling),
+        )
 
 
 def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
@@ -297,13 +314,14 @@ def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     coupling, family = _REGIME_TABLE[regime]
     pow_ = _coupling_exponent(param, coupling)
-    return BoundReport(
-        exponent=pow_,
-        lhs=float(lhs) ** pow_,
-        new_bound=chain_bound(values, m, param, coupling),
-        prior_bound=chain_bound(values, m, param, coupling, tail=family),
-        naive_bound=chain_bound(values, m, param, coupling, tail="naive"),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return BoundReport(
+            exponent=pow_,
+            lhs=float(lhs) ** pow_,
+            new_bound=chain_bound(values, m, param, coupling),
+            prior_bound=chain_bound(values, m, param, coupling, tail=family),
+            naive_bound=chain_bound(values, m, param, coupling, tail="naive"),
+        )
 
 
 def _pure_cut_concurrence(vec: np.ndarray, n: int, pivot_pos: int) -> float:

@@ -1,9 +1,14 @@
 """Small dense complex linear algebra for few-qubit density operators.
 
-Everything here operates on plain ``numpy`` complex arrays.  Matrices are at
-most 16x16 (four qubits), so robustness and clear validation win over speed.
-The qubit index convention is big-endian: qubit 0 is the leftmost tensor
-factor, i.e. basis state ``|q0 q1 ... q_{n-1}>`` has index
+Everything here operates on plain ``numpy`` complex arrays of matrices at
+most 16x16 (four qubits).  Every function takes either one 2-D matrix or a
+stack of them along a leading axis, shape ``(count, dim, dim)``, and works on
+the last two axes only, so a stack costs one call per layer instead of one
+per matrix.  Each member of a stack gets exactly the result a call on that
+member alone returns; a 2-D input returns what it always has (a float where a
+scalar is due).  Validation checks every member and names the index of the
+first bad one.  The qubit index convention is big-endian: qubit 0 is the
+leftmost tensor factor, i.e. basis state ``|q0 q1 ... q_{n-1}>`` has index
 ``sum(q_k * 2**(n-1-k))``.
 """
 
@@ -27,52 +32,85 @@ YY = np.kron(SIGMA_Y, SIGMA_Y).real
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex array, rejecting anything else."""
+    """Coerce to a complex 2-D matrix or a 3-D stack of them, rejecting anything else."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    if arr.ndim not in (2, 3) or 0 in arr.shape:
+        raise ValueError(f"expected a 2-D matrix or a stack of them, got shape {arr.shape}")
     return arr
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
+def _check_members(arr: np.ndarray, values, failed, describe) -> None:
+    """Raise a ValueError for the first member flagged in ``failed``.
+
+    ``values`` and ``failed`` hold one entry per member of ``arr`` (scalars
+    for a 2-D matrix); ``describe(value)`` words what is wrong with a member.
+    For a stack the message names the member.
+    """
+    if arr.ndim == 2:
+        if failed:
+            raise ValueError(describe(values))
+    elif failed.any():
+        index = int(np.argmax(failed))
+        raise ValueError(f"stack member {index}: {describe(values[index])}")
+
+
+def hermiticity_defect(m):
+    """Largest entrywise deviation of ``m`` from its conjugate transpose.
+
+    A float for a 2-D matrix, an array with one value per member for a stack.
+    """
     arr = as_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
+    if arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"matrix is not square: shape {arr.shape}")
-    return float(np.max(np.abs(arr - arr.conj().T)))
+    defect = np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return float(defect) if arr.ndim == 2 else defect
 
 
 def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     arr = as_matrix(m)
     defect = hermiticity_defect(arr)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.1e}")
+    _check_members(
+        arr,
+        defect,
+        defect > tol,
+        lambda d: f"matrix is not Hermitian: defect {d:.3e} > {tol:.1e}",
+    )
     return arr
 
 
 def require_density(rho, dim: int | None = None) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, eigenvalues >= -1e-8."""
+    """Validate a density matrix, or each member of a stack: Hermitian, unit
+    trace, eigenvalues >= -1e-8."""
     arr = require_hermitian(rho)
-    if dim is not None and arr.shape != (dim, dim):
+    if dim is not None and arr.shape[-2:] != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix, got {arr.shape}")
-    tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr} is not 1 within {TRACE_TOL:.1e}")
-    lo = float(np.min(np.linalg.eigvalsh(arr)))
-    if lo < -EIGENVALUE_CLAMP:
-        raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+    tr = arr.trace(axis1=-2, axis2=-1)
+    _check_members(
+        arr,
+        tr,
+        abs(tr - 1.0) > TRACE_TOL,
+        lambda t: f"density matrix trace {complex(t)} is not 1 within {TRACE_TOL:.1e}",
+    )
+    lo = np.linalg.eigvalsh(arr).min(axis=-1)
+    _check_members(
+        arr,
+        lo,
+        lo < -EIGENVALUE_CLAMP,
+        lambda v: f"density matrix has negative eigenvalue {v:.3e}",
+    )
     return arr
 
 
 def partial_trace(rho, n_qubits: int, keep) -> np.ndarray:
-    """Reduced density operator on the qubits in ``keep``.
+    """Reduced density operator on the qubits in ``keep``, of one matrix or
+    of each member of a stack.
 
     ``rho`` must be ``2**n_qubits`` square.  Kept qubits appear in ascending
     original order; the trace is preserved exactly up to roundoff.
     """
     arr = as_matrix(rho)
     dim = 2**n_qubits
-    if arr.shape != (dim, dim):
+    if arr.shape[-2:] != (dim, dim):
         raise ValueError(
             f"expected a {dim}x{dim} matrix for {n_qubits} qubits, got {arr.shape}"
         )
@@ -82,23 +120,26 @@ def partial_trace(rho, n_qubits: int, keep) -> np.ndarray:
     if kept[0] < 0 or kept[-1] >= n_qubits:
         raise ValueError(f"keep indices {kept} out of range for {n_qubits} qubits")
 
-    tens = arr.reshape([2] * (2 * n_qubits))
+    lead = arr.shape[:-2]
+    tens = arr.reshape(lead + (2,) * (2 * n_qubits))
     traced = [q for q in range(n_qubits) if q not in kept]
     # Contract bra/ket axes of each traced qubit, highest axis first so the
     # remaining axis numbers stay valid.
+    first = len(lead)
     offset = n_qubits
     for q in reversed(traced):
-        tens = np.trace(tens, axis1=q, axis2=q + offset)
+        tens = np.trace(tens, axis1=first + q, axis2=first + q + offset)
         offset -= 1
     k = len(kept)
-    return tens.reshape(2**k, 2**k)
+    return tens.reshape(lead + (2**k, 2**k))
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending."""
+    """Real eigenvalues of a Hermitian matrix, sorted descending along the
+    last axis (one row per member of a stack)."""
     arr = require_hermitian(h)
-    vals = np.linalg.eigvalsh(arr)
-    return np.sort(vals.real)[::-1].copy()
+    # eigvalsh returns them real and ascending.
+    return np.linalg.eigvalsh(arr)[..., ::-1].copy()
 
 
 def trace_power(rho, p: float) -> float:

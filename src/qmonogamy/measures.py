@@ -163,7 +163,8 @@ def concurrence_pure(state: PureState, side_a) -> float:
 
 
 def spin_flip_spectrum(rho) -> np.ndarray:
-    """Descending sqrt-eigenvalues of rho (sy x sy) rho* (sy x sy).
+    """Descending sqrt-eigenvalues of rho (sy x sy) rho* (sy x sy), of one
+    matrix or of each member of a stack (one row per member).
 
     Evaluated as the singular values of sqrt(rho) Y sqrt(rho)^T with
     Y = sy x sy (real symmetric), which carries the same spectrum: with
@@ -174,16 +175,18 @@ def spin_flip_spectrum(rho) -> np.ndarray:
     arr = kernel.as_matrix(rho)
     w, v = np.linalg.eigh(arr)
     w = np.where(w < kernel.ROUNDOFF_ZERO, 0.0, w)  # keep sqrt off roundoff zeros
-    root = (v * np.sqrt(w)) @ v.conj().T
-    k = root @ kernel.YY @ root.T
+    root = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    k = root @ kernel.YY @ root.swapaxes(-1, -2)
     return np.linalg.svd(k, compute_uv=False)
 
 
-def concurrence_two_qubit(rho) -> float:
-    """Closed-form concurrence of a two-qubit mixed state (spin-flip spectrum)."""
+def concurrence_two_qubit(rho) -> float | np.ndarray:
+    """Closed-form concurrence of a two-qubit mixed state (spin-flip
+    spectrum); a stack of states gives one value per member."""
     arr = kernel.require_density(rho, dim=4)
-    s = spin_flip_spectrum(arr)
-    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
+    s0, s1, s2, s3 = spin_flip_spectrum(arr).T
+    gap = s0 - s1 - s2 - s3
+    return _like(gap, np.where(gap > 0.0, gap, 0.0))
 
 
 def tsallis_pure(state: PureState, side_a, q) -> float:

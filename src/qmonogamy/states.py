@@ -115,23 +115,31 @@ def density(state: PureState) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _standard_normal_pairs(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Box-Muller over the generator's uniform stream.
+def _haar_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` Haar-distributed unit vectors, one per row.
 
-    Kept explicit (rather than ``rng.standard_normal``) so the sample stream
-    is pinned to the documented PCG64 uniform doubles and the textbook
-    transform, making seeds portable.
+    Normalized i.i.d. complex Gaussians from a Box-Muller transform over the
+    generator's uniform stream, kept explicit (rather than
+    ``rng.standard_normal``) so the sample stream is pinned to the documented
+    PCG64 uniform doubles and the textbook transform, making seeds portable.
+    Vector ``i`` takes uniforms ``2 dim i`` onwards, ``dim`` for the radii and
+    then ``dim`` for the angles, so one draw of shape ``(count, 2, dim)`` gives
+    the same vectors as ``count`` draws of one vector each.
     """
-    u1 = 1.0 - rng.random(count)  # (0, 1]: log stays finite
-    u2 = rng.random(count)
+    u = rng.random((count, 2, dim))
+    u1 = 1.0 - u[:, 0]  # (0, 1]: log stays finite
+    u2 = u[:, 1]
     radius = np.sqrt(-2.0 * np.log(u1))
-    return radius * np.cos(2.0 * np.pi * u2) + 1j * radius * np.sin(2.0 * np.pi * u2)
+    vec = radius * np.cos(2.0 * np.pi * u2) + 1j * radius * np.sin(2.0 * np.pi * u2)
+    # The row norms as np.linalg.norm forms them for one vector, so every
+    # row is normalized exactly as a single draw would be.
+    norm = np.sqrt(np.vecdot(vec.real, vec.real) + np.vecdot(vec.imag, vec.imag))
+    return vec / norm[:, None]
 
 
 def haar_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unit vector: normalized i.i.d. complex Gaussians."""
-    vec = _standard_normal_pairs(rng, dim)
-    return vec / np.linalg.norm(vec)
+    return _haar_vectors(rng, 1, dim)[0]
 
 
 def random_pure_state(n_qubits: int, seed: int) -> PureState:
@@ -146,10 +154,11 @@ def random_pure_states(n_qubits: int, count: int, seed: int) -> list[PureState]:
     """A reproducible batch drawn from one seeded stream.
 
     The first ``k`` states of any batch equal the first ``k`` of a longer
-    batch with the same seed, so enlarging a sweep only appends states.
+    batch with the same seed, so enlarging a sweep only appends states.  The
+    states' amplitudes are read-only rows of one array.
     """
     if not 1 <= n_qubits <= 4:
         raise ValueError(f"n_qubits must be in 1..4, got {n_qubits}")
     rng = np.random.default_rng(seed)
-    dim = 2**n_qubits
-    return [PureState(n_qubits, haar_state_vector(dim, rng)) for _ in range(count)]
+    vectors = _haar_vectors(rng, count, 2**n_qubits)
+    return [PureState(n_qubits, vec) for vec in vectors]

@@ -31,6 +31,10 @@ DEFAULT_SWEEPS = [
 ]
 
 
+def strict_json_constant(name):
+    raise AssertionError(f"output is not strict JSON: {name}")
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -153,6 +157,22 @@ class TestSweep:
         assert 0 < data["nonfinite"] < data["points"]
         assert math.isfinite(data["min_margin"])
         assert len(data["argmin"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "lemma2", "--mu-values", "2000"],
+            ["sweep", "remark1", "--eta-values", "2000", "--states", "20"],
+        ],
+    )
+    def test_overflowing_scalar_powers_are_counted(self, argv, capsys):
+        # A scalar power of 2000 overflows 2**mu in the pair tail.
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        data = json.loads(out, parse_constant=strict_json_constant)
+        assert 0 < data["nonfinite"] <= data["points"]
+        assert data["violations"] == []
 
     def test_all_margins_non_finite(self, capsys):
         code, out, err = run(["sweep", "lemma1", "--mu-min", "1500", "--mu-max", "2000"], capsys)
@@ -298,6 +318,20 @@ class TestEvaluate:
         assert data["ordering"] == "certified"
         assert data["split_index"] == 2
         assert all(v >= -1e-12 for v in data["margins"].values())
+
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_overflowing_exponent_is_a_usage_error(self, n_qubits, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(states.random_pure_state(n_qubits, 5).to_json())
+        code, out, err = run(
+            ["evaluate", "--state", str(path), "--measure", "tsallis",
+             "--index", "2", "--exponent", "2000", "--pivot", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "overflows" in err
 
     def test_malformed_state_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qmonogamy import kernel, measures, states
+from qmonogamy import kernel, measures, states, verify
 
 EXAMPLE_PARAMS = states.AcinParams(
     (np.sqrt(5.0) / 3.0, 0.0, np.sqrt(3.0) / 3.0, 1.0 / 3.0, 0.0)
@@ -144,6 +144,45 @@ class TestRandomPureState:
         short = states.random_pure_states(3, 4, seed=77)
         for a, b in zip(short, long):
             assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+def per_state_haar_vectors(n_qubits, count, seed):
+    """Reference sampler: one draw, Box-Muller transform and norm per state."""
+    rng = np.random.default_rng(seed)
+    dim = 2**n_qubits
+    out = []
+    for _ in range(count):
+        u1 = 1.0 - rng.random(dim)
+        u2 = rng.random(dim)
+        radius = np.sqrt(-2.0 * np.log(u1))
+        vec = radius * np.cos(2.0 * np.pi * u2) + 1j * radius * np.sin(2.0 * np.pi * u2)
+        out.append(vec / np.linalg.norm(vec))
+    return out
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("seed", [0, 7919])
+    @pytest.mark.parametrize("count", [1, 400, verify._STATE_BLOCK + 3])
+    def test_batch_equals_per_state_draws(self, seed, count):
+        batch = states.random_pure_states(3, count, seed)
+        reference = per_state_haar_vectors(3, count, seed)
+        assert len(batch) == count
+        for state, vec in zip(batch, reference):
+            assert np.array_equal(state.amplitudes, vec)
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 4])
+    def test_other_sizes_and_single_vectors(self, n_qubits):
+        reference = per_state_haar_vectors(n_qubits, 5, 11)
+        batch = states.random_pure_states(n_qubits, 5, 11)
+        rng = np.random.default_rng(11)
+        for state, vec in zip(batch, reference):
+            assert np.array_equal(state.amplitudes, vec)
+            assert np.array_equal(states.haar_state_vector(2**n_qubits, rng), vec)
+
+    def test_amplitudes_are_read_only(self):
+        state = states.random_pure_states(2, 3, 0)[1]
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 1.0
 
 
 class TestPureStateJson:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmonogamy import bounds, measures, verify
+from qmonogamy import bounds, kernel, measures, states, verify
 
 
 WINDOW_ALPHA = measures.RENYI_ANALYTIC_MIN
@@ -235,6 +235,33 @@ class TestRunStateCheck:
         t_hi, t_lo = 30.0 / 81.0, 10.0 / 81.0
         margin = (40.0 / 81.0) - bounds.pair_bound_new(t_hi, t_lo, bounds.PowerParam(1.0))
         assert margin == pytest.approx(0.0, abs=1e-12)
+
+
+def per_state_tables(n_states, seed):
+    """Reference state table: every kernel call on one state at a time."""
+    cols = {name: np.empty(n_states) for name in ("lam_hi", "lam_lo", "c_ab", "c_ac")}
+    for i, state in enumerate(states.random_pure_states(3, n_states, seed)):
+        rho = states.density(state)
+        spectrum = kernel.hermitian_eigenvalues(kernel.partial_trace(rho, 3, {0}))
+        cols["lam_hi"][i] = max(spectrum[0], 0.0)
+        cols["lam_lo"][i] = max(spectrum[1], 0.0)
+        cols["c_ab"][i] = measures.concurrence_two_qubit(kernel.partial_trace(rho, 3, {0, 1}))
+        cols["c_ac"][i] = measures.concurrence_two_qubit(kernel.partial_trace(rho, 3, {0, 2}))
+    c2_full = 2.0 * (1.0 - cols["lam_hi"] ** 2 - cols["lam_lo"] ** 2)
+    cols["c2_full"] = np.maximum(c2_full, 0.0)
+    cols["index"] = np.arange(n_states, dtype=float)
+    return cols
+
+
+class TestStateTables:
+    @pytest.mark.parametrize("seed", [0, 7919])
+    @pytest.mark.parametrize("n_states", [1, 400, verify._STATE_BLOCK + 3])
+    def test_blocked_table_equals_per_state_loop(self, seed, n_states):
+        table = verify._state_tables(n_states, seed)
+        reference = per_state_tables(n_states, seed)
+        assert table.keys() == reference.keys()
+        for name, column in reference.items():
+            assert np.array_equal(table[name], column), name
 
 
 class TestRefine:
