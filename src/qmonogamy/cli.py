@@ -209,7 +209,7 @@ def cmd_sweep(args, out=None) -> int:
             tolerance=spec.tolerance,
         )
     print(report.to_json(), file=out)
-    return 1 if report.violations or report.nonfinite else 0
+    return 1 if report.violations_total or report.nonfinite else 0
 
 
 def load_state_file(path: str) -> PureState:

@@ -32,10 +32,15 @@ YY = np.kron(SIGMA_Y, SIGMA_Y).real
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a complex 2-D matrix or a 3-D stack of them, rejecting anything else."""
+    """Coerce to a complex 2-D matrix or a 3-D stack of them, rejecting any
+    other shape and NaN or infinite entries."""
     arr = np.asarray(m, dtype=complex)
     if arr.ndim not in (2, 3) or 0 in arr.shape:
         raise ValueError(f"expected a 2-D matrix or a stack of them, got shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = ~finite.all(axis=(-2, -1))
+        _check_members(arr, bad, bad, lambda _: "matrix has NaN or infinite entries")
     return arr
 
 

@@ -9,6 +9,7 @@ evaluators built on them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,15 +221,18 @@ def renyi_two_qubit(rho, alpha) -> float:
 # ---------------------------------------------------------------------------
 
 _RANK_CUTOFF = 1e-10
+# Refinement steps whose proposals a restart draws at once.
+_PROPOSAL_BLOCK = 32
 
 
-def _haar_isometry(k: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    """k x r matrix with orthonormal columns, Haar-distributed."""
-    g = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
-    q_mat, r_mat = np.linalg.qr(g)
+def _haar_isometries(k: int, r: int, rngs) -> np.ndarray:
+    """One k x r matrix with orthonormal columns per generator, stacked;
+    each is Haar-distributed and drawn from its own generator."""
+    z = np.stack([rng.standard_normal((2, k, r)) for rng in rngs])
+    q_mat, r_mat = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     # Fix column phases so the distribution is Haar rather than QR-skewed.
-    d = np.diagonal(r_mat)
-    return q_mat * (d / np.abs(np.where(d == 0, 1.0, d)))
+    d = np.diagonal(r_mat, axis1=-2, axis2=-1)
+    return q_mat * (d / np.abs(np.where(d == 0, 1.0, d)))[:, None, :]
 
 
 def _decomposition_cost(u: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -245,32 +249,43 @@ def _refine_group(u, tau, rngs) -> float:
 
     Restarts are batched for throughput but each draws proposals from its
     own generator and freezes once its step collapses, so a restart's result
-    depends only on its seed, never on its batch companions.
+    depends only on its seed, never on its batch companions.  A restart
+    draws its proposals ``_PROPOSAL_BLOCK`` steps at a time, which yields
+    exactly the numbers one draw per step would, and only the live
+    (unfrozen) restarts are stepped.
     """
     batch, k, r = u.shape
     val = _decomposition_cost(u, tau)
+    # Per live restart: its index into the batch, iterate, step size, failed
+    # proposals since the last shrink, and its current block of draws (real
+    # and imaginary parts of each step's proposal).
+    live = np.arange(batch)
+    cur, cur_val = u, val.copy()
     step = np.full(batch, 0.3)
     fails = np.zeros(batch, dtype=int)
-    active = step > 1e-4
-    while np.any(active):
-        g = np.stack(
-            [
-                rngs[b].standard_normal((k, r)) + 1j * rngs[b].standard_normal((k, r))
-                if active[b]
-                else np.zeros((k, r), dtype=complex)
-                for b in range(batch)
-            ]
-        )
-        cand, _ = np.linalg.qr(u + step[:, None, None] * g)
+    block = np.empty((batch, _PROPOSAL_BLOCK, 2, k, r))
+    s = 0
+    while live.size:
+        j = s % _PROPOSAL_BLOCK
+        if j == 0:
+            for i, b in enumerate(live):
+                rngs[b].standard_normal(out=block[i])
+        g = block[:, j, 0] + 1j * block[:, j, 1]
+        cand, _ = np.linalg.qr(cur + step[:, None, None] * g)
         cand_val = _decomposition_cost(cand, tau)
-        improved = active & (cand_val < val - 1e-15)
-        u = np.where(improved[:, None, None], cand, u)
-        val = np.where(improved, cand_val, val)
+        improved = cand_val < cur_val - 1e-15
+        cur = np.where(improved[:, None, None], cand, cur)
+        cur_val = np.where(improved, cand_val, cur_val)
         fails = np.where(improved, 0, fails + 1)
-        shrink = active & (fails >= 6)
+        shrink = fails >= 6
         step = np.where(shrink, step * 0.6, step)
         fails = np.where(shrink, 0, fails)
-        active = step > 1e-4
+        s += 1
+        keep = step > 1e-4
+        if not keep.all():
+            val[live] = cur_val
+            live, cur, cur_val = live[keep], cur[keep], cur_val[keep]
+            step, fails, block = step[keep], fails[keep], block[keep]
     return float(np.min(val))
 
 
@@ -284,8 +299,8 @@ def concurrence_roof_oracle(rho, restarts: int = 200, seed: int = 0) -> float:
     for a fixed seed the estimate is the running minimum over restarts:
     raising ``restarts`` can only lower (never raise) the result.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if not isinstance(restarts, numbers.Integral) or restarts < 1:
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     arr = kernel.require_density(rho, dim=4)
     w, v = np.linalg.eigh(arr)
     keep = w > _RANK_CUTOFF
@@ -305,6 +320,6 @@ def concurrence_roof_oracle(rho, restarts: int = 200, seed: int = 0) -> float:
         if not indices:
             continue
         rngs = [np.random.default_rng(children[t]) for t in indices]
-        u = np.stack([_haar_isometry(k, rank, rng) for rng in rngs])
+        u = _haar_isometries(k, rank, rngs)
         best = min(best, _refine_group(u, tau, rngs))
     return best

@@ -32,7 +32,10 @@ class PureState:
                 f"{n}-qubit state needs {2**n} amplitudes, got {amps.size}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        # Written so that a NaN norm fails too.
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            if not np.isfinite(amps).all():
+                raise ValueError(f"state has NaN or infinite amplitudes: {amps}")
             raise ValueError(f"state not normalized: sum |a|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
@@ -68,6 +71,8 @@ class AcinParams:
         lams = tuple(float(v) for v in self.lambdas)
         if len(lams) != 5:
             raise ValueError(f"need exactly 5 amplitudes, got {len(lams)}")
+        if not all(math.isfinite(v) for v in lams):
+            raise ValueError(f"amplitudes must be finite: {lams}")
         if any(v < 0 for v in lams):
             raise ValueError(f"amplitudes must be nonnegative: {lams}")
         total = sum(v * v for v in lams)

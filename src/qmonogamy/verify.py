@@ -23,6 +23,8 @@ GRID_TOLERANCE = 1e-12
 STATE_TOLERANCE = 1e-9
 DEFAULT_RANDOM_SAMPLES = 500
 DEFAULT_STATES = 1000
+# Violating points a report lists (the worst ones); the rest are only counted.
+MAX_VIOLATIONS = 100
 # States per stack in ``_state_tables``: large enough that the fixed cost of
 # a stacked kernel call is small beside its per-state work, small enough that
 # a block's intermediates (about 1 MB) add little to a sweep's peak memory.
@@ -62,9 +64,11 @@ class SweepReport:
     """Outcome of one sweep: evaluation count, worst margin and violations.
 
     ``min_margin`` and ``argmin`` cover the finite margins only and are None
-    when no margin is finite.  ``nonfinite`` counts the NaN or infinite
-    margins (overflow in the bound arithmetic); they are neither minima nor
-    violations.
+    when no margin is finite.  ``violations`` holds at most
+    ``MAX_VIOLATIONS`` of the worst violating points, worst first, and
+    ``violations_total`` counts them all.  ``nonfinite`` counts the NaN or
+    infinite margins (overflow in the bound arithmetic); they are neither
+    minima nor violations.
     """
 
     family: str
@@ -72,6 +76,7 @@ class SweepReport:
     min_margin: float | None
     argmin: tuple[float, ...] | None
     violations: list[tuple[tuple[float, ...], float]]
+    violations_total: int = 0
     nonfinite: int = 0
     spec: SweepSpec = field(repr=False, compare=False, default=None)
 
@@ -85,6 +90,7 @@ class SweepReport:
                 "violations": [
                     {"point": list(pt), "margin": m} for pt, m in self.violations
                 ],
+                "violations_total": self.violations_total,
                 "nonfinite": self.nonfinite,
             }
         )
@@ -455,8 +461,9 @@ def _combos(spec: SweepSpec):
 
 
 def _scan(margins: np.ndarray, point_of, tolerance: float):
-    """Min finite margin, its lexicographically smallest point, violations
-    and the number of non-finite margins.
+    """Min finite margin, its lexicographically smallest point, the worst
+    violations (at most ``MAX_VIOLATIONS``, worst first), the number of
+    violations and the number of non-finite margins.
 
     With no finite margin the minimum is inf and the point None.
     """
@@ -469,21 +476,23 @@ def _scan(margins: np.ndarray, point_of, tolerance: float):
     if local_min < math.inf:
         idxs = np.flatnonzero(margins == local_min)
         best_point = min(point_of(int(i)) for i in idxs)
-    violations = [
-        (point_of(int(i)), float(margins[i]))
-        for i in np.flatnonzero(margins < -tolerance)
-    ]
-    return local_min, best_point, violations, nonfinite
+    bad = np.flatnonzero(margins < -tolerance)
+    worst = bad
+    if bad.size > MAX_VIOLATIONS:
+        worst = bad[np.argpartition(margins[bad], MAX_VIOLATIONS - 1)[:MAX_VIOLATIONS]]
+    worst = worst[np.lexsort((worst, margins[worst]))]  # by margin, then position
+    violations = [(point_of(int(i)), float(margins[i])) for i in worst]
+    return local_min, best_point, violations, int(bad.size), nonfinite
 
 
-def _merge(state, local_min, point, violations, nonfinite):
-    min_margin, argmin, all_violations, all_nonfinite = state
-    all_violations.extend(violations)
+def _merge(state, local_min, point, violations, n_violations, nonfinite):
+    min_margin, argmin, worst, total, all_nonfinite = state
+    worst = sorted(worst + violations, key=lambda v: v[1])[:MAX_VIOLATIONS]
     if point is not None and (
         local_min < min_margin or (local_min == min_margin and point < argmin)
     ):
         min_margin, argmin = local_min, point
-    return min_margin, argmin, all_violations, all_nonfinite + nonfinite
+    return min_margin, argmin, worst, total + n_violations, all_nonfinite + nonfinite
 
 
 def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, np.ndarray]:
@@ -575,7 +584,7 @@ def _sweep(spec: SweepSpec) -> SweepReport:
         pts = _state_tables(spec.random_samples, spec.seed)
         coordinates = ["index"]
 
-    state = (math.inf, None, [], 0)
+    state = (math.inf, None, [], 0, 0)
     checked = 0
     for combo in _combos(spec):
         # Overflow in the bound arithmetic surfaces as non-finite margins,
@@ -590,13 +599,14 @@ def _sweep(spec: SweepSpec) -> SweepReport:
 
         state = _merge(state, *_scan(margins, point_of, spec.tolerance))
 
-    min_margin, argmin, violations, nonfinite = state
+    min_margin, argmin, violations, violations_total, nonfinite = state
     return SweepReport(
         family=fam.name,
         points_checked=checked,
         min_margin=None if argmin is None else min_margin,
         argmin=argmin,
         violations=violations,
+        violations_total=violations_total,
         nonfinite=nonfinite,
         spec=spec,
     )
@@ -606,7 +616,8 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     """Evaluate a grid family's margin at every grid point and random sample.
 
     Deterministic for a fixed spec; reports the signed minimum margin, its
-    location, and every point whose margin falls below -tolerance.
+    location, and the worst of the points whose margin falls below
+    -tolerance along with their count.
     """
     fam = family_of(spec.family)
     if fam.kind != "grid":

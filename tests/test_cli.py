@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qmonogamy import cli, measures, states
+from qmonogamy import cli, measures, states, verify
 
 WINDOW_ALPHA = measures.RENYI_ANALYTIC_MIN
 
@@ -137,6 +138,18 @@ class TestSweep:
         assert data["family"] == "lemma1"
         assert data["min_margin"] >= -1e-12
         assert data["violations"] == []
+
+    def test_exit_code_reads_the_violation_total(self, monkeypatch, capsys):
+        fam = dataclasses.replace(
+            verify.family_of("gqsuper"), margin=lambda pts, combo: pts["x"] - 2.0
+        )
+        monkeypatch.setitem(verify.FAMILIES, "gqsuper", fam)
+        code, out, _ = run(["sweep", "gqsuper", "--samples", "0"], capsys)
+        assert code == 1
+        data = json.loads(out, parse_constant=strict_json_constant)
+        assert len(data["violations"]) == verify.MAX_VIOLATIONS
+        assert data["violations_total"] == data["points"]
+        assert data["violations"][0]["margin"] == -2.0
 
     @pytest.mark.parametrize("family,points,min_margin,argmin", DEFAULT_SWEEPS)
     def test_default_sweep_pinned(self, family, points, min_margin, argmin, capsys):
@@ -332,6 +345,28 @@ class TestEvaluate:
         assert out == ""
         assert "Traceback" not in err
         assert "overflows" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n_qubits": 3, "amplitudes": [[NaN, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, 0.0],'
+            ' [0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}',
+            '{"lambda": [NaN, 0.0, 0.5, 0.5, 0.0], "phi": 0.0}',
+        ],
+    )
+    def test_non_finite_state_file(self, text, tmp_path, capsys):
+        # The message names the bad input, not LAPACK's failure on it.
+        path = tmp_path / "nan.json"
+        path.write_text(text)
+        code, out, err = run(
+            ["evaluate", "--state", str(path), "--measure", "tsallis",
+             "--index", "2", "--exponent", "2", "--pivot", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "finite" in err and "converge" not in err
 
     def test_malformed_state_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -130,6 +130,25 @@ class TestHermitianEigenvalues:
             kernel.hermitian_eigenvalues(m)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_matrix_rejected(self, bad):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            kernel.as_matrix(m)
+        # The density validators coerce through as_matrix.
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            kernel.require_density(m)
+
+    def test_stack_names_first_bad_member(self):
+        stack = np.stack([np.eye(4, dtype=complex) / 4.0] * 5)
+        stack[3, 0, 0] = np.nan
+        stack[4, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="^stack member 3: .*NaN or infinite"):
+            kernel.require_density(stack)
+
+
 class TestGeneralEigenvalues:
     def test_agrees_with_hermitian_path(self):
         rng = np.random.default_rng(13)

@@ -64,3 +64,89 @@ def test_deterministic_and_nonincreasing_in_restarts():
 def test_restart_gate():
     with pytest.raises(ValueError):
         measures.concurrence_roof_oracle(np.eye(4, dtype=complex) / 4.0, restarts=0)
+    for restarts in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            measures.concurrence_roof_oracle(np.eye(4) / 4.0, restarts=restarts)
+    assert measures.concurrence_roof_oracle(np.eye(4) / 4.0, restarts=np.int64(3)) == 0.0
+
+
+def test_non_finite_input_is_a_value_error():
+    # Validation must name the bad input before it reaches LAPACK.
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 3] = rho[3, 0] = np.nan
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        measures.concurrence_two_qubit(rho)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        measures.concurrence_roof_oracle(rho, restarts=2)
+
+
+# Oracle values pinned bit for bit (``float.hex``) at restart counts that
+# cover one to three decomposition-size groups and groups of one restart.
+# The mixtures span decomposition sizes k = rank..4 against r = rank; the
+# pure state takes the rank-1 shortcut.
+_PIN_WEIGHTS = {2: (0.6, 0.4), 3: (0.7, 0.2, 0.1), 4: (0.82, 0.08, 0.06, 0.04)}
+_PINNED = {
+    ("rank2", 1): "0x1.23688cc86a4dep-3",
+    ("rank2", 2): "0x1.23688cc86a4dep-3",
+    ("rank2", 3): "0x1.23688cc86a4dep-3",
+    ("rank2", 7): "0x1.23688cc86a4dep-3",
+    ("rank2", 200): "0x1.23688cc8139dcp-3",
+    ("rank3", 1): "0x1.1c639c8a9bac9p-1",
+    ("rank3", 2): "0x1.1c639c8a9bac9p-1",
+    ("rank3", 3): "0x1.1c639c8a9bac9p-1",
+    ("rank3", 7): "0x1.1c639c08464c6p-1",
+    ("rank3", 200): "0x1.1c639bfaf4f06p-1",
+    ("rank4", 1): "0x1.8268dfda1481ap-2",
+    ("rank4", 2): "0x1.7702d8a490a7cp-2",
+    ("rank4", 3): "0x1.7702d8a490a7cp-2",
+    ("rank4", 7): "0x1.7702d8a490a7cp-2",
+    ("rank4", 200): "0x1.76fe1ea4a5c80p-2",
+    ("pure", 1): "0x1.ed374b9678e22p-2",
+    ("pure", 2): "0x1.ed374b9678e22p-2",
+    ("pure", 3): "0x1.ed374b9678e22p-2",
+    ("pure", 7): "0x1.ed374b9678e22p-2",
+    ("pure", 200): "0x1.ed374b9678e22p-2",
+}
+
+
+def pinned_input(name):
+    if name == "pure":
+        return states.density(states.random_pure_state(2, 44))
+    rank = int(name[-1])
+    rng = np.random.default_rng(40 + rank)
+    vecs = [states.haar_state_vector(4, rng) for _ in range(rank)]
+    return sum(w * np.outer(v, v.conj()) for w, v in zip(_PIN_WEIGHTS[rank], vecs))
+
+
+@pytest.mark.parametrize("name", ["rank2", "rank3", "rank4", "pure"])
+def test_pinned_values(name):
+    rho = pinned_input(name)
+    for restarts in (1, 2, 3, 7, 200):
+        est = measures.concurrence_roof_oracle(rho, restarts=restarts, seed=11)
+        assert est.hex() == _PINNED[name, restarts], restarts
+
+
+@pytest.mark.parametrize(("name", "k"), [("rank2", 2), ("rank3", 4)])
+def test_batched_restarts_are_independent(name, k):
+    rho = pinned_input(name)
+    w, v = np.linalg.eigh(rho)
+    keep = w > 1e-10
+    x = v[:, keep] * np.sqrt(w[keep])
+    tau = x.T @ measures.kernel.YY @ x
+    rank = int(keep.sum())
+    children = np.random.SeedSequence(8).spawn(9)
+
+    def start(child):
+        rng = np.random.default_rng(child)
+        g = rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank))
+        return np.linalg.qr(g)[0], rng
+
+    starts = [start(c) for c in children]
+    batched = measures._refine_group(
+        np.stack([u for u, _ in starts]), tau, [rng for _, rng in starts]
+    )
+    alone = []
+    for child in children:
+        u, rng = start(child)
+        alone.append(measures._refine_group(u[None], tau, [rng]))
+    assert batched == min(alone)

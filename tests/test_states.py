@@ -23,6 +23,13 @@ class TestAcinParams:
         with pytest.raises(ValueError):
             states.AcinParams((1.0, 0.0, 0.0, 0.0, 0.0), phi=4.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_amplitude(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            states.AcinParams((bad, 0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            states.AcinParams((1.0, 0.0, bad, 0.0, 0.0))
+
     def test_json_round_trip(self):
         text = EXAMPLE_PARAMS.to_json()
         back = states.AcinParams.from_json(text)
@@ -211,3 +218,10 @@ class TestPureStateJson:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             states.PureState(2, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.6, np.nan)])
+    def test_rejects_non_finite_amplitude(self, bad):
+        amps = np.array([0.6, 0.8, 0.0, 0.0], dtype=complex)
+        amps[0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            states.PureState(2, amps)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -165,9 +166,11 @@ class TestRunSweep:
     def test_json_wire_format(self):
         report = verify.run_sweep(small_spec("lemma1"))
         data = json.loads(report.to_json())
-        assert set(data) == {
-            "family", "points", "min_margin", "argmin", "violations", "nonfinite"
-        }
+        assert list(data) == [
+            "family", "points", "min_margin", "argmin", "violations",
+            "violations_total", "nonfinite",
+        ]
+        assert data["violations_total"] == 0
         assert data["nonfinite"] == 0
         assert data["family"] == "lemma1"
         assert data["points"] == report.points_checked
@@ -191,6 +194,32 @@ class TestRunSweep:
         for point, margin in report.violations:
             assert margin < -spec.tolerance
             assert len(point) == 2
+
+    def test_violation_list_is_capped(self, monkeypatch):
+        # A forced bound that fails on about half of each combo's points.
+        fam = dataclasses.replace(
+            verify.family_of("gqsuper"),
+            margin=lambda pts, combo: pts["x"] - pts["y"] - 0.01 * combo["q"],
+        )
+        monkeypatch.setitem(verify.FAMILIES, "gqsuper", fam)
+        spec = small_spec("gqsuper")
+        report = verify.run_sweep(spec)
+        pts = verify._grid_points(fam, spec)
+        margins = np.concatenate(
+            [fam.margin(pts, {"q": q}) for q in dict(spec.params)["q"]]
+        )
+        bad = np.sort(margins[margins < -spec.tolerance])
+        assert bad.size > 3 * verify.MAX_VIOLATIONS
+        assert report.violations_total == bad.size
+        assert len(report.violations) == verify.MAX_VIOLATIONS
+        # The worst margins overall, worst first, each at its own point.
+        assert [m for _, m in report.violations] == bad[: verify.MAX_VIOLATIONS].tolist()
+        assert len({q for (_, _, q), _ in report.violations}) > 1
+        for (x, y, q), m in report.violations:
+            assert m == x - y - 0.01 * q
+        data = json.loads(report.to_json())
+        assert data["violations_total"] == bad.size
+        assert len(data["violations"]) == verify.MAX_VIOLATIONS
 
     def test_domain_gates(self):
         with pytest.raises(ValueError):
