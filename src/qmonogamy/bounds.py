@@ -349,21 +349,21 @@ def ordering_certificate(state: PureState, pivot: int, rest_order) -> list[str]:
         raise ValueError(
             f"rest_order {order} must be a permutation of the non-pivot qubits {expected}"
         )
+    if len(order) < 2:
+        return []
     rho = density(state)
-
-    def pair_concurrence(b: int) -> float:
-        reduced = kernel.partial_trace(rho, n, {pivot, b})
-        return measures.concurrence_two_qubit(reduced)
+    # Every pivot-partner concurrence, from one stacked call.
+    pairs = np.stack([kernel.partial_trace(rho, n, {pivot, b}) for b in order])
+    c_of = dict(zip(order, measures.concurrence_two_qubit(pairs).tolist()))
 
     results = []
     for i in range(len(order) - 1):
-        c_pair = pair_concurrence(order[i])
+        c_pair = c_of[order[i]]
         rest = order[i + 1 :]
         if len(rest) == 1:
-            exact = pair_concurrence(rest[0])
-            lower = upper = exact
+            lower = upper = c_of[rest[0]]
         else:
-            lower = float(np.sqrt(sum(pair_concurrence(b) ** 2 for b in rest)))
+            lower = float(np.sqrt(sum(c_of[b] ** 2 for b in rest)))
             keep = sorted({pivot, *rest})
             reduced = kernel.partial_trace(rho, n, keep)
             pivot_pos = keep.index(pivot)

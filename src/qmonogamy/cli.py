@@ -11,10 +11,13 @@ non-finite sweep margin, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import bounds, kernel, measures, verify
 from .states import AcinParams, PureState, acin_state, density
@@ -246,7 +249,7 @@ def _evaluate_report(args) -> dict:
         regime = "tsallis_q2to3"
         power = bounds.PowerParam(exponent)
         lhs = measures.tsallis_pure(state, {pivot}, param)
-        pair_value = lambda rho: measures.tsallis_two_qubit(rho, param)
+        pair_value = lambda c: measures.g_q(c * c, param)
     else:
         param = measures.RenyiParam(index)
         if not param.analytic:
@@ -260,11 +263,14 @@ def _evaluate_report(args) -> dict:
             regime = "renyi_window"
             power = bounds.PowerParam.from_gamma(exponent)
         lhs = measures.renyi_pure(state, {pivot}, param)
-        pair_value = lambda rho: measures.renyi_two_qubit(rho, param)
+        pair_value = lambda c: measures.f_alpha(c, param)
 
     rho = density(state)
+    # The pivot-partner concurrences from one stacked call; each is then
+    # converted alone, as tsallis_two_qubit / renyi_two_qubit would.
+    pairs = np.stack([kernel.partial_trace(rho, n, {pivot, b}) for b in rest])
     marginals = [
-        pair_value(kernel.partial_trace(rho, n, {pivot, b})) for b in rest
+        pair_value(c) for c in measures.concurrence_two_qubit(pairs).tolist()
     ]
     positions = bounds.ordering_certificate(state, pivot, rest)
     tag, split = bounds.certificate_summary(positions)
@@ -304,7 +310,10 @@ def cmd_evaluate(args, out=None) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call (building it costs more than a small ``evaluate``)."""
     parser = argparse.ArgumentParser(
         prog="qmonogamy",
         description="Multiqubit entanglement-monogamy toolkit",

@@ -32,12 +32,14 @@ _DOMAIN_SLACK = 1e-9  # absorbs x = C^2 landing a hair above 1
 
 @dataclass(frozen=True)
 class TsallisParam:
-    """Tsallis entropy index q > 0, q != 1."""
+    """Tsallis entropy index q > 0, q != 1, finite."""
 
     q: float
 
     def __post_init__(self):
         q = float(self.q)
+        if not math.isfinite(q):
+            raise ValueError(f"q must be finite, got {q}")
         if not q > 0 or q == 1.0:
             raise ValueError(f"q must be positive and != 1, got {q}")
         object.__setattr__(self, "q", q)
@@ -57,12 +59,14 @@ class TsallisParam:
 
 @dataclass(frozen=True)
 class RenyiParam:
-    """Renyi entropy index alpha > 0, alpha != 1."""
+    """Renyi entropy index alpha > 0, alpha != 1, finite."""
 
     alpha: float
 
     def __post_init__(self):
         alpha = float(self.alpha)
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha}")
         if not alpha > 0 or alpha == 1.0:
             raise ValueError(f"alpha must be positive and != 1, got {alpha}")
         object.__setattr__(self, "alpha", alpha)

@@ -45,8 +45,11 @@ class SweepSpec:
     tolerance: float = GRID_TOLERANCE
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        # A NaN or infinite tolerance would let no margin count as a violation.
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(
+                f"tolerance must be finite and positive, got {self.tolerance}"
+            )
         if self.random_samples < 0:
             raise ValueError(f"random_samples must be >= 0, got {self.random_samples}")
         for name, lo, hi, steps in self.grid:

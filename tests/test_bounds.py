@@ -321,6 +321,10 @@ class TestOrderingCertificate:
             chain = bounds.chain_bound((t_pair, 0.0, 0.0), 2, bounds.PowerParam(eta))
             assert chain == pytest.approx(t_pair**eta, abs=1e-12)
 
+    def test_fewer_than_two_partners_has_no_positions(self):
+        assert bounds.ordering_certificate(states.random_pure_state(1, 0), 0, ()) == []
+        assert bounds.ordering_certificate(states.random_pure_state(2, 0), 1, (0,)) == []
+
     def test_summary_patterns(self):
         c, v, u = bounds.CERTIFIED, bounds.VIOLATED, bounds.UNDETERMINED
         assert bounds.certificate_summary([c, c]) == (c, 2)

@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,22 @@ WINDOW_ALPHA = measures.RENYI_ANALYTIC_MIN
 FIGURE_SHA256 = {
     2: "6017ca2038619b5e7489267769499d3b9db297bf354a2187887141bc671667bc",
     3: "8d41dc918bb836b11f17ef00a69f55dc3305133082c35dc28448af790a523e8e",
+}
+
+# sha256 of the `evaluate` stdout of one state file over EVALUATE_CONFIGS and
+# every pivot, concatenated in that order: "canonical" is the canonical-form
+# file, "haar-<n>-<seed>" a seeded Haar state.
+EVALUATE_CONFIGS = (
+    ("tsallis", "2.5", "2"),
+    ("renyi", "3", "2"),
+    ("renyi", repr(WINDOW_ALPHA), "3"),
+)
+EVALUATE_SHA256 = {
+    "canonical": "66eb168a20bf1810d2e9ad4cb91d78c3f13cf98a80d277d993046bfff22b6dc3",
+    "haar-3-11": "85986bdbd255e02d3125e7f524a57b127e6389ecf6947313e7349b886666f742",
+    "haar-3-12": "cfa09c8ca9cea65e0116cfad204d3dd06960f0c5ca0fda331370bc9361bf34e0",
+    "haar-4-21": "b9f3d0a7ec7c6e16dccc28a0bb676de2118249e11aa45285c2e17d772fb69709",
+    "haar-4-22": "52c23162e9af23b9effa3ae3f66fee38c0ef1af811e0af0ce9d90aefa30ec1e6",
 }
 
 # (family, points, min_margin, argmin) of every default `sweep <family>`.
@@ -40,6 +59,22 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def evaluate_argv(path, measure, index, exponent, pivot):
+    return ["evaluate", "--state", str(path), "--measure", measure,
+            "--index", index, "--exponent", exponent, "--pivot", str(pivot)]
+
+
+def write_pinned_state(name, tmp_path):
+    if name == "canonical":
+        text = cli.EXAMPLE_PARAMS.to_json()
+    else:
+        _, n_qubits, seed = name.split("-")
+        text = states.random_pure_state(int(n_qubits), int(seed)).to_json()
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    return path
 
 
 class TestExample:
@@ -231,6 +266,22 @@ class TestSweep:
         code, _, _ = run(["sweep", "lemma1", "--states", "10"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "lemma2"],
+            ["sweep", "ckw", "--states", "20"],
+        ],
+    )
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_is_a_usage_error(self, argv, tolerance, capsys):
+        # A NaN or infinite tolerance would let no margin count as a violation.
+        code, out, err = run(argv + ["--tolerance", tolerance], capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"tolerance must be finite and positive, got {tolerance}" in err
+
     def test_grid_override_runs(self, capsys):
         code, out, _ = run(
             ["sweep", "gqsuper", "--x-steps", "20", "--y-steps", "20",
@@ -368,6 +419,50 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert "finite" in err and "converge" not in err
 
+    @pytest.mark.parametrize("name", sorted(EVALUATE_SHA256))
+    def test_stdout_pinned(self, name, tmp_path, capsys):
+        path = write_pinned_state(name, tmp_path)
+        n_qubits = cli.load_state_file(str(path)).n_qubits
+        digest = hashlib.sha256()
+        for measure, index, exponent in EVALUATE_CONFIGS:
+            for pivot in range(n_qubits):
+                code, out, err = run(evaluate_argv(path, measure, index, exponent, pivot), capsys)
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+        assert digest.hexdigest() == EVALUATE_SHA256[name]
+
+    @pytest.mark.parametrize("name", ["canonical", "haar-4-21"])
+    def test_one_stacked_concurrence_call_per_table(self, name, tmp_path, capsys, monkeypatch):
+        # The marginals and the ordering certificate each take every
+        # pivot-partner concurrence from one stacked call.
+        path = write_pinned_state(name, tmp_path)
+        n_qubits = cli.load_state_file(str(path)).n_qubits
+        original = measures.concurrence_two_qubit
+        shapes = []
+
+        def counted(rho):
+            shapes.append(np.shape(rho))
+            return original(rho)
+
+        monkeypatch.setattr(measures, "concurrence_two_qubit", counted)
+        code, _, _ = run(evaluate_argv(path, "renyi", "2", "2", 1), capsys)
+        assert code == 0
+        assert shapes == [(n_qubits - 1, 4, 4)] * 2
+
+    @pytest.mark.parametrize("measure", ["tsallis", "renyi"])
+    @pytest.mark.parametrize("index", ["inf", "nan"])
+    def test_non_finite_index_is_a_usage_error(self, measure, index, tmp_path, capsys):
+        path = tmp_path / "product.json"
+        amps = np.zeros(8)
+        amps[0] = 1.0
+        path.write_text(states.PureState(3, amps).to_json())
+        code, out, err = run(evaluate_argv(path, measure, index, "2", 0), capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        name = "q" if measure == "tsallis" else "alpha"
+        assert f"{name} must be finite, got {index}" in err
+
     def test_malformed_state_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"n_qubits": 3}')
@@ -401,3 +496,24 @@ class TestEvaluate:
             capsys,
         )
         assert code == 2
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    # One process runs several commands through the same parser; each must
+    # print what a fresh `python -m qmonogamy` prints, so no parse leaks
+    # into the next.
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    path = write_pinned_state("haar-4-21", tmp_path)
+    for argv in (
+        ["example", "4"],
+        ["sweep", "lemma2", "--mu-values", "2"],
+        ["sweep", "lemma2"],
+        evaluate_argv(path, "tsallis", "2.5", "2", 2),
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qmonogamy", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)

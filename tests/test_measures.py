@@ -42,6 +42,15 @@ class TestParams:
         assert not measures.TsallisParam(3.5).in_bound_window
         assert measures.TsallisParam(measures.TSALLIS_ANALYTIC_MAX).analytic
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_index_rejected(self, value):
+        with pytest.raises(ValueError, match="q must be finite"):
+            measures.TsallisParam(value)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            measures.RenyiParam(value)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            measures.f_alpha(0.5, value)
+
     def test_renyi_gates(self):
         with pytest.raises(ValueError):
             measures.RenyiParam(1.0)

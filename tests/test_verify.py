@@ -58,6 +58,11 @@ class TestSweepSpec:
             verify.SweepSpec("lemma1", grid=(("x", 0.0, 1.0, 1),))
         with pytest.raises(ValueError):
             verify.SweepSpec("lemma1", tolerance=0.0)
+        for tolerance in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                verify.SweepSpec("lemma1", tolerance=tolerance)
+            with pytest.raises(ValueError, match="finite and positive"):
+                verify.run_state_check("ckw", n_states=5, tolerance=tolerance)
         with pytest.raises(ValueError):
             verify.SweepSpec("lemma1", random_samples=-1)
         with pytest.raises(ValueError):
