@@ -64,11 +64,15 @@ class PowerParam:
 
     def __post_init__(self):
         mu = float(self.mu)
+        gamma = None if self.gamma is None else float(self.gamma)
+        # A NaN passes every comparison below; name the bad parameter.
+        for name, value in (("gamma", gamma), ("mu", mu)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"power {name} must be finite, got {value}")
         if mu < 1.0:
             raise ValueError(f"power must be >= 1, got {mu}")
         object.__setattr__(self, "mu", mu)
-        if self.gamma is not None:
-            gamma = float(self.gamma)
+        if gamma is not None:
             if gamma != 2.0 * mu:
                 raise ValueError(f"gamma must equal 2*mu, got gamma={gamma}, mu={mu}")
             object.__setattr__(self, "gamma", gamma)

@@ -5,7 +5,8 @@ Subcommands: ``example`` (reproduce the worked three-qubit regressions),
 inequality family), ``evaluate`` (bound report for a user-supplied state).
 
 Exit codes: 0 success, 1 value-regression failure, sweep violation or
-non-finite sweep margin, 2 usage or domain error.
+non-finite sweep margin, 2 usage or domain error, or a sweep too large
+for memory.
 """
 
 from __future__ import annotations
@@ -201,16 +202,24 @@ def cmd_sweep(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     fam = verify.family_of(args.family)
     spec = _build_sweep_spec(args)
-    if fam.kind == "grid":
-        report = verify.run_sweep(spec)
-    else:
-        report = verify.run_state_check(
-            fam.name,
-            n_states=spec.random_samples,
-            seed=spec.seed,
-            params=spec.params,
-            tolerance=spec.tolerance,
-        )
+    try:
+        if fam.kind == "grid":
+            report = verify.run_sweep(spec)
+        else:
+            report = verify.run_state_check(
+                fam.name,
+                n_states=spec.random_samples,
+                seed=spec.seed,
+                params=spec.params,
+                tolerance=spec.tolerance,
+            )
+    except MemoryError as exc:
+        if spec.grid:
+            steps = [steps for *_, steps in spec.grid]
+            size = f"a {' x '.join(map(str, steps))} mesh ({math.prod(steps)} points)"
+        else:
+            size = f"{spec.random_samples} states"
+        raise MemoryError(f"{size} does not fit in memory: {exc}") from exc
     print(report.to_json(), file=out)
     return 1 if report.violations_total or report.nonfinite else 0
 
@@ -369,7 +378,7 @@ def main(argv=None) -> int:
             return cmd_sweep(args)
         if args.command == "evaluate":
             return cmd_evaluate(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -3,8 +3,9 @@
 Each inequality family is registered with its default grid axes, discrete
 parameter lists, domain predicate and vectorized margin function
 (LHS - RHS, signed, never clamped).  Sweeps are deterministic for a fixed
-spec: points are evaluated in a fixed order and argmin ties resolve to the
-lexicographically smallest point.
+spec: points are evaluated in a fixed order, argmin ties resolve to the
+lexicographically smallest point, and violations tied at the list's cap
+resolve to the earliest in sweep order (combo, then point).
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ MAX_VIOLATIONS = 100
 # a stacked kernel call is small beside its per-state work, small enough that
 # a block's intermediates (about 1 MB) add little to a sweep's peak memory.
 _STATE_BLOCK = 512
+# Points per block in ``_sweep``: a block's columns and the temporaries of
+# one margin evaluation (a few dozen arrays of 128 KB) stay in cache while
+# every combo runs over it.
+_SWEEP_BLOCK = 16384
 
 _WINDOW_MIN = measures.RENYI_ANALYTIC_MIN
 
@@ -53,6 +58,10 @@ class SweepSpec:
         if self.random_samples < 0:
             raise ValueError(f"random_samples must be >= 0, got {self.random_samples}")
         for name, lo, hi, steps in self.grid:
+            # Every comparison with NaN is False, so the checks below and the
+            # gates would let a NaN bound through.
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"axis {name!r} bounds must be finite, got [{lo}, {hi}]")
             if steps < 2:
                 raise ValueError(f"axis {name!r} needs >= 2 steps, got {steps}")
             if hi < lo:
@@ -68,8 +77,8 @@ class SweepReport:
 
     ``min_margin`` and ``argmin`` cover the finite margins only and are None
     when no margin is finite.  ``violations`` holds at most
-    ``MAX_VIOLATIONS`` of the worst violating points, worst first, and
-    ``violations_total`` counts them all.  ``nonfinite`` counts the NaN or
+    ``MAX_VIOLATIONS`` of the worst violating points, worst first and
+    equal margins in sweep order, and ``violations_total`` counts them all.  ``nonfinite`` counts the NaN or
     infinite margins (overflow in the bound arithmetic); they are neither
     minima nor violations.
     """
@@ -108,61 +117,78 @@ def _hypot_clamped(x, y):
     return np.minimum(1.0, np.sqrt(x * x + y * y))
 
 
+class _Block(dict):
+    """Columns of one block of sweep points.
+
+    Keeps the last conversion triple a margin derived from them, so the
+    combos of one block that share a ``q`` or ``alpha`` (consecutive in
+    ``_combos``) convert the block once.
+    """
+
+    memo_key = None
+    memo = None
+
+
+def _shared(pts, triple, value):
+    """``triple(pts, value)``, reused from the block's memo when it holds
+    the same triple; a plain dict of columns computes it directly."""
+    if not isinstance(pts, _Block):
+        return triple(pts, value)
+    key = (triple, value)
+    if pts.memo_key != key:
+        pts.memo_key, pts.memo = key, triple(pts, value)
+    return pts.memo
+
+
+def _g_triple(pts, q):
+    """g_q of x^2 + y^2, x^2 and y^2."""
+    x, y = pts["x"], pts["y"]
+    return measures.g_q(x * x + y * y, q), measures.g_q(x * x, q), measures.g_q(y * y, q)
+
+
+def _f_triple(pts, a):
+    """f_alpha of min(1, hypot(x, y)), x and y."""
+    x, y = pts["x"], pts["y"]
+    return measures.f_alpha(_hypot_clamped(x, y), a), measures.f_alpha(x, a), measures.f_alpha(y, a)
+
+
 def _margin_power_chain(pts, combo):
     lhs, tight, loose, naive = bounds.power_chain(pts["x"], pts["mu"])
     return np.minimum(np.minimum(lhs - tight, tight - loose), loose - naive)
 
 
 def _margin_gq_super(pts, combo):
-    q = combo["q"]
-    x, y = pts["x"], pts["y"]
-    return measures.g_q(x * x + y * y, q) - measures.g_q(x * x, q) - measures.g_q(y * y, q)
+    gz, gx, gy = _shared(pts, _g_triple, combo["q"])
+    return gz - gx - gy
 
 
 def _margin_f_add(pts, combo):
-    a = combo["alpha"]
-    x, y = pts["x"], pts["y"]
-    return measures.f_alpha(_hypot_clamped(x, y), a) - measures.f_alpha(x, a) - measures.f_alpha(y, a)
+    fz, fx, fy = _shared(pts, _f_triple, combo["alpha"])
+    return fz - fx - fy
 
 
 def _margin_f_sq_add(pts, combo):
-    a = combo["alpha"]
-    x, y = pts["x"], pts["y"]
-    fz = measures.f_alpha(_hypot_clamped(x, y), a)
-    fx = measures.f_alpha(x, a)
-    fy = measures.f_alpha(y, a)
+    fz, fx, fy = _shared(pts, _f_triple, combo["alpha"])
     return fz * fz - fx * fx - fy * fy
 
 
 def _margin_gq_pair(pts, combo):
-    q, mu = combo["q"], combo["mu"]
-    x, y = pts["x"], pts["y"]
-    lhs = measures.g_q(x * x + y * y, q) ** mu
-    rhs = bounds.pair_bound_new(
-        measures.g_q(x * x, q), measures.g_q(y * y, q), bounds.PowerParam(mu)
-    )
-    return lhs - rhs
+    gz, gx, gy = _shared(pts, _g_triple, combo["q"])
+    mu = combo["mu"]
+    return gz**mu - bounds.pair_bound_new(gx, gy, bounds.PowerParam(mu))
 
 
 def _margin_f_pair(pts, combo):
-    a, mu = combo["alpha"], combo["mu"]
-    x, y = pts["x"], pts["y"]
-    lhs = measures.f_alpha(_hypot_clamped(x, y), a) ** mu
-    rhs = bounds.pair_bound_new(
-        measures.f_alpha(x, a), measures.f_alpha(y, a), bounds.PowerParam(mu)
-    )
-    return lhs - rhs
+    fz, fx, fy = _shared(pts, _f_triple, combo["alpha"])
+    mu = combo["mu"]
+    return fz**mu - bounds.pair_bound_new(fx, fy, bounds.PowerParam(mu))
 
 
 def _margin_f_sq_pair(pts, combo):
-    a, gamma = combo["alpha"], combo["gamma"]
-    x, y = pts["x"], pts["y"]
+    fz, fx, fy = _shared(pts, _f_triple, combo["alpha"])
+    gamma = combo["gamma"]
     p = bounds.PowerParam.from_gamma(gamma)
-    lhs = measures.f_alpha(_hypot_clamped(x, y), a) ** gamma
-    rhs = bounds.pair_bound_new(
-        measures.f_alpha(x, a), measures.f_alpha(y, a), p, "squared"
-    )
-    return lhs - rhs
+    return fz**gamma - bounds.pair_bound_new(fx, fy, p, "squared")
 
 
 def _margin_ckw(pts, combo):
@@ -445,6 +471,8 @@ def _validate_against_gates(fam: Family, spec: SweepSpec):
             continue
         lo, hi, hi_open = gates[name]
         arr = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name!r} values must be finite, got {values}")
         above = arr >= hi if hi_open else arr > hi
         if np.any(arr < lo - _GATE_SLACK) or np.any(above):
             if hi == math.inf:
@@ -463,13 +491,18 @@ def _combos(spec: SweepSpec):
         yield dict(zip(names, combo))
 
 
-def _scan(margins: np.ndarray, point_of, tolerance: float):
+def _scan(margins: np.ndarray, columns, tail: tuple, tolerance: float):
     """Min finite margin, its lexicographically smallest point, the worst
     violations (at most ``MAX_VIOLATIONS``, worst first), the number of
     violations and the number of non-finite margins.
 
-    With no finite margin the minimum is inf and the point None.
+    Point ``i`` is ``(*(col[i] for col in columns), *tail)``.  With no
+    finite margin the minimum is inf and the point None.
     """
+
+    def point_of(i):
+        return tuple(float(col[i]) for col in columns) + tail
+
     finite = np.isfinite(margins)
     nonfinite = margins.size - int(np.count_nonzero(finite))
     if nonfinite:
@@ -478,17 +511,31 @@ def _scan(margins: np.ndarray, point_of, tolerance: float):
     best_point = None
     if local_min < math.inf:
         idxs = np.flatnonzero(margins == local_min)
-        best_point = min(point_of(int(i)) for i in idxs)
+        if idxs.size > 1:
+            # lexsort's last key is its primary one; it is stable, so equal
+            # points keep the first position.
+            idxs = idxs[np.lexsort([col[idxs] for col in reversed(columns)])]
+        best_point = point_of(int(idxs[0]))
     bad = np.flatnonzero(margins < -tolerance)
     worst = bad
     if bad.size > MAX_VIOLATIONS:
-        worst = bad[np.argpartition(margins[bad], MAX_VIOLATIONS - 1)[:MAX_VIOLATIONS]]
+        # Every margin below the cut value, then the earliest of its ties.
+        bad_margins = margins[bad]
+        cut = np.partition(bad_margins, MAX_VIOLATIONS - 1)[MAX_VIOLATIONS - 1]
+        below = bad[bad_margins < cut]
+        ties = bad[bad_margins == cut][: MAX_VIOLATIONS - below.size]
+        worst = np.concatenate([below, ties])
     worst = worst[np.lexsort((worst, margins[worst]))]  # by margin, then position
     violations = [(point_of(int(i)), float(margins[i])) for i in worst]
     return local_min, best_point, violations, int(bad.size), nonfinite
 
 
 def _merge(state, local_min, point, violations, n_violations, nonfinite):
+    """Fold one scan, or another accumulator, into ``state``.
+
+    The sort is stable, so among equal margins the earlier-merged
+    violations come first and survive the cap.
+    """
     min_margin, argmin, worst, total, all_nonfinite = state
     worst = sorted(worst + violations, key=lambda v: v[1])[:MAX_VIOLATIONS]
     if point is not None and (
@@ -507,7 +554,8 @@ def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, np.ndarray]:
     mesh = np.meshgrid(*axis_values, indexing="ij")
     pts = {name: grid.ravel() for name, grid in zip(axis_names, mesh)}
     mask = fam.domain(pts)
-    pts = {name: vals[mask] for name, vals in pts.items()}
+    if not mask.all():
+        pts = {name: vals[mask] for name, vals in pts.items()}
 
     if spec.random_samples:
         rng = np.random.default_rng(spec.seed)
@@ -577,6 +625,11 @@ def _sweep(spec: SweepSpec) -> SweepReport:
     and from ``_state_tables`` for state-level ones.  A point is reported as
     ``(*coordinates, *param values)``, the coordinates being the axis values
     on a grid and the state index for a state-level family.
+
+    The points are walked in blocks of ``_SWEEP_BLOCK``, every combo over
+    one block before the next, into one accumulator per combo.  Blocks come
+    in point order and the accumulators are folded in combo order, so the
+    report equals that of one pass over all points, combo after combo.
     """
     fam = family_of(spec.family)
     _validate_against_gates(fam, spec)
@@ -587,21 +640,28 @@ def _sweep(spec: SweepSpec) -> SweepReport:
         pts = _state_tables(spec.random_samples, spec.seed)
         coordinates = ["index"]
 
-    state = (math.inf, None, [], 0, 0)
+    combos = list(_combos(spec))
+    tails = [tuple(combo[name] for name, _ in spec.params) for combo in combos]
+    empty = (math.inf, None, [], 0, 0)
+    per_combo = [empty] * len(combos)
     checked = 0
-    for combo in _combos(spec):
-        # Overflow in the bound arithmetic surfaces as non-finite margins,
-        # which the scan counts and the report carries.
-        with np.errstate(over="ignore", invalid="ignore"):
-            margins = np.asarray(fam.margin(pts, combo), dtype=float)
-        checked += margins.size
-        combo_tail = tuple(combo[name] for name, _ in spec.params)
+    n_points = pts[coordinates[0]].size
+    for start in range(0, n_points, _SWEEP_BLOCK):
+        block = _Block(
+            (name, column[start : start + _SWEEP_BLOCK]) for name, column in pts.items()
+        )
+        columns = [block[name] for name in coordinates]
+        for k, combo in enumerate(combos):
+            # Overflow in the bound arithmetic surfaces as non-finite margins,
+            # which the scan counts and the report carries.
+            with np.errstate(over="ignore", invalid="ignore"):
+                margins = np.asarray(fam.margin(block, combo), dtype=float)
+            checked += margins.size
+            per_combo[k] = _merge(per_combo[k], *_scan(margins, columns, tails[k], spec.tolerance))
 
-        def point_of(i, tail=combo_tail):
-            return tuple(float(pts[name][i]) for name in coordinates) + tail
-
-        state = _merge(state, *_scan(margins, point_of, spec.tolerance))
-
+    state = empty
+    for acc in per_combo:
+        state = _merge(state, *acc)
     min_margin, argmin, violations, violations_total, nonfinite = state
     return SweepReport(
         family=fam.name,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmonogamy import bounds, kernel, measures, states
 
@@ -27,6 +29,13 @@ class TestPowerParam:
         p = bounds.PowerParam.from_gamma(5.0)
         assert p.mu == 2.5 and p.gamma == 5.0
         assert bounds.PowerParam(2.0).h == 3.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_named(self, bad):
+        with pytest.raises(ValueError, match=f"power mu must be finite, got {bad}"):
+            bounds.PowerParam(bad)
+        with pytest.raises(ValueError, match=f"power gamma must be finite, got {bad}"):
+            bounds.PowerParam.from_gamma(bad)
 
 
 class TestPowerChain:
@@ -135,6 +144,33 @@ class TestPairBounds:
             naive_sq = bounds.pair_bound_naive(e1, e2, p_sq, "squared")
             assert np.min(new_sq - prior_sq) >= -1e-12
             assert np.min(prior_sq - naive_sq) >= -1e-12
+
+
+# Tails of values up to 2**8 agree to about 1e-13; the chain holds exactly.
+DOMINANCE_RTOL = 1e-12
+
+
+class TestTailDominanceProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(1.0, 8.0),
+    )
+    def test_new_prior_naive(self, a, b, mu):
+        e1, e2 = max(a, b), min(a, b)
+        couplings = (
+            (bounds.PowerParam(mu), "linear", ("ref11", "ref12_linear")),
+            (bounds.PowerParam.from_gamma(2.0 * mu), "squared", ("ref12_squared",)),
+        )
+        for p, coupling, priors in couplings:
+            new = bounds.pair_bound_new(e1, e2, p, coupling)
+            naive = bounds.pair_bound_naive(e1, e2, p, coupling)
+            for family in priors:
+                prior = bounds.pair_bound_prior(e1, e2, p, family)
+                slack = DOMINANCE_RTOL * (1.0 + abs(new))
+                assert new >= prior - slack, (coupling, family)
+                assert prior >= naive - slack, (coupling, family)
 
 
 class TestChainBound:

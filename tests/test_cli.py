@@ -282,6 +282,55 @@ class TestSweep:
         assert "Traceback" not in err
         assert f"tolerance must be finite and positive, got {tolerance}" in err
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["sweep", "lemma2", "--mu-values", "nan"], "'mu' values"),
+            (["sweep", "lemma6", "--gamma-values", "2,inf"], "'gamma' values"),
+            (["sweep", "remark1", "--eta-values", "nan", "--states", "20"], "'eta' values"),
+            (["sweep", "gqsuper", "--x-min", "nan"], "axis 'x' bounds"),
+            (["sweep", "lemma1", "--mu-max", "inf"], "axis 'mu' bounds"),
+            (["sweep", "lemma5", "--y-max=-inf"], "axis 'y' bounds"),
+        ],
+    )
+    def test_non_finite_power_or_axis_is_a_usage_error(self, argv, name, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and "Warning" not in err
+        assert f"error: {name} must be finite" in err
+
+    def test_violation_cap_keeps_the_earliest_tie(self, capsys):
+        # Margin -2.78e-16 ties at the 100th place: the cap keeps the tied
+        # point that comes first in the sweep's point order.
+        code, out, _ = run(["sweep", "gqsuper", "--tolerance", "1e-18"], capsys)
+        assert code == 1
+        data = json.loads(out)
+        assert data["violations_total"] > verify.MAX_VIOLATIONS
+        last = data["violations"][-1]
+        assert last["point"] == [0.06779661016949153, 0.5423728813559322, 2.0]
+        assert last["margin"] == -2.7755575615628914e-16
+
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (["sweep", "lemma2", "--x-steps", "40000", "--y-steps", "40000"],
+             "a 40000 x 40000 mesh (1600000000 points)"),
+            (["sweep", "ckw", "--states", "100000000"], "100000000 states"),
+        ],
+    )
+    def test_out_of_memory_is_a_usage_error(self, argv, size, monkeypatch, capsys):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 11.9 GiB")
+
+        monkeypatch.setattr(verify, "_grid_points", no_memory)
+        monkeypatch.setattr(verify, "_state_tables", no_memory)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err == f"error: {size} does not fit in memory: Unable to allocate 11.9 GiB\n"
+
     def test_grid_override_runs(self, capsys):
         code, out, _ = run(
             ["sweep", "gqsuper", "--x-steps", "20", "--y-steps", "20",
@@ -462,6 +511,20 @@ class TestEvaluate:
         assert "Traceback" not in err
         name = "q" if measure == "tsallis" else "alpha"
         assert f"{name} must be finite, got {index}" in err
+
+    @pytest.mark.parametrize(
+        "measure,index,name",
+        [("tsallis", "2.5", "mu"), ("renyi", "3", "mu"), ("renyi", "1.5", "gamma")],
+    )
+    @pytest.mark.parametrize("exponent", ["nan", "inf"])
+    def test_non_finite_exponent_is_a_usage_error(
+        self, measure, index, name, exponent, tmp_path, capsys
+    ):
+        path = write_pinned_state("haar-3-11", tmp_path)
+        code, out, err = run(evaluate_argv(path, measure, index, exponent, 0), capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: power {name} must be finite, got {exponent}\n"
 
     def test_malformed_state_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

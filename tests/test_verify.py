@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmonogamy import bounds, kernel, measures, states, verify
 
@@ -68,6 +70,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             verify.SweepSpec("lemma1", grid=(("x", 1.0, 0.0, 5),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_axis_bound_named(self, bad):
+        for lo, hi in ((bad, 1.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="axis 'mu' bounds must be finite"):
+                verify.SweepSpec("lemma1", grid=(("x", 0.0, 1.0, 5), ("mu", lo, hi, 5)))
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             verify.family_of("lemma99")
@@ -108,6 +116,21 @@ class TestGates:
         for value in rejected:
             with pytest.raises(ValueError, match=f"'{name}'"):
                 check(value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "family", [name for name in verify.FAMILY_NAMES if verify.family_of(name).params]
+    )
+    def test_non_finite_parameter_named(self, family, bad):
+        fam = verify.family_of(family)
+        for name, values in fam.params:
+            params = tuple(
+                (other, (values[0], bad) if other == name else vals)
+                for other, vals in fam.params
+            )
+            spec = verify.default_spec(family, params=params)
+            with pytest.raises(ValueError, match=f"'{name}' values must be finite"):
+                verify._validate_against_gates(fam, spec)
 
 
 class TestRunSweep:
@@ -235,6 +258,153 @@ class TestRunSweep:
             verify.run_sweep(verify.default_spec("falphasqadd", params=(("alpha", (2.0,)),)))
         with pytest.raises(ValueError):
             verify.run_sweep(verify.default_spec("ckw"))
+
+
+def tie_margin(pts, combo):
+    # Exactly -2 on the two x < 0.05 columns of the first combo, exactly -1
+    # everywhere else: far more than MAX_VIOLATIONS ties at the cut.
+    low = (pts["x"] < 0.05) & (combo["q"] == 2.0)
+    return np.where(low, -2.0, -1.0)
+
+
+class TestScan:
+    def test_argmin_ties_resolve_lexicographically(self):
+        x = np.array([0.5, 0.2, 0.2, 0.7, 0.2])
+        y = np.array([0.1, 0.9, 0.3, 0.0, 0.3])
+        margins = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+        local_min, point, violations, total, nonfinite = verify._scan(
+            margins, [x, y], (2.5,), 1e-12
+        )
+        assert (local_min, point) == (0.0, (0.2, 0.3, 2.5))
+        assert (violations, total, nonfinite) == ([], 0, 0)
+
+    def test_capped_violations_take_the_earliest_ties(self):
+        # 40 margins below the cut, then 960 exact ties at -1: the list holds
+        # the 40 and the 60 earliest-positioned ties, whatever the selection.
+        position = np.arange(1000, dtype=float)
+        margins = np.full(1000, -1.0)
+        margins[500:540] = -2.0
+        _, _, violations, total, _ = verify._scan(margins, [position], (), 1e-12)
+        assert total == 1000
+        assert [p for (p,), _ in violations] == list(range(500, 540)) + list(range(60))
+        assert [m for _, m in violations] == [-2.0] * 40 + [-1.0] * 60
+
+    @pytest.mark.parametrize("block", [97, 4096, 10**9])
+    def test_sweep_cap_is_deterministic_across_blocks(self, block, monkeypatch):
+        fam = dataclasses.replace(verify.family_of("gqsuper"), margin=tie_margin)
+        monkeypatch.setitem(verify.FAMILIES, "gqsuper", fam)
+        monkeypatch.setattr(verify, "_SWEEP_BLOCK", block)
+        spec = small_spec("gqsuper", random_samples=40, seed=2, tolerance=0.5)
+        report = verify.run_sweep(spec)
+        pts = verify._grid_points(fam, spec)
+        points = list(zip(pts["x"].tolist(), pts["y"].tolist()))
+        low = [pt + (2.0,) for pt in points if pt[0] < 0.05]
+        rest = [pt + (2.0,) for pt in points if pt[0] >= 0.05]
+        n_low = len(low)
+        assert 0 < n_low < verify.MAX_VIOLATIONS
+        expected = [(pt, -2.0) for pt in low]
+        expected += [(pt, -1.0) for pt in rest[: verify.MAX_VIOLATIONS - n_low]]
+        assert report.violations == expected
+        assert report.violations_total == report.points_checked
+
+
+@st.composite
+def grid_sweeps(draw):
+    """A small grid spec inside the family's gates, a block size and a
+    shift that lowers every margin (so that many points violate)."""
+    fam = verify.family_of(draw(st.sampled_from(verify.GRID_FAMILIES)))
+    gates = {name: (lo, hi, hi_open) for name, lo, hi, hi_open in fam.gates}
+
+    def values(name, count):
+        lo, hi, hi_open = gates[name]
+        hi = min(hi, lo + 7.0)
+        return draw(
+            st.lists(st.floats(lo, hi, exclude_max=hi_open), min_size=count, max_size=count)
+        )
+
+    grid = tuple(
+        (name, *sorted(values(name, 2)), draw(st.integers(2, 25)))
+        for name, *_ in fam.axes
+    )
+    params = tuple(
+        (name, tuple(values(name, draw(st.integers(1, 2))))) for name, _ in fam.params
+    )
+    spec = verify.default_spec(
+        fam.name,
+        grid=grid,
+        params=params,
+        random_samples=draw(st.integers(0, 60)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        tolerance=draw(st.sampled_from([1e-18, 1e-15, 1e-12, 1e-3, 0.5])),
+    )
+    block = draw(st.one_of(st.integers(1, 64), st.integers(1, 5000)))
+    return spec, block, draw(st.sampled_from([0.0, 0.0, 1e-2, 0.1]))
+
+
+def sweep_outcome(spec):
+    try:
+        return verify.run_sweep(spec).to_json()
+    except ValueError as exc:  # an empty domain or a failed rejection sampler
+        return f"error: {exc}"
+
+
+class TestBlockedSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_sweeps())
+    def test_any_block_size_equals_one_block(self, case):
+        spec, block, shift = case
+        fam = verify.family_of(spec.family)
+        shifted = dataclasses.replace(
+            fam, margin=lambda pts, combo: fam.margin(pts, combo) - shift
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(verify.FAMILIES, fam.name, shifted)
+            mp.setattr(verify, "_SWEEP_BLOCK", block)
+            blocked = sweep_outcome(spec)
+            mp.setattr(verify, "_SWEEP_BLOCK", 10**9)
+            assert blocked == sweep_outcome(spec)
+
+    @pytest.mark.parametrize("block", [1, 97, 16384])
+    @pytest.mark.parametrize("family", verify.FAMILY_NAMES)
+    def test_fixed_block_sizes_equal_one_block(self, family, block, monkeypatch):
+        fam = verify.family_of(family)
+        if fam.kind == "grid":
+            spec = small_spec(family, tolerance=1e-18, random_samples=150, seed=4)
+        else:
+            spec = verify.default_spec(family, random_samples=300, seed=4, tolerance=1e-2)
+        monkeypatch.setattr(verify, "_SWEEP_BLOCK", 10**9)
+        one_block = verify._sweep(spec).to_json()
+        monkeypatch.setattr(verify, "_SWEEP_BLOCK", block)
+        assert verify._sweep(spec).to_json() == one_block
+
+    @pytest.mark.parametrize(
+        "family,conversion,calls_per_block",
+        [
+            ("lemma2", "g_q", 3 * 3),  # 3 q values x 4 mu values
+            ("lemma5", "f_alpha", 2 * 3),  # 2 alpha values x 4 mu values
+            ("lemma6", "f_alpha", 4 * 3),  # 4 alpha values x 3 gamma values
+            ("gqsuper", "g_q", 11 * 3),
+        ],
+    )
+    def test_conversions_once_per_block_and_value(
+        self, family, conversion, calls_per_block, monkeypatch
+    ):
+        original = getattr(measures, conversion)
+        calls = []
+
+        def counted(x, index):
+            calls.append(np.size(x))
+            return original(x, index)
+
+        monkeypatch.setattr(measures, conversion, counted)
+        monkeypatch.setattr(verify, "_SWEEP_BLOCK", 97)
+        spec = small_spec(family)
+        report = verify.run_sweep(spec)
+        n_points = report.points_checked // math.prod(len(v) for _, v in spec.params)
+        n_blocks = -(-n_points // 97)
+        assert len(calls) == calls_per_block * n_blocks
+        n_values = len(spec.params[0][1])
+        assert sum(calls) == 3 * n_values * n_points
 
 
 class TestRunStateCheck:
