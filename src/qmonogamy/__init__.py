@@ -44,7 +44,6 @@ from .verify import (
     SweepReport,
     SweepSpec,
     default_spec,
-    refine_near_equality,
     run_state_check,
     run_sweep,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "power_chain",
     "random_pure_state",
     "random_pure_states",
-    "refine_near_equality",
     "renyi_pure",
     "renyi_two_qubit",
     "run_state_check",

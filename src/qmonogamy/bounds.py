@@ -150,6 +150,10 @@ def power_chain(x, p):
         mu = p.mu
     else:
         mu = np.asarray(p, dtype=float)
+        # NaN passes the comparison below, and inf turns every tail into NaN.
+        finite = np.isfinite(mu)
+        if not finite.all():
+            raise ValueError(f"power mu must be finite, got {mu[~finite].flat[0]}")
         if np.any(mu < 1.0):
             raise ValueError(f"power must be >= 1, got {np.min(mu)}")
         if np.ndim(p) == 0:

@@ -200,19 +200,9 @@ def _build_sweep_spec(args) -> verify.SweepSpec:
 
 def cmd_sweep(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    fam = verify.family_of(args.family)
     spec = _build_sweep_spec(args)
     try:
-        if fam.kind == "grid":
-            report = verify.run_sweep(spec)
-        else:
-            report = verify.run_state_check(
-                fam.name,
-                n_states=spec.random_samples,
-                seed=spec.seed,
-                params=spec.params,
-                tolerance=spec.tolerance,
-            )
+        report = verify.run_sweep(spec)
     except MemoryError as exc:
         if spec.grid:
             steps = [steps for *_, steps in spec.grid]

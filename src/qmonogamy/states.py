@@ -155,15 +155,16 @@ def random_pure_state(n_qubits: int, seed: int) -> PureState:
     return PureState(n_qubits, haar_state_vector(2**n_qubits, rng))
 
 
-def random_pure_states(n_qubits: int, count: int, seed: int) -> list[PureState]:
-    """A reproducible batch drawn from one seeded stream.
+def random_pure_states(n_qubits: int, count: int, seed: int) -> np.ndarray:
+    """A reproducible batch drawn from one seeded stream: a read-only
+    ``(count, 2**n_qubits)`` array, one normalized amplitude vector per row.
 
-    The first ``k`` states of any batch equal the first ``k`` of a longer
-    batch with the same seed, so enlarging a sweep only appends states.  The
-    states' amplitudes are read-only rows of one array.
+    The first ``k`` rows of any batch equal the first ``k`` of a longer
+    batch with the same seed, so enlarging a sweep only appends states.
     """
     if not 1 <= n_qubits <= 4:
         raise ValueError(f"n_qubits must be in 1..4, got {n_qubits}")
     rng = np.random.default_rng(seed)
     vectors = _haar_vectors(rng, count, 2**n_qubits)
-    return [PureState(n_qubits, vec) for vec in vectors]
+    vectors.setflags(write=False)
+    return vectors

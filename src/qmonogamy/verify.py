@@ -10,7 +10,6 @@ resolve to the earliest in sweep order (combo, then point).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -57,6 +56,8 @@ class SweepSpec:
             )
         if self.random_samples < 0:
             raise ValueError(f"random_samples must be >= 0, got {self.random_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name, lo, hi, steps in self.grid:
             # Every comparison with NaN is False, so the checks below and the
             # gates would let a NaN bound through.
@@ -593,14 +594,14 @@ def _state_tables(n_states: int, seed: int) -> dict[str, np.ndarray]:
     pair marginals.  States go through the kernel as stacks of
     ``_STATE_BLOCK``, which keeps memory flat in the state count.
     """
-    batch = states.random_pure_states(3, n_states, seed)
+    amplitudes = states.random_pure_states(3, n_states, seed)
     lam_hi = np.empty(n_states)
     lam_lo = np.empty(n_states)
     c_ab = np.empty(n_states)
     c_ac = np.empty(n_states)
     for start in range(0, n_states, _STATE_BLOCK):
         block = slice(start, start + _STATE_BLOCK)
-        amps = np.stack([state.amplitudes for state in batch[block]])
+        amps = amplitudes[block]
         rho = amps[:, :, None] * amps[:, None, :].conj()  # |psi><psi| per state
         spectrum = kernel.hermitian_eigenvalues(kernel.partial_trace(rho, 3, {0}))
         lam_hi[block] = np.maximum(spectrum[:, 0], 0.0)
@@ -637,6 +638,10 @@ def _sweep(spec: SweepSpec) -> SweepReport:
         pts = _grid_points(fam, spec)
         coordinates = [name for name, *_ in spec.grid]
     else:
+        if spec.random_samples < 1:
+            raise ValueError(
+                f"family {fam.name!r} needs at least one state, got {spec.random_samples}"
+            )
         pts = _state_tables(spec.random_samples, spec.seed)
         coordinates = ["index"]
 
@@ -652,9 +657,10 @@ def _sweep(spec: SweepSpec) -> SweepReport:
         )
         columns = [block[name] for name in coordinates]
         for k, combo in enumerate(combos):
-            # Overflow in the bound arithmetic surfaces as non-finite margins,
-            # which the scan counts and the report carries.
-            with np.errstate(over="ignore", invalid="ignore"):
+            # Overflow in the bound arithmetic, or a power that underflows to
+            # 0 under a log, surfaces as non-finite margins, which the scan
+            # counts and the report carries.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 margins = np.asarray(fam.margin(block, combo), dtype=float)
             checked += margins.size
             per_combo[k] = _merge(per_combo[k], *_scan(margins, columns, tails[k], spec.tolerance))
@@ -676,86 +682,26 @@ def _sweep(spec: SweepSpec) -> SweepReport:
 
 
 def run_sweep(spec: SweepSpec) -> SweepReport:
-    """Evaluate a grid family's margin at every grid point and random sample.
+    """Evaluate any family's margin, grid or state-level, over its spec's points.
 
     Deterministic for a fixed spec; reports the signed minimum margin, its
     location, and the worst of the points whose margin falls below
     -tolerance along with their count.
     """
-    fam = family_of(spec.family)
-    if fam.kind != "grid":
-        raise ValueError(
-            f"family {fam.name!r} is state-level; use run_state_check"
-        )
     return _sweep(spec)
 
 
-def run_state_check(
-    family: str,
-    n_states: int = DEFAULT_STATES,
-    seed: int = 0,
-    params=None,
-    tolerance: float = STATE_TOLERANCE,
-) -> SweepReport:
-    """Monogamy margins over seeded random 3-qubit pure states.
+def run_state_check(family: str, n_states: int = DEFAULT_STATES, seed: int = 0) -> SweepReport:
+    """Monogamy margins of a state-level family's default spec over
+    ``n_states`` seeded random 3-qubit pure states.
 
     The two pair marginals are ordered by value before the tightened pair
-    bound is applied, matching the two branches of the N=3 relations.
+    bound is applied, matching the two branches of the N=3 relations.  Other
+    parameters or tolerances need a spec and ``run_sweep``.
     """
     fam = family_of(family)
     if fam.kind != "state":
         raise ValueError(f"family {fam.name!r} is grid-level; use run_sweep")
-    if n_states < 1:
-        raise ValueError(f"n_states must be >= 1, got {n_states}")
-    if params is None:
-        param_spec = fam.params
-    elif isinstance(params, dict):
-        param_spec = tuple(
-            (name, tuple(float(v) for v in params.get(name, dict(fam.params)[name])))
-            for name, _ in fam.params
-        )
-    else:
-        param_spec = tuple((name, tuple(values)) for name, values in params)
-    spec = SweepSpec(
-        family=fam.name,
-        grid=(),
-        params=param_spec,
-        random_samples=n_states,
-        seed=seed,
-        tolerance=tolerance,
-    )
-    return _sweep(spec)
-
-
-def refine_near_equality(report: SweepReport, factor: int) -> SweepReport:
-    """Re-sweep a factor-times finer grid around the argmin.
-
-    Parameters are pinned at the argmin combination.  For state-level
-    reports the state count is multiplied instead (the sample stream is
-    shared, so the original argmin state is always re-examined).
-    """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    spec = report.spec
-    if spec is None:
-        raise ValueError("report does not carry its spec; cannot refine")
-    if report.argmin is None:
-        raise ValueError("report has no finite margin; cannot refine")
-    fam = family_of(spec.family)
-    offset = len(report.argmin) - len(spec.params)
-    pinned = tuple(
-        (name, (float(report.argmin[offset + j]),))
-        for j, (name, _) in enumerate(spec.params)
-    )
-    new_grid = []
-    for j, (name, lo, hi, steps) in enumerate(spec.grid):
-        center = float(report.argmin[j])
-        width = (hi - lo) / (steps - 1)
-        new_grid.append(
-            (name, max(lo, center - width), min(hi, center + width), 2 * factor + 1)
-        )
-    samples = spec.random_samples * factor if fam.kind == "state" else 0
-    refined = dataclasses.replace(
-        spec, grid=tuple(new_grid), params=pinned, random_samples=samples
-    )
-    return _sweep(refined)
+    # The engine itself, not run_sweep, so that a wrapper around both public
+    # names (bench/tracer.py) sees one sweep per call.
+    return _sweep(default_spec(fam.name, random_samples=n_states, seed=seed))

@@ -70,6 +70,14 @@ class TestPowerChain:
         with pytest.raises(ValueError):
             bounds.power_chain(0.5, 0.8)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_named(self, bad):
+        # NaN passes the mu >= 1 check and inf makes NaN tails with warnings.
+        with pytest.raises(ValueError, match=f"power mu must be finite, got {bad}"):
+            bounds.power_chain(0.5, bad)
+        with pytest.raises(ValueError, match=f"power mu must be finite, got {bad}"):
+            bounds.power_chain(np.array([0.5, 0.5]), np.array([2.0, bad]))
+
 
 class TestPairBounds:
     def test_single_party_reduction(self):

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmonogamy import cli, measures, states, verify
 
@@ -331,6 +335,26 @@ class TestSweep:
         assert "Traceback" not in err
         assert err == f"error: {size} does not fit in memory: Unable to allocate 11.9 GiB\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Draws nothing, so the sampler never sees the seed.
+            ["sweep", "lemma2", "--samples", "0", "--seed", "-1"],
+            ["sweep", "ckw", "--states", "20", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+
+    def test_zero_states_is_a_usage_error(self, capsys):
+        code, out, err = run(["sweep", "ckw", "--states", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: family 'ckw' needs at least one state, got 0\n"
+
     def test_grid_override_runs(self, capsys):
         code, out, _ = run(
             ["sweep", "gqsuper", "--x-steps", "20", "--y-steps", "20",
@@ -580,3 +604,93 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys, monkeypatch):
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert run(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+# Flag values for the fuzz tests: non-finite, huge, negative and ordinary.
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "2000", "-1", "0", "1"]),
+    st.floats(min_value=-1.0, max_value=5.0).map(repr),
+)
+
+
+def run_quietly(argv):
+    """``cli.main(argv)`` with its stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@st.composite
+def sweep_argvs(draw):
+    """A `sweep` command line for any family.  Step, sample and state counts
+    stay small (huge ones are covered by test_out_of_memory_is_a_usage_error),
+    so no example allocates more than a small mesh."""
+    fam = verify.family_of(draw(st.sampled_from(verify.FAMILY_NAMES)))
+    argv = ["sweep", fam.name]
+    if fam.kind == "grid":
+        argv.append(f"--samples={draw(st.integers(-2, 20))}")
+        for axis, *_ in fam.axes:
+            argv.append(f"--{axis}-steps={draw(st.integers(-1, 6))}")
+            for bound in ("min", "max"):
+                if draw(st.booleans()):
+                    argv.append(f"--{axis}-{bound}={draw(FUZZ_VALUES)}")
+    else:
+        argv.append(f"--states={draw(st.integers(-2, 20))}")
+    for name, _ in fam.params:
+        if draw(st.booleans()):
+            values = draw(st.lists(FUZZ_VALUES, min_size=1, max_size=3))
+            argv.append(f"--{name}-values={','.join(values)}")
+    if draw(st.booleans()):
+        argv.append(f"--tolerance={draw(FUZZ_VALUES)}")
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(st.sampled_from([-1, 0, 7, 2**64]))}")
+    if draw(st.integers(0, 3)) == 0:
+        # A flag of another family or of the other kind.
+        argv.append(draw(st.sampled_from(["--states=5", "--samples=5", "--q-values=2.5",
+                                          "--gamma-values=2", "--y-steps=3", "--mu-min=1"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=sweep_argvs())
+def test_sweep_fuzz_exits_cleanly(argv):
+    code, err = run_quietly(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_state_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {
+        "canonical": cli.EXAMPLE_PARAMS.to_json(),
+        "haar-3": states.random_pure_state(3, 11).to_json(),
+        "haar-4": states.random_pure_state(4, 21).to_json(),
+        "haar-2": states.random_pure_state(2, 5).to_json(),
+        "nan": '{"lambda": [NaN, 0.0, 0.5, 0.5, 0.0], "phi": 0.0}',
+        "list": "[1, 2]",
+        "truncated": '{"n_qubits": 3, "amplitudes": [[1.0',
+    }
+    paths = []
+    for name, text in texts.items():
+        path = root / f"{name}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    return paths + [str(root / "missing.json")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_evaluate_fuzz_exits_cleanly(fuzz_state_files, data):
+    argv = [
+        "evaluate",
+        f"--state={data.draw(st.sampled_from(fuzz_state_files))}",
+        f"--measure={data.draw(st.sampled_from(['tsallis', 'renyi', 'other']))}",
+        f"--index={data.draw(FUZZ_VALUES)}",
+        f"--exponent={data.draw(FUZZ_VALUES)}",
+        f"--pivot={data.draw(st.integers(-2, 4))}",
+    ]
+    code, err = run_quietly(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv

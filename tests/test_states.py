@@ -149,8 +149,7 @@ class TestRandomPureState:
     def test_batch_prefix_property(self):
         long = states.random_pure_states(3, 10, seed=77)
         short = states.random_pure_states(3, 4, seed=77)
-        for a, b in zip(short, long):
-            assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(short, long[:4])
 
 
 def per_state_haar_vectors(n_qubits, count, seed):
@@ -173,23 +172,26 @@ class TestBatchedSampler:
     def test_batch_equals_per_state_draws(self, seed, count):
         batch = states.random_pure_states(3, count, seed)
         reference = per_state_haar_vectors(3, count, seed)
-        assert len(batch) == count
-        for state, vec in zip(batch, reference):
-            assert np.array_equal(state.amplitudes, vec)
+        assert batch.shape == (count, 8)
+        for row, vec in zip(batch, reference):
+            assert np.array_equal(row, vec)
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 4])
     def test_other_sizes_and_single_vectors(self, n_qubits):
         reference = per_state_haar_vectors(n_qubits, 5, 11)
         batch = states.random_pure_states(n_qubits, 5, 11)
         rng = np.random.default_rng(11)
-        for state, vec in zip(batch, reference):
-            assert np.array_equal(state.amplitudes, vec)
+        assert batch.shape == (5, 2**n_qubits)
+        for row, vec in zip(batch, reference):
+            assert np.array_equal(row, vec)
             assert np.array_equal(states.haar_state_vector(2**n_qubits, rng), vec)
 
     def test_amplitudes_are_read_only(self):
-        state = states.random_pure_states(2, 3, 0)[1]
+        batch = states.random_pure_states(2, 3, 0)
         with pytest.raises(ValueError):
-            state.amplitudes[0] = 1.0
+            batch[1, 0] = 1.0
+        with pytest.raises(ValueError):
+            batch[1][0] = 1.0
 
 
 class TestPureStateJson:

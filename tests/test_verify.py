@@ -64,9 +64,11 @@ class TestSweepSpec:
             with pytest.raises(ValueError, match="finite and positive"):
                 verify.SweepSpec("lemma1", tolerance=tolerance)
             with pytest.raises(ValueError, match="finite and positive"):
-                verify.run_state_check("ckw", n_states=5, tolerance=tolerance)
+                verify.run_sweep(verify.default_spec("ckw", random_samples=5, tolerance=tolerance))
         with pytest.raises(ValueError):
             verify.SweepSpec("lemma1", random_samples=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            verify.SweepSpec("lemma1", seed=-1)
         with pytest.raises(ValueError):
             verify.SweepSpec("lemma1", grid=(("x", 1.0, 0.0, 5),))
 
@@ -256,8 +258,8 @@ class TestRunSweep:
             verify.run_sweep(verify.default_spec("gqsuper", params=(("q", (1.5,)),)))
         with pytest.raises(ValueError):
             verify.run_sweep(verify.default_spec("falphasqadd", params=(("alpha", (2.0,)),)))
-        with pytest.raises(ValueError):
-            verify.run_sweep(verify.default_spec("ckw"))
+        with pytest.raises(ValueError, match="'ckw' needs at least one state, got 0"):
+            verify.run_sweep(verify.default_spec("ckw", random_samples=0))
 
 
 def tie_margin(pts, combo):
@@ -420,18 +422,28 @@ class TestRunStateCheck:
         assert a == b
 
     def test_param_override(self):
-        report = verify.run_state_check(
-            "remark2", n_states=40, seed=1, params={"alpha": (2.0,), "mu": (2.0,)}
+        spec = verify.default_spec(
+            "remark2", random_samples=40, seed=1, params=(("alpha", (2.0,)), ("mu", (2.0,)))
         )
-        assert report.points_checked == 40
+        assert verify.run_sweep(spec).points_checked == 40
 
     def test_rejects_grid_family(self):
         with pytest.raises(ValueError):
             verify.run_state_check("lemma1", n_states=10)
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            verify.run_state_check("remark1", n_states=10, params={"q": (5.0,)})
+        spec = verify.default_spec(
+            "remark1", random_samples=10, params=(("q", (5.0,)), ("eta", (1.0,)))
+        )
+        with pytest.raises(ValueError, match="'q' values"):
+            verify.run_sweep(spec)
+
+    @pytest.mark.parametrize("family", verify.STATE_FAMILIES)
+    @pytest.mark.parametrize("n_states,seed", [(1, 0), (37, 5), (verify._STATE_BLOCK + 3, 7919)])
+    def test_equals_run_sweep_of_the_default_spec(self, family, n_states, seed):
+        spec = verify.default_spec(family, random_samples=n_states, seed=seed)
+        expected = verify.run_sweep(spec).to_json()
+        assert verify.run_state_check(family, n_states, seed).to_json() == expected
 
     def test_example_state_margin_structure(self):
         # The canonical example satisfies Tsallis additivity exactly at q=2,
@@ -444,8 +456,8 @@ class TestRunStateCheck:
 def per_state_tables(n_states, seed):
     """Reference state table: every kernel call on one state at a time."""
     cols = {name: np.empty(n_states) for name in ("lam_hi", "lam_lo", "c_ab", "c_ac")}
-    for i, state in enumerate(states.random_pure_states(3, n_states, seed)):
-        rho = states.density(state)
+    for i, amps in enumerate(states.random_pure_states(3, n_states, seed)):
+        rho = states.density(states.PureState(3, amps))
         spectrum = kernel.hermitian_eigenvalues(kernel.partial_trace(rho, 3, {0}))
         cols["lam_hi"][i] = max(spectrum[0], 0.0)
         cols["lam_lo"][i] = max(spectrum[1], 0.0)
@@ -466,35 +478,3 @@ class TestStateTables:
         assert table.keys() == reference.keys()
         for name, column in reference.items():
             assert np.array_equal(table[name], column), name
-
-
-class TestRefine:
-    def test_lemma1_refinement_stays_clean(self):
-        report = verify.run_sweep(verify.default_spec("lemma1", random_samples=0))
-        refined = verify.refine_near_equality(report, 5)
-        assert refined.min_margin >= -1e-12
-        assert refined.min_margin <= report.min_margin + report.spec.tolerance
-
-    def test_refinement_contains_original_argmin(self):
-        report = verify.run_sweep(small_spec("gqsuper", random_samples=0))
-        refined = verify.refine_near_equality(report, 3)
-        assert refined.min_margin <= report.min_margin + report.spec.tolerance
-        assert refined.violations == []
-
-    def test_factor_one_re_runs_neighborhood(self):
-        report = verify.run_sweep(small_spec("falphaadd", random_samples=0))
-        refined = verify.refine_near_equality(report, 1)
-        assert refined.min_margin <= report.min_margin + report.spec.tolerance
-        for (name, lo, hi, steps) in refined.spec.grid:
-            assert steps == 3
-
-    def test_state_refinement_multiplies_states(self):
-        report = verify.run_state_check("ckw", n_states=60, seed=2)
-        refined = verify.refine_near_equality(report, 2)
-        assert refined.points_checked == 120
-        assert refined.min_margin <= report.min_margin + report.spec.tolerance
-
-    def test_factor_gate(self):
-        report = verify.run_state_check("ckw", n_states=10, seed=2)
-        with pytest.raises(ValueError):
-            verify.refine_near_equality(report, 0)
