@@ -289,29 +289,18 @@ def chain_bound(values, m: int, p, coupling: str = "linear", tail: str = "new"):
 
 
 def compare_bounds(lhs: float, e1: float, e2: float, p, regime: str) -> BoundReport:
-    """Powered comparison of the full-cut value against the three bounds.
+    """Powered comparison of the full-cut value against the three pair
+    bounds of the ordered pair e1 >= e2: the two-partner chain.
 
     ``lhs`` is the unpowered entanglement of the full cut; the report stores
     ``lhs**pow`` where pow is mu (linear regimes) or gamma (squared regime).
     """
-    param = _as_power(p)
-    if regime not in _REGIME_TABLE:
-        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    coupling, family = _REGIME_TABLE[regime]
-    pow_ = _coupling_exponent(param, coupling)
-    # An overflow shows as a non-finite bound, which BoundReport rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return BoundReport(
-            exponent=pow_,
-            lhs=float(lhs) ** pow_,
-            new_bound=pair_bound_new(e1, e2, param, coupling),
-            prior_bound=pair_bound_prior(e1, e2, param, family),
-            naive_bound=pair_bound_naive(e1, e2, param, coupling),
-        )
+    return compare_chain(lhs, (e1, e2), 1, p, regime)
 
 
 def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
-    """Chain analogue of ``compare_bounds`` for more than two partners.
+    """Powered comparison of the full-cut value ``lhs`` (unpowered) against
+    the new, prior and naive chain bounds of ``values`` at split ``m``.
 
     The prior and naive columns reuse the chain skeleton with the matching
     pairwise tail swapped in, so the term-by-term dominance of the tails
@@ -322,6 +311,7 @@ def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     coupling, family = _REGIME_TABLE[regime]
     pow_ = _coupling_exponent(param, coupling)
+    # An overflow shows as a non-finite bound, which BoundReport rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         return BoundReport(
             exponent=pow_,
@@ -337,15 +327,17 @@ def _pure_cut_concurrence(vec: np.ndarray, n: int, pivot_pos: int) -> float:
     return measures.concurrence_pure(state, {pivot_pos})
 
 
-def ordering_certificate(state: PureState, pivot: int, rest_order) -> list[str]:
+def ordering_certificate(state: PureState, pivot: int, rest_order, concurrences) -> list[str]:
     """Check the per-position concurrence ordering hypotheses of the chains.
 
-    For each position i (all but the last partner), compares the two-qubit
-    closed form C(pivot, B_i) against C(pivot | remaining partners).  When
-    the remainder is a single qubit the comparison is exact; otherwise it is
-    bracketed from below by the root-sum-square of pairwise concurrences and
-    from above by the eigendecomposition average of pure-state concurrences.
-    Returns "certified", "violated" or "undetermined" per position.
+    ``concurrences`` holds the two-qubit closed forms C(pivot, B) of the
+    partners in ``rest_order`` order.  For each position i (all but the last
+    partner), compares C(pivot, B_i) against C(pivot | remaining partners).
+    When the remainder is a single qubit the comparison is exact; otherwise
+    it is bracketed from below by the root-sum-square of pairwise
+    concurrences and from above by the eigendecomposition average of
+    pure-state concurrences.  Returns "certified", "violated" or
+    "undetermined" per position.
     """
     n = state.n_qubits
     if n > 4:
@@ -357,12 +349,14 @@ def ordering_certificate(state: PureState, pivot: int, rest_order) -> list[str]:
         raise ValueError(
             f"rest_order {order} must be a permutation of the non-pivot qubits {expected}"
         )
-    if len(order) < 2:
-        return []
-    rho = density(state)
-    # Every pivot-partner concurrence, from one stacked call.
-    pairs = np.stack([kernel.partial_trace(rho, n, {pivot, b}) for b in order])
-    c_of = dict(zip(order, measures.concurrence_two_qubit(pairs).tolist()))
+    c_pairs = [float(c) for c in concurrences]
+    if len(c_pairs) != len(order):
+        raise ValueError(
+            f"need one concurrence per partner ({len(order)}), got {len(c_pairs)}"
+        )
+    if not all(math.isfinite(c) and c >= 0.0 for c in c_pairs):
+        raise ValueError(f"concurrences must be finite and nonnegative, got {c_pairs}")
+    c_of = dict(zip(order, c_pairs))
 
     results = []
     for i in range(len(order) - 1):
@@ -373,7 +367,7 @@ def ordering_certificate(state: PureState, pivot: int, rest_order) -> list[str]:
         else:
             lower = float(np.sqrt(sum(c_of[b] ** 2 for b in rest)))
             keep = sorted({pivot, *rest})
-            reduced = kernel.partial_trace(rho, n, keep)
+            reduced = kernel.partial_trace(density(state), n, keep)
             pivot_pos = keep.index(pivot)
             w, v = np.linalg.eigh(reduced)
             upper = 0.0

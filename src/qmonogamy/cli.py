@@ -217,7 +217,10 @@ def cmd_sweep(args, out=None) -> int:
 def load_state_file(path: str) -> PureState:
     with open(path) as fh:
         text = fh.read()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("state file nests too deeply") from exc
     if not isinstance(data, dict):
         raise ValueError("state file must hold a JSON object")
     if "lambda" in data:
@@ -265,26 +268,23 @@ def _evaluate_report(args) -> dict:
         pair_value = lambda c: measures.f_alpha(c, param)
 
     rho = density(state)
-    # The pivot-partner concurrences from one stacked call; each is then
-    # converted alone, as tsallis_two_qubit / renyi_two_qubit would.
+    # The pivot-partner concurrences from one stacked call, shared with the
+    # ordering certificate; each is then converted alone, as
+    # tsallis_two_qubit / renyi_two_qubit would.
     pairs = np.stack([kernel.partial_trace(rho, n, {pivot, b}) for b in rest])
-    marginals = [
-        pair_value(c) for c in measures.concurrence_two_qubit(pairs).tolist()
-    ]
-    positions = bounds.ordering_certificate(state, pivot, rest)
+    concurrences = measures.concurrence_two_qubit(pairs).tolist()
+    marginals = [pair_value(c) for c in concurrences]
+    positions = bounds.ordering_certificate(state, pivot, rest, concurrences)
     tag, split = bounds.certificate_summary(positions)
-    if n == 3:
-        e1, e2 = max(marginals), min(marginals)
-        report = bounds.compare_bounds(lhs, e1, e2, power, regime)
+    # The chain's tail hypothesis needs a descending pair for the full
+    # split and an ascending one otherwise; on an undetermined pattern
+    # pick the branch the actual values make evaluable.  With two partners
+    # this is the pair relation of the larger and the smaller value.
+    if marginals[-2] >= marginals[-1]:
+        split = n - 2
     else:
-        # The chain's tail hypothesis needs a descending pair for the full
-        # split and an ascending one otherwise; on an undetermined pattern
-        # pick the branch the actual values make evaluable.
-        if marginals[-2] >= marginals[-1]:
-            split = n - 2
-        else:
-            split = min(split, n - 3)
-        report = bounds.compare_chain(lhs, marginals, split, power, regime)
+        split = min(split, n - 3)
+    report = bounds.compare_chain(lhs, marginals, split, power, regime)
     result = report.as_dict()
     result.update(
         {

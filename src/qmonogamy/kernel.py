@@ -59,26 +59,12 @@ def _check_members(arr: np.ndarray, values, failed, describe) -> None:
         raise ValueError(f"stack member {index}: {describe(values[index])}")
 
 
-def _defect(arr: np.ndarray):
-    """Hermiticity defect of an array ``as_matrix`` has already coerced."""
-    if arr.shape[-2] != arr.shape[-1]:
-        raise ValueError(f"matrix is not square: shape {arr.shape}")
-    return np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-
-
-def hermiticity_defect(m):
-    """Largest entrywise deviation of ``m`` from its conjugate transpose.
-
-    A float for a 2-D matrix, an array with one value per member for a stack.
-    """
-    arr = as_matrix(m)
-    defect = _defect(arr)
-    return float(defect) if arr.ndim == 2 else defect
-
-
 def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     arr = as_matrix(m)
-    defect = _defect(arr)
+    if arr.shape[-2] != arr.shape[-1]:
+        raise ValueError(f"matrix is not square: shape {arr.shape}")
+    # Largest entrywise deviation of each member from its conjugate transpose.
+    defect = np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     _check_members(
         arr,
         defect,

@@ -85,12 +85,12 @@ class RenyiParam:
         return "ge2" if self.alpha >= 2.0 else "window"
 
 
-def _q_of(p) -> float:
-    return p.q if isinstance(p, TsallisParam) else TsallisParam(p).q
+def _tsallis(p) -> TsallisParam:
+    return p if isinstance(p, TsallisParam) else TsallisParam(p)
 
 
-def _alpha_of(p) -> float:
-    return p.alpha if isinstance(p, RenyiParam) else RenyiParam(p).alpha
+def _renyi(p) -> RenyiParam:
+    return p if isinstance(p, RenyiParam) else RenyiParam(p)
 
 
 def _checked_unit_interval(x, name: str):
@@ -112,8 +112,8 @@ def g_q(x, q) -> float | np.ndarray:
     Increasing and convex on [0, 1], with g_q(0) = 0.  Valid for q inside
     the analytic window (roughly 0.697 .. 4.303); array inputs broadcast.
     """
-    qv = _q_of(q)
-    param = q if isinstance(q, TsallisParam) else TsallisParam(qv)
+    param = _tsallis(q)
+    qv = param.q
     if not param.analytic:
         raise ValueError(
             f"q {qv} outside the analytic window "
@@ -133,8 +133,8 @@ def f_alpha(x, alpha) -> float | np.ndarray:
     Increasing and convex on [0, 1] for alpha >= (sqrt(7)-1)/2, with
     f_alpha(0) = 0 and f_alpha(1) = 1; array inputs broadcast.
     """
-    av = _alpha_of(alpha)
-    param = alpha if isinstance(alpha, RenyiParam) else RenyiParam(av)
+    param = _renyi(alpha)
+    av = param.alpha
     if not param.analytic:
         raise ValueError(
             f"alpha {av} below the analytic threshold {RENYI_ANALYTIC_MIN:.6f}"
@@ -196,7 +196,7 @@ def concurrence_two_qubit(rho) -> float | np.ndarray:
 
 def tsallis_pure(state: PureState, side_a, q) -> float:
     """Tsallis-q entanglement (1 - tr rho_A^q) / (q - 1) of a pure state."""
-    qv = _q_of(q)
+    qv = _tsallis(q).q
     rho_a = _reduced_density(state, side_a)
     return (1.0 - kernel.trace_power(rho_a, qv)) / (qv - 1.0)
 
@@ -209,7 +209,7 @@ def tsallis_two_qubit(rho, q) -> float:
 
 def renyi_pure(state: PureState, side_a, alpha) -> float:
     """Renyi-alpha entanglement log2(tr rho_A^alpha) / (1 - alpha)."""
-    av = _alpha_of(alpha)
+    av = _renyi(alpha).alpha
     rho_a = _reduced_density(state, side_a)
     return math.log2(kernel.trace_power(rho_a, av)) / (1.0 - av)
 

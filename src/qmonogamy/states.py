@@ -8,11 +8,21 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 NORM_TOL = 1e-10
+
+
+def _qubit_count(n) -> int:
+    """``n`` as an int: an integer, or a float with an integral value."""
+    if isinstance(n, float) and n.is_integer():  # False for 3.7, NaN and inf
+        return int(n)
+    if isinstance(n, numbers.Integral) and not isinstance(n, bool):
+        return int(n)
+    raise ValueError(f"n_qubits must be an integer, got {n!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,14 +33,13 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n_qubits)
+        n = _qubit_count(self.n_qubits)
         if n < 1:
-            raise ValueError(f"need at least one qubit, got {n}")
+            raise ValueError(f"n_qubits must be >= 1, got {n}")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != 2**n:
-            raise ValueError(
-                f"{n}-qubit state needs {2**n} amplitudes, got {amps.size}"
-            )
+        # The bit length rules out a huge n before 2**n is formed.
+        if amps.size.bit_length() != n + 1 or amps.size != 2**n:
+            raise ValueError(f"n_qubits = {n} needs 2**{n} amplitudes, got {amps.size}")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         # Written so that a NaN norm fails too.
         if not abs(norm_sq - 1.0) <= NORM_TOL:
@@ -49,9 +58,9 @@ class PureState:
     def from_json(cls, text: str) -> "PureState":
         data = json.loads(text)
         try:
-            n = int(data["n_qubits"])
+            n = data["n_qubits"]
             amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed state JSON: {exc}") from exc
         return cls(n, amps)
 
@@ -93,7 +102,7 @@ class AcinParams:
         try:
             lams = tuple(float(v) for v in data["lambda"])
             phi = float(data.get("phi", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed canonical-form JSON: {exc}") from exc
         return cls(lams, phi)
 

@@ -158,82 +158,57 @@ def _margin_power_chain(pts, combo):
     return np.minimum(np.minimum(lhs - tight, tight - loose), loose - naive)
 
 
-def _margin_gq_super(pts, combo):
-    gz, gx, gy = _shared(pts, _g_triple, combo["q"])
-    return gz - gx - gy
+def _tsallis_state_triple(pts, q):
+    """Spectral T_q of the pivot marginal, then the larger and the smaller
+    of g_q(C_ab^2) and g_q(C_ac^2)."""
+    full = (1.0 - (pts["lam_hi"] ** q + pts["lam_lo"] ** q)) / (q - 1.0)
+    t_ab = measures.g_q(pts["c_ab"] ** 2, q)
+    t_ac = measures.g_q(pts["c_ac"] ** 2, q)
+    return full, np.maximum(t_ab, t_ac), np.minimum(t_ab, t_ac)
 
 
-def _margin_f_add(pts, combo):
-    fz, fx, fy = _shared(pts, _f_triple, combo["alpha"])
-    return fz - fx - fy
+def _renyi_state_triple(pts, a):
+    """Spectral E_alpha of the pivot marginal, then the larger and the
+    smaller of f_alpha(C_ab) and f_alpha(C_ac)."""
+    full = np.log2(pts["lam_hi"] ** a + pts["lam_lo"] ** a) / (1.0 - a)
+    r_ab = measures.f_alpha(pts["c_ab"], a)
+    r_ac = measures.f_alpha(pts["c_ac"], a)
+    return full, np.maximum(r_ab, r_ac), np.minimum(r_ab, r_ac)
 
 
-def _margin_f_sq_add(pts, combo):
-    fz, fx, fy = _shared(pts, _f_triple, combo["alpha"])
-    return fz * fz - fx * fx - fy * fy
+def _additive(triple, index: str, k: int):
+    """Margin z^k - x^k - y^k of ``triple``'s (z, x, y) at the combo's
+    ``index`` (the superadditivity lemmas)."""
+
+    def margin(pts, combo):
+        z, x, y = _shared(pts, triple, combo[index])
+        if k != 1:
+            z, x, y = z**k, x**k, y**k
+        return z - x - y
+
+    return margin
 
 
-def _margin_gq_pair(pts, combo):
-    gz, gx, gy = _shared(pts, _g_triple, combo["q"])
-    mu = combo["mu"]
-    return gz**mu - bounds.pair_bound_new(gx, gy, bounds.PowerParam(mu))
+def _powered(triple, index: str, power: str):
+    """Margin E^p - Q_new(e1, e2) of the powered pair relation, with
+    (E, e1 >= e2) from ``triple`` at the combo's ``index`` and p the combo's
+    ``power``; a power named gamma takes the squared coupling."""
 
+    def margin(pts, combo):
+        full, e1, e2 = _shared(pts, triple, combo[index])
+        p = combo[power]
+        if power == "gamma":
+            param, coupling = bounds.PowerParam.from_gamma(p), "squared"
+        else:
+            param, coupling = bounds.PowerParam(p), "linear"
+        return full**p - bounds.pair_bound_new(e1, e2, param, coupling)
 
-def _margin_f_pair(pts, combo):
-    fz, fx, fy = _shared(pts, _f_triple, combo["alpha"])
-    mu = combo["mu"]
-    return fz**mu - bounds.pair_bound_new(fx, fy, bounds.PowerParam(mu))
-
-
-def _margin_f_sq_pair(pts, combo):
-    fz, fx, fy = _shared(pts, _f_triple, combo["alpha"])
-    gamma = combo["gamma"]
-    p = bounds.PowerParam.from_gamma(gamma)
-    return fz**gamma - bounds.pair_bound_new(fx, fy, p, "squared")
+    return margin
 
 
 def _margin_ckw(pts, combo):
     c2_full = pts["c2_full"]
     return c2_full - pts["c_ab"] ** 2 - pts["c_ac"] ** 2
-
-
-def _spectral_tsallis(pts, q):
-    return (1.0 - (pts["lam_hi"] ** q + pts["lam_lo"] ** q)) / (q - 1.0)
-
-
-def _spectral_renyi(pts, a):
-    return np.log2(pts["lam_hi"] ** a + pts["lam_lo"] ** a) / (1.0 - a)
-
-
-def _margin_remark1(pts, combo):
-    q, eta = combo["q"], combo["eta"]
-    lhs = _spectral_tsallis(pts, q) ** eta
-    t_ab = measures.g_q(pts["c_ab"] ** 2, q)
-    t_ac = measures.g_q(pts["c_ac"] ** 2, q)
-    e1 = np.maximum(t_ab, t_ac)
-    e2 = np.minimum(t_ab, t_ac)
-    return lhs - bounds.pair_bound_new(e1, e2, bounds.PowerParam(eta))
-
-
-def _margin_remark2(pts, combo):
-    a, mu = combo["alpha"], combo["mu"]
-    lhs = _spectral_renyi(pts, a) ** mu
-    r_ab = measures.f_alpha(pts["c_ab"], a)
-    r_ac = measures.f_alpha(pts["c_ac"], a)
-    e1 = np.maximum(r_ab, r_ac)
-    e2 = np.minimum(r_ab, r_ac)
-    return lhs - bounds.pair_bound_new(e1, e2, bounds.PowerParam(mu))
-
-
-def _margin_remark3(pts, combo):
-    a, gamma = combo["alpha"], combo["gamma"]
-    p = bounds.PowerParam.from_gamma(gamma)
-    lhs = _spectral_renyi(pts, a) ** gamma
-    r_ab = measures.f_alpha(pts["c_ab"], a)
-    r_ac = measures.f_alpha(pts["c_ac"], a)
-    e1 = np.maximum(r_ab, r_ac)
-    e2 = np.minimum(r_ab, r_ac)
-    return lhs - bounds.pair_bound_new(e1, e2, p, "squared")
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +277,7 @@ _register(
         "grid",
         axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
         params=(("q", _Q_SUPER_DEFAULT),),
-        margin=_margin_gq_super,
+        margin=_additive(_g_triple, "q", 1),
         domain=_domain_disc,
         gates=(
             ("x", *_UNIT),
@@ -317,7 +292,7 @@ _register(
         "grid",
         axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
         params=(("alpha", (2.0, 2.5, 3.0, 4.0)),),
-        margin=_margin_f_add,
+        margin=_additive(_f_triple, "alpha", 1),
         domain=_domain_disc,
         gates=(
             ("x", *_UNIT),
@@ -332,7 +307,7 @@ _register(
         "grid",
         axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
         params=(("alpha", (_WINDOW_MIN, 1.2, 1.5, 1.9)),),
-        margin=_margin_f_sq_add,
+        margin=_additive(_f_triple, "alpha", 2),
         domain=_domain_disc,
         gates=(
             ("x", *_UNIT),
@@ -347,7 +322,7 @@ _register(
         "grid",
         axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
         params=(("q", (2.0, 2.5, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
-        margin=_margin_gq_pair,
+        margin=_powered(_g_triple, "q", "mu"),
         domain=_domain_disc_ordered,
         gates=(
             ("x", *_UNIT),
@@ -363,7 +338,7 @@ _register(
         "grid",
         axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
         params=(("alpha", (2.0, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
-        margin=_margin_f_pair,
+        margin=_powered(_f_triple, "alpha", "mu"),
         domain=_domain_disc_ordered,
         gates=(
             ("x", *_UNIT),
@@ -379,7 +354,7 @@ _register(
         "grid",
         axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
         params=(("alpha", (_WINDOW_MIN, 1.2, 1.5, 1.9)), ("gamma", (2.0, 3.0, 4.0))),
-        margin=_margin_f_sq_pair,
+        margin=_powered(_f_triple, "alpha", "gamma"),
         domain=_domain_disc_ordered,
         gates=(
             ("x", *_UNIT),
@@ -405,7 +380,7 @@ _register(
         "state",
         axes=(),
         params=(("q", (2.0, 2.5, 3.0)), ("eta", (1.0, 1.5, 2.0, 3.0))),
-        margin=_margin_remark1,
+        margin=_powered(_tsallis_state_triple, "q", "eta"),
         gates=(("q", *_Q_BOUND), ("eta", *_POWER)),
         tolerance=STATE_TOLERANCE,
     )
@@ -416,7 +391,7 @@ _register(
         "state",
         axes=(),
         params=(("alpha", (2.0, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
-        margin=_margin_remark2,
+        margin=_powered(_renyi_state_triple, "alpha", "mu"),
         gates=(("alpha", *_ALPHA_GE2), ("mu", *_POWER)),
         tolerance=STATE_TOLERANCE,
     )
@@ -427,7 +402,7 @@ _register(
         "state",
         axes=(),
         params=(("alpha", (_WINDOW_MIN, 1.5)), ("gamma", (2.0, 3.0, 4.0))),
-        margin=_margin_remark3,
+        margin=_powered(_renyi_state_triple, "alpha", "gamma"),
         gates=(
             ("alpha", *_ALPHA_WINDOW),
             ("gamma", *_GAMMA),

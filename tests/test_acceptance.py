@@ -217,7 +217,7 @@ def test_extension_four_party_chain():
             for b in (1, 2, 3)
         }
         order = sorted(pair_c, key=pair_c.get)  # ascending favors the swap branch
-        tags = bounds.ordering_certificate(st, 0, order)
+        tags = bounds.ordering_certificate(st, 0, order, [pair_c[b] for b in order])
         summary, split = bounds.certificate_summary(tags)
         if summary == bounds.UNDETERMINED:
             continue

@@ -20,6 +20,19 @@ def example_state():
     )
 
 
+def pair_concurrences(st, pivot, order):
+    """C(pivot, b) of each partner b in ``order``, one closed form per pair."""
+    rho = states.density(st)
+    return [
+        measures.concurrence_two_qubit(kernel.partial_trace(rho, st.n_qubits, {pivot, b}))
+        for b in order
+    ]
+
+
+def certificate(st, pivot, order):
+    return bounds.ordering_certificate(st, pivot, order, pair_concurrences(st, pivot, order))
+
+
 class TestPowerParam:
     def test_gates(self):
         with pytest.raises(ValueError):
@@ -241,6 +254,12 @@ class TestCompareBounds:
         with pytest.raises(ValueError):
             bounds.compare_bounds(0.5, 0.4, 0.2, bounds.PowerParam(1.0), "nope")
 
+    def test_needs_an_ordered_pair(self):
+        with pytest.raises(ValueError, match="e1 < e2"):
+            bounds.compare_bounds(0.5, 0.2, 0.4, bounds.PowerParam(2.0), "tsallis_q2to3")
+        with pytest.raises(ValueError, match="nonnegative"):
+            bounds.compare_bounds(0.5, 0.4, -0.2, bounds.PowerParam(2.0), "tsallis_q2to3")
+
     def test_chain_comparison_dominance(self):
         vals = np.linspace(0.0, 0.9, 8)
         for a in vals:
@@ -334,20 +353,20 @@ class TestOrderingCertificate:
         st = example_state()
         # qubit 2 pairs through the |101> amplitude (concurrence 2 sqrt(15)/9),
         # qubit 1 through |110> (concurrence 2 sqrt(5)/9)
-        assert bounds.ordering_certificate(st, 0, (2, 1)) == [bounds.CERTIFIED]
-        assert bounds.ordering_certificate(st, 0, (1, 2)) == [bounds.VIOLATED]
+        assert certificate(st, 0, (2, 1)) == [bounds.CERTIFIED]
+        assert certificate(st, 0, (1, 2)) == [bounds.VIOLATED]
 
     def test_w_state_equality_certifies(self):
         amps = np.zeros(8)
         amps[[1, 2, 4]] = 1.0 / np.sqrt(3.0)
         st = states.PureState(3, amps)
-        assert bounds.ordering_certificate(st, 0, (1, 2)) == [bounds.CERTIFIED]
-        assert bounds.ordering_certificate(st, 0, (2, 1)) == [bounds.CERTIFIED]
+        assert certificate(st, 0, (1, 2)) == [bounds.CERTIFIED]
+        assert certificate(st, 0, (2, 1)) == [bounds.CERTIFIED]
 
     def test_three_qubit_never_undetermined(self):
         for seed in range(200):
             st = states.random_pure_state(3, seed)
-            tags = bounds.ordering_certificate(st, 0, (1, 2))
+            tags = certificate(st, 0, (1, 2))
             assert tags[0] in (bounds.CERTIFIED, bounds.VIOLATED)
 
     def test_product_four_qubit_chain(self):
@@ -355,7 +374,7 @@ class TestOrderingCertificate:
         amps = np.zeros(16)
         amps[0b0000] = amps[0b1100] = 1.0 / np.sqrt(2.0)
         st = states.PureState(4, amps)
-        tags = bounds.ordering_certificate(st, 0, (1, 2, 3))
+        tags = certificate(st, 0, (1, 2, 3))
         assert tags == [bounds.CERTIFIED, bounds.CERTIFIED]
         summary, split = bounds.certificate_summary(tags)
         assert summary == bounds.CERTIFIED and split == 2
@@ -366,8 +385,8 @@ class TestOrderingCertificate:
             assert chain == pytest.approx(t_pair**eta, abs=1e-12)
 
     def test_fewer_than_two_partners_has_no_positions(self):
-        assert bounds.ordering_certificate(states.random_pure_state(1, 0), 0, ()) == []
-        assert bounds.ordering_certificate(states.random_pure_state(2, 0), 1, (0,)) == []
+        assert certificate(states.random_pure_state(1, 0), 0, ()) == []
+        assert certificate(states.random_pure_state(2, 0), 1, (0,)) == []
 
     def test_summary_patterns(self):
         c, v, u = bounds.CERTIFIED, bounds.VIOLATED, bounds.UNDETERMINED
@@ -380,6 +399,27 @@ class TestOrderingCertificate:
     def test_gates(self):
         st = states.random_pure_state(3, 0)
         with pytest.raises(ValueError):
-            bounds.ordering_certificate(st, 0, (1, 1))
+            bounds.ordering_certificate(st, 0, (1, 1), [0.1, 0.2])
         with pytest.raises(ValueError):
-            bounds.ordering_certificate(st, 0, (1,))
+            bounds.ordering_certificate(st, 0, (1,), [0.1])
+
+    def test_rejects_a_bad_table(self):
+        st = example_state()
+        table = pair_concurrences(st, 0, (2, 1))
+        for bad in ([], table[:1], table + [0.1]):
+            message = rf"one concurrence per partner \(2\), got {len(bad)}"
+            with pytest.raises(ValueError, match=message):
+                bounds.ordering_certificate(st, 0, (2, 1), bad)
+        for value in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                bounds.ordering_certificate(st, 0, (2, 1), [table[0], value])
+
+    def test_three_qubits_use_the_table_alone(self, monkeypatch):
+        st = example_state()
+        table = pair_concurrences(st, 0, (2, 1))
+        # Any density or partial trace would now raise.
+        monkeypatch.setattr(bounds, "density", None)
+        monkeypatch.setattr(kernel, "partial_trace", None)
+        assert bounds.ordering_certificate(st, 0, (2, 1), table) == [bounds.CERTIFIED]
+        # The table alone decides: swapped values swap the tag.
+        assert bounds.ordering_certificate(st, 0, (2, 1), table[::-1]) == [bounds.VIOLATED]

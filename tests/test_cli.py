@@ -506,8 +506,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("name", ["canonical", "haar-4-21"])
     def test_one_stacked_concurrence_call_per_table(self, name, tmp_path, capsys, monkeypatch):
-        # The marginals and the ordering certificate each take every
-        # pivot-partner concurrence from one stacked call.
+        # The marginals and the ordering certificate share one table of the
+        # pivot-partner concurrences, built by one stacked call.
         path = write_pinned_state(name, tmp_path)
         n_qubits = cli.load_state_file(str(path)).n_qubits
         original = measures.concurrence_two_qubit
@@ -520,7 +520,38 @@ class TestEvaluate:
         monkeypatch.setattr(measures, "concurrence_two_qubit", counted)
         code, _, _ = run(evaluate_argv(path, "renyi", "2", "2", 1), capsys)
         assert code == 0
-        assert shapes == [(n_qubits - 1, 4, 4)] * 2
+        assert shapes == [(n_qubits - 1, 4, 4)]
+
+    def test_zero_pair_values_print_positive_zero_bounds(self, tmp_path, capsys):
+        # f_alpha(0) is -0.0; the chain sum prints the bounds of two zero
+        # pair values as 0.0 on three qubits, as it does on four.
+        amps = np.zeros(8)
+        amps[0] = amps[7] = 1.0 / math.sqrt(2.0)
+        path = tmp_path / "ghz.json"
+        path.write_text(states.PureState(3, amps).to_json())
+        code, out, _ = run(evaluate_argv(path, "renyi", "2", "1", 0), capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["marginals"] == [0.0, 0.0]
+        for key in ("new_bound", "prior_bound", "naive_bound"):
+            assert math.copysign(1.0, data[key]) == 1.0, key
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-3])
+    def test_three_qubit_split_is_the_branch_used(self, gap, tmp_path, capsys):
+        # Partner 1 pairs through the |110> amplitude and partner 2 through
+        # |101>; below _CERT_TOL the certificate still holds, but the
+        # smaller first value takes the swapped branch, m = 0.
+        l2, l3 = 0.5, 0.5 - gap
+        params = states.AcinParams((math.sqrt(1.0 - l2 * l2 - l3 * l3), 0.0, l2, l3, 0.0))
+        path = tmp_path / "near.json"
+        path.write_text(params.to_json())
+        code, out, _ = run(evaluate_argv(path, "tsallis", "2.5", "2", 0), capsys)
+        assert code == 0
+        data = json.loads(out)
+        first, second = data["marginals"]
+        assert data["split_index"] == (1 if first >= second else 0)
+        assert data["split_index"] == (1 if gap == 0.0 else 0)
+        assert data["ordering"] == ("certified" if gap < 1e-10 else "violated")
 
     @pytest.mark.parametrize("measure", ["tsallis", "renyi"])
     @pytest.mark.parametrize("index", ["inf", "nan"])
@@ -560,6 +591,44 @@ class TestEvaluate:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "n_qubits,message",
+        [
+            ("1e400", "n_qubits must be an integer, got inf"),
+            ("3.7", "n_qubits must be an integer, got 3.7"),
+            ("true", "n_qubits must be an integer, got True"),
+            ('"3"', "n_qubits must be an integer, got '3'"),
+            ("100000", "n_qubits = 100000 needs 2**100000 amplitudes, got 1"),
+            (str(10**20), f"n_qubits = {10**20} needs 2**{10**20} amplitudes, got 1"),
+            ("3.0", "n_qubits = 3 needs 2**3 amplitudes, got 1"),
+            ("0", "n_qubits must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_qubit_count_is_a_usage_error(self, n_qubits, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"n_qubits": {n_qubits}, "amplitudes": [[1, 0]]}}')
+        code, out, err = run(evaluate_argv(path, "tsallis", "2", "1", 0), capsys)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n_qubits": 3, "amplitudes": [[1' + "0" * 400 + ', 0]]}',
+            '{"lambda": [1' + "0" * 400 + ', 0, 0, 0, 0]}',
+            '{"lambda": [1, 0, 0, 0, 0], "phi": 1' + "0" * 400 + "}",
+            '{"n_qubits": ' + "[" * 100000 + "]" * 100000 + "}",
+        ],
+        ids=["huge-amplitude", "huge-lambda", "huge-phi", "deep-nesting"],
+    )
+    def test_huge_or_deep_state_file_is_a_usage_error(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(evaluate_argv(path, "tsallis", "2", "1", 0), capsys)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
 
     def test_unnormalized_state_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -694,3 +763,59 @@ def test_evaluate_fuzz_exits_cleanly(fuzz_state_files, data):
     code, err = run_quietly(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err, argv
+
+
+# JSON values for fuzzed state-file fields: integers up to 10**6, floats
+# (fractional, NaN, infinite), a 401-digit integer, bools, strings and null.
+JSON_VALUES = st.one_of(
+    st.integers(-2, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([3, 4, 3.0, 3.7, 0.5, -0.5, 10**400]),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+VALID_AMPLITUDES = [
+    json.loads(states.random_pure_state(n, 11).to_json())["amplitudes"] for n in (3, 4)
+]
+
+
+@st.composite
+def state_file_texts(draw):
+    """A state file in either format, valid or with any field malformed."""
+    if draw(st.booleans()):
+        lambdas = draw(st.one_of(
+            st.just(list(cli.EXAMPLE_PARAMS.lambdas)),
+            st.lists(JSON_VALUES, max_size=7),
+            JSON_VALUES,
+        ))
+        data = {"lambda": lambdas}
+        if draw(st.booleans()):
+            data["phi"] = draw(st.one_of(st.floats(-1.0, 4.0), JSON_VALUES))
+    else:
+        amplitudes = draw(st.one_of(
+            st.sampled_from(VALID_AMPLITUDES),
+            st.lists(st.lists(JSON_VALUES, max_size=3), max_size=17),
+            JSON_VALUES,
+        ))
+        if isinstance(amplitudes, list) and amplitudes and draw(st.booleans()):
+            amplitudes = list(amplitudes)
+            amplitudes[draw(st.integers(0, len(amplitudes) - 1))] = draw(JSON_VALUES)
+        n_qubits = draw(st.one_of(st.sampled_from([3, 4]), JSON_VALUES))
+        data = {"n_qubits": n_qubits, "amplitudes": amplitudes}
+    return json.dumps(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_state_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz-contents") / "state.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=state_file_texts(), measure=st.sampled_from(["tsallis", "renyi"]),
+       pivot=st.integers(0, 3))
+def test_evaluate_state_file_fuzz_exits_cleanly(fuzz_state_path, text, measure, pivot):
+    fuzz_state_path.write_text(text)
+    code, err = run_quietly(evaluate_argv(fuzz_state_path, measure, "2.5", "2", pivot))
+    assert code in (0, 1, 2), text
+    assert "Traceback" not in err, text

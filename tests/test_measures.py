@@ -62,6 +62,23 @@ class TestParams:
         with pytest.raises(ValueError):
             _ = measures.RenyiParam(0.5).regime
 
+    @pytest.mark.parametrize(
+        "conversion,param", [("g_q", "TsallisParam"), ("f_alpha", "RenyiParam")]
+    )
+    def test_float_index_builds_one_param(self, conversion, param, monkeypatch):
+        built = []
+
+        class Counted(getattr(measures, param)):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(measures, param, Counted)
+        getattr(measures, conversion)(np.array([0.25, 0.5]), 2.5)
+        assert len(built) == 1
+        getattr(measures, conversion)(0.5, Counted(2.5))
+        assert len(built) == 2
+
 
 class TestGq:
     def test_linear_at_q2(self):

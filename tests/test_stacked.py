@@ -131,7 +131,6 @@ class TestSingleMatrixTypes:
         rho = random_densities(3, 1, 2, seed)[0]
         pair = kernel.partial_trace(rho, 3, {0, 1})
         assert isinstance(pair, np.ndarray) and pair.shape == (4, 4)
-        assert type(kernel.hermiticity_defect(pair)) is float
         assert kernel.hermitian_eigenvalues(pair).shape == (4,)
         assert measures.spin_flip_spectrum(pair).shape == (4,)
         assert type(measures.concurrence_two_qubit(pair)) is float

@@ -386,6 +386,9 @@ class TestBlockedSweep:
             ("lemma5", "f_alpha", 2 * 3),  # 2 alpha values x 4 mu values
             ("lemma6", "f_alpha", 4 * 3),  # 4 alpha values x 3 gamma values
             ("gqsuper", "g_q", 11 * 3),
+            ("remark1", "g_q", 3 * 2),  # 3 q values x 4 eta values
+            ("remark2", "f_alpha", 2 * 2),  # 2 alpha values x 4 mu values
+            ("remark3", "f_alpha", 2 * 2),  # 2 alpha values x 3 gamma values
         ],
     )
     def test_conversions_once_per_block_and_value(
@@ -405,8 +408,8 @@ class TestBlockedSweep:
         n_points = report.points_checked // math.prod(len(v) for _, v in spec.params)
         n_blocks = -(-n_points // 97)
         assert len(calls) == calls_per_block * n_blocks
-        n_values = len(spec.params[0][1])
-        assert sum(calls) == 3 * n_values * n_points
+        # Every call converts its whole block.
+        assert sum(calls) == calls_per_block * n_points
 
 
 class TestRunStateCheck:
