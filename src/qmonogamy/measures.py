@@ -227,15 +227,51 @@ def renyi_two_qubit(rho, alpha) -> float:
 _RANK_CUTOFF = 1e-10
 # Refinement steps whose proposals a restart draws at once.
 _PROPOSAL_BLOCK = 32
+# The two LAPACK gufuncs behind ``np.linalg.qr`` (geqrf, then ungqr).
+# Calling them directly skips its copies and the R factor the oracle drops.
+_UMATH_LINALG = getattr(np.linalg, "_umath_linalg", None)
+_QR_R_RAW = getattr(_UMATH_LINALG, "qr_r_raw", None)
+_QR_REDUCED = getattr(_UMATH_LINALG, "qr_reduced", None)
+
+
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError(
+        "Incorrect argument found while performing QR factorization"
+    )
+
+
+def _qr_errors():
+    """The error state ``np.linalg.qr`` runs its gufuncs in: a failed
+    factorization raises ``LinAlgError``."""
+    return np.errstate(call=_raise_qr_error, invalid="call")
+
+
+def _q_factor(a: np.ndarray, r_diagonal: bool = False):
+    """Q of the reduced QR factorization of a complex ``(..., k, r)`` stack.
+
+    Bit for bit ``np.linalg.qr(a)[0]``, from the same two gufunc calls, but
+    ``a`` is factored in place (it is overwritten) and no R is built.  With
+    ``r_diagonal`` it returns ``(Q, diagonal of R)``.  Callers enter
+    ``_qr_errors()`` around it.
+    """
+    if _QR_R_RAW is None or _QR_REDUCED is None:
+        q, r = np.linalg.qr(a)
+        return (q, np.diagonal(r, axis1=-2, axis2=-1)) if r_diagonal else q
+    tau = _QR_R_RAW(a)
+    if not r_diagonal:
+        return _QR_REDUCED(a, tau)
+    d = np.diagonal(a, axis1=-2, axis2=-1).copy()
+    return _QR_REDUCED(a, tau), d
 
 
 def _haar_isometries(k: int, r: int, rngs) -> np.ndarray:
     """One k x r matrix with orthonormal columns per generator, stacked;
     each is Haar-distributed and drawn from its own generator."""
     z = np.stack([rng.standard_normal((2, k, r)) for rng in rngs])
-    q_mat, r_mat = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
-    # Fix column phases so the distribution is Haar rather than QR-skewed.
-    d = np.diagonal(r_mat, axis1=-2, axis2=-1)
+    with _qr_errors():
+        q_mat, d = _q_factor(z[:, 0] + 1j * z[:, 1], r_diagonal=True)
+    # Fix column phases (d is R's diagonal) so the distribution is Haar
+    # rather than QR-skewed.
     return q_mat * (d / np.abs(np.where(d == 0, 1.0, d)))[:, None, :]
 
 
@@ -256,7 +292,9 @@ def _refine_group(u, tau, rngs) -> float:
     depends only on its seed, never on its batch companions.  A restart
     draws its proposals ``_PROPOSAL_BLOCK`` steps at a time, which yields
     exactly the numbers one draw per step would, and only the live
-    (unfrozen) restarts are stepped.
+    (unfrozen) restarts are stepped.  Each step re-orthonormalises its
+    proposals with ``_q_factor``: Q alone, the same bits as
+    ``np.linalg.qr``, under one error state entered for the whole loop.
     """
     batch, k, r = u.shape
     val = _decomposition_cost(u, tau)
@@ -269,27 +307,28 @@ def _refine_group(u, tau, rngs) -> float:
     fails = np.zeros(batch, dtype=int)
     block = np.empty((batch, _PROPOSAL_BLOCK, 2, k, r))
     s = 0
-    while live.size:
-        j = s % _PROPOSAL_BLOCK
-        if j == 0:
-            for i, b in enumerate(live):
-                rngs[b].standard_normal(out=block[i])
-        g = block[:, j, 0] + 1j * block[:, j, 1]
-        cand, _ = np.linalg.qr(cur + step[:, None, None] * g)
-        cand_val = _decomposition_cost(cand, tau)
-        improved = cand_val < cur_val - 1e-15
-        cur = np.where(improved[:, None, None], cand, cur)
-        cur_val = np.where(improved, cand_val, cur_val)
-        fails = np.where(improved, 0, fails + 1)
-        shrink = fails >= 6
-        step = np.where(shrink, step * 0.6, step)
-        fails = np.where(shrink, 0, fails)
-        s += 1
-        keep = step > 1e-4
-        if not keep.all():
-            val[live] = cur_val
-            live, cur, cur_val = live[keep], cur[keep], cur_val[keep]
-            step, fails, block = step[keep], fails[keep], block[keep]
+    with _qr_errors():
+        while live.size:
+            j = s % _PROPOSAL_BLOCK
+            if j == 0:
+                for i, b in enumerate(live):
+                    rngs[b].standard_normal(out=block[i])
+            g = block[:, j, 0] + 1j * block[:, j, 1]
+            cand = _q_factor(cur + step[:, None, None] * g)
+            cand_val = _decomposition_cost(cand, tau)
+            improved = cand_val < cur_val - 1e-15
+            cur = np.where(improved[:, None, None], cand, cur)
+            cur_val = np.where(improved, cand_val, cur_val)
+            fails = np.where(improved, 0, fails + 1)
+            shrink = fails >= 6
+            step = np.where(shrink, step * 0.6, step)
+            fails = np.where(shrink, 0, fails)
+            s += 1
+            keep = step > 1e-4
+            if not keep.all():
+                val[live] = cur_val
+                live, cur, cur_val = live[keep], cur[keep], cur_val[keep]
+                step, fails, block = step[keep], fails[keep], block[keep]
     return float(np.min(val))
 
 

@@ -25,6 +25,18 @@ def _qubit_count(n) -> int:
     raise ValueError(f"n_qubits must be an integer, got {n!r}")
 
 
+def _beyond_float_range(field: str) -> ValueError:
+    return ValueError(f"{field} must be finite, got an integer beyond float range")
+
+
+def _to_float(value, field: str) -> float:
+    """``float(value)``; an integer too large for a float is a ValueError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise _beyond_float_range(field) from None
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized n-qubit amplitude vector, qubit 0 leftmost."""
@@ -36,7 +48,10 @@ class PureState:
         n = _qubit_count(self.n_qubits)
         if n < 1:
             raise ValueError(f"n_qubits must be >= 1, got {n}")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        try:
+            amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        except OverflowError:
+            raise _beyond_float_range("amplitudes") from None
         # The bit length rules out a huge n before 2**n is formed.
         if amps.size.bit_length() != n + 1 or amps.size != 2**n:
             raise ValueError(f"n_qubits = {n} needs 2**{n} amplitudes, got {amps.size}")
@@ -77,7 +92,7 @@ class AcinParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        lams = tuple(float(v) for v in self.lambdas)
+        lams = tuple(_to_float(v, "amplitudes") for v in self.lambdas)
         if len(lams) != 5:
             raise ValueError(f"need exactly 5 amplitudes, got {len(lams)}")
         if not all(math.isfinite(v) for v in lams):
@@ -87,7 +102,7 @@ class AcinParams:
         total = sum(v * v for v in lams)
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"amplitude squares sum to {total!r}, expected 1")
-        phi = float(self.phi)
+        phi = _to_float(self.phi, "phase")
         if not 0.0 <= phi <= math.pi:
             raise ValueError(f"phase {phi} outside [0, pi]")
         object.__setattr__(self, "lambdas", lams)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmonogamy import measures, states
 
@@ -150,3 +152,67 @@ def test_batched_restarts_are_independent(name, k):
         u, rng = start(child)
         alone.append(measures._refine_group(u[None], tau, [rng]))
     assert batched == min(alone)
+
+
+def _q_factor_pair(a):
+    """``_q_factor`` on copies of ``a``: Q alone, then Q with R's diagonal."""
+    with measures._qr_errors():
+        return measures._q_factor(a.copy()), measures._q_factor(a.copy(), r_diagonal=True)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_matches_numpy_qr(a):
+    q_ref, r_ref = np.linalg.qr(a)
+    q, (q_with, d) = _q_factor_pair(a)
+    _assert_same_bits(q, q_ref)
+    _assert_same_bits(q_with, q_ref)
+    _assert_same_bits(d, np.diagonal(r_ref, axis1=-2, axis2=-1))
+
+
+# ``_q_factor`` calls numpy's private LAPACK gufuncs; this guards that API.
+@settings(max_examples=80, deadline=None)
+@given(
+    batch=st.integers(1, 70),
+    k=st.integers(2, 4),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_q_factor_matches_numpy_bit_for_bit(batch, k, data, seed):
+    r = data.draw(st.integers(1, k), label="r")
+    rng = np.random.default_rng(seed)
+    _assert_matches_numpy_qr(
+        rng.standard_normal((batch, k, r)) + 1j * rng.standard_normal((batch, k, r))
+    )
+
+
+def test_q_factor_fallback_is_numpy_qr(monkeypatch):
+    # A numpy build without the gufuncs takes ``np.linalg.qr`` itself.
+    monkeypatch.setattr(measures, "_QR_R_RAW", None)
+    rng = np.random.default_rng(2)
+    for k, r in [(2, 1), (3, 2), (4, 4)]:
+        _assert_matches_numpy_qr(
+            rng.standard_normal((5, k, r)) + 1j * rng.standard_normal((5, k, r))
+        )
+    rho = pinned_input("rank3")
+    est = measures.concurrence_roof_oracle(rho, restarts=7, seed=11)
+    assert est.hex() == _PINNED["rank3", 7]
+
+
+@pytest.mark.parametrize(("name", "calls", "rows"), [("rank2", 1202, 35223), ("rank3", 1707, 49707)])
+def test_refinement_work_is_pinned(monkeypatch, name, calls, rows):
+    # Same steps, not just the same value: the number of cost evaluations and
+    # the restarts they score (initial isometries plus every proposal).
+    seen = []
+    cost = measures._decomposition_cost
+
+    def counted(u, tau):
+        seen.append(u.shape[0])
+        return cost(u, tau)
+
+    monkeypatch.setattr(measures, "_decomposition_cost", counted)
+    measures.concurrence_roof_oracle(pinned_input(name), restarts=200, seed=11)
+    assert (len(seen), sum(seen)) == (calls, rows)

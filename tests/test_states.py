@@ -30,6 +30,12 @@ class TestAcinParams:
         with pytest.raises(ValueError, match="finite"):
             states.AcinParams((1.0, 0.0, bad, 0.0, 0.0))
 
+    def test_integer_beyond_float_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            states.AcinParams((10**400, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match="phase must be finite"):
+            states.AcinParams((1.0, 0.0, 0.0, 0.0, 0.0), 10**400)
+
     def test_json_round_trip(self):
         text = EXAMPLE_PARAMS.to_json()
         back = states.AcinParams.from_json(text)
@@ -227,3 +233,8 @@ class TestPureStateJson:
         amps[0] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             states.PureState(2, amps)
+
+    @pytest.mark.parametrize("amps", [[10**400, 0], [0.6, -(10**400)]])
+    def test_integer_beyond_float_range_is_a_value_error(self, amps):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            states.PureState(1, amps)
