@@ -13,6 +13,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import kernel
 from .states import PureState, density
@@ -227,11 +228,6 @@ def renyi_two_qubit(rho, alpha) -> float:
 _RANK_CUTOFF = 1e-10
 # Refinement steps whose proposals a restart draws at once.
 _PROPOSAL_BLOCK = 32
-# The two LAPACK gufuncs behind ``np.linalg.qr`` (geqrf, then ungqr).
-# Calling them directly skips its copies and the R factor the oracle drops.
-_UMATH_LINALG = getattr(np.linalg, "_umath_linalg", None)
-_QR_R_RAW = getattr(_UMATH_LINALG, "qr_r_raw", None)
-_QR_REDUCED = getattr(_UMATH_LINALG, "qr_reduced", None)
 
 
 def _raise_qr_error(err, flag):
@@ -241,37 +237,33 @@ def _raise_qr_error(err, flag):
 
 
 def _qr_errors():
-    """The error state ``np.linalg.qr`` runs its gufuncs in: a failed
-    factorization raises ``LinAlgError``."""
-    return np.errstate(call=_raise_qr_error, invalid="call")
+    """The error state ``np.linalg.qr`` runs its LAPACK gufuncs in: an
+    invalid operation raises ``LinAlgError``; overflow, division and
+    underflow are ignored."""
+    return np.errstate(
+        call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
 
 
-def _q_factor(a: np.ndarray, r_diagonal: bool = False):
+def _q_factor(a: np.ndarray) -> np.ndarray:
     """Q of the reduced QR factorization of a complex ``(..., k, r)`` stack.
 
-    Bit for bit ``np.linalg.qr(a)[0]``, from the same two gufunc calls, but
-    ``a`` is factored in place (it is overwritten) and no R is built.  With
-    ``r_diagonal`` it returns ``(Q, diagonal of R)``.  Callers enter
+    Bit for bit ``np.linalg.qr(a)[0]``: the same two LAPACK gufuncs
+    (geqrf, then ungqr) from numpy's private ``_umath_linalg``, but ``a`` is
+    factored in place (it is overwritten) and no R is built.  Callers enter
     ``_qr_errors()`` around it.
     """
-    if _QR_R_RAW is None or _QR_REDUCED is None:
-        q, r = np.linalg.qr(a)
-        return (q, np.diagonal(r, axis1=-2, axis2=-1)) if r_diagonal else q
-    tau = _QR_R_RAW(a)
-    if not r_diagonal:
-        return _QR_REDUCED(a, tau)
-    d = np.diagonal(a, axis1=-2, axis2=-1).copy()
-    return _QR_REDUCED(a, tau), d
+    tau = _umath_linalg.qr_r_raw(a)
+    return _umath_linalg.qr_reduced(a, tau)
 
 
 def _haar_isometries(k: int, r: int, rngs) -> np.ndarray:
     """One k x r matrix with orthonormal columns per generator, stacked;
     each is Haar-distributed and drawn from its own generator."""
     z = np.stack([rng.standard_normal((2, k, r)) for rng in rngs])
-    with _qr_errors():
-        q_mat, d = _q_factor(z[:, 0] + 1j * z[:, 1], r_diagonal=True)
-    # Fix column phases (d is R's diagonal) so the distribution is Haar
-    # rather than QR-skewed.
+    q_mat, r_mat = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    # Fix column phases so the distribution is Haar rather than QR-skewed.
+    d = np.diagonal(r_mat, axis1=-2, axis2=-1)
     return q_mat * (d / np.abs(np.where(d == 0, 1.0, d)))[:, None, :]
 
 
@@ -294,7 +286,10 @@ def _refine_group(u, tau, rngs) -> float:
     exactly the numbers one draw per step would, and only the live
     (unfrozen) restarts are stepped.  Each step re-orthonormalises its
     proposals with ``_q_factor``: Q alone, the same bits as
-    ``np.linalg.qr``, under one error state entered for the whole loop.
+    ``np.linalg.qr``.  Its error state (``_qr_errors``) is entered once for
+    the whole loop, so the cost evaluation and the bookkeeping share it:
+    they too ignore overflow, division and underflow, and an invalid
+    operation in them raises ``LinAlgError``.
     """
     batch, k, r = u.shape
     val = _decomposition_cost(u, tau)
