@@ -10,7 +10,6 @@ from .bounds import (
     BoundReport,
     PowerParam,
     chain_bound,
-    compare_bounds,
     compare_chain,
     ordering_certificate,
     pair_bound_naive,
@@ -61,7 +60,6 @@ __all__ = [
     "TsallisParam",
     "acin_state",
     "chain_bound",
-    "compare_bounds",
     "compare_chain",
     "concurrence_pure",
     "concurrence_roof_oracle",

@@ -19,27 +19,21 @@ from . import kernel, measures
 from .states import PureState, density
 
 COUPLINGS = ("linear", "squared")
-PRIOR_FAMILIES = ("ref11", "ref12_linear", "ref12_squared")
 REGIMES = ("tsallis_q2to3", "renyi_ge2", "renyi_window")
 
-# regime -> (coupling, prior family)
-_REGIME_TABLE = {
-    "tsallis_q2to3": ("linear", "ref11"),
-    "renyi_ge2": ("linear", "ref12_linear"),
-    "renyi_window": ("squared", "ref12_squared"),
+_REGIME_COUPLING = {
+    "tsallis_q2to3": "linear",
+    "renyi_ge2": "linear",
+    "renyi_window": "squared",
 }
 
 # Pair tails e1^p + c e1^(p-k) e2^k + (2^mu - c - 1) e2^p by name: the
-# coupling a tail is tied to (None: the caller's) and its cross coefficient
-# c as a function of mu.  The linear coupling has (p, k) = (mu, 1), the
-# squared one (gamma, 2).  ref11 and ref12_* share c = mu/2; both names
-# stay because the figures cite both papers.
+# cross coefficient c as a function of mu.  The coupling sets (p, k):
+# (mu, 1) for the linear one, (gamma, 2) = (2 mu, 2) for the squared one.
 _TAILS = {
-    "new": (None, lambda mu: mu * mu / (mu + 1.0)),
-    "ref11": ("linear", lambda mu: mu / 2.0),
-    "ref12_linear": ("linear", lambda mu: mu / 2.0),
-    "ref12_squared": ("squared", lambda mu: mu / 2.0),
-    "naive": (None, lambda mu: 0.0),
+    "new": lambda mu: mu * mu / (mu + 1.0),
+    "prior": lambda mu: mu / 2.0,
+    "naive": lambda mu: 0.0,
 }
 
 CERTIFIED = "certified"
@@ -56,30 +50,28 @@ _TWO = np.float64(2.0)
 
 @dataclass(frozen=True)
 class PowerParam:
-    """Power mu >= 1 of the monogamy relation; gamma = 2 mu for the
-    squared coupling."""
+    """Power mu >= 1 of the monogamy relation; the squared coupling uses
+    the exponent gamma = 2 mu."""
 
     mu: float
-    gamma: float | None = None
 
     def __post_init__(self):
         mu = float(self.mu)
-        gamma = None if self.gamma is None else float(self.gamma)
-        # A NaN passes every comparison below; name the bad parameter.
-        for name, value in (("gamma", gamma), ("mu", mu)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"power {name} must be finite, got {value}")
+        # A NaN passes the comparison below; name the bad parameter.
+        if not math.isfinite(mu):
+            raise ValueError(f"power mu must be finite, got {mu}")
         if mu < 1.0:
             raise ValueError(f"power must be >= 1, got {mu}")
         object.__setattr__(self, "mu", mu)
-        if gamma is not None:
-            if gamma != 2.0 * mu:
-                raise ValueError(f"gamma must equal 2*mu, got gamma={gamma}, mu={mu}")
-            object.__setattr__(self, "gamma", gamma)
 
     @classmethod
     def from_gamma(cls, gamma: float) -> "PowerParam":
-        return cls(float(gamma) / 2.0, float(gamma))
+        """The power mu = gamma / 2; halving and doubling are exact, so the
+        squared coupling's exponent 2 mu is ``gamma`` again."""
+        gamma = float(gamma)
+        if not math.isfinite(gamma):
+            raise ValueError(f"power gamma must be finite, got {gamma}")
+        return cls(gamma / 2.0)
 
     @property
     def h(self) -> float:
@@ -164,7 +156,7 @@ def power_chain(x, p):
     lhs = (1.0 + arr) ** mu
     # Every power of e1 = 1 is exactly 1.  A generator keeps one array of
     # coefficients alive at a time.
-    coefficients = (_TAILS[name][1](mu) for name in ("new", "ref12_linear", "naive"))
+    coefficients = (_TAILS[name](mu) for name in ("new", "prior", "naive"))
     tight, loose, naive = _tail_values(1.0, 1.0, arr, arr**mu, _TWO**mu, False, coefficients)
     if np.ndim(x) == 0:
         return float(lhs), float(tight), float(loose), float(naive)
@@ -185,9 +177,7 @@ def _coupling_exponent(param: PowerParam, coupling: str) -> float:
     if coupling == "linear":
         return param.mu
     if coupling == "squared":
-        if param.gamma is None:
-            raise ValueError("squared coupling needs a PowerParam with gamma set")
-        return param.gamma
+        return 2.0 * param.mu
     raise ValueError(f"unknown coupling {coupling!r}; expected one of {COUPLINGS}")
 
 
@@ -214,13 +204,11 @@ def _tail(e1, e2, p, name: str, coupling: str = "linear"):
         raise ValueError(f"unknown tail {name!r}; expected one of {tuple(_TAILS)}")
     param = _as_power(p)
     a, b = _check_ordered(e1, e2)
-    tied, cross = _TAILS[name]
-    coupling = tied or coupling
     pow_ = _coupling_exponent(param, coupling)
     squared = coupling == "squared"
     lead = a ** (pow_ - (2.0 if squared else 1.0))
     [vals] = _tail_values(
-        a**pow_, lead, b, b**pow_, _TWO**param.mu, squared, [cross(param.mu)]
+        a**pow_, lead, b, b**pow_, _TWO**param.mu, squared, [_TAILS[name](param.mu)]
     )
     return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
 
@@ -234,19 +222,18 @@ def pair_bound_new(e1, e2, p, coupling: str = "linear"):
     return _tail(e1, e2, p, "new", coupling)
 
 
-def pair_bound_prior(e1, e2, p, family: str):
-    """Previously published two-party tails, for comparison.
+def pair_bound_prior(e1, e2, p, coupling: str = "linear"):
+    """Previously published two-party tail, cross coefficient mu/2.
 
-    ref11:        e1^m + (2^m - 1) e2^m + (m/2) e2 (e1^(m-1) - e2^(m-1))
-    ref12_linear: e1^m + (m/2) e1^(m-1) e2 + (2^m - m/2 - 1) e2^m
-    ref12_squared: e1^g + (g/4) e1^(g-2) e2^2 + (2^(g/2) - g/4 - 1) e2^g
+    linear:  e1^mu + (mu/2) e1^(mu-1) e2 + (2^mu - mu/2 - 1) e2^mu
+    squared: e1^g  + (mu/2) e1^(g-2) e2^2 + (2^mu - mu/2 - 1) e2^g
 
-    All three are the tightened tail with cross coefficient mu/2 in place
-    of mu^2/(mu+1) (ref11 expands to ref12_linear).
+    The paper's Tsallis reference [11] writes the linear tail as
+    e1^mu + (2^mu - 1) e2^mu + (mu/2) e2 (e1^(mu-1) - e2^(mu-1)); its Renyi
+    reference [12] gives it for alpha >= 2 and, with g = 2 mu, the squared
+    tail below.
     """
-    if family not in PRIOR_FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {PRIOR_FAMILIES}")
-    return _tail(e1, e2, p, family)
+    return _tail(e1, e2, p, "prior", coupling)
 
 
 def pair_bound_naive(e1, e2, p, coupling: str = "linear"):
@@ -263,16 +250,16 @@ def chain_bound(values, m: int, p, coupling: str = "linear", tail: str = "new"):
     (fully descending) the tail couples the last two values as
     ``Q(v[N-2], v[N-1])``; smaller ``m`` swaps the tail onto
     ``Q(v[N-1], v[N-2])`` and reweights the middle block.  ``tail`` selects
-    the pairwise tail: "new" for the tightened one, a prior family name, or
-    "naive".
+    the pairwise tail: "new" for the tightened one, "prior" or "naive".
     """
     param = _as_power(p)
     vals = [float(v) for v in values]
     n_minus_1 = len(vals)
     if n_minus_1 < 2:
         raise ValueError(f"need at least two per-pair values, got {n_minus_1}")
-    if any(v < 0 for v in vals):
-        raise ValueError("entanglement values must be nonnegative")
+    # A NaN passes the sign check, and the chain would then be NaN.
+    if not all(math.isfinite(v) and v >= 0.0 for v in vals):
+        raise ValueError(f"entanglement values must be finite and nonnegative, got {vals}")
     n = n_minus_1 + 1
     if not 0 <= m <= n - 2:
         raise ValueError(f"split index {m} outside 0..{n - 2}")
@@ -288,28 +275,20 @@ def chain_bound(values, m: int, p, coupling: str = "linear", tail: str = "new"):
     return float(total + h**m * q)
 
 
-def compare_bounds(lhs: float, e1: float, e2: float, p, regime: str) -> BoundReport:
-    """Powered comparison of the full-cut value against the three pair
-    bounds of the ordered pair e1 >= e2: the two-partner chain.
-
-    ``lhs`` is the unpowered entanglement of the full cut; the report stores
-    ``lhs**pow`` where pow is mu (linear regimes) or gamma (squared regime).
-    """
-    return compare_chain(lhs, (e1, e2), 1, p, regime)
-
-
 def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
     """Powered comparison of the full-cut value ``lhs`` (unpowered) against
     the new, prior and naive chain bounds of ``values`` at split ``m``.
 
-    The prior and naive columns reuse the chain skeleton with the matching
+    The regime sets the coupling and so the power of ``lhs``, mu or
+    gamma = 2 mu; two values at ``m = 1`` give the pair relation.  The
+    prior and naive columns reuse the chain skeleton with the matching
     pairwise tail swapped in, so the term-by-term dominance of the tails
     carries over to the chains.
     """
     param = _as_power(p)
-    if regime not in _REGIME_TABLE:
+    if regime not in _REGIME_COUPLING:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    coupling, family = _REGIME_TABLE[regime]
+    coupling = _REGIME_COUPLING[regime]
     pow_ = _coupling_exponent(param, coupling)
     # An overflow shows as a non-finite bound, which BoundReport rejects.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -317,7 +296,7 @@ def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
             exponent=pow_,
             lhs=float(lhs) ** pow_,
             new_bound=chain_bound(values, m, param, coupling),
-            prior_bound=chain_bound(values, m, param, coupling, tail=family),
+            prior_bound=chain_bound(values, m, param, coupling, tail="prior"),
             naive_bound=chain_bound(values, m, param, coupling, tail="naive"),
         )
 

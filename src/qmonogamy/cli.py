@@ -43,11 +43,6 @@ EXAMPLE_REFERENCE = {
 }
 EXAMPLE_TOL = 1e-5
 
-# In the canonical form the first pair's coherence sits in the |101>
-# amplitude, so the "AB" marginal keeps qubits {0, 2} and "AC" keeps {0, 1}.
-_PAIR_AB = (0, 2)
-_PAIR_AC = (0, 1)
-
 _FIGURES = {
     # figure id -> (measure, index, exponent grid (start, stop, step), regime)
     1: ("tsallis", 2.0, (1.0, 3.0, 0.02), "tsallis_q2to3"),
@@ -56,23 +51,37 @@ _FIGURES = {
 }
 
 
+def _cut_values(state: PureState, pivot: int, measure: str, index):
+    """(full cut, concurrences, marginals) of ``pivot``'s cut, partners in
+    ascending order; ``index`` is q or alpha.  One stacked call gives the
+    concurrences, each then converted alone as tsallis_two_qubit /
+    renyi_two_qubit would."""
+    n = state.n_qubits
+    rho = density(state)
+    pairs = np.stack([kernel.partial_trace(rho, n, {pivot, b}) for b in range(n) if b != pivot])
+    concurrences = measures.concurrence_two_qubit(pairs).tolist()
+    if measure == "tsallis":
+        full = measures.tsallis_pure(state, {pivot}, index)
+        marginals = [measures.g_q(c * c, index) for c in concurrences]
+    else:
+        full = measures.renyi_pure(state, {pivot}, index)
+        marginals = [measures.f_alpha(c, index) for c in concurrences]
+    return full, concurrences, marginals
+
+
 def example_values(measure: str, index: float) -> tuple[float, float, float]:
     """(full cut, AB pair, AC pair) values of the canonical test state."""
-    state = acin_state(EXAMPLE_PARAMS)
-    rho = density(state)
-    rho_ab = kernel.partial_trace(rho, 3, _PAIR_AB)
-    rho_ac = kernel.partial_trace(rho, 3, _PAIR_AC)
-    if measure == "tsallis":
-        return (
-            measures.tsallis_pure(state, {0}, index),
-            measures.tsallis_two_qubit(rho_ab, index),
-            measures.tsallis_two_qubit(rho_ac, index),
-        )
-    return (
-        measures.renyi_pure(state, {0}, index),
-        measures.renyi_two_qubit(rho_ab, index),
-        measures.renyi_two_qubit(rho_ac, index),
-    )
+    full, _, (ac, ab) = _cut_values(acin_state(EXAMPLE_PARAMS), 0, measure, index)
+    # The first pair's coherence sits in the |101> amplitude of the
+    # canonical form, so "AB" is partner 2 (qubits {0, 2}) and "AC" partner 1.
+    return full, ab, ac
+
+
+def _power(regime: str, exponent: float) -> bounds.PowerParam:
+    """The window regime's exponent is gamma = 2 mu, the others' mu."""
+    if regime == "renyi_window":
+        return bounds.PowerParam.from_gamma(exponent)
+    return bounds.PowerParam(exponent)
 
 
 def cmd_example(which: int, out=None) -> int:
@@ -101,11 +110,7 @@ def figure_rows(which: int):
     rows = []
     for i in range(count):
         exponent = start + i * step
-        if regime == "renyi_window":
-            p = bounds.PowerParam.from_gamma(exponent)
-        else:
-            p = bounds.PowerParam(exponent)
-        rep = bounds.compare_bounds(full, e1, e2, p, regime)
+        rep = bounds.compare_chain(full, (e1, e2), 1, _power(regime, exponent), regime)
         rows.append((exponent, rep.lhs, rep.new_bound, rep.prior_bound))
     return rows
 
@@ -249,31 +254,17 @@ def _evaluate_report(args) -> dict:
                 f"{measures.TSALLIS_BOUND_MAX}], got {index}"
             )
         regime = "tsallis_q2to3"
-        power = bounds.PowerParam(exponent)
-        lhs = measures.tsallis_pure(state, {pivot}, param)
-        pair_value = lambda c: measures.g_q(c * c, param)
     else:
         param = measures.RenyiParam(index)
         if not param.analytic:
             raise ValueError(
                 f"renyi bounds need alpha >= {measures.RENYI_ANALYTIC_MIN:.6f}, got {index}"
             )
-        if param.regime == "ge2":
-            regime = "renyi_ge2"
-            power = bounds.PowerParam(exponent)
-        else:
-            regime = "renyi_window"
-            power = bounds.PowerParam.from_gamma(exponent)
-        lhs = measures.renyi_pure(state, {pivot}, param)
-        pair_value = lambda c: measures.f_alpha(c, param)
+        regime = "renyi_ge2" if param.regime == "ge2" else "renyi_window"
+    power = _power(regime, exponent)
 
-    rho = density(state)
-    # The pivot-partner concurrences from one stacked call, shared with the
-    # ordering certificate; each is then converted alone, as
-    # tsallis_two_qubit / renyi_two_qubit would.
-    pairs = np.stack([kernel.partial_trace(rho, n, {pivot, b}) for b in rest])
-    concurrences = measures.concurrence_two_qubit(pairs).tolist()
-    marginals = [pair_value(c) for c in concurrences]
+    # The certificate shares the marginals' concurrence table.
+    lhs, concurrences, marginals = _cut_values(state, pivot, measure, param)
     positions = bounds.ordering_certificate(state, pivot, rest, concurrences)
     tag, split = bounds.certificate_summary(positions)
     # The chain's tail hypothesis needs a descending pair for the full

@@ -124,7 +124,8 @@ def g_q(x, q) -> float | np.ndarray:
     root = np.sqrt(np.maximum(0.0, 1.0 - arr))
     hi = (1.0 + root) / 2.0
     lo = (1.0 - root) / 2.0
-    vals = (1.0 - hi**qv - lo**qv) / (qv - 1.0)
+    # A zero numerator over q - 1 < 0 is -0.0; adding 0.0 makes it 0.0.
+    vals = (1.0 - hi**qv - lo**qv) / (qv - 1.0) + 0.0
     return _like(x, vals)
 
 
@@ -144,7 +145,8 @@ def f_alpha(x, alpha) -> float | np.ndarray:
     root = np.sqrt(np.maximum(0.0, 1.0 - arr * arr))
     hi = (1.0 + root) / 2.0
     lo = (1.0 - root) / 2.0
-    vals = np.log2(hi**av + lo**av) / (1.0 - av)
+    # log2(1) / (1 - alpha) is -0.0 for alpha > 1; adding 0.0 makes it 0.0.
+    vals = np.log2(hi**av + lo**av) / (1.0 - av) + 0.0
     return _like(x, vals)
 
 
@@ -199,7 +201,8 @@ def tsallis_pure(state: PureState, side_a, q) -> float:
     """Tsallis-q entanglement (1 - tr rho_A^q) / (q - 1) of a pure state."""
     qv = _tsallis(q).q
     rho_a = _reduced_density(state, side_a)
-    return (1.0 - kernel.trace_power(rho_a, qv)) / (qv - 1.0)
+    # + 0.0: a product cut gives 0 / (q - 1), which is -0.0 for q < 1.
+    return (1.0 - kernel.trace_power(rho_a, qv)) / (qv - 1.0) + 0.0
 
 
 def tsallis_two_qubit(rho, q) -> float:
@@ -212,7 +215,8 @@ def renyi_pure(state: PureState, side_a, alpha) -> float:
     """Renyi-alpha entanglement log2(tr rho_A^alpha) / (1 - alpha)."""
     av = _renyi(alpha).alpha
     rho_a = _reduced_density(state, side_a)
-    return math.log2(kernel.trace_power(rho_a, av)) / (1.0 - av)
+    # + 0.0: a product cut gives log2(1) / (1 - alpha), -0.0 for alpha > 1.
+    return math.log2(kernel.trace_power(rho_a, av)) / (1.0 - av) + 0.0
 
 
 def renyi_two_qubit(rho, alpha) -> float:

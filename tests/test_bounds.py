@@ -37,11 +37,16 @@ class TestPowerParam:
     def test_gates(self):
         with pytest.raises(ValueError):
             bounds.PowerParam(0.5)
-        with pytest.raises(ValueError):
-            bounds.PowerParam(2.0, gamma=3.0)
-        p = bounds.PowerParam.from_gamma(5.0)
-        assert p.mu == 2.5 and p.gamma == 5.0
+        with pytest.raises(ValueError, match="power must be >= 1, got 0.75"):
+            bounds.PowerParam.from_gamma(1.5)
+        assert bounds.PowerParam.from_gamma(5.0).mu == 2.5
         assert bounds.PowerParam(2.0).h == 3.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(2.0, 1.7e308))
+    def test_gamma_round_trips_exactly(self, gamma):
+        # The squared coupling's exponent is 2 mu; it must be gamma bit for bit.
+        assert 2.0 * bounds.PowerParam.from_gamma(gamma).mu == gamma
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_power_named(self, bad):
@@ -99,9 +104,8 @@ class TestPairBounds:
         assert bounds.pair_bound_new(0.7, 0.0, p, "squared") == pytest.approx(
             0.7**5.0, abs=1e-15
         )
-        for family in bounds.PRIOR_FAMILIES:
-            got = bounds.pair_bound_prior(0.7, 0.0, p, family)
-            power = 5.0 if family == "ref12_squared" else 2.5
+        for coupling, power in (("linear", 2.5), ("squared", 5.0)):
+            got = bounds.pair_bound_prior(0.7, 0.0, p, coupling)
             assert got == pytest.approx(0.7**power, abs=1e-15)
 
     def test_saturation_at_power_one(self):
@@ -111,8 +115,12 @@ class TestPairBounds:
 
     def test_example_prior_value(self):
         # hand-derived: e1^2 + 3 e2^2 + e2 (e1 - e2) = 1400/6561
-        got = bounds.pair_bound_prior(T_HI, T_LO, bounds.PowerParam(2.0), "ref11")
+        got = bounds.pair_bound_prior(T_HI, T_LO, bounds.PowerParam(2.0))
         assert got == pytest.approx(1400.0 / 6561.0, abs=1e-15)
+
+    def test_old_family_name_is_an_unknown_coupling(self):
+        with pytest.raises(ValueError, match="unknown coupling 'ref11'"):
+            bounds.pair_bound_prior(T_HI, T_LO, bounds.PowerParam(2.0), "ref11")
 
     def test_example_new_value(self):
         # hand-derived: e1^2 + (4/3) e1 e2 + (5/3) e2^2 = 4400/19683
@@ -124,19 +132,14 @@ class TestPairBounds:
         for e1, e2 in ((0.9, 0.4), (0.5, 0.5), (0.3, 0.0)):
             new = bounds.pair_bound_new(e1, e2, p)
             assert new == pytest.approx(e1 + e2, abs=1e-15)
-            assert bounds.pair_bound_prior(e1, e2, p, "ref12_linear") == pytest.approx(
-                new, abs=1e-15
-            )
-            assert bounds.pair_bound_prior(e1, e2, p, "ref11") == pytest.approx(
-                new, abs=1e-15
-            )
+            assert bounds.pair_bound_prior(e1, e2, p) == pytest.approx(new, abs=1e-15)
 
     def test_squared_example_at_gamma2(self):
         e1 = measures.f_alpha(2.0 * math.sqrt(15.0) / 9.0, WINDOW_ALPHA)
         e2 = measures.f_alpha(2.0 * math.sqrt(5.0) / 9.0, WINDOW_ALPHA)
         p = bounds.PowerParam.from_gamma(2.0)
         new = bounds.pair_bound_new(e1, e2, p, "squared")
-        prior = bounds.pair_bound_prior(e1, e2, p, "ref12_squared")
+        prior = bounds.pair_bound_prior(e1, e2, p, "squared")
         assert new == pytest.approx(e1 * e1 + e2 * e2, abs=1e-14)
         assert prior == pytest.approx(new, abs=1e-14)
 
@@ -144,7 +147,7 @@ class TestPairBounds:
         with pytest.raises(ValueError):
             bounds.pair_bound_new(0.2, 0.4, bounds.PowerParam(2.0))
         with pytest.raises(ValueError):
-            bounds.pair_bound_prior(0.2, 0.4, bounds.PowerParam(2.0), "ref11")
+            bounds.pair_bound_prior(0.2, 0.4, bounds.PowerParam(2.0))
 
     def test_new_dominates_prior_everywhere(self):
         es = np.linspace(0.0, 1.0, 60)
@@ -155,13 +158,12 @@ class TestPairBounds:
             p_lin = bounds.PowerParam(mu)
             p_sq = bounds.PowerParam.from_gamma(2.0 * mu)
             new_lin = bounds.pair_bound_new(e1, e2, p_lin)
-            for family in ("ref11", "ref12_linear"):
-                prior = bounds.pair_bound_prior(e1, e2, p_lin, family)
-                assert np.min(new_lin - prior) >= -1e-12
-                naive = bounds.pair_bound_naive(e1, e2, p_lin)
-                assert np.min(prior - naive) >= -1e-12
+            prior = bounds.pair_bound_prior(e1, e2, p_lin)
+            assert np.min(new_lin - prior) >= -1e-12
+            naive = bounds.pair_bound_naive(e1, e2, p_lin)
+            assert np.min(prior - naive) >= -1e-12
             new_sq = bounds.pair_bound_new(e1, e2, p_sq, "squared")
-            prior_sq = bounds.pair_bound_prior(e1, e2, p_sq, "ref12_squared")
+            prior_sq = bounds.pair_bound_prior(e1, e2, p_sq, "squared")
             naive_sq = bounds.pair_bound_naive(e1, e2, p_sq, "squared")
             assert np.min(new_sq - prior_sq) >= -1e-12
             assert np.min(prior_sq - naive_sq) >= -1e-12
@@ -180,18 +182,14 @@ class TestTailDominanceProperty:
     )
     def test_new_prior_naive(self, a, b, mu):
         e1, e2 = max(a, b), min(a, b)
-        couplings = (
-            (bounds.PowerParam(mu), "linear", ("ref11", "ref12_linear")),
-            (bounds.PowerParam.from_gamma(2.0 * mu), "squared", ("ref12_squared",)),
-        )
-        for p, coupling, priors in couplings:
+        p = bounds.PowerParam(mu)
+        for coupling in bounds.COUPLINGS:
             new = bounds.pair_bound_new(e1, e2, p, coupling)
+            prior = bounds.pair_bound_prior(e1, e2, p, coupling)
             naive = bounds.pair_bound_naive(e1, e2, p, coupling)
-            for family in priors:
-                prior = bounds.pair_bound_prior(e1, e2, p, family)
-                slack = DOMINANCE_RTOL * (1.0 + abs(new))
-                assert new >= prior - slack, (coupling, family)
-                assert prior >= naive - slack, (coupling, family)
+            slack = DOMINANCE_RTOL * (1.0 + abs(new))
+            assert new >= prior - slack, coupling
+            assert prior >= naive - slack, coupling
 
 
 class TestChainBound:
@@ -224,10 +222,21 @@ class TestChainBound:
         with pytest.raises(ValueError):
             bounds.chain_bound((0.5, -0.1), 1, p)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_named(self, bad):
+        # NaN passes the sign check; both would make a non-finite chain.
+        message = rf"must be finite and nonnegative, got \[{bad}, 0.1\]"
+        with pytest.raises(ValueError, match=message):
+            bounds.chain_bound([bad, 0.1], 1, 2.0)
+        with pytest.raises(ValueError, match=message):
+            bounds.compare_chain(0.5, [bad, 0.1], 1, 2.0, "tsallis_q2to3")
+
 
 class TestCompareBounds:
     def test_example_power_one_all_coincide(self):
-        rep = bounds.compare_bounds(T_FULL, T_HI, T_LO, bounds.PowerParam(1.0), "tsallis_q2to3")
+        rep = bounds.compare_chain(
+            T_FULL, (T_HI, T_LO), 1, bounds.PowerParam(1.0), "tsallis_q2to3"
+        )
         assert rep.margins[0] == pytest.approx(0.0, abs=1e-12)
         assert rep.margins[1] == pytest.approx(0.0, abs=1e-12)
         assert rep.margins[2] == pytest.approx(0.0, abs=1e-12)
@@ -235,7 +244,9 @@ class TestCompareBounds:
 
     def test_example_power_two_gap(self):
         # new - prior = (mu^2/(mu+1) - mu/2) e2 (e1 - e2) = 200/19683 here
-        rep = bounds.compare_bounds(T_FULL, T_HI, T_LO, bounds.PowerParam(2.0), "tsallis_q2to3")
+        rep = bounds.compare_chain(
+            T_FULL, (T_HI, T_LO), 1, bounds.PowerParam(2.0), "tsallis_q2to3"
+        )
         assert rep.lhs == pytest.approx(1600.0 / 6561.0, abs=1e-15)
         assert rep.new_bound - rep.prior_bound == pytest.approx(200.0 / 19683.0, abs=1e-14)
         assert all(m >= -1e-12 for m in rep.margins)
@@ -244,7 +255,7 @@ class TestCompareBounds:
         e_full = measures.f_alpha(math.sqrt(80.0 / 81.0), 2.0)
         e1 = measures.f_alpha(math.sqrt(60.0 / 81.0), 2.0)
         e2 = measures.f_alpha(math.sqrt(20.0 / 81.0), 2.0)
-        rep = bounds.compare_bounds(e_full, e1, e2, bounds.PowerParam(1.0), "renyi_ge2")
+        rep = bounds.compare_chain(e_full, (e1, e2), 1, bounds.PowerParam(1.0), "renyi_ge2")
         assert rep.new_bound == pytest.approx(e1 + e2, abs=1e-14)
         assert rep.prior_bound == pytest.approx(e1 + e2, abs=1e-14)
         assert rep.new_bound == pytest.approx(0.85752, abs=1e-5)
@@ -252,13 +263,13 @@ class TestCompareBounds:
 
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
-            bounds.compare_bounds(0.5, 0.4, 0.2, bounds.PowerParam(1.0), "nope")
+            bounds.compare_chain(0.5, (0.4, 0.2), 1, bounds.PowerParam(1.0), "nope")
 
     def test_needs_an_ordered_pair(self):
         with pytest.raises(ValueError, match="e1 < e2"):
-            bounds.compare_bounds(0.5, 0.2, 0.4, bounds.PowerParam(2.0), "tsallis_q2to3")
+            bounds.compare_chain(0.5, (0.2, 0.4), 1, bounds.PowerParam(2.0), "tsallis_q2to3")
         with pytest.raises(ValueError, match="nonnegative"):
-            bounds.compare_bounds(0.5, 0.4, -0.2, bounds.PowerParam(2.0), "tsallis_q2to3")
+            bounds.compare_chain(0.5, (0.4, -0.2), 1, bounds.PowerParam(2.0), "tsallis_q2to3")
 
     def test_chain_comparison_dominance(self):
         vals = np.linspace(0.0, 0.9, 8)

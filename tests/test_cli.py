@@ -35,8 +35,8 @@ EVALUATE_SHA256 = {
     "canonical": "66eb168a20bf1810d2e9ad4cb91d78c3f13cf98a80d277d993046bfff22b6dc3",
     "haar-3-11": "85986bdbd255e02d3125e7f524a57b127e6389ecf6947313e7349b886666f742",
     "haar-3-12": "cfa09c8ca9cea65e0116cfad204d3dd06960f0c5ca0fda331370bc9361bf34e0",
-    "haar-4-21": "b9f3d0a7ec7c6e16dccc28a0bb676de2118249e11aa45285c2e17d772fb69709",
-    "haar-4-22": "52c23162e9af23b9effa3ae3f66fee38c0ef1af811e0af0ce9d90aefa30ec1e6",
+    "haar-4-21": "1f7c306cb2aeaba173d63b60e078bc1b5f7be00efd1dfaf5c23468ec16c72d34",
+    "haar-4-22": "8882a63a412c7ae675a4212474d6c4ca5af7da8ca4ce17a76c9c1a2ddeacff29",
 }
 
 # (family, points, min_margin, argmin) of every default `sweep <family>`.
@@ -523,8 +523,8 @@ class TestEvaluate:
         assert shapes == [(n_qubits - 1, 4, 4)]
 
     def test_zero_pair_values_print_positive_zero_bounds(self, tmp_path, capsys):
-        # f_alpha(0) is -0.0; the chain sum prints the bounds of two zero
-        # pair values as 0.0 on three qubits, as it does on four.
+        # f_alpha(0) with alpha > 1 divides log2(1) by 1 - alpha; the zero
+        # pair values and the chain sum over them both print as 0.0, not -0.0.
         amps = np.zeros(8)
         amps[0] = amps[7] = 1.0 / math.sqrt(2.0)
         path = tmp_path / "ghz.json"
@@ -533,6 +533,9 @@ class TestEvaluate:
         assert code == 0
         data = json.loads(out)
         assert data["marginals"] == [0.0, 0.0]
+        assert "-0.0" not in out
+        for value in data["marginals"]:
+            assert math.copysign(1.0, value) == 1.0
         for key in ("new_bound", "prior_bound", "naive_bound"):
             assert math.copysign(1.0, data[key]) == 1.0, key
 

@@ -89,8 +89,11 @@ class TestGq:
         assert measures.g_q(80.0 / 81.0, 2.0) == pytest.approx(40.0 / 81.0, abs=1e-12)
 
     def test_zero_for_every_q(self):
-        for q in (0.75, 2.0, 2.5, 3.0, 4.0):
+        for q in (0.75, 0.8, 2.0, 2.5, 3.0, 4.0):
             assert measures.g_q(0.0, q) == 0.0
+            # 0.0, not -0.0: below q = 1 the formula divides 0 by q - 1 < 0.
+            assert math.copysign(1.0, measures.g_q(0.0, q)) == 1.0, q
+            assert not np.any(np.signbit(measures.g_q(np.zeros(3), q))), q
 
     def test_direct_substitution_q3(self):
         # at x = 1 both halves are (1/2)^3
@@ -153,6 +156,9 @@ class TestFalpha:
     def test_endpoints(self):
         for a in (WINDOW_ALPHA, 1.3, 2.0, 3.0):
             assert measures.f_alpha(0.0, a) == 0.0
+            # 0.0, not -0.0: above alpha = 1 the formula divides log2(1) by 1 - alpha.
+            assert math.copysign(1.0, measures.f_alpha(0.0, a)) == 1.0, a
+            assert not np.any(np.signbit(measures.f_alpha(np.zeros(3), a))), a
             assert measures.f_alpha(1.0, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_domain_and_window_gates(self):
@@ -262,6 +268,9 @@ class TestTsallisEvaluators:
     def test_product_state_zero(self):
         st = states.PureState(2, np.array([1.0, 0.0, 0.0, 0.0]))
         assert measures.tsallis_pure(st, {0}, 2.0) == pytest.approx(0.0, abs=1e-14)
+        for q in (0.5, 0.8, 2.0):
+            # 0.0, not -0.0, also where q - 1 < 0 divides the zero.
+            assert math.copysign(1.0, measures.tsallis_pure(st, {0}, q)) == 1.0, q
 
     def test_example_full_cut(self):
         assert measures.tsallis_pure(example_state(), {0}, 2.0) == pytest.approx(
@@ -300,6 +309,9 @@ class TestRenyiEvaluators:
     def test_product_state_zero(self):
         st = states.PureState(2, np.array([0.0, 0.0, 1.0, 0.0]))
         assert measures.renyi_pure(st, {0}, 2.0) == pytest.approx(0.0, abs=1e-12)
+        for alpha in (0.5, 2.0, 3.0):
+            # 0.0, not -0.0, also where 1 - alpha < 0 divides log2(1).
+            assert math.copysign(1.0, measures.renyi_pure(st, {0}, alpha)) == 1.0, alpha
 
     def test_example_full_cut(self):
         assert measures.renyi_pure(example_state(), {0}, 2.0) == pytest.approx(
