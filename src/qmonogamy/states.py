@@ -55,7 +55,9 @@ class PureState:
         # The bit length rules out a huge n before 2**n is formed.
         if amps.size.bit_length() != n + 1 or amps.size != 2**n:
             raise ValueError(f"n_qubits = {n} needs 2**{n} amplitudes, got {amps.size}")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        # An amplitude past sqrt(float max) squares to inf, which fails below.
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.sum(np.abs(amps) ** 2))
         # Written so that a NaN norm fails too.
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             if not np.isfinite(amps).all():

@@ -238,3 +238,8 @@ class TestPureStateJson:
     def test_integer_beyond_float_range_is_a_value_error(self, amps):
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             states.PureState(1, amps)
+
+    @pytest.mark.parametrize("amps", [[0.0, 1.35e154j], [1e200, 1e200], [1e308 + 1e308j, 0.0]])
+    def test_amplitude_whose_square_overflows_is_unnormalized(self, amps):
+        with pytest.raises(ValueError, match="not normalized"):
+            states.PureState(1, np.array(amps, dtype=complex))
