@@ -11,12 +11,38 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import kernel
 from .states import PureState, density
+
+_GATE_SLACK = 1e-12
+_DOMAIN_SLACK = 1e-9  # absorbs x = C^2 landing a hair above 1
+
+
+class Window(NamedTuple):
+    """Values ``[lo, hi]``, or ``[lo, hi)`` when ``hi_open``.
+
+    One edge rule for every window and sweep gate: a closed edge admits
+    ``_GATE_SLACK`` of roundoff and an open edge excludes it, so windows
+    that meet at an edge (the Renyi regimes at alpha = 2) share no value.
+    """
+
+    lo: float
+    hi: float = math.inf
+    hi_open: bool = False
+
+    def contains(self, value):
+        """Whether ``value`` lies inside; an array gives one bool per entry."""
+        if self.hi_open:
+            below_hi = value < self.hi - _GATE_SLACK
+        else:
+            below_hi = value <= self.hi + _GATE_SLACK
+        return (value >= self.lo - _GATE_SLACK) & below_hi
+
 
 # Index windows for the closed-form two-qubit identities
 #   T_q(rho) = g_q(C(rho)^2)   and   E_a(rho) = f_a(C(rho)).
@@ -26,9 +52,12 @@ RENYI_ANALYTIC_MIN = (math.sqrt(7.0) - 1.0) / 2.0
 # Superadditivity of g_q (and hence the Tsallis bound kernels) needs q in [2, 3].
 TSALLIS_BOUND_MIN = 2.0
 TSALLIS_BOUND_MAX = 3.0
-
-_GATE_SLACK = 1e-12
-_DOMAIN_SLACK = 1e-9  # absorbs x = C^2 landing a hair above 1
+TSALLIS_ANALYTIC = Window(TSALLIS_ANALYTIC_MIN, TSALLIS_ANALYTIC_MAX)
+TSALLIS_BOUND = Window(TSALLIS_BOUND_MIN, TSALLIS_BOUND_MAX)
+RENYI_ANALYTIC = Window(RENYI_ANALYTIC_MIN)
+# The Renyi bound regimes: "ge2" (alpha >= 2) and "window" (below 2).
+RENYI_GE2 = Window(2.0)
+RENYI_WINDOW = Window(RENYI_ANALYTIC_MIN, 2.0, hi_open=True)
 
 
 @dataclass(frozen=True)
@@ -47,15 +76,11 @@ class TsallisParam:
 
     @property
     def analytic(self) -> bool:
-        return (
-            TSALLIS_ANALYTIC_MIN - _GATE_SLACK
-            <= self.q
-            <= TSALLIS_ANALYTIC_MAX + _GATE_SLACK
-        )
+        return TSALLIS_ANALYTIC.contains(self.q)
 
     @property
     def in_bound_window(self) -> bool:
-        return TSALLIS_BOUND_MIN - _GATE_SLACK <= self.q <= TSALLIS_BOUND_MAX + _GATE_SLACK
+        return TSALLIS_BOUND.contains(self.q)
 
 
 @dataclass(frozen=True)
@@ -74,7 +99,7 @@ class RenyiParam:
 
     @property
     def analytic(self) -> bool:
-        return self.alpha >= RENYI_ANALYTIC_MIN - _GATE_SLACK
+        return RENYI_ANALYTIC.contains(self.alpha)
 
     @property
     def regime(self) -> str:
@@ -83,7 +108,7 @@ class RenyiParam:
             raise ValueError(
                 f"alpha {self.alpha} below the analytic threshold {RENYI_ANALYTIC_MIN:.6f}"
             )
-        return "ge2" if self.alpha >= 2.0 else "window"
+        return "ge2" if RENYI_GE2.contains(self.alpha) else "window"
 
 
 def _tsallis(p) -> TsallisParam:
@@ -106,9 +131,34 @@ def _like(x, values: np.ndarray):
     return float(values) if np.ndim(x) == 0 else values
 
 
+class QubitSpectrum(NamedTuple):
+    """Eigenvalues ``hi >= lo`` of the qubit marginal of a two-qubit pure
+    state, ``(1 +- sqrt(1 - C^2)) / 2`` for its concurrence C.
+
+    It does not depend on the entropy index, so one spectrum serves
+    ``g_q`` and ``f_alpha`` at every q or alpha.
+    """
+
+    hi: float | np.ndarray
+    lo: float | np.ndarray
+
+
+def qubit_spectrum(x, *, squared: bool) -> QubitSpectrum:
+    """Qubit spectrum of a squared concurrence ``x`` (``squared=True``, the
+    argument of ``g_q``) or of a concurrence ``x`` (the argument of
+    ``f_alpha``); array inputs give array eigenvalues.
+
+    ``x`` must lie in [0, 1] up to ``_DOMAIN_SLACK``, which is clipped away.
+    """
+    arr = _checked_unit_interval(x, "x")
+    root = np.sqrt(np.maximum(0.0, 1.0 - (arr if squared else arr * arr)))
+    return QubitSpectrum((1.0 + root) / 2.0, (1.0 - root) / 2.0)
+
+
 def g_q(x, q) -> float | np.ndarray:
     """Tsallis-q entanglement of a two-qubit pure state with squared
-    concurrence ``x``.
+    concurrence ``x``, or of a ``QubitSpectrum`` (the same bits as its
+    squared concurrence).
 
     Increasing and convex on [0, 1], with g_q(0) = 0.  Valid for q inside
     the analytic window (roughly 0.697 .. 4.303); array inputs broadcast.
@@ -120,17 +170,15 @@ def g_q(x, q) -> float | np.ndarray:
             f"q {qv} outside the analytic window "
             f"[{TSALLIS_ANALYTIC_MIN:.6f}, {TSALLIS_ANALYTIC_MAX:.6f}]"
         )
-    arr = _checked_unit_interval(x, "x")
-    root = np.sqrt(np.maximum(0.0, 1.0 - arr))
-    hi = (1.0 + root) / 2.0
-    lo = (1.0 - root) / 2.0
+    hi, lo = x if isinstance(x, QubitSpectrum) else qubit_spectrum(x, squared=True)
     # A zero numerator over q - 1 < 0 is -0.0; adding 0.0 makes it 0.0.
     vals = (1.0 - hi**qv - lo**qv) / (qv - 1.0) + 0.0
-    return _like(x, vals)
+    return _like(hi, vals)
 
 
 def f_alpha(x, alpha) -> float | np.ndarray:
-    """Renyi-alpha entanglement of a two-qubit state with concurrence ``x``.
+    """Renyi-alpha entanglement of a two-qubit state with concurrence ``x``,
+    or of a ``QubitSpectrum`` (the same bits as its concurrence).
 
     Increasing and convex on [0, 1] for alpha >= (sqrt(7)-1)/2, with
     f_alpha(0) = 0 and f_alpha(1) = 1; array inputs broadcast.
@@ -141,13 +189,10 @@ def f_alpha(x, alpha) -> float | np.ndarray:
         raise ValueError(
             f"alpha {av} below the analytic threshold {RENYI_ANALYTIC_MIN:.6f}"
         )
-    arr = _checked_unit_interval(x, "x")
-    root = np.sqrt(np.maximum(0.0, 1.0 - arr * arr))
-    hi = (1.0 + root) / 2.0
-    lo = (1.0 - root) / 2.0
+    hi, lo = x if isinstance(x, QubitSpectrum) else qubit_spectrum(x, squared=False)
     # log2(1) / (1 - alpha) is -0.0 for alpha > 1; adding 0.0 makes it 0.0.
     vals = np.log2(hi**av + lo**av) / (1.0 - av) + 0.0
-    return _like(x, vals)
+    return _like(hi, vals)
 
 
 def _reduced_density(state: PureState, side_a) -> np.ndarray:
@@ -201,8 +246,9 @@ def tsallis_pure(state: PureState, side_a, q) -> float:
     """Tsallis-q entanglement (1 - tr rho_A^q) / (q - 1) of a pure state."""
     qv = _tsallis(q).q
     rho_a = _reduced_density(state, side_a)
-    # + 0.0: a product cut gives 0 / (q - 1), which is -0.0 for q < 1.
-    return (1.0 - kernel.trace_power(rho_a, qv)) / (qv - 1.0) + 0.0
+    # A product cut gives 0 / (q - 1), which roundoff can push below 0 (or
+    # make -0.0 for q < 1); the clamp makes it 0.0.
+    return max(0.0, (1.0 - kernel.trace_power(rho_a, qv)) / (qv - 1.0))
 
 
 def tsallis_two_qubit(rho, q) -> float:
@@ -215,8 +261,9 @@ def renyi_pure(state: PureState, side_a, alpha) -> float:
     """Renyi-alpha entanglement log2(tr rho_A^alpha) / (1 - alpha)."""
     av = _renyi(alpha).alpha
     rho_a = _reduced_density(state, side_a)
-    # + 0.0: a product cut gives log2(1) / (1 - alpha), -0.0 for alpha > 1.
-    return math.log2(kernel.trace_power(rho_a, av)) / (1.0 - av) + 0.0
+    # A product cut gives log2(1) / (1 - alpha), which roundoff can push
+    # below 0 (or make -0.0 for alpha > 1); the clamp makes it 0.0.
+    return max(0.0, math.log2(kernel.trace_power(rho_a, av)) / (1.0 - av))
 
 
 def renyi_two_qubit(rho, alpha) -> float:

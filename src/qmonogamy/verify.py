@@ -121,36 +121,49 @@ def _hypot_clamped(x, y):
 class _Block(dict):
     """Columns of one block of sweep points.
 
-    Keeps the last conversion triple a margin derived from them, so the
-    combos of one block that share a ``q`` or ``alpha`` (consecutive in
-    ``_combos``) convert the block once.
+    Keeps the last result of each function ``_shared`` calls on it, so the
+    combos of one block build its qubit spectra once for every ``q`` or
+    ``alpha``, and the combos that share a ``q`` or ``alpha`` (consecutive
+    in ``_combos``) convert the block once.
     """
 
-    memo_key = None
-    memo = None
+    def __init__(self, columns):
+        super().__init__(columns)
+        self.memo = {}
 
 
-def _shared(pts, triple, value):
-    """``triple(pts, value)``, reused from the block's memo when it holds
-    the same triple; a plain dict of columns computes it directly."""
+def _shared(pts, fn, *args):
+    """``fn(pts, *args)``, reused from the block's memo when it holds
+    ``fn``'s result for the same ``args``; a plain dict of columns computes
+    it directly."""
     if not isinstance(pts, _Block):
-        return triple(pts, value)
-    key = (triple, value)
-    if pts.memo_key != key:
-        pts.memo_key, pts.memo = key, triple(pts, value)
-    return pts.memo
+        return fn(pts, *args)
+    held = pts.memo.get(fn)
+    if held is None or held[0] != args:
+        held = pts.memo[fn] = (args, fn(pts, *args))
+    return held[1]
+
+
+def _g_spectra(pts):
+    """Qubit spectra of the squared concurrences x^2 + y^2, x^2 and y^2."""
+    x, y = pts["x"], pts["y"]
+    return [measures.qubit_spectrum(c2, squared=True) for c2 in (x * x + y * y, x * x, y * y)]
+
+
+def _f_spectra(pts):
+    """Qubit spectra of the concurrences min(1, hypot(x, y)), x and y."""
+    x, y = pts["x"], pts["y"]
+    return [measures.qubit_spectrum(c, squared=False) for c in (_hypot_clamped(x, y), x, y)]
 
 
 def _g_triple(pts, q):
     """g_q of x^2 + y^2, x^2 and y^2."""
-    x, y = pts["x"], pts["y"]
-    return measures.g_q(x * x + y * y, q), measures.g_q(x * x, q), measures.g_q(y * y, q)
+    return tuple(measures.g_q(s, q) for s in _shared(pts, _g_spectra))
 
 
 def _f_triple(pts, a):
     """f_alpha of min(1, hypot(x, y)), x and y."""
-    x, y = pts["x"], pts["y"]
-    return measures.f_alpha(_hypot_clamped(x, y), a), measures.f_alpha(x, a), measures.f_alpha(y, a)
+    return tuple(measures.f_alpha(s, a) for s in _shared(pts, _f_spectra))
 
 
 def _margin_power_chain(pts, combo):
@@ -229,15 +242,14 @@ def _domain_disc_ordered(pts):
     return _domain_disc(pts) & (pts["x"] >= pts["y"])
 
 
-# Parameter gates (lo, hi, hi_open): values must lie in [lo, hi], or in
-# [lo, hi) when hi_open.  Lower edges allow _GATE_SLACK of roundoff.
-_GATE_SLACK = 1e-12
-_UNIT = (0.0, 1.0, False)
-_POWER = (1.0, math.inf, False)
-_Q_BOUND = (2.0, 3.0, False)
-_ALPHA_GE2 = (2.0, math.inf, False)
-_ALPHA_WINDOW = (_WINDOW_MIN, 2.0, True)
-_GAMMA = (2.0, math.inf, False)
+# Parameter gates (lo, hi, hi_open): values must lie in the
+# ``measures.Window``, whose edge rule the index windows share.
+_UNIT = measures.Window(0.0, 1.0)
+_POWER = measures.Window(1.0)
+_Q_BOUND = measures.TSALLIS_BOUND
+_ALPHA_GE2 = measures.RENYI_GE2
+_ALPHA_WINDOW = measures.RENYI_WINDOW
+_GAMMA = measures.Window(2.0)
 
 
 @dataclass(frozen=True)
@@ -440,17 +452,16 @@ def default_spec(family: str, **overrides) -> SweepSpec:
 
 def _validate_against_gates(fam: Family, spec: SweepSpec):
     """Raise ValueError if an axis range or a parameter value leaves its gate."""
-    gates = {name: (lo, hi, hi_open) for name, lo, hi, hi_open in fam.gates}
+    gates = {name: measures.Window(*window) for name, *window in fam.gates}
     ranges = [(name, (lo, hi)) for name, lo, hi, _steps in spec.grid]
     for name, values in ranges + list(spec.params):
         if name not in gates:
             continue
-        lo, hi, hi_open = gates[name]
+        lo, hi, hi_open = window = gates[name]
         arr = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name!r} values must be finite, got {values}")
-        above = arr >= hi if hi_open else arr > hi
-        if np.any(arr < lo - _GATE_SLACK) or np.any(above):
+        if not np.all(window.contains(arr)):
             if hi == math.inf:
                 raise ValueError(f"{name!r} values must be >= {lo}")
             edge = ")" if hi_open else "]"

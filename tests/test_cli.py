@@ -439,6 +439,25 @@ class TestEvaluate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "measure,index,exponent", [("renyi", "1.5", "2.5"), ("tsallis", "2", "1")]
+    )
+    @pytest.mark.parametrize("pivot", [2, 3])
+    def test_roundoff_negative_full_cut_is_zero(
+        self, measure, index, exponent, pivot, tmp_path, capsys
+    ):
+        # Amplitudes of (|0000> + |1100>)/sqrt(2) rounded up: the product cut
+        # of qubit 2 or 3 computes a hair below 0, which a fractional power
+        # of the full cut turned into a complex number.
+        amps = np.zeros(16)
+        amps[0b0000] = amps[0b1100] = 0.7071067811865476
+        path = tmp_path / "product-cut.json"
+        path.write_text(states.PureState(4, amps).to_json())
+        code, out, err = run(evaluate_argv(path, measure, index, exponent, pivot), capsys)
+        assert (code, err) == (0, "")
+        lhs = json.loads(out)["lhs"]
+        assert lhs == 0.0 and math.copysign(1.0, lhs) == 1.0
+
     def test_four_qubit_chain_path(self, tmp_path, capsys):
         amps = np.zeros(16)
         amps[0b0000] = amps[0b1100] = 1.0 / math.sqrt(2.0)
@@ -657,6 +676,41 @@ class TestEvaluate:
         assert code == 2
 
 
+# Index values on either side of the bound-window edges at 2 and 3: inside
+# by 5e-13 (within the 1e-12 roundoff a closed edge admits) or outside by
+# 2e-12.
+EDGE_INDICES = {
+    "1.999999999998": False,
+    "1.9999999999995": True,
+    "3.0000000000005": True,
+    "3.000000000002": False,
+}
+
+
+@pytest.mark.parametrize("index,inside", sorted(EDGE_INDICES.items()))
+def test_tsallis_window_edge_same_in_sweep_and_evaluate(index, inside, tmp_path, capsys):
+    path = write_pinned_state("canonical", tmp_path)
+    sweep = ["sweep", "gqsuper", "--q-values", index, "--x-steps", "5", "--y-steps", "5"]
+    evaluate = evaluate_argv(path, "tsallis", index, "2", 0)
+    codes = [run(argv, capsys)[0] for argv in (sweep, evaluate)]
+    assert [code != 2 for code in codes] == [inside, inside]
+
+
+@pytest.mark.parametrize(
+    "index,regime",
+    [("1.999999999998", "renyi_window"), ("1.9999999999995", "renyi_ge2"), ("2", "renyi_ge2")],
+)
+def test_renyi_regime_edge_same_in_sweep_and_evaluate(index, regime, tmp_path, capsys):
+    # Exactly one of the two regime gates takes the value, the one whose
+    # regime `evaluate` reports.
+    path = write_pinned_state("canonical", tmp_path)
+    code, out, _ = run(evaluate_argv(path, "renyi", index, "2", 0), capsys)
+    assert code == 0 and json.loads(out)["regime"] == regime
+    for family, family_regime in (("falphaadd", "renyi_ge2"), ("falphasqadd", "renyi_window")):
+        argv = ["sweep", family, "--alpha-values", index, "--x-steps", "5", "--y-steps", "5"]
+        assert (run(argv, capsys)[0] != 2) == (regime == family_regime), family
+
+
 def test_parser_reuse_matches_fresh_processes(tmp_path, capsys, monkeypatch):
     # One process runs several commands through the same parser; each must
     # print what a fresh `python -m qmonogamy` prints, so no parse leaks
@@ -783,9 +837,37 @@ VALID_AMPLITUDES = [
 ]
 
 
+# One-qubit factors and two-qubit entangled factors of near-product states,
+# with 1/sqrt(2) written both ways it rounds (0.7071067811865476 and ...75).
+HALF_ROOTS = (0.7071067811865476, 0.7071067811865475)
+
+
+@st.composite
+def near_product_amplitudes(draw):
+    """Amplitude pairs of a 3- or 4-qubit tensor product of one-qubit states
+    and Bell-like pairs, with at most one amplitude nudged by roundoff: some
+    cuts are products, where the entropy lands a hair off 0."""
+    s = draw(st.sampled_from(HALF_ROOTS))
+    singles = [(1.0, 0.0), (0.0, 1.0), (s, s), (s, -s), (0.6, 0.8)]
+    pairs = [(s, 0.0, 0.0, s), (0.0, s, s, 0.0), (s, 0.0, 0.0, -s)]
+    n_qubits = draw(st.sampled_from([3, 4]))
+    amps = np.ones(1)
+    while amps.size < 2**n_qubits:
+        room = 2**n_qubits // amps.size
+        factor = draw(st.sampled_from(singles + (pairs if room >= 4 else [])))
+        amps = np.kron(amps, factor)
+    nudge = draw(st.sampled_from([0.0, 1e-17, -1e-16, 1e-12]))
+    amps[draw(st.integers(0, amps.size - 1))] += nudge
+    return n_qubits, [[float(a), 0.0] for a in amps]
+
+
 @st.composite
 def state_file_texts(draw):
-    """A state file in either format, valid or with any field malformed."""
+    """A state file in either format, valid or with any field malformed, or
+    a valid near-product state."""
+    if draw(st.integers(0, 3)) == 0:
+        n_qubits, amplitudes = draw(near_product_amplitudes())
+        return json.dumps({"n_qubits": n_qubits, "amplitudes": amplitudes})
     if draw(st.booleans()):
         lambdas = draw(st.one_of(
             st.just(list(cli.EXAMPLE_PARAMS.lambdas)),
@@ -816,9 +898,9 @@ def fuzz_state_path(tmp_path_factory):
 
 @settings(max_examples=200, deadline=None)
 @given(text=state_file_texts(), measure=st.sampled_from(["tsallis", "renyi"]),
-       pivot=st.integers(0, 3))
-def test_evaluate_state_file_fuzz_exits_cleanly(fuzz_state_path, text, measure, pivot):
+       exponent=st.sampled_from(["2", "2.5"]), pivot=st.integers(0, 3))
+def test_evaluate_state_file_fuzz_exits_cleanly(fuzz_state_path, text, measure, exponent, pivot):
     fuzz_state_path.write_text(text)
-    code, err = run_quietly(evaluate_argv(fuzz_state_path, measure, "2.5", "2", pivot))
+    code, err = run_quietly(evaluate_argv(fuzz_state_path, measure, "2.5", exponent, pivot))
     assert code in (0, 1, 2), text
     assert "Traceback" not in err, text

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmonogamy import kernel, measures, states
 
@@ -61,6 +63,27 @@ class TestParams:
         assert measures.RenyiParam(WINDOW_ALPHA).regime == "window"
         with pytest.raises(ValueError):
             _ = measures.RenyiParam(0.5).regime
+
+    def test_one_edge_rule(self):
+        # A closed edge admits 1e-12 of roundoff, an open edge excludes it.
+        inside, outside = 5e-13, 2e-12
+        assert measures.TsallisParam(3.0 + inside).in_bound_window
+        assert measures.TsallisParam(2.0 - inside).in_bound_window
+        assert not measures.TsallisParam(3.0 + outside).in_bound_window
+        assert not measures.TsallisParam(2.0 - outside).in_bound_window
+        assert measures.RenyiParam(WINDOW_ALPHA - inside).analytic
+        assert not measures.RenyiParam(WINDOW_ALPHA - outside).analytic
+        # The two Renyi regimes split alpha = 2 without overlap.
+        for alpha in (2.0 - outside, 2.0 - inside, 2.0, 2.0 + inside):
+            ge2 = bool(measures.RENYI_GE2.contains(alpha))
+            assert ge2 != bool(measures.RENYI_WINDOW.contains(alpha)), alpha
+            assert measures.RenyiParam(alpha).regime == ("ge2" if ge2 else "window")
+        assert measures.RenyiParam(2.0 - inside).regime == "ge2"
+        assert measures.RenyiParam(2.0 - outside).regime == "window"
+        values = np.array([1.0 - outside, 1.0 - inside, 2.0 - inside, 2.0])
+        assert measures.Window(1.0, 2.0, hi_open=True).contains(values).tolist() == [
+            False, True, False, False
+        ]
 
     @pytest.mark.parametrize(
         "conversion,param", [("g_q", "TsallisParam"), ("f_alpha", "RenyiParam")]
@@ -195,6 +218,88 @@ class TestFalpha:
         fx = measures.f_alpha(x, a)
         fy = measures.f_alpha(y, a)
         assert np.min(fz * fz - fx * fx - fy * fy) >= -1e-12
+
+
+def g_q_reference(x, q):
+    """g_q in one piece, with no spectrum step: the spectrum path must match it bit for bit."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
+        raise ValueError("x outside [0, 1]")
+    arr = np.clip(arr, 0.0, 1.0)
+    root = np.sqrt(np.maximum(0.0, 1.0 - arr))
+    hi = (1.0 + root) / 2.0
+    lo = (1.0 - root) / 2.0
+    vals = (1.0 - hi**q - lo**q) / (q - 1.0) + 0.0
+    return float(vals) if np.ndim(x) == 0 else vals
+
+
+def f_alpha_reference(x, alpha):
+    """f_alpha in one piece, with no spectrum step: the spectrum path must match it bit for bit."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
+        raise ValueError("x outside [0, 1]")
+    arr = np.clip(arr, 0.0, 1.0)
+    root = np.sqrt(np.maximum(0.0, 1.0 - arr * arr))
+    hi = (1.0 + root) / 2.0
+    lo = (1.0 - root) / 2.0
+    vals = np.log2(hi**alpha + lo**alpha) / (1.0 - alpha) + 0.0
+    return float(vals) if np.ndim(x) == 0 else vals
+
+
+def hexes(value):
+    return [float(v).hex() for v in np.ravel(value)]
+
+
+# Conversion inputs: the domain edges, the slack on either side of them and
+# anything in between.
+UNIT_INPUTS = st.one_of(
+    st.sampled_from([0.0, 1.0, 1.0 + 1e-10, -1e-10, 0.5]),
+    st.floats(0.0, 1.0),
+)
+SCALAR_OR_ARRAY = st.one_of(
+    UNIT_INPUTS, st.lists(UNIT_INPUTS, min_size=1, max_size=20).map(np.array)
+)
+
+
+class TestQubitSpectrum:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=SCALAR_OR_ARRAY,
+        q=st.floats(measures.TSALLIS_ANALYTIC_MIN, measures.TSALLIS_ANALYTIC_MAX).filter(
+            lambda q: q != 1.0
+        ),
+    )
+    def test_g_q_of_spectrum_same_bits(self, x, q):
+        spectrum = measures.qubit_spectrum(x, squared=True)
+        reference = g_q_reference(x, q)
+        for got in (measures.g_q(spectrum, q), measures.g_q(x, q)):
+            assert type(got) is type(reference)
+            assert hexes(got) == hexes(reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=SCALAR_OR_ARRAY,
+        alpha=st.floats(WINDOW_ALPHA, 40.0).filter(lambda a: a != 1.0),
+    )
+    def test_f_alpha_of_spectrum_same_bits(self, x, alpha):
+        spectrum = measures.qubit_spectrum(x, squared=False)
+        reference = f_alpha_reference(x, alpha)
+        for got in (measures.f_alpha(spectrum, alpha), measures.f_alpha(x, alpha)):
+            assert type(got) is type(reference)
+            assert hexes(got) == hexes(reference)
+
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_domain_gate(self, squared):
+        for x in (1.1, np.array([0.5, 1.1])):
+            with pytest.raises(ValueError, match=r"x outside \[0, 1\]"):
+                measures.qubit_spectrum(x, squared=squared)
+
+    def test_window_gates_still_run(self):
+        spectrum = measures.qubit_spectrum(0.5, squared=True)
+        with pytest.raises(ValueError, match="outside the analytic window"):
+            measures.g_q(spectrum, 5.0)
+        with pytest.raises(ValueError, match="below the analytic threshold"):
+            measures.f_alpha(spectrum, 0.5)
 
 
 class TestConcurrencePure:
@@ -334,6 +439,16 @@ class TestRenyiEvaluators:
             spectral = measures.renyi_pure(st, {0}, 2.0)
             c = measures.concurrence_pure(st, {0})
             assert abs(spectral - measures.f_alpha(c, 2.0)) < 1e-9
+
+
+@pytest.mark.parametrize("entropy,index", [("tsallis_pure", 2.0), ("renyi_pure", 1.5)])
+def test_roundoff_product_cut_is_zero(entropy, index):
+    # Qubit 2 of (|0000> + |1100>)/sqrt(2), amplitudes rounded up: the cut's
+    # trace power lands a hair off 1 and the entropy a hair below 0.
+    amps = np.zeros(16)
+    amps[0] = amps[12] = 0.7071067811865476
+    value = getattr(measures, entropy)(states.PureState(4, amps), {2}, index)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestMonogamyChain:

@@ -398,8 +398,11 @@ class TestBlockedSweep:
         calls = []
 
         def counted(x, index):
-            calls.append(np.size(x))
-            return original(x, index)
+            result = original(x, index)
+            # The argument may be a spectrum pair; the result has one value
+            # per converted point.
+            calls.append(np.size(result))
+            return result
 
         monkeypatch.setattr(measures, conversion, counted)
         monkeypatch.setattr(verify, "_SWEEP_BLOCK", 97)
@@ -410,6 +413,27 @@ class TestBlockedSweep:
         assert len(calls) == calls_per_block * n_blocks
         # Every call converts its whole block.
         assert sum(calls) == calls_per_block * n_points
+
+    @pytest.mark.parametrize(
+        "family", ["gqsuper", "falphaadd", "falphasqadd", "lemma2", "lemma5", "lemma6"]
+    )
+    def test_spectra_once_per_block(self, family, monkeypatch):
+        original = measures.qubit_spectrum
+        sizes = []
+
+        def counted(x, *, squared):
+            sizes.append(np.size(x))
+            return original(x, squared=squared)
+
+        monkeypatch.setattr(measures, "qubit_spectrum", counted)
+        monkeypatch.setattr(verify, "_SWEEP_BLOCK", 97)
+        spec = small_spec(family)
+        report = verify.run_sweep(spec)
+        n_points = report.points_checked // math.prod(len(v) for _, v in spec.params)
+        # Three spectra per block, each over the whole block, whatever the
+        # number of q or alpha values.
+        assert len(sizes) == 3 * -(-n_points // 97)
+        assert sum(sizes) == 3 * n_points
 
 
 class TestRunStateCheck:
