@@ -77,6 +77,13 @@ def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
 def require_density(rho, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix, or each member of a stack: Hermitian, unit
     trace, eigenvalues >= -1e-8."""
+    arr = require_unit_trace(rho, dim)
+    require_nonnegative(arr, np.linalg.eigvalsh(arr))
+    return arr
+
+
+def require_unit_trace(rho, dim: int | None = None) -> np.ndarray:
+    """``require_density`` short of its eigenvalue check."""
     arr = require_hermitian(rho)
     if dim is not None and arr.shape[-2:] != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix, got {arr.shape}")
@@ -87,14 +94,19 @@ def require_density(rho, dim: int | None = None) -> np.ndarray:
         abs(tr - 1.0) > TRACE_TOL,
         lambda t: f"density matrix trace {complex(t)} is not 1 within {TRACE_TOL:.1e}",
     )
-    lo = np.linalg.eigvalsh(arr).min(axis=-1)
+    return arr
+
+
+def require_nonnegative(arr: np.ndarray, ascending: np.ndarray) -> None:
+    """The eigenvalue check of ``require_density``, on the ascending
+    eigenvalues of ``arr`` that the caller computed."""
+    lo = ascending[..., 0]
     _check_members(
         arr,
         lo,
         lo < -EIGENVALUE_CLAMP,
         lambda v: f"density matrix has negative eigenvalue {v:.3e}",
     )
-    return arr
 
 
 def partial_trace(rho, n_qubits: int, keep) -> np.ndarray:
@@ -102,7 +114,9 @@ def partial_trace(rho, n_qubits: int, keep) -> np.ndarray:
     of each member of a stack.
 
     ``rho`` must be ``2**n_qubits`` square.  Kept qubits appear in ascending
-    original order; the trace is preserved exactly up to roundoff.
+    original order; the trace is preserved exactly up to roundoff.  Qubits
+    are traced out highest first, each as ``(0.0 + b0) + b1`` of its
+    ``|0><0|`` and ``|1><1|`` blocks: ``np.trace``'s order, to the bit.
     """
     arr = as_matrix(rho)
     dim = 2**n_qubits
@@ -117,17 +131,15 @@ def partial_trace(rho, n_qubits: int, keep) -> np.ndarray:
         raise ValueError(f"keep indices {kept} out of range for {n_qubits} qubits")
 
     lead = arr.shape[:-2]
-    tens = arr.reshape(lead + (2,) * (2 * n_qubits))
-    traced = [q for q in range(n_qubits) if q not in kept]
-    # Contract bra/ket axes of each traced qubit, highest axis first so the
-    # remaining axis numbers stay valid.
-    first = len(lead)
-    offset = n_qubits
-    for q in reversed(traced):
-        tens = np.trace(tens, axis1=first + q, axis2=first + q + offset)
-        offset -= 1
-    k = len(kept)
-    return tens.reshape(lead + (2**k, 2**k))
+    out, m = arr, n_qubits
+    for q in reversed([q for q in range(n_qubits) if q not in kept]):
+        # Highest qubit first, so the lower qubit numbers stay valid.
+        t = out.reshape(lead + (2**q, 2, 2 ** (m - q - 1)) * 2)
+        m -= 1
+        out = 0.0 + t[..., :, 0, :, :, 0, :]
+        out += t[..., :, 1, :, :, 1, :]
+        out = out.reshape(lead + (2**m, 2**m))
+    return out
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:

@@ -217,7 +217,9 @@ def concurrence_pure(state: PureState, side_a) -> float:
 
 def spin_flip_spectrum(rho) -> np.ndarray:
     """Descending sqrt-eigenvalues of rho (sy x sy) rho* (sy x sy), of one
-    matrix or of each member of a stack (one row per member).
+    two-qubit density matrix or of each member of a stack (one row per
+    member).  Anything else raises the ``ValueError`` of
+    ``kernel.require_density(rho, dim=4)``.
 
     Evaluated as the singular values of sqrt(rho) Y sqrt(rho)^T with
     Y = sy x sy (real symmetric), which carries the same spectrum: with
@@ -225,19 +227,21 @@ def spin_flip_spectrum(rho) -> np.ndarray:
     for K = S Y S^T.  Unlike the non-normal eigenproblem this keeps the
     near-zero spectrum accurate, so square roots stay at roundoff level.
     """
-    arr = kernel.as_matrix(rho)
+    arr = kernel.require_unit_trace(rho, dim=4)
     w, v = np.linalg.eigh(arr)
+    kernel.require_nonnegative(arr, w)
     w = np.where(w < kernel.ROUNDOFF_ZERO, 0.0, w)  # keep sqrt off roundoff zeros
     root = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    k = root @ kernel.YY @ root.swapaxes(-1, -2)
-    return np.linalg.svd(k, compute_uv=False)
+    # root @ YY: YY = sy x sy reverses the columns and negates the first and
+    # the last.  Adding 0.0 gives the matmul's bits, which sums from 0.0.
+    flipped = root[..., ::-1] * np.array([-1.0, 1.0, 1.0, -1.0]) + 0.0
+    return np.linalg.svd(flipped @ root.swapaxes(-1, -2), compute_uv=False)
 
 
 def concurrence_two_qubit(rho) -> float | np.ndarray:
-    """Closed-form concurrence of a two-qubit mixed state (spin-flip
+    """Closed-form concurrence of a two-qubit density matrix (spin-flip
     spectrum); a stack of states gives one value per member."""
-    arr = kernel.require_density(rho, dim=4)
-    s0, s1, s2, s3 = spin_flip_spectrum(arr).T
+    s0, s1, s2, s3 = spin_flip_spectrum(rho).T
     gap = s0 - s1 - s2 - s3
     return _like(gap, np.where(gap > 0.0, gap, 0.0))
 

@@ -171,12 +171,17 @@ def _margin_power_chain(pts, combo):
     return np.minimum(np.minimum(lhs - tight, tight - loose), loose - naive)
 
 
+def _pair_spectra(pts, squared):
+    """Qubit spectra of C_ab^2 and C_ac^2 (``squared``), or of C_ab and C_ac."""
+    pairs = [pts["c_ab"], pts["c_ac"]]
+    return [measures.qubit_spectrum(c**2 if squared else c, squared=squared) for c in pairs]
+
+
 def _tsallis_state_triple(pts, q):
     """Spectral T_q of the pivot marginal, then the larger and the smaller
     of g_q(C_ab^2) and g_q(C_ac^2)."""
     full = (1.0 - (pts["lam_hi"] ** q + pts["lam_lo"] ** q)) / (q - 1.0)
-    t_ab = measures.g_q(pts["c_ab"] ** 2, q)
-    t_ac = measures.g_q(pts["c_ac"] ** 2, q)
+    t_ab, t_ac = (measures.g_q(s, q) for s in _shared(pts, _pair_spectra, True))
     return full, np.maximum(t_ab, t_ac), np.minimum(t_ab, t_ac)
 
 
@@ -184,8 +189,7 @@ def _renyi_state_triple(pts, a):
     """Spectral E_alpha of the pivot marginal, then the larger and the
     smaller of f_alpha(C_ab) and f_alpha(C_ac)."""
     full = np.log2(pts["lam_hi"] ** a + pts["lam_lo"] ** a) / (1.0 - a)
-    r_ab = measures.f_alpha(pts["c_ab"], a)
-    r_ac = measures.f_alpha(pts["c_ac"], a)
+    r_ab, r_ac = (measures.f_alpha(s, a) for s in _shared(pts, _pair_spectra, False))
     return full, np.maximum(r_ab, r_ac), np.minimum(r_ab, r_ac)
 
 

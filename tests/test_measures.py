@@ -368,6 +368,14 @@ class TestConcurrenceTwoQubit:
         with pytest.raises(ValueError):
             measures.concurrence_two_qubit(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
 
+    def test_spin_flip_rejects_negative_eigenvalue(self):
+        bad = np.diag([1.2, -0.2, 0.0, 0.0])
+        message = "density matrix has negative eigenvalue -2.000e-01"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            measures.spin_flip_spectrum(bad)
+        with pytest.raises(ValueError, match=f"^stack member 1: {message}$"):
+            measures.spin_flip_spectrum(np.stack([np.eye(4) / 4.0, bad]))
+
 
 class TestTsallisEvaluators:
     def test_product_state_zero(self):

@@ -108,6 +108,8 @@ class TestStackValidation:
             kernel.require_density(rhos)
         with pytest.raises(ValueError, match=f"^stack member {first}: "):
             measures.concurrence_two_qubit(rhos)
+        with pytest.raises(ValueError, match=f"^stack member {first}: "):
+            measures.spin_flip_spectrum(rhos)
         if kind == "non-hermitian":
             with pytest.raises(ValueError, match=f"^stack member {first}: .*not Hermitian"):
                 kernel.hermitian_eigenvalues(rhos)
@@ -115,9 +117,47 @@ class TestStackValidation:
     @pytest.mark.parametrize("kind", ["non-hermitian", "trace-2", "negative"])
     def test_single_matrix_message_names_no_member(self, kind):
         rho = spoil(random_densities(2, 1, 2, 3)[0], kind)
-        with pytest.raises(ValueError) as info:
-            measures.concurrence_two_qubit(rho)
-        assert "stack member" not in str(info.value)
+        for fn in (measures.concurrence_two_qubit, measures.spin_flip_spectrum):
+            with pytest.raises(ValueError) as info:
+                fn(rho)
+            assert "stack member" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "spoils,first",
+        [
+            (("nan", "non-hermitian", "trace-2"), "NaN or infinite"),
+            (("non-square", "non-hermitian"), "not square"),
+            (("non-hermitian", "2x2", "trace-2"), "not Hermitian"),
+            (("non-hermitian", "trace-2", "negative"), "not Hermitian"),
+            (("2x2", "trace-2", "negative"), "expected a 4x4"),
+            (("trace-2", "negative"), "trace"),
+            (("negative",), "negative eigenvalue"),
+        ],
+    )
+    def test_first_failure_same_as_require_density(self, spoils, first):
+        """A matrix that fails several checks gets the message of the first
+        one, in require_density's order: finite, square, Hermitian, 4x4,
+        unit trace, eigenvalues."""
+        if "negative" in spoils:
+            rho = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
+        else:
+            rho = random_densities(2, 1, 2, 3)[0]
+        if "trace-2" in spoils:
+            rho = 2.0 * rho
+        if "non-hermitian" in spoils:
+            rho[0, 1] += 1e-6j
+        if "nan" in spoils:
+            rho[3, 3] = np.nan
+        if "2x2" in spoils:
+            rho = rho[:2, :2]
+        if "non-square" in spoils:
+            rho = rho[:, :3]
+        with pytest.raises(ValueError, match=first) as expected:
+            kernel.require_density(rho, dim=4)
+        for fn in (measures.concurrence_two_qubit, measures.spin_flip_spectrum):
+            with pytest.raises(ValueError) as info:
+                fn(rho)
+            assert str(info.value) == str(expected.value)
 
     def test_rejects_deeper_stacks(self):
         with pytest.raises(ValueError, match="2-D matrix or a stack"):
@@ -134,3 +174,121 @@ class TestSingleMatrixTypes:
         assert kernel.hermitian_eigenvalues(pair).shape == (4,)
         assert measures.spin_flip_spectrum(pair).shape == (4,)
         assert type(measures.concurrence_two_qubit(pair)) is float
+
+
+def partial_trace_reference(rho, n_qubits, keep):
+    """Partial trace by ``np.trace`` on the ``2 * n_qubits``-axis tensor,
+    contracting each traced qubit's bra and ket axes, highest first."""
+    arr = np.asarray(rho, dtype=complex)
+    lead = arr.shape[:-2]
+    tens = arr.reshape(lead + (2,) * (2 * n_qubits))
+    first, offset = len(lead), n_qubits
+    for q in reversed([q for q in range(n_qubits) if q not in keep]):
+        tens = np.trace(tens, axis1=first + q, axis2=first + q + offset)
+        offset -= 1
+    k = len(keep)
+    return tens.reshape(lead + (2**k, 2**k))
+
+
+def spin_flip_reference(rho):
+    """``require_density``, then ``eigh``, ``root @ YY`` and ``svd``."""
+    arr = kernel.require_density(rho, dim=4)
+    w, v = np.linalg.eigh(arr)
+    w = np.where(w < kernel.ROUNDOFF_ZERO, 0.0, w)
+    root = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    k = root @ kernel.YY @ root.swapaxes(-1, -2)
+    return np.linalg.svd(k, compute_uv=False)
+
+
+def concurrence_reference(rho):
+    s0, s1, s2, s3 = spin_flip_reference(rho).T
+    gap = s0 - s1 - s2 - s3
+    return np.where(gap > 0.0, gap, 0.0)
+
+
+def structured_marginals():
+    """The three pair marginals of 3-qubit product, Bell (x) |0>, GHZ, W
+    and |000> states, stacked, with their names."""
+    basis = np.eye(8, dtype=complex)
+    product = np.kron(np.kron([1.0, 0.0], [1.0, 1.0] / np.sqrt(2.0)), [0.6, 0.8j])
+    vectors = {
+        "product": product,
+        "bell": (basis[0] + basis[6]) / np.sqrt(2.0),
+        "ghz": (basis[0] + basis[7]) / np.sqrt(2.0),
+        "w": (basis[1] + basis[2] + basis[4]) / np.sqrt(3.0),
+        "zero": basis[0],
+    }
+    names, pairs = [], []
+    for name, v in vectors.items():
+        rho = np.outer(v, v.conj())
+        for pair in itertools.combinations(range(3), 2):
+            names.append(f"{name}{pair}")
+            pairs.append(kernel.partial_trace(rho, 3, pair))
+    return names, np.stack(pairs)
+
+
+class TestSameBitsAsReferenceRoutes:
+    @SETTINGS
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 5),
+        st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_partial_trace_equals_np_trace(self, n_qubits, count, zero_share, seed):
+        """Every keep set, on a 2-D matrix (count 0) or a stack, with a share
+        of the real and imaginary parts set to 0.0 or -0.0."""
+        rng = np.random.default_rng(seed)
+        dim = 2**n_qubits
+        shape = (dim, dim) if count == 0 else (count, dim, dim)
+        parts = rng.standard_normal((2,) + shape)
+        zeros = rng.random(parts.shape) < zero_share
+        parts[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+        rho = np.empty(shape, dtype=complex)
+        rho.real, rho.imag = parts
+        for size in range(1, n_qubits + 1):
+            for keep in itertools.combinations(range(n_qubits), size):
+                got = kernel.partial_trace(rho, n_qubits, keep)
+                want = partial_trace_reference(rho, n_qubits, keep)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), keep
+
+    @SETTINGS
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_spin_flip_and_concurrence_of_random_ranks(self, count, rank, seed):
+        rhos = random_densities(2, count, rank, seed)
+        assert measures.spin_flip_spectrum(rhos).tobytes() == spin_flip_reference(rhos).tobytes()
+        assert (measures.concurrence_two_qubit(rhos).tobytes()
+                == concurrence_reference(rhos).tobytes())
+        for rho in rhos:
+            assert (measures.spin_flip_spectrum(rho).tobytes()
+                    == spin_flip_reference(rho).tobytes())
+            c = measures.concurrence_two_qubit(rho)
+            assert type(c) is float and np.float64(c).tobytes() == concurrence_reference(rho).tobytes()
+
+    def test_spin_flip_and_concurrence_of_structured_marginals(self):
+        names, pairs = structured_marginals()
+        assert measures.spin_flip_spectrum(pairs).tobytes() == spin_flip_reference(pairs).tobytes()
+        assert (measures.concurrence_two_qubit(pairs).tobytes()
+                == concurrence_reference(pairs).tobytes())
+        for name, rho in zip(names, pairs):
+            assert (measures.spin_flip_spectrum(rho).tobytes()
+                    == spin_flip_reference(rho).tobytes()), name
+            c = measures.concurrence_two_qubit(rho)
+            assert np.float64(c).tobytes() == concurrence_reference(rho).tobytes(), name
+
+    def test_one_eigh_and_no_eigvalsh_per_concurrence_call(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rhos = random_densities(2, 5, 2, 7)
+        for rho in (rhos, rhos[0]):
+            calls.clear()
+            measures.concurrence_two_qubit(rho)
+            assert calls == ["eigh"]

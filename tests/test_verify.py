@@ -415,7 +415,9 @@ class TestBlockedSweep:
         assert sum(calls) == calls_per_block * n_points
 
     @pytest.mark.parametrize(
-        "family", ["gqsuper", "falphaadd", "falphasqadd", "lemma2", "lemma5", "lemma6"]
+        "family",
+        ["gqsuper", "falphaadd", "falphasqadd", "lemma2", "lemma5", "lemma6",
+         "remark1", "remark2", "remark3"],
     )
     def test_spectra_once_per_block(self, family, monkeypatch):
         original = measures.qubit_spectrum
@@ -430,10 +432,11 @@ class TestBlockedSweep:
         spec = small_spec(family)
         report = verify.run_sweep(spec)
         n_points = report.points_checked // math.prod(len(v) for _, v in spec.params)
-        # Three spectra per block, each over the whole block, whatever the
-        # number of q or alpha values.
-        assert len(sizes) == 3 * -(-n_points // 97)
-        assert sum(sizes) == 3 * n_points
+        # Three spectra per grid block (two per state block: C_ab and C_ac),
+        # each over the whole block, whatever the number of q or alpha values.
+        per_block = 2 if verify.family_of(family).kind == "state" else 3
+        assert len(sizes) == per_block * -(-n_points // 97)
+        assert sum(sizes) == per_block * n_points
 
 
 class TestRunStateCheck:
