@@ -301,11 +301,6 @@ def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
         )
 
 
-def _pure_cut_concurrence(vec: np.ndarray, n: int, pivot_pos: int) -> float:
-    state = PureState(n, vec)
-    return measures.concurrence_pure(state, {pivot_pos})
-
-
 def ordering_certificate(state: PureState, pivot: int, rest_order, concurrences) -> list[str]:
     """Check the per-position concurrence ordering hypotheses of the chains.
 
@@ -321,8 +316,8 @@ def ordering_certificate(state: PureState, pivot: int, rest_order, concurrences)
     n = state.n_qubits
     if n > 4:
         raise ValueError(f"supported up to 4 qubits, got {n}")
-    pivot = int(pivot)
-    order = [int(b) for b in rest_order]
+    pivot = kernel.as_integer(pivot, "pivot")
+    order = [kernel.as_integer(b, "qubit index") for b in rest_order]
     expected = sorted(set(range(n)) - {pivot})
     if sorted(order) != expected:
         raise ValueError(
@@ -346,14 +341,13 @@ def ordering_certificate(state: PureState, pivot: int, rest_order, concurrences)
         else:
             lower = float(np.sqrt(sum(c_of[b] ** 2 for b in rest)))
             keep = sorted({pivot, *rest})
-            reduced = kernel.partial_trace(density(state), n, keep)
-            pivot_pos = keep.index(pivot)
-            w, v = np.linalg.eigh(reduced)
-            upper = 0.0
-            for idx in range(w.size):
-                if w[idx] > 1e-12:
-                    vec = v[:, idx] / np.linalg.norm(v[:, idx])
-                    upper += w[idx] * _pure_cut_concurrence(vec, len(keep), pivot_pos)
+            w, v = np.linalg.eigh(kernel.partial_trace(density(state), n, keep))
+            live = w > 1e-12
+            vecs = v[:, live].T  # one projector per live eigenvector
+            projectors = vecs[:, :, None] * vecs[:, None, :].conj()
+            spectra = measures.cut_spectrum(projectors, len(keep), {keep.index(pivot)})
+            c2 = measures.squared_concurrence_of_spectrum(spectra)
+            upper = float(np.sum(w[live] * np.sqrt(c2)))
         if c_pair >= upper - _CERT_TOL:
             results.append(CERTIFIED)
         elif c_pair < lower - _CERT_TOL:

@@ -14,6 +14,8 @@ leftmost tensor factor, i.e. basis state ``|q0 q1 ... q_{n-1}>`` has index
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # Tolerance separating Hermitian-roundoff from genuinely bad input.
@@ -40,18 +42,18 @@ def as_matrix(m) -> np.ndarray:
     finite = np.isfinite(arr)
     if not finite.all():
         bad = ~finite.all(axis=(-2, -1))
-        _check_members(arr, bad, bad, lambda _: "matrix has NaN or infinite entries")
+        _check_members(bad, bad, lambda _: "matrix has NaN or infinite entries")
     return arr
 
 
-def _check_members(arr: np.ndarray, values, failed, describe) -> None:
+def _check_members(values, failed, describe) -> None:
     """Raise a ValueError for the first member flagged in ``failed``.
 
-    ``values`` and ``failed`` hold one entry per member of ``arr`` (scalars
-    for a 2-D matrix); ``describe(value)`` words what is wrong with a member.
-    For a stack the message names the member.
+    ``values`` and ``failed`` hold one entry per member of a stack, or one
+    scalar each for a single matrix; ``describe(value)`` words what is wrong
+    with a member.  For a stack the message names the member.
     """
-    if arr.ndim == 2:
+    if np.ndim(failed) == 0:
         if failed:
             raise ValueError(describe(values))
     elif failed.any():
@@ -66,7 +68,6 @@ def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     # Largest entrywise deviation of each member from its conjugate transpose.
     defect = np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     _check_members(
-        arr,
         defect,
         defect > tol,
         lambda d: f"matrix is not Hermitian: defect {d:.3e} > {tol:.1e}",
@@ -78,7 +79,7 @@ def require_density(rho, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix, or each member of a stack: Hermitian, unit
     trace, eigenvalues >= -1e-8."""
     arr = require_unit_trace(rho, dim)
-    require_nonnegative(arr, np.linalg.eigvalsh(arr))
+    clamp_spectrum(np.linalg.eigvalsh(arr))  # raises on a negative eigenvalue
     return arr
 
 
@@ -89,7 +90,6 @@ def require_unit_trace(rho, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a {dim}x{dim} density matrix, got {arr.shape}")
     tr = arr.trace(axis1=-2, axis2=-1)
     _check_members(
-        arr,
         tr,
         abs(tr - 1.0) > TRACE_TOL,
         lambda t: f"density matrix trace {complex(t)} is not 1 within {TRACE_TOL:.1e}",
@@ -97,16 +97,28 @@ def require_unit_trace(rho, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def require_nonnegative(arr: np.ndarray, ascending: np.ndarray) -> None:
-    """The eigenvalue check of ``require_density``, on the ascending
-    eigenvalues of ``arr`` that the caller computed."""
-    lo = ascending[..., 0]
+def clamp_spectrum(spectrum: np.ndarray) -> np.ndarray:
+    """The one clamp rule for the eigenvalues of a state (a row per member of
+    a stack, sorted either way): below ``-EIGENVALUE_CLAMP`` raises, and below
+    ``ROUNDOFF_ZERO`` becomes 0.0, so powers and roots of zeros stay exact."""
+    # The smaller end; a min over a short last axis costs far more.
+    lo = np.minimum(spectrum[..., 0], spectrum[..., -1])
     _check_members(
-        arr,
         lo,
         lo < -EIGENVALUE_CLAMP,
         lambda v: f"density matrix has negative eigenvalue {v:.3e}",
     )
+    return np.where(spectrum < ROUNDOFF_ZERO, 0.0, spectrum)
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int, for every qubit count and index: an integer or an
+    integral float."""
+    if isinstance(value, float) and value.is_integer():  # False for NaN and inf
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def partial_trace(rho, n_qubits: int, keep) -> np.ndarray:
@@ -119,12 +131,13 @@ def partial_trace(rho, n_qubits: int, keep) -> np.ndarray:
     ``|0><0|`` and ``|1><1|`` blocks: ``np.trace``'s order, to the bit.
     """
     arr = as_matrix(rho)
+    n_qubits = as_integer(n_qubits, "n_qubits")
     dim = 2**n_qubits
     if arr.shape[-2:] != (dim, dim):
         raise ValueError(
             f"expected a {dim}x{dim} matrix for {n_qubits} qubits, got {arr.shape}"
         )
-    kept = sorted(set(int(k) for k in keep))
+    kept = sorted({as_integer(k, "qubit index") for k in keep})
     if not kept:
         raise ValueError("keep must name at least one qubit")
     if kept[0] < 0 or kept[-1] >= n_qubits:
@@ -151,16 +164,8 @@ def hermitian_eigenvalues(h) -> np.ndarray:
 
 
 def trace_power(rho, p: float) -> float:
-    """Trace of ``rho**p`` for a PSD Hermitian matrix, via its spectrum.
-
-    Eigenvalues in ``[-1e-8, 0)`` are clamped to zero (anything more negative
-    means the input is not a valid state and raises); roundoff-scale positive
-    values are zeroed too, so fractional powers of exact zeros stay exact.
-    """
-    if p <= 0:
-        raise ValueError(f"power must be positive, got {p}")
-    vals = hermitian_eigenvalues(rho)
-    if vals[-1] < -EIGENVALUE_CLAMP:
-        raise ValueError(f"negative eigenvalue {vals[-1]:.3e}: not a valid state")
-    clamped = np.where(vals < ROUNDOFF_ZERO, 0.0, vals)
-    return float(np.sum(clamped**p))
+    """Trace of ``rho**p`` for a PSD Hermitian matrix, via its clamped
+    spectrum; ``p`` must be finite and positive."""
+    if not (p > 0 and np.isfinite(p)):
+        raise ValueError(f"power must be finite and positive, got {p}")
+    return float(np.sum(clamp_spectrum(hermitian_eigenvalues(rho)) ** p))

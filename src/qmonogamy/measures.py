@@ -4,6 +4,10 @@ Concurrence (pure-state formula, two-qubit spin-flip closed form, and a
 brute-force convex-roof minimization oracle), plus the analytic conversion
 functions g_q / f_alpha and the Tsallis-q / Renyi-alpha entanglement
 evaluators built on them.
+
+Every pure-state cut value takes one stacked route, ``cut_spectrum`` and
+then ``tsallis_of_spectrum``, ``renyi_of_spectrum`` or
+``squared_concurrence_of_spectrum``; the ``*_pure`` functions wrap it.
 """
 
 from __future__ import annotations
@@ -195,24 +199,45 @@ def f_alpha(x, alpha) -> float | np.ndarray:
     return _like(hi, vals)
 
 
-def _reduced_density(state: PureState, side_a) -> np.ndarray:
-    n = state.n_qubits
-    side = sorted(set(int(i) for i in side_a))
-    if not side or len(side) >= n or side[0] < 0 or side[-1] >= n:
-        raise ValueError(
-            f"side_a must be a nonempty proper subset of 0..{n - 1}, got {side}"
-        )
-    mat = state.amplitudes.reshape([2] * n)
-    rest = [q for q in range(n) if q not in side]
-    m = np.transpose(mat, side + rest).reshape(2 ** len(side), 2 ** len(rest))
-    return m @ m.conj().T
+def cut_spectrum(rho, n_qubits: int, side) -> np.ndarray:
+    """Descending, clamped spectrum of the reduced density on ``side``, a
+    nonempty proper subset of the qubits, of one density or of each member
+    of a stack (one row per member).  Every pure-cut entropy starts here."""
+    if len(set(side)) >= n_qubits:
+        raise ValueError(f"side {set(side)} must be a proper subset of the {n_qubits} qubits")
+    reduced = kernel.partial_trace(rho, n_qubits, side)
+    return kernel.clamp_spectrum(kernel.hermitian_eigenvalues(reduced))
+
+
+def tsallis_of_spectrum(lam, q):
+    """Tsallis-q entropy (1 - sum lam^q) / (q - 1) of each spectrum along
+    the last axis, clamped at 0.0."""
+    qv = _tsallis(q).q
+    # A product cut's roundoff-negative value or -0.0 becomes 0.0; with the
+    # arguments swapped, np.maximum would keep a -0.0.
+    return np.maximum((1.0 - np.sum(lam**qv, axis=-1)) / (qv - 1.0), 0.0)
+
+
+def renyi_of_spectrum(lam, alpha):
+    """Renyi-alpha entropy log2(sum lam^alpha) / (1 - alpha) of each
+    spectrum along the last axis, clamped at 0.0."""
+    av = _renyi(alpha).alpha
+    return np.maximum(np.log2(np.sum(lam**av, axis=-1)) / (1.0 - av), 0.0)
+
+
+def squared_concurrence_of_spectrum(lam):
+    """Squared concurrence 2 (1 - lam_0^2 - lam_1^2 - ...) of a pure state's
+    cut, of each spectrum along the last axis, clamped at 0.0."""
+    rest = 1.0
+    for k in range(lam.shape[-1]):
+        rest = rest - lam[..., k] ** 2
+    return np.maximum(2.0 * rest, 0.0)
 
 
 def concurrence_pure(state: PureState, side_a) -> float:
     """Concurrence sqrt(2 (1 - tr rho_A^2)) across the given bipartition."""
-    rho_a = _reduced_density(state, side_a)
-    purity = float(np.vdot(rho_a, rho_a).real)  # tr rho^2 for Hermitian rho
-    return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
+    spectrum = cut_spectrum(density(state), state.n_qubits, side_a)
+    return math.sqrt(squared_concurrence_of_spectrum(spectrum))
 
 
 def spin_flip_spectrum(rho) -> np.ndarray:
@@ -229,8 +254,7 @@ def spin_flip_spectrum(rho) -> np.ndarray:
     """
     arr = kernel.require_unit_trace(rho, dim=4)
     w, v = np.linalg.eigh(arr)
-    kernel.require_nonnegative(arr, w)
-    w = np.where(w < kernel.ROUNDOFF_ZERO, 0.0, w)  # keep sqrt off roundoff zeros
+    w = kernel.clamp_spectrum(w)
     root = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     # root @ YY: YY = sy x sy reverses the columns and negates the first and
     # the last.  Adding 0.0 gives the matmul's bits, which sums from 0.0.
@@ -248,11 +272,8 @@ def concurrence_two_qubit(rho) -> float | np.ndarray:
 
 def tsallis_pure(state: PureState, side_a, q) -> float:
     """Tsallis-q entanglement (1 - tr rho_A^q) / (q - 1) of a pure state."""
-    qv = _tsallis(q).q
-    rho_a = _reduced_density(state, side_a)
-    # A product cut gives 0 / (q - 1), which roundoff can push below 0 (or
-    # make -0.0 for q < 1); the clamp makes it 0.0.
-    return max(0.0, (1.0 - kernel.trace_power(rho_a, qv)) / (qv - 1.0))
+    spectrum = cut_spectrum(density(state), state.n_qubits, side_a)
+    return float(tsallis_of_spectrum(spectrum, q))
 
 
 def tsallis_two_qubit(rho, q) -> float:
@@ -263,11 +284,8 @@ def tsallis_two_qubit(rho, q) -> float:
 
 def renyi_pure(state: PureState, side_a, alpha) -> float:
     """Renyi-alpha entanglement log2(tr rho_A^alpha) / (1 - alpha)."""
-    av = _renyi(alpha).alpha
-    rho_a = _reduced_density(state, side_a)
-    # A product cut gives log2(1) / (1 - alpha), which roundoff can push
-    # below 0 (or make -0.0 for alpha > 1); the clamp makes it 0.0.
-    return max(0.0, math.log2(kernel.trace_power(rho_a, av)) / (1.0 - av))
+    spectrum = cut_spectrum(density(state), state.n_qubits, side_a)
+    return float(renyi_of_spectrum(spectrum, alpha))
 
 
 def renyi_two_qubit(rho, alpha) -> float:

@@ -8,21 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
+
 NORM_TOL = 1e-10
-
-
-def _qubit_count(n) -> int:
-    """``n`` as an int: an integer, or a float with an integral value."""
-    if isinstance(n, float) and n.is_integer():  # False for 3.7, NaN and inf
-        return int(n)
-    if isinstance(n, numbers.Integral) and not isinstance(n, bool):
-        return int(n)
-    raise ValueError(f"n_qubits must be an integer, got {n!r}")
 
 
 def _beyond_float_range(field: str) -> ValueError:
@@ -45,7 +37,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = _qubit_count(self.n_qubits)
+        n = kernel.as_integer(self.n_qubits, "n_qubits")
         if n < 1:
             raise ValueError(f"n_qubits must be >= 1, got {n}")
         try:
@@ -174,11 +166,9 @@ def haar_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_pure_state(n_qubits: int, seed: int) -> PureState:
-    """Seeded Haar-random pure state on 1..4 qubits (PCG64 stream)."""
-    if not 1 <= n_qubits <= 4:
-        raise ValueError(f"n_qubits must be in 1..4, got {n_qubits}")
-    rng = np.random.default_rng(seed)
-    return PureState(n_qubits, haar_state_vector(2**n_qubits, rng))
+    """Seeded Haar-random pure state on 1..4 qubits (PCG64 stream), the one
+    row of ``random_pure_states(n_qubits, 1, seed)``."""
+    return PureState(n_qubits, random_pure_states(n_qubits, 1, seed)[0])
 
 
 def random_pure_states(n_qubits: int, count: int, seed: int) -> np.ndarray:
@@ -188,6 +178,7 @@ def random_pure_states(n_qubits: int, count: int, seed: int) -> np.ndarray:
     The first ``k`` rows of any batch equal the first ``k`` of a longer
     batch with the same seed, so enlarging a sweep only appends states.
     """
+    n_qubits = kernel.as_integer(n_qubits, "n_qubits")
     if not 1 <= n_qubits <= 4:
         raise ValueError(f"n_qubits must be in 1..4, got {n_qubits}")
     rng = np.random.default_rng(seed)

@@ -177,18 +177,23 @@ def _pair_spectra(pts, squared):
     return [measures.qubit_spectrum(c**2 if squared else c, squared=squared) for c in pairs]
 
 
+def _pivot_spectrum(pts):
+    """The pivot cut spectrum, one row ``(lam_hi, lam_lo)`` per state."""
+    return np.stack([pts["lam_hi"], pts["lam_lo"]], axis=-1)
+
+
 def _tsallis_state_triple(pts, q):
-    """Spectral T_q of the pivot marginal, then the larger and the smaller
-    of g_q(C_ab^2) and g_q(C_ac^2)."""
-    full = (1.0 - (pts["lam_hi"] ** q + pts["lam_lo"] ** q)) / (q - 1.0)
+    """T_q of the pivot cut, then the larger and the smaller of g_q(C_ab^2)
+    and g_q(C_ac^2)."""
+    full = measures.tsallis_of_spectrum(_shared(pts, _pivot_spectrum), q)
     t_ab, t_ac = (measures.g_q(s, q) for s in _shared(pts, _pair_spectra, True))
     return full, np.maximum(t_ab, t_ac), np.minimum(t_ab, t_ac)
 
 
 def _renyi_state_triple(pts, a):
-    """Spectral E_alpha of the pivot marginal, then the larger and the
-    smaller of f_alpha(C_ab) and f_alpha(C_ac)."""
-    full = np.log2(pts["lam_hi"] ** a + pts["lam_lo"] ** a) / (1.0 - a)
+    """E_alpha of the pivot cut, then the larger and the smaller of
+    f_alpha(C_ab) and f_alpha(C_ac)."""
+    full = measures.renyi_of_spectrum(_shared(pts, _pivot_spectrum), a)
     r_ab, r_ac = (measures.f_alpha(s, a) for s in _shared(pts, _pair_spectra, False))
     return full, np.maximum(r_ab, r_ac), np.minimum(r_ab, r_ac)
 
@@ -224,8 +229,7 @@ def _powered(triple, index: str, power: str):
 
 
 def _margin_ckw(pts, combo):
-    c2_full = pts["c2_full"]
-    return c2_full - pts["c_ab"] ** 2 - pts["c_ac"] ** 2
+    return pts["c2_full"] - pts["c_ab"] ** 2 - pts["c_ac"] ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -579,34 +583,24 @@ def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, np.ndarray]:
 def _state_tables(n_states: int, seed: int) -> dict[str, np.ndarray]:
     """Per-state quantities every state-level family consumes.
 
-    For each sampled 3-qubit pure state: the two eigenvalues of the pivot
-    marginal (pivot = qubit 0) and the closed-form concurrences of the two
-    pair marginals.  States go through the kernel as stacks of
+    For each sampled 3-qubit pure state: the spectrum and the squared
+    concurrence of the pivot cut (pivot = qubit 0), and the closed-form
+    concurrences of the two pair marginals.  States go through the kernel as stacks of
     ``_STATE_BLOCK``, which keeps memory flat in the state count.
     """
     amplitudes = states.random_pure_states(3, n_states, seed)
-    lam_hi = np.empty(n_states)
-    lam_lo = np.empty(n_states)
-    c_ab = np.empty(n_states)
-    c_ac = np.empty(n_states)
+    table = {name: np.empty(n_states) for name in ("lam_hi", "lam_lo", "c_ab", "c_ac", "c2_full")}
+    table["index"] = np.arange(n_states, dtype=float)
     for start in range(0, n_states, _STATE_BLOCK):
         block = slice(start, start + _STATE_BLOCK)
         amps = amplitudes[block]
         rho = amps[:, :, None] * amps[:, None, :].conj()  # |psi><psi| per state
-        spectrum = kernel.hermitian_eigenvalues(kernel.partial_trace(rho, 3, {0}))
-        lam_hi[block] = np.maximum(spectrum[:, 0], 0.0)
-        lam_lo[block] = np.maximum(spectrum[:, 1], 0.0)
-        c_ab[block] = measures.concurrence_two_qubit(kernel.partial_trace(rho, 3, {0, 1}))
-        c_ac[block] = measures.concurrence_two_qubit(kernel.partial_trace(rho, 3, {0, 2}))
-    c2_full = 2.0 * (1.0 - lam_hi**2 - lam_lo**2)
-    return {
-        "index": np.arange(n_states, dtype=float),
-        "lam_hi": lam_hi,
-        "lam_lo": lam_lo,
-        "c_ab": c_ab,
-        "c_ac": c_ac,
-        "c2_full": np.maximum(c2_full, 0.0),
-    }
+        spectrum = measures.cut_spectrum(rho, 3, {0})
+        table["lam_hi"][block], table["lam_lo"][block] = spectrum.T
+        table["c2_full"][block] = measures.squared_concurrence_of_spectrum(spectrum)
+        for name, keep in (("c_ab", {0, 1}), ("c_ac", {0, 2})):
+            table[name][block] = measures.concurrence_two_qubit(kernel.partial_trace(rho, 3, keep))
+    return table
 
 
 def _sweep(spec: SweepSpec) -> SweepReport:

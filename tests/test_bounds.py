@@ -414,6 +414,13 @@ class TestOrderingCertificate:
         with pytest.raises(ValueError):
             bounds.ordering_certificate(st, 0, (1,), [0.1])
 
+    @pytest.mark.parametrize("pivot,order", [(0.5, [1.5, 2]), (0, [1.5, 2]), (0.5, [1, 2])])
+    def test_non_integral_qubit_indices_rejected(self, pivot, order):
+        # int() truncated them, so pivot 0.5 was certified as pivot 0.
+        st = states.random_pure_state(3, 0)
+        with pytest.raises(ValueError, match="must be an integer, got 0.5|got 1.5"):
+            bounds.ordering_certificate(st, pivot, order, [0.1, 0.2])
+
     def test_rejects_a_bad_table(self):
         st = example_state()
         table = pair_concurrences(st, 0, (2, 1))

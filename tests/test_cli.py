@@ -17,8 +17,9 @@ from qmonogamy import cli, measures, states, verify
 
 WINDOW_ALPHA = measures.RENYI_ANALYTIC_MIN
 
-# sha256 of the figure 2 and 3 CSVs; any change to the bound arithmetic shows.
+# sha256 of the figure CSVs; any change to the bound arithmetic shows.
 FIGURE_SHA256 = {
+    1: "1fd8d42ee854df54efbecb4976e08885c1522f34dd639c19f961471f7ea7b2ab",
     2: "6017ca2038619b5e7489267769499d3b9db297bf354a2187887141bc671667bc",
     3: "8d41dc918bb836b11f17ef00a69f55dc3305133082c35dc28448af790a523e8e",
 }
@@ -32,11 +33,18 @@ EVALUATE_CONFIGS = (
     ("renyi", repr(WINDOW_ALPHA), "3"),
 )
 EVALUATE_SHA256 = {
-    "canonical": "66eb168a20bf1810d2e9ad4cb91d78c3f13cf98a80d277d993046bfff22b6dc3",
-    "haar-3-11": "85986bdbd255e02d3125e7f524a57b127e6389ecf6947313e7349b886666f742",
-    "haar-3-12": "cfa09c8ca9cea65e0116cfad204d3dd06960f0c5ca0fda331370bc9361bf34e0",
-    "haar-4-21": "1f7c306cb2aeaba173d63b60e078bc1b5f7be00efd1dfaf5c23468ec16c72d34",
-    "haar-4-22": "8882a63a412c7ae675a4212474d6c4ca5af7da8ca4ce17a76c9c1a2ddeacff29",
+    "canonical": "f3411e97a37e435bfa09b9afe4f81e33807c69977eceef3d0f2bbdf1f8f0c2ed",
+    "haar-3-11": "7b347be3527c274d42d92205708435e7eb4e75602ede28abb6b74b2c934290ec",
+    "haar-3-12": "a49e752840a039dcb3edaace488a17a2e6aba7b0aaf85bffed176aa533e752f7",
+    "haar-4-21": "27a40245ffec5d04336c7e1cd979c18e5e0672f89e59cfbead92ccf3c9c78224",
+    "haar-4-22": "24c37751e49bcbf63b2ae5879b600df262f75ef2e3417884c4e251a6a90e202d",
+}
+
+# sha256 of the stdout of two larger seeded state sweeps: every byte of the
+# state table's path shows, not only the minimum.
+SWEEP_SHA256 = {
+    ("ckw", "5000", "11"): "5bc403cf0c0233c16996f25c57a8aa45fd86cde4c3b3600e952acb62cd0a278d",
+    ("remark3", "3000", "7919"): "80d72e3b474b5271b4f04ce7283f343d430b26f8cce3700ee55ed9b6f03a8f8c",
 }
 
 # (family, points, min_margin, argmin) of every default `sweep <family>`.
@@ -199,6 +207,12 @@ class TestSweep:
         assert data["min_margin"] == min_margin
         assert tuple(data["argmin"]) == argmin
         assert data["violations"] == []
+
+    @pytest.mark.parametrize("family,count,seed", sorted(SWEEP_SHA256))
+    def test_seeded_state_sweep_stdout_pinned(self, family, count, seed, capsys):
+        code, out, err = run(["sweep", family, "--states", count, "--seed", seed], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[family, count, seed]
 
     def test_overflowing_margins_are_counted(self, capsys):
         # 2**mu overflows above mu = 1024: those margins are NaN or infinite.

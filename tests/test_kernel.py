@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,24 @@ class TestPartialTrace:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             kernel.partial_trace(np.eye(4, dtype=complex) / 4.0, 2, {2})
+
+    @pytest.mark.parametrize("index", [1.9, 0.5, math.nan, True, "1"])
+    def test_non_integral_index_rejected(self, index):
+        # int() would truncate 1.9 and keep qubit 1.
+        rho = np.eye(8, dtype=complex) / 8.0
+        with pytest.raises(ValueError, match="qubit index must be an integer"):
+            kernel.partial_trace(rho, 3, [index])
+
+    @pytest.mark.parametrize("n_qubits", [2.5, math.inf, "3"])
+    def test_non_integral_qubit_count_rejected(self, n_qubits):
+        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+            kernel.partial_trace(np.eye(8, dtype=complex) / 8.0, n_qubits, [0])
+
+    def test_integral_floats_and_numpy_ints_are_indices(self):
+        rho = states.density(example_state())
+        reference = kernel.partial_trace(rho, 3, [1, 2])
+        for n_qubits, keep in [(3.0, [1.0, 2.0]), (np.int64(3), np.array([1, 2]))]:
+            assert np.array_equal(kernel.partial_trace(rho, n_qubits, keep), reference)
 
 
 class TestHermitianEigenvalues:
@@ -201,3 +221,9 @@ class TestTracePower:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             kernel.trace_power(I2 / 2.0, 0.0)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf])
+    def test_rejects_non_finite_power(self, power):
+        # NaN passed the sign check and returned nan; inf returned 0.0.
+        with pytest.raises(ValueError, match=f"power must be finite and positive, got {power}"):
+            kernel.trace_power(I2 / 2.0, power)

@@ -32,6 +32,14 @@ def bell_state():
     return states.PureState(2, v)
 
 
+# The three pure-cut wrappers and the index arguments they take after the side.
+PURE_CUT_WRAPPERS = [
+    (measures.concurrence_pure, ()),
+    (measures.tsallis_pure, (2.0,)),
+    (measures.renyi_pure, (1.5,)),
+]
+
+
 class TestParams:
     def test_tsallis_gates(self):
         with pytest.raises(ValueError):
@@ -324,13 +332,12 @@ class TestConcurrencePure:
         assert measures.concurrence_pure(entangled, {0}) > 1e-3
 
     def test_side_must_be_proper_subset(self):
+        # Every pure-cut wrapper takes its side through measures.cut_spectrum.
         st = bell_state()
-        with pytest.raises(ValueError):
-            measures.concurrence_pure(st, set())
-        with pytest.raises(ValueError):
-            measures.concurrence_pure(st, {0, 1})
-        with pytest.raises(ValueError):
-            measures.concurrence_pure(st, {2})
+        for wrapper, args in PURE_CUT_WRAPPERS:
+            for side in (set(), {0, 1}, {2}, [0, 1.0]):
+                with pytest.raises(ValueError):
+                    wrapper(st, side, *args)
 
 
 class TestConcurrenceTwoQubit:
@@ -449,14 +456,26 @@ class TestRenyiEvaluators:
             assert abs(spectral - measures.f_alpha(c, 2.0)) < 1e-9
 
 
-@pytest.mark.parametrize("entropy,index", [("tsallis_pure", 2.0), ("renyi_pure", 1.5)])
+@pytest.mark.parametrize(
+    "entropy,index", [("tsallis_pure", 2.0), ("renyi_pure", 1.5), ("concurrence_pure", None)]
+)
 def test_roundoff_product_cut_is_zero(entropy, index):
     # Qubit 2 of (|0000> + |1100>)/sqrt(2), amplitudes rounded up: the cut's
     # trace power lands a hair off 1 and the entropy a hair below 0.
     amps = np.zeros(16)
     amps[0] = amps[12] = 0.7071067811865476
-    value = getattr(measures, entropy)(states.PureState(4, amps), {2}, index)
+    args = () if index is None else (index,)
+    value = getattr(measures, entropy)(states.PureState(4, amps), {2}, *args)
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize(
+    "wrapper,args", PURE_CUT_WRAPPERS, ids=[w.__name__ for w, _ in PURE_CUT_WRAPPERS]
+)
+def test_non_integral_side_rejected(wrapper, args):
+    # int() truncated 0.5 and computed the cut {0}.
+    with pytest.raises(ValueError, match="qubit index must be an integer, got 0.5"):
+        wrapper(states.random_pure_state(3, 5), [0.5], *args)
 
 
 class TestMonogamyChain:

@@ -1,4 +1,4 @@
-"""Stacked inputs to the kernel and the spin-flip measures.
+"""Stacked inputs to the kernel, the spin-flip measures and the pure-cut layer.
 
 A stack of matrices must give, member by member, exactly what one call per
 matrix gives, and its validation must name the first bad member.
@@ -75,6 +75,52 @@ class TestStackEqualsPerMatrix:
             spectra = measures.spin_flip_spectrum(reduced)
             for matrix, spectrum in zip(reduced, spectra):
                 assert np.array_equal(spectrum, measures.spin_flip_spectrum(matrix))
+
+
+@st.composite
+def pure_stacks(draw):
+    """A stack of seeded Haar pure-state densities on 2 to 4 qubits."""
+    n_qubits = draw(st.sampled_from([2, 3, 4]))
+    count = draw(st.integers(1, 5))
+    amps = states.random_pure_states(n_qubits, count, draw(st.integers(0, 2**32 - 1)))
+    return n_qubits, amps, amps[:, :, None] * amps[:, None, :].conj()
+
+
+def proper_sides(n_qubits):
+    qubits = range(n_qubits)
+    return [set(s) for k in range(1, n_qubits) for s in itertools.combinations(qubits, k)]
+
+
+class TestPureCutLayer:
+    @SETTINGS
+    @given(pure_stacks())
+    def test_stack_equals_single_calls(self, stack):
+        n_qubits, _, rhos = stack
+        for side in proper_sides(n_qubits):
+            stacked = measures.cut_spectrum(rhos, n_qubits, side)
+            assert stacked.shape == (len(rhos), 2 ** len(side))
+            for rho, spectrum in zip(rhos, stacked):
+                assert spectrum.tobytes() == measures.cut_spectrum(rho, n_qubits, side).tobytes()
+
+    @SETTINGS
+    @given(pure_stacks(), st.sampled_from([0.8, 2.0, 2.5, 3.0]))
+    def test_wrappers_equal_the_layer(self, stack, index):
+        n_qubits, amps, rhos = stack
+        for side in proper_sides(n_qubits):
+            spectra = measures.cut_spectrum(rhos, n_qubits, side)
+            layer = {
+                measures.tsallis_pure: measures.tsallis_of_spectrum(spectra, index),
+                measures.renyi_pure: measures.renyi_of_spectrum(spectra, index),
+                measures.concurrence_pure: np.sqrt(
+                    measures.squared_concurrence_of_spectrum(spectra)
+                ),
+            }
+            for i, row in enumerate(amps):
+                state = states.PureState(n_qubits, row)
+                for wrapper, values in layer.items():
+                    args = () if wrapper is measures.concurrence_pure else (index,)
+                    value = wrapper(state, side, *args)
+                    assert np.float64(value).tobytes() == values[i].tobytes(), wrapper
 
 
 def spoil(member, kind):

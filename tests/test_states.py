@@ -139,6 +139,16 @@ class TestRandomPureState:
         with pytest.raises(ValueError):
             states.random_pure_state(0, 0)
 
+    @pytest.mark.parametrize("sampler", [
+        lambda n: states.random_pure_state(n, 1).amplitudes,
+        lambda n: states.random_pure_states(n, 3, 1),
+    ], ids=["random_pure_state", "random_pure_states"])
+    def test_non_integral_qubit_count_is_a_value_error(self, sampler):
+        # 2.5 passed the range check and then failed with a TypeError.
+        with pytest.raises(ValueError, match="n_qubits must be an integer, got 2.5"):
+            sampler(2.5)
+        assert np.array_equal(sampler(3.0), sampler(3))
+
     def test_marginal_purity_haar_average(self):
         # Two-qubit Haar states have E[tr rho_A^2] = 4/5.
         rng = np.random.default_rng(2024)
