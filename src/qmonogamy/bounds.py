@@ -151,7 +151,8 @@ def power_chain(x, p):
         if np.ndim(p) == 0:
             mu = float(mu)
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    # Written so that NaN, for which every comparison is False, fails.
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("x outside [0, 1]")
     lhs = (1.0 + arr) ** mu
     # Every power of e1 = 1 is exactly 1.  A generator keeps one array of
@@ -166,7 +167,8 @@ def power_chain(x, p):
 def _check_ordered(e1, e2):
     a = np.asarray(e1, dtype=float)
     b = np.asarray(e2, dtype=float)
-    if np.any(a < 0.0) or np.any(b < 0.0):
+    # Written so that NaN, for which every comparison is False, fails.
+    if not (np.all(a >= 0.0) and np.all(b >= 0.0)):
         raise ValueError("entanglement values must be nonnegative")
     if np.any(a < b):
         raise ValueError("hypothesis violated: e1 < e2 (caller must order)")
@@ -261,6 +263,7 @@ def chain_bound(values, m: int, p, coupling: str = "linear", tail: str = "new"):
     if not all(math.isfinite(v) and v >= 0.0 for v in vals):
         raise ValueError(f"entanglement values must be finite and nonnegative, got {vals}")
     n = n_minus_1 + 1
+    m = kernel.as_integer(m, "split index")
     if not 0 <= m <= n - 2:
         raise ValueError(f"split index {m} outside 0..{n - 2}")
     h = param.h

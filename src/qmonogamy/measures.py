@@ -1,13 +1,16 @@
 """Entanglement measures for qubit states.
 
 Concurrence (pure-state formula, two-qubit spin-flip closed form, and a
-brute-force convex-roof minimization oracle), plus the analytic conversion
-functions g_q / f_alpha and the Tsallis-q / Renyi-alpha entanglement
-evaluators built on them.
+brute-force convex-roof minimization oracle), plus the Tsallis-q and
+Renyi-alpha entanglement of pure cuts and of two-qubit states.
 
+There is one Tsallis formula, ``tsallis_of_spectrum``, and one Renyi
+formula, ``renyi_of_spectrum``; each takes spectra along the last axis.
 Every pure-state cut value takes one stacked route, ``cut_spectrum`` and
-then ``tsallis_of_spectrum``, ``renyi_of_spectrum`` or
-``squared_concurrence_of_spectrum``; the ``*_pure`` functions wrap it.
+then one of them (the squared concurrence is ``2 T_2``); the ``*_pure``
+functions wrap it.  The analytic conversions ``g_q(C^2)`` and
+``f_alpha(C)`` are the same formulas on the two-eigenvalue
+``qubit_spectrum`` of a concurrence, after an index-window check.
 """
 
 from __future__ import annotations
@@ -125,9 +128,10 @@ def _renyi(p) -> RenyiParam:
 
 def _checked_unit_interval(x, name: str):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > 1.0 + _DOMAIN_SLACK):
-        bad = arr[(arr < -_DOMAIN_SLACK) | (arr > 1.0 + _DOMAIN_SLACK)]
-        raise ValueError(f"{name} outside [0, 1]: {np.ravel(bad)[:4]}")
+    # Written so that NaN, for which every comparison is False, fails.
+    inside = (arr >= -_DOMAIN_SLACK) & (arr <= 1.0 + _DOMAIN_SLACK)
+    if not np.all(inside):
+        raise ValueError(f"{name} outside [0, 1]: {np.ravel(arr[~inside])[:4]}")
     return np.clip(arr, 0.0, 1.0)
 
 
@@ -135,68 +139,47 @@ def _like(x, values: np.ndarray):
     return float(values) if np.ndim(x) == 0 else values
 
 
-class QubitSpectrum(NamedTuple):
-    """Eigenvalues ``hi >= lo`` of the qubit marginal of a two-qubit pure
-    state, ``(1 +- sqrt(1 - C^2)) / 2`` for its concurrence C.
-
-    It does not depend on the entropy index, so one spectrum serves
-    ``g_q`` and ``f_alpha`` at every q or alpha.
-    """
-
-    hi: float | np.ndarray
-    lo: float | np.ndarray
-
-
-def qubit_spectrum(x, *, squared: bool) -> QubitSpectrum:
-    """Qubit spectrum of a squared concurrence ``x`` (``squared=True``, the
-    argument of ``g_q``) or of a concurrence ``x`` (the argument of
-    ``f_alpha``); array inputs give array eigenvalues.
-
-    ``x`` must lie in [0, 1] up to ``_DOMAIN_SLACK``, which is clipped away.
+def qubit_spectrum(x, *, squared: bool) -> np.ndarray:
+    """Descending spectrum ``(1 +- sqrt(1 - C^2)) / 2`` of the qubit marginal
+    of a two-qubit pure state, one row per entry of ``x``: ``x`` is C^2
+    (``squared``, as for ``g_q``) or C (as for ``f_alpha``), in [0, 1] up to
+    ``_DOMAIN_SLACK``, which is clipped away.  The rows are a view of a
+    ``(2, ...)`` array, so each eigenvalue column is contiguous.
     """
     arr = _checked_unit_interval(x, "x")
     root = np.sqrt(np.maximum(0.0, 1.0 - (arr if squared else arr * arr)))
-    return QubitSpectrum((1.0 + root) / 2.0, (1.0 - root) / 2.0)
+    return np.moveaxis(np.array([(1.0 + root) / 2.0, (1.0 - root) / 2.0]), 0, -1)
 
 
 def g_q(x, q) -> float | np.ndarray:
     """Tsallis-q entanglement of a two-qubit pure state with squared
-    concurrence ``x``, or of a ``QubitSpectrum`` (the same bits as its
-    squared concurrence).
+    concurrence ``x``: the Tsallis-q entropy of its ``qubit_spectrum``.
 
     Increasing and convex on [0, 1], with g_q(0) = 0.  Valid for q inside
     the analytic window (roughly 0.697 .. 4.303); array inputs broadcast.
     """
     param = _tsallis(q)
-    qv = param.q
     if not param.analytic:
         raise ValueError(
-            f"q {qv} outside the analytic window "
+            f"q {param.q} outside the analytic window "
             f"[{TSALLIS_ANALYTIC_MIN:.6f}, {TSALLIS_ANALYTIC_MAX:.6f}]"
         )
-    hi, lo = x if isinstance(x, QubitSpectrum) else qubit_spectrum(x, squared=True)
-    # A zero numerator over q - 1 < 0 is -0.0; adding 0.0 makes it 0.0.
-    vals = (1.0 - hi**qv - lo**qv) / (qv - 1.0) + 0.0
-    return _like(hi, vals)
+    return _like(x, tsallis_of_spectrum(qubit_spectrum(x, squared=True), param))
 
 
 def f_alpha(x, alpha) -> float | np.ndarray:
-    """Renyi-alpha entanglement of a two-qubit state with concurrence ``x``,
-    or of a ``QubitSpectrum`` (the same bits as its concurrence).
+    """Renyi-alpha entanglement of a two-qubit state with concurrence ``x``:
+    the Renyi-alpha entropy of its ``qubit_spectrum``.
 
     Increasing and convex on [0, 1] for alpha >= (sqrt(7)-1)/2, with
     f_alpha(0) = 0 and f_alpha(1) = 1; array inputs broadcast.
     """
     param = _renyi(alpha)
-    av = param.alpha
     if not param.analytic:
         raise ValueError(
-            f"alpha {av} below the analytic threshold {RENYI_ANALYTIC_MIN:.6f}"
+            f"alpha {param.alpha} below the analytic threshold {RENYI_ANALYTIC_MIN:.6f}"
         )
-    hi, lo = x if isinstance(x, QubitSpectrum) else qubit_spectrum(x, squared=False)
-    # log2(1) / (1 - alpha) is -0.0 for alpha > 1; adding 0.0 makes it 0.0.
-    vals = np.log2(hi**av + lo**av) / (1.0 - av) + 0.0
-    return _like(hi, vals)
+    return _like(x, renyi_of_spectrum(qubit_spectrum(x, squared=False), param))
 
 
 def cut_spectrum(rho, n_qubits: int, side) -> np.ndarray:
@@ -211,27 +194,41 @@ def cut_spectrum(rho, n_qubits: int, side) -> np.ndarray:
 
 def tsallis_of_spectrum(lam, q):
     """Tsallis-q entropy (1 - sum lam^q) / (q - 1) of each spectrum along
-    the last axis, clamped at 0.0."""
+    the last axis, clamped at 0.0.  The whole array is raised to the power
+    at once, so one spectrum gives the bits it gets as a member of a stack.
+    """
     qv = _tsallis(q).q
+    powers = lam**qv
+    rest = 1.0
+    for k in range(powers.shape[-1]):
+        rest = rest - powers[..., k]
     # A product cut's roundoff-negative value or -0.0 becomes 0.0; with the
     # arguments swapped, np.maximum would keep a -0.0.
-    return np.maximum((1.0 - np.sum(lam**qv, axis=-1)) / (qv - 1.0), 0.0)
+    return np.maximum(rest / (qv - 1.0), 0.0)
 
 
 def renyi_of_spectrum(lam, alpha):
     """Renyi-alpha entropy log2(sum lam^alpha) / (1 - alpha) of each
-    spectrum along the last axis, clamped at 0.0."""
+    spectrum along the last axis, clamped at 0.0; powers as in
+    ``tsallis_of_spectrum``."""
     av = _renyi(alpha).alpha
-    return np.maximum(np.log2(np.sum(lam**av, axis=-1)) / (1.0 - av), 0.0)
+    shift = 0.0
+    # The top of k eigenvalues is >= 1/k, so only past alpha log2(k) ~ 1022
+    # can every power underflow; there the top comes out of the sum first.
+    if av * math.log2(lam.shape[-1]) > 1000.0:
+        top = np.max(lam, axis=-1, keepdims=True)
+        lam, shift = lam / top, av * np.log2(top[..., 0])
+    powers = lam**av
+    total = powers[..., 0]
+    for k in range(1, powers.shape[-1]):
+        total = total + powers[..., k]
+    return np.maximum((shift + np.log2(total)) / (1.0 - av), 0.0)
 
 
 def squared_concurrence_of_spectrum(lam):
-    """Squared concurrence 2 (1 - lam_0^2 - lam_1^2 - ...) of a pure state's
-    cut, of each spectrum along the last axis, clamped at 0.0."""
-    rest = 1.0
-    for k in range(lam.shape[-1]):
-        rest = rest - lam[..., k] ** 2
-    return np.maximum(2.0 * rest, 0.0)
+    """Squared concurrence 2 (1 - lam_0^2 - lam_1^2 - ...) = 2 T_2 of a pure
+    state's cut, of each spectrum along the last axis, clamped at 0.0."""
+    return 2.0 * tsallis_of_spectrum(lam, 2.0)
 
 
 def concurrence_pure(state: PureState, side_a) -> float:

@@ -144,26 +144,26 @@ def _shared(pts, fn, *args):
     return held[1]
 
 
-def _g_spectra(pts):
-    """Qubit spectra of the squared concurrences x^2 + y^2, x^2 and y^2."""
+# Per index name: whether its qubit spectra take squared concurrences (g_q)
+# or concurrences (f_alpha), and the ``measures`` entropy, looked up by name
+# at call time like every callee.
+_ENTROPIES = {"q": (True, "tsallis_of_spectrum"), "alpha": (False, "renyi_of_spectrum")}
+
+
+def _grid_spectra(pts, squared):
+    """Qubit spectra of the squared concurrences x^2 + y^2, x^2 and y^2
+    (``squared``), or of the concurrences min(1, hypot(x, y)), x and y."""
     x, y = pts["x"], pts["y"]
-    return [measures.qubit_spectrum(c2, squared=True) for c2 in (x * x + y * y, x * x, y * y)]
+    values = (x * x + y * y, x * x, y * y) if squared else (_hypot_clamped(x, y), x, y)
+    return [measures.qubit_spectrum(v, squared=squared) for v in values]
 
 
-def _f_spectra(pts):
-    """Qubit spectra of the concurrences min(1, hypot(x, y)), x and y."""
-    x, y = pts["x"], pts["y"]
-    return [measures.qubit_spectrum(c, squared=False) for c in (_hypot_clamped(x, y), x, y)]
-
-
-def _g_triple(pts, q):
-    """g_q of x^2 + y^2, x^2 and y^2."""
-    return tuple(measures.g_q(s, q) for s in _shared(pts, _g_spectra))
-
-
-def _f_triple(pts, a):
-    """f_alpha of min(1, hypot(x, y)), x and y."""
-    return tuple(measures.f_alpha(s, a) for s in _shared(pts, _f_spectra))
+def _grid_triple(pts, index, value):
+    """g_q of x^2 + y^2, x^2 and y^2 (``index`` "q"), or f_alpha of
+    min(1, hypot(x, y)), x and y (``index`` "alpha"), at ``value``."""
+    squared, entropy = _ENTROPIES[index]
+    spectra = _shared(pts, _grid_spectra, squared)
+    return tuple(getattr(measures, entropy)(s, value) for s in spectra)
 
 
 def _margin_power_chain(pts, combo):
@@ -178,24 +178,20 @@ def _pair_spectra(pts, squared):
 
 
 def _pivot_spectrum(pts):
-    """The pivot cut spectrum, one row ``(lam_hi, lam_lo)`` per state."""
-    return np.stack([pts["lam_hi"], pts["lam_lo"]], axis=-1)
+    """The pivot cut spectrum, one row ``(lam_hi, lam_lo)`` per state, each
+    column contiguous."""
+    return np.array([pts["lam_hi"], pts["lam_lo"]]).T
 
 
-def _tsallis_state_triple(pts, q):
-    """T_q of the pivot cut, then the larger and the smaller of g_q(C_ab^2)
-    and g_q(C_ac^2)."""
-    full = measures.tsallis_of_spectrum(_shared(pts, _pivot_spectrum), q)
-    t_ab, t_ac = (measures.g_q(s, q) for s in _shared(pts, _pair_spectra, True))
-    return full, np.maximum(t_ab, t_ac), np.minimum(t_ab, t_ac)
-
-
-def _renyi_state_triple(pts, a):
-    """E_alpha of the pivot cut, then the larger and the smaller of
-    f_alpha(C_ab) and f_alpha(C_ac)."""
-    full = measures.renyi_of_spectrum(_shared(pts, _pivot_spectrum), a)
-    r_ab, r_ac = (measures.f_alpha(s, a) for s in _shared(pts, _pair_spectra, False))
-    return full, np.maximum(r_ab, r_ac), np.minimum(r_ab, r_ac)
+def _state_triple(pts, index, value):
+    """The entropy of the pivot cut, then the larger and the smaller of
+    g_q(C_ab^2) and g_q(C_ac^2) (``index`` "q", Tsallis), or of f_alpha(C_ab)
+    and f_alpha(C_ac) (``index`` "alpha", Renyi), at ``value``."""
+    squared, entropy = _ENTROPIES[index]
+    of_spectrum = getattr(measures, entropy)
+    full = of_spectrum(_shared(pts, _pivot_spectrum), value)
+    ab, ac = (of_spectrum(s, value) for s in _shared(pts, _pair_spectra, squared))
+    return full, np.maximum(ab, ac), np.minimum(ab, ac)
 
 
 def _additive(triple, index: str, k: int):
@@ -203,7 +199,7 @@ def _additive(triple, index: str, k: int):
     ``index`` (the superadditivity lemmas)."""
 
     def margin(pts, combo):
-        z, x, y = _shared(pts, triple, combo[index])
+        z, x, y = _shared(pts, triple, index, combo[index])
         if k != 1:
             z, x, y = z**k, x**k, y**k
         return z - x - y
@@ -217,7 +213,7 @@ def _powered(triple, index: str, power: str):
     ``power``; a power named gamma takes the squared coupling."""
 
     def margin(pts, combo):
-        full, e1, e2 = _shared(pts, triple, combo[index])
+        full, e1, e2 = _shared(pts, triple, index, combo[index])
         p = combo[power]
         if power == "gamma":
             param, coupling = bounds.PowerParam.from_gamma(p), "squared"
@@ -297,7 +293,7 @@ _register(
         "grid",
         axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
         params=(("q", _Q_SUPER_DEFAULT),),
-        margin=_additive(_g_triple, "q", 1),
+        margin=_additive(_grid_triple, "q", 1),
         domain=_domain_disc,
         gates=(
             ("x", *_UNIT),
@@ -312,7 +308,7 @@ _register(
         "grid",
         axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
         params=(("alpha", (2.0, 2.5, 3.0, 4.0)),),
-        margin=_additive(_f_triple, "alpha", 1),
+        margin=_additive(_grid_triple, "alpha", 1),
         domain=_domain_disc,
         gates=(
             ("x", *_UNIT),
@@ -327,7 +323,7 @@ _register(
         "grid",
         axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
         params=(("alpha", (_WINDOW_MIN, 1.2, 1.5, 1.9)),),
-        margin=_additive(_f_triple, "alpha", 2),
+        margin=_additive(_grid_triple, "alpha", 2),
         domain=_domain_disc,
         gates=(
             ("x", *_UNIT),
@@ -342,7 +338,7 @@ _register(
         "grid",
         axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
         params=(("q", (2.0, 2.5, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
-        margin=_powered(_g_triple, "q", "mu"),
+        margin=_powered(_grid_triple, "q", "mu"),
         domain=_domain_disc_ordered,
         gates=(
             ("x", *_UNIT),
@@ -358,7 +354,7 @@ _register(
         "grid",
         axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
         params=(("alpha", (2.0, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
-        margin=_powered(_f_triple, "alpha", "mu"),
+        margin=_powered(_grid_triple, "alpha", "mu"),
         domain=_domain_disc_ordered,
         gates=(
             ("x", *_UNIT),
@@ -374,7 +370,7 @@ _register(
         "grid",
         axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
         params=(("alpha", (_WINDOW_MIN, 1.2, 1.5, 1.9)), ("gamma", (2.0, 3.0, 4.0))),
-        margin=_powered(_f_triple, "alpha", "gamma"),
+        margin=_powered(_grid_triple, "alpha", "gamma"),
         domain=_domain_disc_ordered,
         gates=(
             ("x", *_UNIT),
@@ -400,7 +396,7 @@ _register(
         "state",
         axes=(),
         params=(("q", (2.0, 2.5, 3.0)), ("eta", (1.0, 1.5, 2.0, 3.0))),
-        margin=_powered(_tsallis_state_triple, "q", "eta"),
+        margin=_powered(_state_triple, "q", "eta"),
         gates=(("q", *_Q_BOUND), ("eta", *_POWER)),
         tolerance=STATE_TOLERANCE,
     )
@@ -411,7 +407,7 @@ _register(
         "state",
         axes=(),
         params=(("alpha", (2.0, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
-        margin=_powered(_renyi_state_triple, "alpha", "mu"),
+        margin=_powered(_state_triple, "alpha", "mu"),
         gates=(("alpha", *_ALPHA_GE2), ("mu", *_POWER)),
         tolerance=STATE_TOLERANCE,
     )
@@ -422,7 +418,7 @@ _register(
         "state",
         axes=(),
         params=(("alpha", (_WINDOW_MIN, 1.5)), ("gamma", (2.0, 3.0, 4.0))),
-        margin=_powered(_renyi_state_triple, "alpha", "gamma"),
+        margin=_powered(_state_triple, "alpha", "gamma"),
         gates=(
             ("alpha", *_ALPHA_WINDOW),
             ("gamma", *_GAMMA),

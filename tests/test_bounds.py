@@ -83,8 +83,9 @@ class TestPowerChain:
         assert np.min(loose - naive) >= -1e-12
 
     def test_domain_gates(self):
-        with pytest.raises(ValueError):
-            bounds.power_chain(1.2, 2.0)
+        for x in (1.2, math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match=r"x outside \[0, 1\]"):
+                bounds.power_chain(x, 2.0)
         with pytest.raises(ValueError):
             bounds.power_chain(0.5, 0.8)
 
@@ -117,6 +118,15 @@ class TestPairBounds:
         # hand-derived: e1^2 + 3 e2^2 + e2 (e1 - e2) = 1400/6561
         got = bounds.pair_bound_prior(T_HI, T_LO, bounds.PowerParam(2.0))
         assert got == pytest.approx(1400.0 / 6561.0, abs=1e-15)
+
+    @pytest.mark.parametrize("e1,e2", [(0.5, math.nan), (math.nan, 0.2), (math.nan, math.nan)])
+    def test_nan_values_rejected(self, e1, e2):
+        # Every comparison with NaN is False, so the sign check must fail it.
+        for tail in (bounds.pair_bound_new, bounds.pair_bound_prior, bounds.pair_bound_naive):
+            with pytest.raises(ValueError, match="nonnegative"):
+                tail(e1, e2, 2.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            bounds.pair_bound_new(np.array([0.5, 0.4]), np.array([0.1, math.nan]), 2.0)
 
     def test_old_family_name_is_an_unknown_coupling(self):
         with pytest.raises(ValueError, match="unknown coupling 'ref11'"):
@@ -221,6 +231,19 @@ class TestChainBound:
             bounds.chain_bound((0.5, 0.4), 2, p)
         with pytest.raises(ValueError):
             bounds.chain_bound((0.5, -0.1), 1, p)
+
+    def test_split_index_is_an_integer(self):
+        # An integral float is the integer; anything else is a ValueError.
+        p = bounds.PowerParam(2.0)
+        vals = (0.5, 0.3, 0.4)
+        assert bounds.chain_bound(vals, 1.0, p) == bounds.chain_bound(vals, 1, p)
+        report = bounds.compare_chain(0.9, vals, 1.0, p, "tsallis_q2to3")
+        assert report == bounds.compare_chain(0.9, vals, 1, p, "tsallis_q2to3")
+        for bad in (0.5, math.nan, "1", True):
+            with pytest.raises(ValueError, match="split index must be an integer"):
+                bounds.chain_bound(vals, bad, p)
+            with pytest.raises(ValueError, match="split index must be an integer"):
+                bounds.compare_chain(0.9, vals, bad, p, "tsallis_q2to3")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_values_named(self, bad):

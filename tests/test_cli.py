@@ -33,11 +33,11 @@ EVALUATE_CONFIGS = (
     ("renyi", repr(WINDOW_ALPHA), "3"),
 )
 EVALUATE_SHA256 = {
-    "canonical": "f3411e97a37e435bfa09b9afe4f81e33807c69977eceef3d0f2bbdf1f8f0c2ed",
-    "haar-3-11": "7b347be3527c274d42d92205708435e7eb4e75602ede28abb6b74b2c934290ec",
-    "haar-3-12": "a49e752840a039dcb3edaace488a17a2e6aba7b0aaf85bffed176aa533e752f7",
-    "haar-4-21": "27a40245ffec5d04336c7e1cd979c18e5e0672f89e59cfbead92ccf3c9c78224",
-    "haar-4-22": "24c37751e49bcbf63b2ae5879b600df262f75ef2e3417884c4e251a6a90e202d",
+    "canonical": "dfe2787241d77562892211571199fbe205d43d2de9e942aef108c2634ef83492",
+    "haar-3-11": "6c632c5558138aa077b65873b081acab66f2ea54757e496f759ed5f0c8a826c3",
+    "haar-3-12": "fd5d1713eb562608017597584e2f53b87debeae4ad40640a5f5515a90552dcbd",
+    "haar-4-21": "8ef0c7a8f6f5935776042d0e8bff469afc107c0da0d74892d2fc0d7a898a274c",
+    "haar-4-22": "51ef24b985adf7a0c146fd6b9776829612971765e2b8e32a8c50e613477b6fcd",
 }
 
 # sha256 of the stdout of two larger seeded state sweeps: every byte of the
@@ -57,7 +57,7 @@ DEFAULT_SWEEPS = [
     ("lemma5", 15320, 0.0, (0.0, 0.0, 2.0, 1.0)),
     ("lemma6", 22980, 0.0, (0.0, 0.0, 0.8228756555322954, 2.0)),
     ("ckw", 1000, 0.010071888555996444, (463.0,)),
-    ("remark1", 12000, 2.547492001559996e-05, (310.0, 3.0, 3.0)),
+    ("remark1", 12000, 2.5474920015600047e-05, (310.0, 3.0, 3.0)),
     ("remark2", 8000, 8.678115314057785e-05, (310.0, 3.0, 3.0)),
     ("remark3", 6000, 5.6135430146738206e-05, (310.0, 1.5, 4.0)),
 ]
@@ -213,6 +213,17 @@ class TestSweep:
         code, out, err = run(["sweep", family, "--states", count, "--seed", seed], capsys)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[family, count, seed]
+
+    def test_near_zero_axis_is_valid(self, capsys):
+        # g_q of a squared concurrence below 1e-15 computed a hair below 0,
+        # which the pair bound rejected as a negative entanglement value.
+        code, out, err = run(
+            ["sweep", "lemma2", "--y-min", "0", "--y-max", "2e-8", "--y-steps", "60",
+             "--samples", "0"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["violations"] == []
 
     def test_overflowing_margins_are_counted(self, capsys):
         # 2**mu overflows above mu = 1024: those margins are NaN or infinite.
@@ -420,6 +431,31 @@ class TestEvaluate:
         assert data["new_bound"] == pytest.approx(0.0, abs=1e-12)
         for value in data["margins"].values():
             assert value == pytest.approx(0.0, abs=1e-12)
+
+    def test_near_product_pair_state(self, tmp_path, capsys):
+        # cos t|000> + sin t|110>: g_q of the AB pair computed a hair below 0,
+        # which the chain bound rejected as a negative entanglement value.
+        t = 3.7275937e-09
+        amps = np.zeros(8)
+        amps[0b000], amps[0b110] = math.cos(t), math.sin(t)
+        path = tmp_path / "near-product.json"
+        path.write_text(json.dumps({"n_qubits": 3, "amplitudes": [[a, 0.0] for a in amps]}))
+        code, out, err = run(evaluate_argv(path, "tsallis", "2.5", "2", 0), capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["lhs"] == 0.0
+        assert data["marginals"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("index", ["2000", "1e308"])
+    def test_huge_renyi_index(self, index, tmp_path, capsys):
+        # Every power of the cut spectrum underflows to 0: log2 of the sum
+        # warned and the values became infinite.
+        path = write_pinned_state("haar-4-21", tmp_path)
+        code, out, err = run(evaluate_argv(path, "renyi", index, "2", 1), capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert 0.0 < data["lhs"] < 1.0
+        assert all(0.0 <= m <= 1.0 for m in data["marginals"])
 
     def test_renyi_window_regime(self, tmp_path, capsys):
         path = self._write_example_params(tmp_path)
@@ -859,8 +895,14 @@ HALF_ROOTS = (0.7071067811865476, 0.7071067811865475)
 @st.composite
 def near_product_amplitudes(draw):
     """Amplitude pairs of a 3- or 4-qubit tensor product of one-qubit states
-    and Bell-like pairs, with at most one amplitude nudged by roundoff: some
-    cuts are products, where the entropy lands a hair off 0."""
+    and Bell-like pairs, with at most one amplitude nudged by roundoff, or of
+    cos t|000> + sin t|110> for t in [1e-9, 1e-7]: some cuts are products or
+    nearly so, where the entropy lands a hair off 0."""
+    if draw(st.integers(0, 3)) == 0:
+        t = draw(st.floats(1e-9, 1e-7))
+        amps = np.zeros(8)
+        amps[0b000], amps[0b110] = math.cos(t), math.sin(t)
+        return 3, [[float(a), 0.0] for a in amps]
     s = draw(st.sampled_from(HALF_ROOTS))
     singles = [(1.0, 0.0), (0.0, 1.0), (s, s), (s, -s), (0.6, 0.8)]
     pairs = [(s, 0.0, 0.0, s), (0.0, s, s, 0.0), (s, 0.0, 0.0, -s)]
@@ -918,3 +960,14 @@ def test_evaluate_state_file_fuzz_exits_cleanly(fuzz_state_path, text, measure, 
     code, err = run_quietly(evaluate_argv(fuzz_state_path, measure, "2.5", exponent, pivot))
     assert code in (0, 1, 2), text
     assert "Traceback" not in err, text
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=near_product_amplitudes(), measure=st.sampled_from(["tsallis", "renyi"]),
+       exponent=st.sampled_from(["1", "2", "2.5"]), pivot=st.integers(0, 3))
+def test_evaluate_near_product_state_succeeds(fuzz_state_path, state, measure, exponent, pivot):
+    n_qubits, amplitudes = state
+    fuzz_state_path.write_text(json.dumps({"n_qubits": n_qubits, "amplitudes": amplitudes}))
+    argv = evaluate_argv(fuzz_state_path, measure, "2.5", exponent, pivot % n_qubits)
+    code, err = run_quietly(argv)
+    assert (code, err) == (0, ""), amplitudes

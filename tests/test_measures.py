@@ -131,10 +131,9 @@ class TestGq:
         assert measures.g_q(1.0, 3.0) == pytest.approx((1 - 2 * 0.125) / 2, abs=1e-14)
 
     def test_domain_gate(self):
-        with pytest.raises(ValueError):
-            measures.g_q(1.5, 2.0)
-        with pytest.raises(ValueError):
-            measures.g_q(-0.1, 2.0)
+        for x in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                measures.g_q(x, 2.0)
 
     def test_window_gate(self):
         with pytest.raises(ValueError):
@@ -193,10 +192,22 @@ class TestFalpha:
             assert measures.f_alpha(1.0, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_domain_and_window_gates(self):
-        with pytest.raises(ValueError):
-            measures.f_alpha(1.5, 2.0)
+        for x in (1.5, math.nan):
+            with pytest.raises(ValueError):
+                measures.f_alpha(x, 2.0)
         with pytest.raises(ValueError):
             measures.f_alpha(0.5, 0.5)
+
+    @pytest.mark.parametrize("a", [1100.0, 2000.0, 1e308])
+    def test_huge_alpha_tends_to_the_min_entropy(self, a):
+        # Every power of these spectra underflows; with lam_lo / lam_max below
+        # 0.6 the value is a * -log2(lam_max) / (a - 1) to double precision.
+        xs = np.array([0.3, 0.6, 0.9])
+        top = measures.qubit_spectrum(xs, squared=False)[:, 0]
+        expected = -np.log2(top) * a / (a - 1.0)
+        assert np.allclose(measures.f_alpha(xs, a), expected, rtol=1e-14, atol=0.0)
+        assert measures.f_alpha(0.0, a) == 0.0
+        assert measures.f_alpha(1.0, a) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("a", [WINDOW_ALPHA, 1.5, 2.0, 3.0])
     def test_monotone_and_convex(self, a):
@@ -229,7 +240,9 @@ class TestFalpha:
 
 
 def g_q_reference(x, q):
-    """g_q in one piece, with no spectrum step: the spectrum path must match it bit for bit."""
+    """g_q in one piece, with no spectrum step: the spectrum path must match
+    it bit for bit.  The two powers are taken as one array, as the spectrum
+    path takes them, and the value is clamped at 0.0."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
         raise ValueError("x outside [0, 1]")
@@ -237,12 +250,14 @@ def g_q_reference(x, q):
     root = np.sqrt(np.maximum(0.0, 1.0 - arr))
     hi = (1.0 + root) / 2.0
     lo = (1.0 - root) / 2.0
-    vals = (1.0 - hi**q - lo**q) / (q - 1.0) + 0.0
+    powers = np.array([hi, lo]) ** q
+    vals = np.maximum((1.0 - powers[0] - powers[1]) / (q - 1.0), 0.0)
     return float(vals) if np.ndim(x) == 0 else vals
 
 
 def f_alpha_reference(x, alpha):
-    """f_alpha in one piece, with no spectrum step: the spectrum path must match it bit for bit."""
+    """f_alpha in one piece, with no spectrum step: the spectrum path must
+    match it bit for bit.  Powers as in ``g_q_reference``; clamped at 0.0."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
         raise ValueError("x outside [0, 1]")
@@ -250,7 +265,8 @@ def f_alpha_reference(x, alpha):
     root = np.sqrt(np.maximum(0.0, 1.0 - arr * arr))
     hi = (1.0 + root) / 2.0
     lo = (1.0 - root) / 2.0
-    vals = np.log2(hi**alpha + lo**alpha) / (1.0 - alpha) + 0.0
+    powers = np.array([hi, lo]) ** alpha
+    vals = np.maximum(np.log2(powers[0] + powers[1]) / (1.0 - alpha), 0.0)
     return float(vals) if np.ndim(x) == 0 else vals
 
 
@@ -269,45 +285,82 @@ SCALAR_OR_ARRAY = st.one_of(
 )
 
 
+TSALLIS_INDEX = st.floats(measures.TSALLIS_ANALYTIC_MIN, measures.TSALLIS_ANALYTIC_MAX).filter(
+    lambda q: q != 1.0
+)
+RENYI_INDEX = st.floats(WINDOW_ALPHA, 40.0).filter(lambda a: a != 1.0)
+
+
 class TestQubitSpectrum:
     @settings(max_examples=300, deadline=None)
-    @given(
-        x=SCALAR_OR_ARRAY,
-        q=st.floats(measures.TSALLIS_ANALYTIC_MIN, measures.TSALLIS_ANALYTIC_MAX).filter(
-            lambda q: q != 1.0
-        ),
-    )
+    @given(x=SCALAR_OR_ARRAY, q=TSALLIS_INDEX)
     def test_g_q_of_spectrum_same_bits(self, x, q):
         spectrum = measures.qubit_spectrum(x, squared=True)
         reference = g_q_reference(x, q)
-        for got in (measures.g_q(spectrum, q), measures.g_q(x, q)):
-            assert type(got) is type(reference)
-            assert hexes(got) == hexes(reference)
+        got = measures.g_q(x, q)
+        assert type(got) is type(reference)
+        assert hexes(got) == hexes(reference)
+        assert hexes(measures.tsallis_of_spectrum(spectrum, q)) == hexes(reference)
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        x=SCALAR_OR_ARRAY,
-        alpha=st.floats(WINDOW_ALPHA, 40.0).filter(lambda a: a != 1.0),
-    )
+    @given(x=SCALAR_OR_ARRAY, alpha=RENYI_INDEX)
     def test_f_alpha_of_spectrum_same_bits(self, x, alpha):
         spectrum = measures.qubit_spectrum(x, squared=False)
         reference = f_alpha_reference(x, alpha)
-        for got in (measures.f_alpha(spectrum, alpha), measures.f_alpha(x, alpha)):
-            assert type(got) is type(reference)
-            assert hexes(got) == hexes(reference)
+        got = measures.f_alpha(x, alpha)
+        assert type(got) is type(reference)
+        assert hexes(got) == hexes(reference)
+        assert hexes(measures.renyi_of_spectrum(spectrum, alpha)) == hexes(reference)
 
     @pytest.mark.parametrize("squared", [True, False])
     def test_domain_gate(self, squared):
-        for x in (1.1, np.array([0.5, 1.1])):
+        # NaN fails too, although every comparison with it is False.
+        for x in (1.1, np.array([0.5, 1.1]), math.nan, np.array([0.5, math.nan])):
             with pytest.raises(ValueError, match=r"x outside \[0, 1\]"):
                 measures.qubit_spectrum(x, squared=squared)
 
     def test_window_gates_still_run(self):
-        spectrum = measures.qubit_spectrum(0.5, squared=True)
         with pytest.raises(ValueError, match="outside the analytic window"):
-            measures.g_q(spectrum, 5.0)
+            measures.g_q(0.5, 5.0)
         with pytest.raises(ValueError, match="below the analytic threshold"):
-            measures.f_alpha(spectrum, 0.5)
+            measures.f_alpha(0.5, 0.5)
+
+
+class TestScalarEqualsStacked:
+    """A call on one value or one spectrum gives the bits of the matching
+    member of a call on a stack of them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xs=st.lists(UNIT_INPUTS, min_size=1, max_size=20),
+        i=st.integers(0, 19),
+        q=TSALLIS_INDEX,
+        alpha=RENYI_INDEX,
+    )
+    def test_member_bits(self, xs, i, q, alpha):
+        stack = np.array(xs)
+        x = xs[i % len(xs)]
+        for conversion, index, entropy, squared in (
+            (measures.g_q, q, measures.tsallis_of_spectrum, True),
+            (measures.f_alpha, alpha, measures.renyi_of_spectrum, False),
+        ):
+            assert hexes(conversion(x, index)) == hexes(conversion(stack, index)[i % len(xs)])
+            one = measures.qubit_spectrum(x, squared=squared)
+            # Qubit spectra (contiguous columns) and the row-contiguous
+            # stacks ``cut_spectrum`` returns.
+            for spectra in (
+                measures.qubit_spectrum(stack, squared=squared),
+                np.ascontiguousarray(measures.qubit_spectrum(stack, squared=squared)),
+            ):
+                member = entropy(spectra, index)[i % len(xs)]
+                assert hexes(entropy(one, index)) == hexes(member)
+
+    def test_near_product_pair_clamps_to_zero(self):
+        # The squared concurrence of a pair 3.7e-9 rad from a product state:
+        # 1 - hi^q - lo^q is a roundoff negative there, clamped to 0.0.
+        x = math.sin(2 * 3.7275937e-09) ** 2
+        assert measures.g_q(x, 2.5) == 0.0
+        assert np.all(measures.g_q(np.linspace(0.0, 1e-16, 2001), 2.5) >= 0.0)
 
 
 class TestConcurrencePure:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -44,6 +45,36 @@ GATES = [
     ("remark3", "alpha", WINDOW_ALPHA, 2.0, True),
     ("remark3", "gamma", 2.0, math.inf, False),
 ]
+
+
+# sha256 of every `_state_tables` column at 515 states, across the 512-state
+# block boundary: the kernel and measures routes the state sweeps read.
+STATE_TABLE_SHA256 = {
+    0: {
+        "lam_hi": "ae1a4d648617a1f58e972e6890e4f2dea54e55d6ea1032af30c8fcacf3245eb0",
+        "lam_lo": "ea69e0c5b44d29085d9f39b476cd89bb2e7d592ab91fb9629fdb5362f1cb3b35",
+        "c_ab": "661cd6704356a5fc4b9440f822fb7edacb24f96577e4585387ff2625d266d058",
+        "c_ac": "39f4accde1f0d9684ba49a5af1d37ca28c8e594049295848d8d4b8f54b85dba2",
+        "c2_full": "538586a92e0737c88f8ca2e8c190e8f9da3b6cd726d4110b87e982ac9d63adcd",
+        "index": "1392a4a34fdb7293213ca801a738e2b129637e213a79327ff3ff39fec301ce08",
+    },
+    3: {
+        "lam_hi": "0cf389205cb3e338d46b7de27a9df8823eef110d95a4e36a20ae4e0c25d7a0a7",
+        "lam_lo": "1ab0b3a923c40f1147f076bb8cb2108760fb0facbf65200aedb9c205ff5b168a",
+        "c_ab": "48796d423537aee5858c5d2e4077f60a5aaa3be572c0a05882b2a2960b424496",
+        "c_ac": "ff1d032749687bf0b1a320365739472db26d73dcbb70c67168a9a8b157a69dde",
+        "c2_full": "22a83aa552cffdc2286a0625c8ed021072592ea874d15db55f72f63229173750",
+        "index": "1392a4a34fdb7293213ca801a738e2b129637e213a79327ff3ff39fec301ce08",
+    },
+    7919: {
+        "lam_hi": "5be7b27898bad5c00e7f33c0cce1af530bce9eb1dabb4b6c4eaa6799936aa407",
+        "lam_lo": "0a32a70a977cb7a2499ecfdbc52af4e32f5d02f4e38f35755d90d57431cd1485",
+        "c_ab": "ae0b267ae1af7c259b596f5ee56a73b858976cfee9b73a93b5c67e64735a902e",
+        "c_ac": "0a09ccc30f9b237f7355ed90b16a965933236438bf94f2c84c75ebb85986d71b",
+        "c2_full": "78352f0fd5b175c9cd3eabcba9ec6a5fe02c81763b7a735c8aee5dd9ec0f924b",
+        "index": "1392a4a34fdb7293213ca801a738e2b129637e213a79327ff3ff39fec301ce08",
+    },
+}
 
 
 def small_spec(family, **overrides):
@@ -394,17 +425,25 @@ class TestBlockedSweep:
     def test_conversions_once_per_block_and_value(
         self, family, conversion, calls_per_block, monkeypatch
     ):
-        original = getattr(measures, conversion)
-        calls = []
+        # A conversion is the entropy of a qubit spectrum: g_q the Tsallis
+        # and f_alpha the Renyi one.  A state block's pivot cut entropy is
+        # not a conversion and is not counted.
+        entropy = {"g_q": "tsallis_of_spectrum", "f_alpha": "renyi_of_spectrum"}[conversion]
+        original, make_spectrum = getattr(measures, entropy), measures.qubit_spectrum
+        spectra, calls = [], []
 
-        def counted(x, index):
-            result = original(x, index)
-            # The argument may be a spectrum pair; the result has one value
-            # per converted point.
-            calls.append(np.size(result))
-            return result
+        def spectrum(x, *, squared):
+            lam = make_spectrum(x, squared=squared)
+            spectra.append(lam)
+            return lam
 
-        monkeypatch.setattr(measures, conversion, counted)
+        def counted(lam, index):
+            if any(lam is s for s in spectra):
+                calls.append(lam.shape[0])
+            return original(lam, index)
+
+        monkeypatch.setattr(measures, "qubit_spectrum", spectrum)
+        monkeypatch.setattr(measures, entropy, counted)
         monkeypatch.setattr(verify, "_SWEEP_BLOCK", 97)
         spec = small_spec(family)
         report = verify.run_sweep(spec)
@@ -508,3 +547,9 @@ class TestStateTables:
         assert table.keys() == reference.keys()
         for name, column in reference.items():
             assert np.array_equal(table[name], column), name
+
+    @pytest.mark.parametrize("seed", sorted(STATE_TABLE_SHA256))
+    def test_columns_pinned(self, seed):
+        table = verify._state_tables(515, seed)
+        digests = {name: hashlib.sha256(column.tobytes()).hexdigest() for name, column in table.items()}
+        assert digests == STATE_TABLE_SHA256[seed]
