@@ -54,19 +54,19 @@ _FIGURES = {
 def _cut_values(state: PureState, pivot: int, measure: str, index):
     """(full cut, concurrences, marginals) of ``pivot``'s cut, partners in
     ascending order; ``index`` is q or alpha.  One stacked call gives the
-    concurrences, each then converted alone as tsallis_two_qubit /
-    renyi_two_qubit would."""
+    concurrences and one more converts them all, with the bits a call per
+    partner would give."""
     n = state.n_qubits
     rho = density(state)
     pairs = np.stack([kernel.partial_trace(rho, n, {pivot, b}) for b in range(n) if b != pivot])
-    concurrences = measures.concurrence_two_qubit(pairs).tolist()
+    concurrences = measures.concurrence_two_qubit(pairs)
     if measure == "tsallis":
         full = measures.tsallis_pure(state, {pivot}, index)
-        marginals = [measures.g_q(c * c, index) for c in concurrences]
+        marginals = measures.g_q(concurrences * concurrences, index)
     else:
         full = measures.renyi_pure(state, {pivot}, index)
-        marginals = [measures.f_alpha(c, index) for c in concurrences]
-    return full, concurrences, marginals
+        marginals = measures.f_alpha(concurrences, index)
+    return full, concurrences.tolist(), marginals.tolist()
 
 
 def example_values(measure: str, index: float) -> tuple[float, float, float]:

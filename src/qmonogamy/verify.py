@@ -258,6 +258,16 @@ _GAMMA = measures.Window(2.0)
 
 @dataclass(frozen=True)
 class Family:
+    """One inequality family of the registry.
+
+    ``domain`` takes a dict of columns that broadcast together (the open-grid
+    axis views of a mesh, or equal-length sample columns) and returns a
+    boolean mask of their broadcast shape; a predicate that ignores some
+    columns may return a mask that only broadcasts to it, as
+    ``_domain_all`` does.  ``margin`` takes a dict of equal-length point
+    columns and one parameter combo.
+    """
+
     name: str
     kind: str  # "grid" | "state"
     axes: tuple[tuple[str, float, float, int], ...]
@@ -537,42 +547,62 @@ def _merge(state, local_min, point, violations, n_violations, nonfinite):
 
 
 def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, np.ndarray]:
-    """Grid mesh points inside the family's domain, then the rejection samples."""
+    """Grid mesh points inside the family's domain, in C order over the
+    axes, then the rejection samples.
+
+    Each column is allocated once at its final length and written once: the
+    domain runs on the open-grid axis views of ``np.ix_``, the mesh part of
+    a column is its broadcast axis view, whole or masked, and the samples
+    fill the tail.
+    """
     if not spec.grid:
         raise ValueError(f"family {fam.name!r} needs grid axes")
     axis_names = [name for name, *_ in spec.grid]
-    axis_values = [np.linspace(lo, hi, steps) for _, lo, hi, steps in spec.grid]
-    mesh = np.meshgrid(*axis_values, indexing="ij")
-    pts = {name: grid.ravel() for name, grid in zip(axis_names, mesh)}
-    mask = fam.domain(pts)
-    if not mask.all():
-        pts = {name: vals[mask] for name, vals in pts.items()}
+    shape = tuple(steps for *_, steps in spec.grid)
+    n_mesh = math.prod(shape)
+    # No array of more bytes can be indexed; np.linspace would fail on some
+    # of these step counts with an IndexError instead.
+    if n_mesh * 8 > np.iinfo(np.intp).max:
+        raise MemoryError("its float64 columns would exceed the largest array size")
+    axes = np.ix_(*(np.linspace(lo, hi, steps) for _, lo, hi, steps in spec.grid))
+    mask = fam.domain(dict(zip(axis_names, axes)))
+    # Tested before broadcasting: a mask that does not span every axis
+    # (``_domain_all``'s) would be walked at its zero strides.
+    whole = bool(mask.all())
+    if not whole:
+        mask = np.broadcast_to(mask, shape)
+        n_mesh = int(np.count_nonzero(mask))
+    n_total = n_mesh + spec.random_samples
+    if n_total == 0:
+        raise ValueError("sweep domain is empty")
+
+    pts = {name: np.empty(n_total) for name in axis_names}
+    for name, axis in zip(axis_names, axes):
+        if whole:
+            pts[name][:n_mesh].reshape(shape)[...] = axis
+        else:
+            pts[name][:n_mesh] = np.broadcast_to(axis, shape)[mask]
 
     if spec.random_samples:
         rng = np.random.default_rng(spec.seed)
         lows = np.array([lo for _, lo, _, _ in spec.grid])
         highs = np.array([hi for _, _, hi, _ in spec.grid])
-        accepted = {name: [] for name in axis_names}
-        remaining = spec.random_samples
+        filled = n_mesh
         for _ in range(1000):
+            remaining = n_total - filled
             if remaining <= 0:
                 break
             draw = rng.random((remaining, len(axis_names))) * (highs - lows) + lows
             cand = {name: draw[:, j] for j, name in enumerate(axis_names)}
             ok = fam.domain(cand)
+            accepted = int(np.count_nonzero(ok))
             for name in axis_names:
-                accepted[name].append(cand[name][ok])
-            remaining -= int(np.count_nonzero(ok))
-        if remaining > 0:
+                pts[name][filled : filled + accepted] = cand[name][ok]
+            filled += accepted
+        if filled < n_total:
             raise ValueError(
                 f"rejection sampling failed to reach {spec.random_samples} points"
             )
-        pts = {
-            name: np.concatenate([pts[name], *accepted[name]]) for name in axis_names
-        }
-
-    if next(iter(pts.values())).size == 0:
-        raise ValueError("sweep domain is empty")
     return pts
 
 

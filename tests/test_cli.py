@@ -360,6 +360,39 @@ class TestSweep:
         assert "Traceback" not in err
         assert err == f"error: {size} does not fit in memory: Unable to allocate 11.9 GiB\n"
 
+    @pytest.mark.parametrize("steps", [2**61, 2**62, 2**63 - 1, 2**63, 2**64])
+    @pytest.mark.parametrize("family,other", [("lemma1", 200), ("lemma2", 60)])
+    def test_mesh_past_the_largest_array_is_refused_before_any_allocation(
+        self, family, other, steps, monkeypatch, capsys
+    ):
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("np.linspace called")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        code, out, err = run(["sweep", family, "--x-steps", str(steps)], capsys)
+        size = f"a {steps} x {other} mesh ({steps * other} points)"
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {size} does not fit in memory: "
+            "its float64 columns would exceed the largest array size\n"
+        )
+
+    @pytest.mark.parametrize("family,second", [("lemma1", "--mu-steps"), ("lemma2", "--y-steps")])
+    def test_unmappable_mesh_exits_quickly(self, family, second):
+        # 10^14 points need 800 TB a column, more than any 64-bit process
+        # can map, so this fails the same under every overcommit setting.
+        # Nothing may walk the mesh before that: at 10^14 points any
+        # per-point pass would run for hours.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        argv = ["sweep", family, "--x-steps", "10000000", second, "10000000"]
+        done = subprocess.run(
+            [sys.executable, "-m", "qmonogamy", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        size = "a 10000000 x 10000000 mesh (100000000000000 points)"
+        assert done.stderr.startswith(f"error: {size} does not fit in memory: ")
+
     @pytest.mark.parametrize(
         "argv",
         [

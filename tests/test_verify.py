@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -553,3 +554,111 @@ class TestStateTables:
         table = verify._state_tables(515, seed)
         digests = {name: hashlib.sha256(column.tobytes()).hexdigest() for name, column in table.items()}
         assert digests == STATE_TABLE_SHA256[seed]
+
+
+def meshgrid_points(fam, spec):
+    """Reference grid source: the full meshgrid, its domain-filtered copy,
+    then the rejection samples appended by one concatenate per column."""
+    axis_names = [name for name, *_ in spec.grid]
+    axis_values = [np.linspace(lo, hi, steps) for _, lo, hi, steps in spec.grid]
+    mesh = np.meshgrid(*axis_values, indexing="ij")
+    pts = {name: grid.ravel() for name, grid in zip(axis_names, mesh)}
+    mask = fam.domain(pts)
+    if not mask.all():
+        pts = {name: vals[mask] for name, vals in pts.items()}
+    if spec.random_samples:
+        rng = np.random.default_rng(spec.seed)
+        lows = np.array([lo for _, lo, _, _ in spec.grid])
+        highs = np.array([hi for _, _, hi, _ in spec.grid])
+        accepted = {name: [] for name in axis_names}
+        remaining = spec.random_samples
+        for _ in range(1000):
+            if remaining <= 0:
+                break
+            draw = rng.random((remaining, len(axis_names))) * (highs - lows) + lows
+            cand = {name: draw[:, j] for j, name in enumerate(axis_names)}
+            ok = fam.domain(cand)
+            for name in axis_names:
+                accepted[name].append(cand[name][ok])
+            remaining -= int(np.count_nonzero(ok))
+        if remaining > 0:
+            raise ValueError(f"rejection sampling failed to reach {spec.random_samples} points")
+        pts = {name: np.concatenate([pts[name], *accepted[name]]) for name in axis_names}
+    if next(iter(pts.values())).size == 0:
+        raise ValueError("sweep domain is empty")
+    return pts
+
+
+def column_bytes(source, fam, spec):
+    """Name, dtype and bytes of every column ``source`` returns, or its error."""
+    try:
+        pts = source(fam, spec)
+    except ValueError as exc:
+        return f"error: {exc}"
+    return [(name, col.dtype.str, col.tobytes()) for name, col in pts.items()]
+
+
+@st.composite
+def grid_point_specs(draw):
+    """Any grid family, 2-40 steps per axis over a range inside its gates,
+    0-60 rejection samples and any seed."""
+    fam = verify.family_of(draw(st.sampled_from(verify.GRID_FAMILIES)))
+    gates = {name: (lo, hi) for name, lo, hi, _hi_open in fam.gates}
+
+    def axis(name):
+        lo, hi = gates[name]
+        ends = draw(st.lists(st.floats(lo, min(hi, lo + 7.0)), min_size=2, max_size=2))
+        return (name, *sorted(ends), draw(st.integers(2, 40)))
+
+    spec = verify.default_spec(
+        fam.name,
+        grid=tuple(axis(name) for name, *_ in fam.axes),
+        random_samples=draw(st.integers(0, 60)),
+        seed=draw(st.integers(0, 2**64)),
+    )
+    return fam, spec
+
+
+class TestGridPoints:
+    @settings(max_examples=150, deadline=None)
+    @given(grid_point_specs())
+    def test_columns_equal_the_meshgrid_route_byte_for_byte(self, case):
+        fam, spec = case
+        assert column_bytes(verify._grid_points, fam, spec) == column_bytes(
+            meshgrid_points, fam, spec
+        )
+
+    @pytest.mark.parametrize("family", verify.GRID_FAMILIES)
+    def test_default_grids_equal_the_meshgrid_route(self, family):
+        fam = verify.family_of(family)
+        spec = verify.default_spec(family, seed=3)
+        assert column_bytes(verify._grid_points, fam, spec) == column_bytes(
+            meshgrid_points, fam, spec
+        )
+
+    def test_empty_domain_is_an_error(self):
+        fam = verify.family_of("lemma2")
+        grid = (("x", 0.9, 1.0, 30), ("y", 0.95, 1.0, 30))
+        spec = verify.default_spec("lemma2", grid=grid, random_samples=0)
+        with pytest.raises(ValueError, match="sweep domain is empty"):
+            verify._grid_points(fam, spec)
+        assert column_bytes(meshgrid_points, fam, spec) == "error: sweep domain is empty"
+
+    # Bound on the tracemalloc peak over the returned columns' bytes: a
+    # domain that keeps every point needs nothing beyond the columns; one
+    # that drops points holds its mask and one masked copy of the mesh part.
+    @pytest.mark.parametrize("family,bound", [("lemma1", 1.25), ("lemma2", 2.0), ("gqsuper", 2.0)])
+    def test_peak_memory_stays_near_the_output(self, family, bound):
+        fam = verify.family_of(family)
+        grid = tuple((name, lo, hi, 1000) for name, lo, hi, _steps in fam.axes)
+        spec = verify.default_spec(family, grid=grid, random_samples=500)
+        # A first call imports what the sampler needs, outside the trace.
+        verify._grid_points(fam, verify.default_spec(family, random_samples=5))
+        tracemalloc.start()
+        try:
+            pts = verify._grid_points(fam, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(col.nbytes for col in pts.values())
+        assert peak <= bound * output
