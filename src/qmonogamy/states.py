@@ -149,6 +149,9 @@ def _haar_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     then ``dim`` for the angles, so one draw of shape ``(count, 2, dim)`` gives
     the same vectors as ``count`` draws of one vector each.
     """
+    # numpy's own error for a draw past the largest array is a ValueError.
+    if int(count) * 2 * dim * 8 > np.iinfo(np.intp).max:
+        raise MemoryError("its float64 draw would exceed the largest array size")
     u = rng.random((count, 2, dim))
     u1 = 1.0 - u[:, 0]  # (0, 1]: log stays finite
     u2 = u[:, 1]

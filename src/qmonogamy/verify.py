@@ -26,8 +26,9 @@ DEFAULT_STATES = 1000
 # Violating points a report lists (the worst ones); the rest are only counted.
 MAX_VIOLATIONS = 100
 # States per stack in ``_state_tables``: large enough that the fixed cost of
-# a stacked kernel call is small beside its per-state work, small enough that
-# a block's intermediates (about 1 MB) add little to a sweep's peak memory.
+# each of the block's few dozen numpy calls is small beside its per-state
+# work, small enough that their intermediates (columns of 4 or 8 KB, under
+# 0.2 MB in all) stay in cache and add nothing to a sweep's peak memory.
 _STATE_BLOCK = 512
 # Points per block in ``_sweep``: a block's columns and the temporaries of
 # one margin evaluation (a few dozen arrays of 128 KB) stay in cache while
@@ -560,9 +561,12 @@ def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, np.ndarray]:
     axis_names = [name for name, *_ in spec.grid]
     shape = tuple(steps for *_, steps in spec.grid)
     n_mesh = math.prod(shape)
-    # No array of more bytes can be indexed; np.linspace would fail on some
-    # of these step counts with an IndexError instead.
-    if n_mesh * 8 > np.iinfo(np.intp).max:
+    # Refused before any allocation: no array can be indexed past this
+    # size, and there numpy raises its own IndexError (np.linspace) or
+    # ValueError (np.empty, the sample draw).  The bound covers both the
+    # columns, at most n_mesh + random_samples long, and the sampler's
+    # (random_samples, axes) draw.
+    if (n_mesh + spec.random_samples * len(shape)) * 8 > np.iinfo(np.intp).max:
         raise MemoryError("its float64 columns would exceed the largest array size")
     axes = np.ix_(*(np.linspace(lo, hi, steps) for _, lo, hi, steps in spec.grid))
     mask = fam.domain(dict(zip(axis_names, axes)))
@@ -606,26 +610,70 @@ def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, np.ndarray]:
     return pts
 
 
+def _pair_concurrence(x: np.ndarray) -> np.ndarray:
+    """Concurrence of rho = X X^dagger for each ``(4, 2)`` amplitude block X
+    of a stack: the pair's rows against the third qubit's columns.
+
+    The nonzero spin-flip values of rho are the singular values s0 >= s1 of
+    the complex symmetric T = X^T (sy x sy) X.  With T T^dagger =
+    [[p, q], [conj(q), r]], s0^2 - s1^2 = sqrt((p - r)^2 + 4 |q|^2) and
+    s0 + s1 = sqrt(p + r + 2 |det T|), so C = s0 - s1 is their ratio, with
+    no eigensolver and no cancellation at small C; C = 0 where T = 0.
+    """
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = (x[:, k].T for k in range(4))
+    t00 = 2.0 * (a1 * a2 - a0 * a3)
+    t11 = 2.0 * (b1 * b2 - b0 * b3)
+    t01 = a1 * b2 + a2 * b1 - a0 * b3 - a3 * b0
+    t01_sq = np.abs(t01) ** 2
+    p = np.abs(t00) ** 2 + t01_sq
+    r = t01_sq + np.abs(t11) ** 2
+    q = t00 * t01.conj() + t01 * t11.conj()
+    gap = np.sqrt((p - r) ** 2 + 4.0 * (q.real**2 + q.imag**2))
+    total = np.sqrt(p + r + 2.0 * np.abs(t00 * t11 - t01 * t01))
+    return np.divide(gap, total, out=np.zeros_like(gap), where=total > 0.0)
+
+
 def _state_tables(n_states: int, seed: int) -> dict[str, np.ndarray]:
     """Per-state quantities every state-level family consumes.
 
     For each sampled 3-qubit pure state: the spectrum and the squared
-    concurrence of the pivot cut (pivot = qubit 0), and the closed-form
-    concurrences of the two pair marginals.  States go through the kernel as stacks of
-    ``_STATE_BLOCK``, which keeps memory flat in the state count.
+    concurrence of the pivot cut (pivot = qubit 0), and the concurrences of
+    the two pair marginals, all in closed form from the amplitudes, with no
+    density matrix and no eigensolver.
+
+    With M the 2 x 4 amplitude matrix of qubit 0 against qubits 1-2 and
+    rho_A = M M^dagger, C^2(A|BC) = 4 det rho_A = 4 sum of
+    |M_0i M_1j - M_0j M_1i|^2 over i < j (Cauchy-Binet), clipped at 1.  The
+    eigenvalue gap sqrt(1 - C^2) is taken as the sum of squares
+    sqrt((rho_00 - rho_11)^2 + 4 |rho_01|^2), which keeps its accuracy near
+    a maximally entangled cut, where 1 - C^2 cancels.  Then
+    lam_lo = C^2 / (2 (1 + gap)) and lam_hi = 1 - lam_lo, both accurate to
+    roundoff.  The pairs are ``_pair_concurrence`` of the AB and AC
+    amplitude blocks.  All states are drawn in one batch and worked in
+    stacks of ``_STATE_BLOCK``.
     """
     amplitudes = states.random_pure_states(3, n_states, seed)
     table = {name: np.empty(n_states) for name in ("lam_hi", "lam_lo", "c_ab", "c_ac", "c2_full")}
     table["index"] = np.arange(n_states, dtype=float)
+    upper = np.triu_indices(4, 1)
     for start in range(0, n_states, _STATE_BLOCK):
         block = slice(start, start + _STATE_BLOCK)
-        amps = amplitudes[block]
-        rho = amps[:, :, None] * amps[:, None, :].conj()  # |psi><psi| per state
-        spectrum = measures.cut_spectrum(rho, 3, {0})
+        amps = amplitudes[block].reshape(-1, 2, 2, 2)
+        pivot = amps.reshape(-1, 2, 4)
+        row0, row1 = pivot[:, 0], pivot[:, 1]
+        minors = row0[:, upper[0]] * row1[:, upper[1]] - row0[:, upper[1]] * row1[:, upper[0]]
+        c2 = np.minimum(4.0 * np.vecdot(minors, minors).real, 1.0)
+        off = np.vecdot(row1, row0)
+        gap = np.sqrt(
+            (np.vecdot(row0, row0).real - np.vecdot(row1, row1).real) ** 2
+            + 4.0 * (off.real**2 + off.imag**2)
+        )
+        lam_lo = c2 / (2.0 * (1.0 + gap))
+        spectrum = kernel.clamp_spectrum(np.stack([1.0 - lam_lo, lam_lo], axis=-1))
         table["lam_hi"][block], table["lam_lo"][block] = spectrum.T
         table["c2_full"][block] = measures.squared_concurrence_of_spectrum(spectrum)
-        for name, keep in (("c_ab", {0, 1}), ("c_ac", {0, 2})):
-            table[name][block] = measures.concurrence_two_qubit(kernel.partial_trace(rho, 3, keep))
+        table["c_ab"][block] = _pair_concurrence(amps.reshape(-1, 4, 2))
+        table["c_ac"][block] = _pair_concurrence(amps.swapaxes(2, 3).reshape(-1, 4, 2))
     return table
 
 

@@ -43,7 +43,7 @@ EVALUATE_SHA256 = {
 # sha256 of the stdout of two larger seeded state sweeps: every byte of the
 # state table's path shows, not only the minimum.
 SWEEP_SHA256 = {
-    ("ckw", "5000", "11"): "5bc403cf0c0233c16996f25c57a8aa45fd86cde4c3b3600e952acb62cd0a278d",
+    ("ckw", "5000", "11"): "c02c8a616a67faa949db3d40443c792e3454d3e565ac5f05c95b19acbfefbea4",
     ("remark3", "3000", "7919"): "80d72e3b474b5271b4f04ce7283f343d430b26f8cce3700ee55ed9b6f03a8f8c",
 }
 
@@ -56,10 +56,10 @@ DEFAULT_SWEEPS = [
     ("lemma2", 22980, -4.718447854656915e-16, (0.4915254237288136, 0.3389830508474576, 2.0, 1.0)),
     ("lemma5", 15320, 0.0, (0.0, 0.0, 2.0, 1.0)),
     ("lemma6", 22980, 0.0, (0.0, 0.0, 0.8228756555322954, 2.0)),
-    ("ckw", 1000, 0.010071888555996444, (463.0,)),
-    ("remark1", 12000, 2.5474920015600047e-05, (310.0, 3.0, 3.0)),
-    ("remark2", 8000, 8.678115314057785e-05, (310.0, 3.0, 3.0)),
-    ("remark3", 6000, 5.6135430146738206e-05, (310.0, 1.5, 4.0)),
+    ("ckw", 1000, 0.010071888555994224, (463.0,)),
+    ("remark1", 12000, 2.5474920015600602e-05, (310.0, 3.0, 3.0)),
+    ("remark2", 8000, 8.678115314057975e-05, (310.0, 3.0, 3.0)),
+    ("remark3", 6000, 5.613543014674009e-05, (310.0, 1.5, 4.0)),
 ]
 
 
@@ -392,6 +392,32 @@ class TestSweep:
         assert (done.returncode, done.stdout) == (2, "")
         size = "a 10000000 x 10000000 mesh (100000000000000 points)"
         assert done.stderr.startswith(f"error: {size} does not fit in memory: ")
+
+    @pytest.mark.parametrize(
+        "argv,size,reason",
+        [
+            # Past the largest array: refused before any allocation.
+            (["sweep", "lemma2", "--samples", str(2**63 - 1)],
+             f"a 60 x 60 mesh (3600 points) and {2**63 - 1} samples",
+             "its float64 columns would exceed the largest array size\n"),
+            (["sweep", "ckw", "--states", str(2**60)],
+             f"{2**60} states",
+             "its float64 draw would exceed the largest array size\n"),
+            # 10^14 samples need 800 TB a column, more than any 64-bit
+            # process can map: numpy's allocation fails at once.
+            (["sweep", "lemma2", "--samples", "100000000000000"],
+             "a 60 x 60 mesh (3600 points) and 100000000000000 samples",
+             ""),
+        ],
+    )
+    def test_huge_counts_exit_quickly(self, argv, size, reason):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "qmonogamy", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(f"error: {size} does not fit in memory: {reason}")
 
     @pytest.mark.parametrize(
         "argv",

@@ -49,30 +49,30 @@ GATES = [
 
 
 # sha256 of every `_state_tables` column at 515 states, across the 512-state
-# block boundary: the kernel and measures routes the state sweeps read.
+# block boundary: the closed forms the state sweeps read.
 STATE_TABLE_SHA256 = {
     0: {
-        "lam_hi": "ae1a4d648617a1f58e972e6890e4f2dea54e55d6ea1032af30c8fcacf3245eb0",
-        "lam_lo": "ea69e0c5b44d29085d9f39b476cd89bb2e7d592ab91fb9629fdb5362f1cb3b35",
-        "c_ab": "661cd6704356a5fc4b9440f822fb7edacb24f96577e4585387ff2625d266d058",
-        "c_ac": "39f4accde1f0d9684ba49a5af1d37ca28c8e594049295848d8d4b8f54b85dba2",
-        "c2_full": "538586a92e0737c88f8ca2e8c190e8f9da3b6cd726d4110b87e982ac9d63adcd",
+        "lam_hi": "6dc08a8506490e80d1a6e0e821475573d80a6447e3c2f17f9fdf2764eacb6654",
+        "lam_lo": "d96e841aac49e5cf4ddbff2d1e7e6b0e8b710da6a70bea03024d633a994fc2c9",
+        "c_ab": "edb3c597567b192e159c68870a031eee219d2275ba89178a59030a7116d4ddb6",
+        "c_ac": "17c26532195f498627ae6347b1a8972899291689642fc69895e4a1de830c8a97",
+        "c2_full": "b66c312652d55fc60806171f018c2bf7710b1b549eecb3856d5085b57344f46a",
         "index": "1392a4a34fdb7293213ca801a738e2b129637e213a79327ff3ff39fec301ce08",
     },
     3: {
-        "lam_hi": "0cf389205cb3e338d46b7de27a9df8823eef110d95a4e36a20ae4e0c25d7a0a7",
-        "lam_lo": "1ab0b3a923c40f1147f076bb8cb2108760fb0facbf65200aedb9c205ff5b168a",
-        "c_ab": "48796d423537aee5858c5d2e4077f60a5aaa3be572c0a05882b2a2960b424496",
-        "c_ac": "ff1d032749687bf0b1a320365739472db26d73dcbb70c67168a9a8b157a69dde",
-        "c2_full": "22a83aa552cffdc2286a0625c8ed021072592ea874d15db55f72f63229173750",
+        "lam_hi": "2ab7fcc239cd8db9ad5b7d86db060cf82802b8ee159b17911398f621bc8387f3",
+        "lam_lo": "c2ddf415194104500574c301d61cd01f6f1e57227b0c4ada98bf7a38dc31c0ae",
+        "c_ab": "8b16faeb151c6f31882aed1b48fbc644af25190ae5b7f8447a90a1a8d2c9a2ca",
+        "c_ac": "2d84224249c8d3086b99107d586cba5b7fcf2cfcd4e51cecad6fb8abe0def400",
+        "c2_full": "703d27dcd2ccee0d34d86a8ff34492c182a53aeba73f7230035a133b23f4bead",
         "index": "1392a4a34fdb7293213ca801a738e2b129637e213a79327ff3ff39fec301ce08",
     },
     7919: {
-        "lam_hi": "5be7b27898bad5c00e7f33c0cce1af530bce9eb1dabb4b6c4eaa6799936aa407",
-        "lam_lo": "0a32a70a977cb7a2499ecfdbc52af4e32f5d02f4e38f35755d90d57431cd1485",
-        "c_ab": "ae0b267ae1af7c259b596f5ee56a73b858976cfee9b73a93b5c67e64735a902e",
-        "c_ac": "0a09ccc30f9b237f7355ed90b16a965933236438bf94f2c84c75ebb85986d71b",
-        "c2_full": "78352f0fd5b175c9cd3eabcba9ec6a5fe02c81763b7a735c8aee5dd9ec0f924b",
+        "lam_hi": "b2c30b8abe94964b4123bf0ab080913bb17fa0520e3aad1dc5820de2d912d94b",
+        "lam_lo": "cf55987a1e7f153a24bace36299f141181cfebd9625aa7390f9aab3d9f681027",
+        "c_ab": "63b009c470201b442ec9f79a652d910861c635888bfb8f6a96ce55df7221f7a6",
+        "c_ac": "adf42bbd0a553d4ef335ed33387d6359c4c0b95aeb472fd11d4c2db09772ea7d",
+        "c2_full": "84c8e7d334389b8bced2c43cfdc19aa9d8ba5e43964919e7aedf91548793b799",
         "index": "1392a4a34fdb7293213ca801a738e2b129637e213a79327ff3ff39fec301ce08",
     },
 }
@@ -524,7 +524,8 @@ class TestRunStateCheck:
 
 
 def per_state_tables(n_states, seed):
-    """Reference state table: every kernel call on one state at a time."""
+    """Reference state table: the density and spin-flip route, one state at
+    a time."""
     cols = {name: np.empty(n_states) for name in ("lam_hi", "lam_lo", "c_ab", "c_ac")}
     for i, amps in enumerate(states.random_pure_states(3, n_states, seed)):
         rho = states.density(states.PureState(3, amps))
@@ -539,15 +540,78 @@ def per_state_tables(n_states, seed):
     return cols
 
 
+def hyperdeterminant(amplitudes):
+    """Cayley's hyperdeterminant of each row's 2 x 2 x 2 amplitude array."""
+    a = amplitudes.reshape(-1, 2, 2, 2)
+    a000, a001, a010, a011 = a[:, 0, 0, 0], a[:, 0, 0, 1], a[:, 0, 1, 0], a[:, 0, 1, 1]
+    a100, a101, a110, a111 = a[:, 1, 0, 0], a[:, 1, 0, 1], a[:, 1, 1, 0], a[:, 1, 1, 1]
+    squares = (a000 * a111) ** 2 + (a001 * a110) ** 2 + (a010 * a101) ** 2 + (a100 * a011) ** 2
+    pairs = (
+        a000 * a111 * (a001 * a110 + a010 * a101 + a100 * a011)
+        + a001 * a110 * (a010 * a101 + a100 * a011)
+        + a010 * a101 * a100 * a011
+    )
+    quads = a000 * a011 * a101 * a110 + a001 * a010 * a100 * a111
+    return squares - 2.0 * pairs + 4.0 * quads
+
+
 class TestStateTables:
     @pytest.mark.parametrize("seed", [0, 7919])
     @pytest.mark.parametrize("n_states", [1, 400, verify._STATE_BLOCK + 3])
     def test_blocked_table_equals_per_state_loop(self, seed, n_states):
+        # The closed forms against the spin-flip route, at roundoff.
         table = verify._state_tables(n_states, seed)
         reference = per_state_tables(n_states, seed)
         assert table.keys() == reference.keys()
         for name, column in reference.items():
-            assert np.array_equal(table[name], column), name
+            np.testing.assert_allclose(table[name], column, rtol=0, atol=1e-13, err_msg=name)
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    @pytest.mark.parametrize("n_states", [1, 400, verify._STATE_BLOCK + 3])
+    def test_table_is_a_prefix_of_a_longer_table(self, seed, n_states):
+        table = verify._state_tables(n_states, seed)
+        longer = verify._state_tables(2000, seed)
+        for name, column in table.items():
+            assert np.array_equal(column, longer[name][:n_states]), name
+
+    @pytest.mark.parametrize("seed", [3, 7919])
+    def test_ckw_residual_is_the_three_tangle(self, seed):
+        # C^2(A|BC) - C_AB^2 - C_AC^2 = 4 |Det(a)| for every pure state
+        # (Coffman, Kundu and Wootters, PRA 61, 052306, 2000).
+        table = verify._state_tables(20000, seed)
+        tangle = 4.0 * np.abs(hyperdeterminant(states.random_pure_states(3, 20000, seed)))
+        residual = table["c2_full"] - table["c_ab"] ** 2 - table["c_ac"] ** 2
+        assert np.max(np.abs(residual - tangle)) <= 1e-14
+
+    def test_product_ghz_and_w_rows(self, monkeypatch):
+        rows = np.zeros((3, 8), dtype=complex)
+        rows[0, 0] = 1.0
+        rows[1, [0, 7]] = 1.0 / math.sqrt(2.0)
+        rows[2, [1, 2, 4]] = 1.0 / math.sqrt(3.0)
+        monkeypatch.setattr(states, "random_pure_states", lambda n, count, seed: rows[:count])
+        table = verify._state_tables(3, 0)
+        # |000>: a product state, exactly.
+        assert [table[name][0] for name in ("lam_hi", "lam_lo", "c_ab", "c_ac", "c2_full")] == [
+            1.0, 0.0, 0.0, 0.0, 0.0,
+        ]
+        # GHZ: no pair entanglement, a maximally entangled pivot cut.
+        assert (table["c_ab"][1], table["c_ac"][1]) == (0.0, 0.0)
+        assert table["lam_hi"][1] == pytest.approx(0.5, abs=1e-15)
+        assert table["lam_lo"][1] == pytest.approx(0.5, abs=1e-15)
+        assert table["c2_full"][1] == pytest.approx(1.0, abs=1e-15)
+        # W: C_AB = C_AC = 2/3 and C^2(A|BC) = 8/9, so no three-tangle.
+        assert table["c_ab"][2] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert table["c_ac"][2] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert table["c2_full"][2] == pytest.approx(8.0 / 9.0, abs=1e-15)
+
+    def test_runs_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        table = verify._state_tables(515, 0)
+        assert table["c_ab"].shape == (515,)
 
     @pytest.mark.parametrize("seed", sorted(STATE_TABLE_SHA256))
     def test_columns_pinned(self, seed):
