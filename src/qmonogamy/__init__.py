@@ -17,7 +17,7 @@ from .bounds import (
     pair_bound_prior,
     power_chain,
 )
-from .kernel import hermitian_eigenvalues, partial_trace, trace_power
+from .kernel import hermitian_eigenvalues, partial_trace
 from .measures import (
     RenyiParam,
     TsallisParam,
@@ -81,7 +81,6 @@ __all__ = [
     "renyi_two_qubit",
     "run_state_check",
     "run_sweep",
-    "trace_power",
     "tsallis_pure",
     "tsallis_two_qubit",
 ]

@@ -4,8 +4,11 @@ One pairwise tail formula and one chain skeleton (``chain_bound``) cover
 every relation variant: the Tsallis and Renyi linear forms share the
 "linear" coupling, the small-alpha Renyi form uses the "squared" coupling
 with exponent gamma = 2 mu.  The tightened, prior published and naive tails
-differ only in the coefficient of the cross term.  ``ordering_certificate``
-checks the concurrence-ordering hypotheses the chain bounds rely on.
+differ only in the coefficient of the cross term.  ``REGIMES`` is the one
+table of the paper's regimes: each row names its measure, index window and
+coupling, and ``regime_of`` finds the row of an index.
+``ordering_certificate`` checks the concurrence-ordering hypotheses the
+chain bounds rely on.
 """
 
 from __future__ import annotations
@@ -18,14 +21,10 @@ import numpy as np
 from . import kernel, measures
 from .states import PureState, density
 
-COUPLINGS = ("linear", "squared")
-REGIMES = ("tsallis_q2to3", "renyi_ge2", "renyi_window")
-
-_REGIME_COUPLING = {
-    "tsallis_q2to3": "linear",
-    "renyi_ge2": "linear",
-    "renyi_window": "squared",
-}
+# The power k that each coupling puts on e2 in a tail's cross term; the
+# relation's exponent is k mu.
+_DEGREE = {"linear": 1, "squared": 2}
+COUPLINGS = tuple(_DEGREE)
 
 # Pair tails e1^p + c e1^(p-k) e2^k + (2^mu - c - 1) e2^p by name: the
 # cross coefficient c as a function of mu.  The coupling sets (p, k):
@@ -71,12 +70,84 @@ class PowerParam:
         gamma = float(gamma)
         if not math.isfinite(gamma):
             raise ValueError(f"power gamma must be finite, got {gamma}")
+        if gamma < 2.0:
+            raise ValueError(f"power gamma must be >= 2, got {gamma}")
         return cls(gamma / 2.0)
 
     @property
     def h(self) -> float:
         """Tail weight 2**mu - 1 of the chain expansion."""
         return _TWO**self.mu - 1.0
+
+
+@dataclass(frozen=True)
+class Regime:
+    """One regime of the powered relations: the entropy ``measure`` and the
+    name of its ``index``, the index ``window`` the relation holds on, and
+    the ``coupling``, which sets the relation's exponent."""
+
+    name: str
+    measure: str  # "tsallis" | "renyi"
+    index: str  # "q" | "alpha"
+    window: measures.Window
+    coupling: str  # a key of _DEGREE
+
+    @property
+    def degree(self) -> int:
+        """The power k under which the measure is additive in this regime,
+        E^k >= E_AB^k + E_AC^k; the relation's exponent is k mu."""
+        return _DEGREE[self.coupling]
+
+    def power(self, exponent: float) -> PowerParam:
+        """The power of the relation with ``exponent``: mu for the linear
+        coupling, gamma = 2 mu for the squared one."""
+        if self.coupling == "squared":
+            return PowerParam.from_gamma(exponent)
+        return PowerParam(exponent)
+
+
+REGIMES = {
+    row.name: row
+    for row in (
+        # g_q is superadditive for 2 <= q <= 3.
+        Regime("tsallis_q2to3", "tsallis", "q", measures.Window(2.0, 3.0), "linear"),
+        Regime("renyi_ge2", "renyi", "alpha", measures.Window(2.0), "linear"),
+        # Below alpha = 2 only f_alpha^2 is superadditive.
+        Regime(
+            "renyi_window",
+            "renyi",
+            "alpha",
+            measures.Window(measures.RENYI_ANALYTIC_MIN, 2.0, hi_open=True),
+            "squared",
+        ),
+    )
+}
+
+# Each measure's index; building one checks that it is finite, positive and
+# not 1.
+_INDEX_PARAMS = {"tsallis": measures.TsallisParam, "renyi": measures.RenyiParam}
+
+
+def regime_of(measure: str, index: float) -> Regime:
+    """The first row of ``REGIMES`` for ``measure`` whose window holds
+    ``index``, which is first checked as the measure's entropy index.
+
+    An index outside every window raises a ValueError naming the span of
+    the measure's windows.
+    """
+    if measure not in _INDEX_PARAMS:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {tuple(_INDEX_PARAMS)}")
+    index = float(index)
+    _INDEX_PARAMS[measure](index)
+    rows = [row for row in REGIMES.values() if row.measure == measure]
+    for row in rows:
+        if row.window.contains(index):
+            return row
+    # Edges to six decimals: 2.0 shows as 2.0, (sqrt(7) - 1)/2 as 0.822876.
+    lo = round(min(row.window.lo for row in rows), 6)
+    hi = round(max(row.window.hi for row in rows), 6)
+    span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+    raise ValueError(f"{measure} bounds need {rows[0].index} {span}, got {index}")
 
 
 @dataclass(frozen=True)
@@ -176,11 +247,9 @@ def _check_ordered(e1, e2):
 
 
 def _coupling_exponent(param: PowerParam, coupling: str) -> float:
-    if coupling == "linear":
-        return param.mu
-    if coupling == "squared":
-        return 2.0 * param.mu
-    raise ValueError(f"unknown coupling {coupling!r}; expected one of {COUPLINGS}")
+    if coupling not in _DEGREE:
+        raise ValueError(f"unknown coupling {coupling!r}; expected one of {COUPLINGS}")
+    return _DEGREE[coupling] * param.mu
 
 
 def _tail_values(head, lead, e2, last, full, squared: bool, coefficients) -> list:
@@ -207,10 +276,9 @@ def _tail(e1, e2, p, name: str, coupling: str = "linear"):
     param = _as_power(p)
     a, b = _check_ordered(e1, e2)
     pow_ = _coupling_exponent(param, coupling)
-    squared = coupling == "squared"
-    lead = a ** (pow_ - (2.0 if squared else 1.0))
+    k = _DEGREE[coupling]
     [vals] = _tail_values(
-        a**pow_, lead, b, b**pow_, _TWO**param.mu, squared, [_TAILS[name](param.mu)]
+        a**pow_, a ** (pow_ - k), b, b**pow_, _TWO**param.mu, k == 2, [_TAILS[name](param.mu)]
     )
     return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
 
@@ -282,16 +350,16 @@ def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
     """Powered comparison of the full-cut value ``lhs`` (unpowered) against
     the new, prior and naive chain bounds of ``values`` at split ``m``.
 
-    The regime sets the coupling and so the power of ``lhs``, mu or
-    gamma = 2 mu; two values at ``m = 1`` give the pair relation.  The
-    prior and naive columns reuse the chain skeleton with the matching
-    pairwise tail swapped in, so the term-by-term dominance of the tails
-    carries over to the chains.
+    The regime, a key of ``REGIMES``, sets the coupling and so the power of
+    ``lhs``, mu or gamma = 2 mu; two values at ``m = 1`` give the pair
+    relation.  The prior and naive columns reuse the chain skeleton with the
+    matching pairwise tail swapped in, so the term-by-term dominance of the
+    tails carries over to the chains.
     """
     param = _as_power(p)
-    if regime not in _REGIME_COUPLING:
-        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    coupling = _REGIME_COUPLING[regime]
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; expected one of {tuple(REGIMES)}")
+    coupling = REGIMES[regime].coupling
     pow_ = _coupling_exponent(param, coupling)
     # An overflow shows as a non-finite bound, which BoundReport rejects.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -44,10 +44,10 @@ EXAMPLE_REFERENCE = {
 EXAMPLE_TOL = 1e-5
 
 _FIGURES = {
-    # figure id -> (measure, index, exponent grid (start, stop, step), regime)
-    1: ("tsallis", 2.0, (1.0, 3.0, 0.02), "tsallis_q2to3"),
-    2: ("renyi", 2.0, (1.0, 4.0, 0.02), "renyi_ge2"),
-    3: ("renyi", measures.RENYI_ANALYTIC_MIN, (2.0, 6.0, 0.02), "renyi_window"),
+    # figure id -> (measure, index, exponent grid (start, stop, step))
+    1: ("tsallis", 2.0, (1.0, 3.0, 0.02)),
+    2: ("renyi", 2.0, (1.0, 4.0, 0.02)),
+    3: ("renyi", measures.RENYI_ANALYTIC_MIN, (2.0, 6.0, 0.02)),
 }
 
 
@@ -77,13 +77,6 @@ def example_values(measure: str, index: float) -> tuple[float, float, float]:
     return full, ab, ac
 
 
-def _power(regime: str, exponent: float) -> bounds.PowerParam:
-    """The window regime's exponent is gamma = 2 mu, the others' mu."""
-    if regime == "renyi_window":
-        return bounds.PowerParam.from_gamma(exponent)
-    return bounds.PowerParam(exponent)
-
-
 def cmd_example(which: int, out=None) -> int:
     out = out if out is not None else sys.stdout
     measure, index, reference = EXAMPLE_REFERENCE[which]
@@ -103,14 +96,15 @@ def cmd_example(which: int, out=None) -> int:
 
 def figure_rows(which: int):
     """(exponent, lhs, new, prior) rows of one bound-comparison figure."""
-    measure, index, (start, stop, step), regime = _FIGURES[which]
+    measure, index, (start, stop, step) = _FIGURES[which]
+    regime = bounds.regime_of(measure, index)
     full, pair_hi, pair_lo = example_values(measure, index)
     e1, e2 = max(pair_hi, pair_lo), min(pair_hi, pair_lo)
     count = int(round((stop - start) / step)) + 1
     rows = []
     for i in range(count):
         exponent = start + i * step
-        rep = bounds.compare_chain(full, (e1, e2), 1, _power(regime, exponent), regime)
+        rep = bounds.compare_chain(full, (e1, e2), 1, regime.power(exponent), regime.name)
         rows.append((exponent, rep.lhs, rep.new_bound, rep.prior_bound))
     return rows
 
@@ -246,28 +240,12 @@ def _evaluate_report(args) -> dict:
         raise ValueError(f"pivot {pivot} out of range for {n} qubits")
     rest = [q for q in range(n) if q != pivot]
 
-    measure = args.measure
     index = float(args.index)
-    exponent = float(args.exponent)
-    if measure == "tsallis":
-        param = measures.TsallisParam(index)
-        if not param.in_bound_window:
-            raise ValueError(
-                f"tsallis bounds need q in [{measures.TSALLIS_BOUND_MIN}, "
-                f"{measures.TSALLIS_BOUND_MAX}], got {index}"
-            )
-        regime = "tsallis_q2to3"
-    else:
-        param = measures.RenyiParam(index)
-        if not param.analytic:
-            raise ValueError(
-                f"renyi bounds need alpha >= {measures.RENYI_ANALYTIC_MIN:.6f}, got {index}"
-            )
-        regime = "renyi_ge2" if param.regime == "ge2" else "renyi_window"
-    power = _power(regime, exponent)
+    regime = bounds.regime_of(args.measure, index)
+    power = regime.power(float(args.exponent))
 
     # The certificate shares the marginals' concurrence table.
-    lhs, concurrences, marginals = _cut_values(state, pivot, measure, param)
+    lhs, concurrences, marginals = _cut_values(state, pivot, regime.measure, index)
     positions = bounds.ordering_certificate(state, pivot, rest, concurrences)
     tag, split = bounds.certificate_summary(positions)
     # The chain's tail hypothesis needs a descending pair for the full
@@ -278,13 +256,13 @@ def _evaluate_report(args) -> dict:
         split = n - 2
     else:
         split = min(split, n - 3)
-    report = bounds.compare_chain(lhs, marginals, split, power, regime)
+    report = bounds.compare_chain(lhs, marginals, split, power, regime.name)
     result = report.as_dict()
     result.update(
         {
-            "measure": measure,
+            "measure": regime.measure,
             "index": index,
-            "regime": regime,
+            "regime": regime.name,
             "pivot": pivot,
             "partners": rest,
             "marginals": marginals,

@@ -161,11 +161,3 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     arr = require_hermitian(h)
     # eigvalsh returns them real and ascending.
     return np.linalg.eigvalsh(arr)[..., ::-1].copy()
-
-
-def trace_power(rho, p: float) -> float:
-    """Trace of ``rho**p`` for a PSD Hermitian matrix, via its clamped
-    spectrum; ``p`` must be finite and positive."""
-    if not (p > 0 and np.isfinite(p)):
-        raise ValueError(f"power must be finite and positive, got {p}")
-    return float(np.sum(clamp_spectrum(hermitian_eigenvalues(rho)) ** p))

@@ -56,15 +56,8 @@ class Window(NamedTuple):
 TSALLIS_ANALYTIC_MIN = (5.0 - math.sqrt(13.0)) / 2.0
 TSALLIS_ANALYTIC_MAX = (5.0 + math.sqrt(13.0)) / 2.0
 RENYI_ANALYTIC_MIN = (math.sqrt(7.0) - 1.0) / 2.0
-# Superadditivity of g_q (and hence the Tsallis bound kernels) needs q in [2, 3].
-TSALLIS_BOUND_MIN = 2.0
-TSALLIS_BOUND_MAX = 3.0
 TSALLIS_ANALYTIC = Window(TSALLIS_ANALYTIC_MIN, TSALLIS_ANALYTIC_MAX)
-TSALLIS_BOUND = Window(TSALLIS_BOUND_MIN, TSALLIS_BOUND_MAX)
 RENYI_ANALYTIC = Window(RENYI_ANALYTIC_MIN)
-# The Renyi bound regimes: "ge2" (alpha >= 2) and "window" (below 2).
-RENYI_GE2 = Window(2.0)
-RENYI_WINDOW = Window(RENYI_ANALYTIC_MIN, 2.0, hi_open=True)
 
 
 @dataclass(frozen=True)
@@ -85,10 +78,6 @@ class TsallisParam:
     def analytic(self) -> bool:
         return TSALLIS_ANALYTIC.contains(self.q)
 
-    @property
-    def in_bound_window(self) -> bool:
-        return TSALLIS_BOUND.contains(self.q)
-
 
 @dataclass(frozen=True)
 class RenyiParam:
@@ -107,15 +96,6 @@ class RenyiParam:
     @property
     def analytic(self) -> bool:
         return RENYI_ANALYTIC.contains(self.alpha)
-
-    @property
-    def regime(self) -> str:
-        """Bound regime tag: "ge2" for alpha >= 2, "window" below it."""
-        if not self.analytic:
-            raise ValueError(
-                f"alpha {self.alpha} below the analytic threshold {RENYI_ANALYTIC_MIN:.6f}"
-            )
-        return "ge2" if RENYI_GE2.contains(self.alpha) else "window"
 
 
 def _tsallis(p) -> TsallisParam:

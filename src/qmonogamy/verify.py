@@ -10,6 +10,7 @@ resolve to the earliest in sweep order (combo, then point).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -195,9 +196,10 @@ def _state_triple(pts, index, value):
     return full, np.maximum(ab, ac), np.minimum(ab, ac)
 
 
-def _additive(triple, index: str, k: int):
+def _additive(triple, regime: bounds.Regime):
     """Margin z^k - x^k - y^k of ``triple``'s (z, x, y) at the combo's
-    ``index`` (the superadditivity lemmas)."""
+    index, with k the regime's degree (the superadditivity lemmas)."""
+    index, k = regime.index, regime.degree
 
     def margin(pts, combo):
         z, x, y = _shared(pts, triple, index, combo[index])
@@ -208,19 +210,16 @@ def _additive(triple, index: str, k: int):
     return margin
 
 
-def _powered(triple, index: str, power: str):
-    """Margin E^p - Q_new(e1, e2) of the powered pair relation, with
-    (E, e1 >= e2) from ``triple`` at the combo's ``index`` and p the combo's
-    ``power``; a power named gamma takes the squared coupling."""
+def _powered(triple, regime: bounds.Regime, power: str):
+    """Margin E^p - Q_new(e1, e2) of the regime's powered pair relation,
+    with (E, e1 >= e2) from ``triple`` at the combo's index and p the
+    combo's ``power``, the relation's exponent."""
+    index = regime.index
 
     def margin(pts, combo):
         full, e1, e2 = _shared(pts, triple, index, combo[index])
         p = combo[power]
-        if power == "gamma":
-            param, coupling = bounds.PowerParam.from_gamma(p), "squared"
-        else:
-            param, coupling = bounds.PowerParam(p), "linear"
-        return full**p - bounds.pair_bound_new(e1, e2, param, coupling)
+        return full**p - bounds.pair_bound_new(e1, e2, regime.power(p), regime.coupling)
 
     return margin
 
@@ -247,14 +246,16 @@ def _domain_disc_ordered(pts):
     return _domain_disc(pts) & (pts["x"] >= pts["y"])
 
 
-# Parameter gates (lo, hi, hi_open): values must lie in the
-# ``measures.Window``, whose edge rule the index windows share.
-_UNIT = measures.Window(0.0, 1.0)
-_POWER = measures.Window(1.0)
-_Q_BOUND = measures.TSALLIS_BOUND
-_ALPHA_GE2 = measures.RENYI_GE2
-_ALPHA_WINDOW = measures.RENYI_WINDOW
-_GAMMA = measures.Window(2.0)
+# Gates (lo, hi, hi_open) by axis or parameter name: values must lie in the
+# ``measures.Window``, whose edge rule the index windows share.  A regime's
+# index (q or alpha) takes the regime's window instead.
+_GATES = {
+    "x": measures.Window(0.0, 1.0),
+    "y": measures.Window(0.0, 1.0),
+    "mu": measures.Window(1.0),
+    "eta": measures.Window(1.0),
+    "gamma": measures.Window(2.0),
+}
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,8 @@ class Family:
     boolean mask of their broadcast shape; a predicate that ignores some
     columns may return a mask that only broadcasts to it, as
     ``_domain_all`` does.  ``margin`` takes a dict of equal-length point
-    columns and one parameter combo.
+    columns and one parameter combo.  ``regime`` names the
+    ``bounds.REGIMES`` row of the relation the family checks, if any.
     """
 
     name: str
@@ -275,167 +277,129 @@ class Family:
     params: tuple[tuple[str, tuple[float, ...]], ...]
     margin: callable
     domain: callable = _domain_all
-    gates: tuple[tuple[str, float, float, bool], ...] = ()
+    regime: str | None = None
     tolerance: float = GRID_TOLERANCE
+
+    @property
+    def gates(self) -> tuple[tuple[str, float, float, bool], ...]:
+        """``(name, lo, hi, hi_open)`` of each axis and parameter."""
+        windows = dict(_GATES)
+        if self.regime is not None:
+            row = bounds.REGIMES[self.regime]
+            windows[row.index] = row.window
+        names = [name for name, *_ in self.axes] + [name for name, _ in self.params]
+        return tuple((name, *windows[name]) for name in names)
 
 
 _Q_SUPER_DEFAULT = tuple(round(2.0 + 0.1 * i, 10) for i in range(11))
+_GRID_AXES = (("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60))
 
 FAMILIES: dict[str, Family] = {}
 
 
-def _register(fam: Family):
-    FAMILIES[fam.name] = fam
+def _register(name: str, kind: str, margin, regime: str | None = None, **fields):
+    """Register a family.  A regime family names its regime here only: its
+    ``margin`` is a builder, called with the regime's row."""
+    if regime is not None:
+        margin = margin(bounds.REGIMES[regime])
+    FAMILIES[name] = Family(name, kind, margin=margin, regime=regime, **fields)
 
 
 _register(
-    Family(
-        "lemma1",
-        "grid",
-        axes=(("x", 0.0, 1.0, 200), ("mu", 1.0, 4.0, 200)),
-        params=(),
-        margin=_margin_power_chain,
-        gates=(("x", *_UNIT), ("mu", *_POWER)),
-    )
+    "lemma1",
+    "grid",
+    axes=(("x", 0.0, 1.0, 200), ("mu", 1.0, 4.0, 200)),
+    params=(),
+    margin=_margin_power_chain,
 )
 _register(
-    Family(
-        "gqsuper",
-        "grid",
-        axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
-        params=(("q", _Q_SUPER_DEFAULT),),
-        margin=_additive(_grid_triple, "q", 1),
-        domain=_domain_disc,
-        gates=(
-            ("x", *_UNIT),
-            ("y", *_UNIT),
-            ("q", *_Q_BOUND),
-        ),
-    )
+    "gqsuper",
+    "grid",
+    axes=_GRID_AXES,
+    params=(("q", _Q_SUPER_DEFAULT),),
+    margin=functools.partial(_additive, _grid_triple),
+    regime="tsallis_q2to3",
+    domain=_domain_disc,
 )
 _register(
-    Family(
-        "falphaadd",
-        "grid",
-        axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
-        params=(("alpha", (2.0, 2.5, 3.0, 4.0)),),
-        margin=_additive(_grid_triple, "alpha", 1),
-        domain=_domain_disc,
-        gates=(
-            ("x", *_UNIT),
-            ("y", *_UNIT),
-            ("alpha", *_ALPHA_GE2),
-        ),
-    )
+    "falphaadd",
+    "grid",
+    axes=_GRID_AXES,
+    params=(("alpha", (2.0, 2.5, 3.0, 4.0)),),
+    margin=functools.partial(_additive, _grid_triple),
+    regime="renyi_ge2",
+    domain=_domain_disc,
 )
 _register(
-    Family(
-        "falphasqadd",
-        "grid",
-        axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
-        params=(("alpha", (_WINDOW_MIN, 1.2, 1.5, 1.9)),),
-        margin=_additive(_grid_triple, "alpha", 2),
-        domain=_domain_disc,
-        gates=(
-            ("x", *_UNIT),
-            ("y", *_UNIT),
-            ("alpha", *_ALPHA_WINDOW),
-        ),
-    )
+    "falphasqadd",
+    "grid",
+    axes=_GRID_AXES,
+    params=(("alpha", (_WINDOW_MIN, 1.2, 1.5, 1.9)),),
+    margin=functools.partial(_additive, _grid_triple),
+    regime="renyi_window",
+    domain=_domain_disc,
 )
 _register(
-    Family(
-        "lemma2",
-        "grid",
-        axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
-        params=(("q", (2.0, 2.5, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
-        margin=_powered(_grid_triple, "q", "mu"),
-        domain=_domain_disc_ordered,
-        gates=(
-            ("x", *_UNIT),
-            ("y", *_UNIT),
-            ("q", *_Q_BOUND),
-            ("mu", *_POWER),
-        ),
-    )
+    "lemma2",
+    "grid",
+    axes=_GRID_AXES,
+    params=(("q", (2.0, 2.5, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
+    margin=functools.partial(_powered, _grid_triple, power="mu"),
+    regime="tsallis_q2to3",
+    domain=_domain_disc_ordered,
 )
 _register(
-    Family(
-        "lemma5",
-        "grid",
-        axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
-        params=(("alpha", (2.0, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
-        margin=_powered(_grid_triple, "alpha", "mu"),
-        domain=_domain_disc_ordered,
-        gates=(
-            ("x", *_UNIT),
-            ("y", *_UNIT),
-            ("alpha", *_ALPHA_GE2),
-            ("mu", *_POWER),
-        ),
-    )
+    "lemma5",
+    "grid",
+    axes=_GRID_AXES,
+    params=(("alpha", (2.0, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
+    margin=functools.partial(_powered, _grid_triple, power="mu"),
+    regime="renyi_ge2",
+    domain=_domain_disc_ordered,
 )
 _register(
-    Family(
-        "lemma6",
-        "grid",
-        axes=(("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)),
-        params=(("alpha", (_WINDOW_MIN, 1.2, 1.5, 1.9)), ("gamma", (2.0, 3.0, 4.0))),
-        margin=_powered(_grid_triple, "alpha", "gamma"),
-        domain=_domain_disc_ordered,
-        gates=(
-            ("x", *_UNIT),
-            ("y", *_UNIT),
-            ("alpha", *_ALPHA_WINDOW),
-            ("gamma", *_GAMMA),
-        ),
-    )
+    "lemma6",
+    "grid",
+    axes=_GRID_AXES,
+    params=(("alpha", (_WINDOW_MIN, 1.2, 1.5, 1.9)), ("gamma", (2.0, 3.0, 4.0))),
+    margin=functools.partial(_powered, _grid_triple, power="gamma"),
+    regime="renyi_window",
+    domain=_domain_disc_ordered,
 )
 _register(
-    Family(
-        "ckw",
-        "state",
-        axes=(),
-        params=(),
-        margin=_margin_ckw,
-        tolerance=STATE_TOLERANCE,
-    )
+    "ckw",
+    "state",
+    axes=(),
+    params=(),
+    margin=_margin_ckw,
+    tolerance=STATE_TOLERANCE,
 )
 _register(
-    Family(
-        "remark1",
-        "state",
-        axes=(),
-        params=(("q", (2.0, 2.5, 3.0)), ("eta", (1.0, 1.5, 2.0, 3.0))),
-        margin=_powered(_state_triple, "q", "eta"),
-        gates=(("q", *_Q_BOUND), ("eta", *_POWER)),
-        tolerance=STATE_TOLERANCE,
-    )
+    "remark1",
+    "state",
+    axes=(),
+    params=(("q", (2.0, 2.5, 3.0)), ("eta", (1.0, 1.5, 2.0, 3.0))),
+    margin=functools.partial(_powered, _state_triple, power="eta"),
+    regime="tsallis_q2to3",
+    tolerance=STATE_TOLERANCE,
 )
 _register(
-    Family(
-        "remark2",
-        "state",
-        axes=(),
-        params=(("alpha", (2.0, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
-        margin=_powered(_state_triple, "alpha", "mu"),
-        gates=(("alpha", *_ALPHA_GE2), ("mu", *_POWER)),
-        tolerance=STATE_TOLERANCE,
-    )
+    "remark2",
+    "state",
+    axes=(),
+    params=(("alpha", (2.0, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
+    margin=functools.partial(_powered, _state_triple, power="mu"),
+    regime="renyi_ge2",
+    tolerance=STATE_TOLERANCE,
 )
 _register(
-    Family(
-        "remark3",
-        "state",
-        axes=(),
-        params=(("alpha", (_WINDOW_MIN, 1.5)), ("gamma", (2.0, 3.0, 4.0))),
-        margin=_powered(_state_triple, "alpha", "gamma"),
-        gates=(
-            ("alpha", *_ALPHA_WINDOW),
-            ("gamma", *_GAMMA),
-        ),
-        tolerance=STATE_TOLERANCE,
-    )
+    "remark3",
+    "state",
+    axes=(),
+    params=(("alpha", (_WINDOW_MIN, 1.5)), ("gamma", (2.0, 3.0, 4.0))),
+    margin=functools.partial(_powered, _state_triple, power="gamma"),
+    regime="renyi_window",
+    tolerance=STATE_TOLERANCE,
 )
 
 FAMILY_NAMES = tuple(FAMILIES)

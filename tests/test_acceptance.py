@@ -197,10 +197,7 @@ def test_extension_four_party_chain():
                     if c >= b:
                         split_choices += [0, 1]
                     for power in powers:
-                        if regime == "renyi_window":
-                            p = bounds.PowerParam.from_gamma(power)
-                        else:
-                            p = bounds.PowerParam(power)
+                        p = bounds.REGIMES[regime].power(power)
                         for m in split_choices:
                             rep = bounds.compare_chain(1.0, (a, b, c), m, p, regime)
                             ok = ok and rep.new_bound - rep.prior_bound >= -1e-12

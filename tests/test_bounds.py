@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmonogamy import bounds, kernel, measures, states
+from qmonogamy import bounds, kernel, measures, states, verify
 
 WINDOW_ALPHA = measures.RENYI_ANALYTIC_MIN
 
@@ -37,7 +37,7 @@ class TestPowerParam:
     def test_gates(self):
         with pytest.raises(ValueError):
             bounds.PowerParam(0.5)
-        with pytest.raises(ValueError, match="power must be >= 1, got 0.75"):
+        with pytest.raises(ValueError, match="power gamma must be >= 2, got 1.5"):
             bounds.PowerParam.from_gamma(1.5)
         assert bounds.PowerParam.from_gamma(5.0).mu == 2.5
         assert bounds.PowerParam(2.0).h == 3.0
@@ -54,6 +54,76 @@ class TestPowerParam:
             bounds.PowerParam(bad)
         with pytest.raises(ValueError, match=f"power gamma must be finite, got {bad}"):
             bounds.PowerParam.from_gamma(bad)
+
+
+class TestRegimes:
+    # A closed edge admits 1e-12 of roundoff, an open edge excludes it.
+    INSIDE, OUTSIDE = 5e-13, 2e-12
+
+    def test_tsallis_edges(self):
+        for q in (2.0 - self.INSIDE, 2.0, 2.5, 3.0, 3.0 + self.INSIDE):
+            assert bounds.regime_of("tsallis", q).name == "tsallis_q2to3"
+        for q in (2.0 - self.OUTSIDE, 3.0 + self.OUTSIDE, 1.5, 3.5):
+            message = rf"tsallis bounds need q in \[2.0, 3.0\], got {q}"
+            with pytest.raises(ValueError, match=message):
+                bounds.regime_of("tsallis", q)
+
+    def test_renyi_edges(self):
+        # The two Renyi rows split alpha = 2 without overlap.
+        expected = [
+            (WINDOW_ALPHA - self.INSIDE, "renyi_window"),
+            (WINDOW_ALPHA, "renyi_window"),
+            (1.5, "renyi_window"),
+            (2.0 - self.OUTSIDE, "renyi_window"),
+            (2.0 - self.INSIDE, "renyi_ge2"),
+            (2.0, "renyi_ge2"),
+            (2.0 + self.INSIDE, "renyi_ge2"),
+            (1e6, "renyi_ge2"),
+        ]
+        for alpha, name in expected:
+            assert bounds.regime_of("renyi", alpha).name == name, alpha
+        for alpha in (WINDOW_ALPHA - self.OUTSIDE, 0.5):
+            message = f"renyi bounds need alpha >= 0.822876, got {alpha}"
+            with pytest.raises(ValueError, match=message):
+                bounds.regime_of("renyi", alpha)
+
+    def test_index_checked_before_the_windows(self):
+        for measure, name in (("tsallis", "q"), ("renyi", "alpha")):
+            with pytest.raises(ValueError, match=f"{name} must be finite, got nan"):
+                bounds.regime_of(measure, math.nan)
+            with pytest.raises(ValueError, match=f"{name} must be positive and != 1"):
+                bounds.regime_of(measure, 1.0)
+        with pytest.raises(ValueError, match="unknown measure 'shannon'"):
+            bounds.regime_of("shannon", 2.0)
+
+    def test_power_follows_the_coupling(self):
+        assert bounds.REGIMES["renyi_ge2"].power(3.0).mu == 3.0
+        assert bounds.REGIMES["renyi_window"].power(3.0).mu == 1.5
+        assert [row.degree for row in bounds.REGIMES.values()] == [1, 1, 2]
+
+    def test_table_invariants(self):
+        analytic = {"tsallis": measures.TSALLIS_ANALYTIC, "renyi": measures.RENYI_ANALYTIC}
+        for row in bounds.REGIMES.values():
+            assert row.index == {"tsallis": "q", "renyi": "alpha"}[row.measure]
+            assert row.coupling in bounds.COUPLINGS
+            outer = analytic[row.measure]
+            assert outer.lo <= row.window.lo and row.window.hi <= outer.hi, row.name
+        # The Renyi rows tile [RENYI_ANALYTIC_MIN, inf): each value lies in
+        # exactly one of them.
+        renyi = sorted(row.window for row in bounds.REGIMES.values() if row.measure == "renyi")
+        assert len(renyi) == 2
+        assert renyi[0].lo == measures.RENYI_ANALYTIC_MIN and renyi[-1].hi == math.inf
+        for below, above in zip(renyi, renyi[1:]):
+            assert below.hi == above.lo and below.hi_open and not above.hi_open
+        edges = [WINDOW_ALPHA, 2.0]
+        probes = [e + d for e in edges for d in (-self.INSIDE, 0.0, self.INSIDE)]
+        probes += list(np.linspace(WINDOW_ALPHA, 5.0, 97)) + [1e6]
+        for alpha in probes:
+            assert sum(bool(w.contains(alpha)) for w in renyi) == 1, alpha
+        # Every row is checked by at least one grid and one state family.
+        for kind in ("grid", "state"):
+            checked = {fam.regime for fam in verify.FAMILIES.values() if fam.kind == kind}
+            assert set(bounds.REGIMES) <= checked, kind
 
 
 class TestPowerChain:

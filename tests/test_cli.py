@@ -712,6 +712,14 @@ class TestEvaluate:
         assert out == ""
         assert err == f"error: power {name} must be finite, got {exponent}\n"
 
+    def test_small_gamma_named_as_typed(self, tmp_path, capsys):
+        # The window regime reads --exponent as gamma = 2 mu; the message
+        # names that value, not the halved mu.
+        path = write_pinned_state("haar-3-11", tmp_path)
+        code, out, err = run(evaluate_argv(path, "renyi", "1.5", "1.5", 0), capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: power gamma must be >= 2, got 1.5\n"
+
     def test_malformed_state_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"n_qubits": 3}')

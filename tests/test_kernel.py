@@ -197,33 +197,3 @@ class TestGeneralEigenvalues:
         prod = rho @ (YY @ rho.conj() @ YY)
         vals = np.linalg.eigvals(prod)
         assert np.allclose(sorted(vals.real, reverse=True), [1.0, 0.0, 0.0, 0.0], atol=1e-9)
-
-
-class TestTracePower:
-    def test_maximally_mixed(self):
-        assert kernel.trace_power(I2 / 2.0, 2.0) == pytest.approx(0.5, abs=1e-14)
-
-    def test_pure_projector_any_power(self):
-        st = states.random_pure_state(2, 3)
-        rho = states.density(st)
-        for p in (0.5, 2.0, 2.7, 5.0):
-            assert kernel.trace_power(rho, p) == pytest.approx(1.0, abs=1e-10)
-
-    def test_example_marginal_purity(self):
-        rho = states.density(example_state())
-        rho_a = kernel.partial_trace(rho, 3, {0})
-        assert kernel.trace_power(rho_a, 2.0) == pytest.approx(1.0 - 40.0 / 81.0, abs=1e-12)
-
-    def test_rejects_invalid_state(self):
-        with pytest.raises(ValueError):
-            kernel.trace_power(np.diag([1.1, -0.1]).astype(complex), 2.0)
-
-    def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
-            kernel.trace_power(I2 / 2.0, 0.0)
-
-    @pytest.mark.parametrize("power", [math.nan, math.inf])
-    def test_rejects_non_finite_power(self, power):
-        # NaN passed the sign check and returned nan; inf returned 0.0.
-        with pytest.raises(ValueError, match=f"power must be finite and positive, got {power}"):
-            kernel.trace_power(I2 / 2.0, power)

@@ -47,9 +47,7 @@ class TestParams:
         with pytest.raises(ValueError):
             measures.TsallisParam(0.0)
         assert measures.TsallisParam(2.0).analytic
-        assert measures.TsallisParam(2.0).in_bound_window
         assert not measures.TsallisParam(0.5).analytic
-        assert not measures.TsallisParam(3.5).in_bound_window
         assert measures.TsallisParam(measures.TSALLIS_ANALYTIC_MAX).analytic
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -66,28 +64,14 @@ class TestParams:
             measures.RenyiParam(1.0)
         with pytest.raises(ValueError):
             measures.RenyiParam(-2.0)
-        assert measures.RenyiParam(2.0).regime == "ge2"
-        assert measures.RenyiParam(1.5).regime == "window"
-        assert measures.RenyiParam(WINDOW_ALPHA).regime == "window"
-        with pytest.raises(ValueError):
-            _ = measures.RenyiParam(0.5).regime
+        assert measures.RenyiParam(WINDOW_ALPHA).analytic
+        assert not measures.RenyiParam(0.5).analytic
 
     def test_one_edge_rule(self):
         # A closed edge admits 1e-12 of roundoff, an open edge excludes it.
         inside, outside = 5e-13, 2e-12
-        assert measures.TsallisParam(3.0 + inside).in_bound_window
-        assert measures.TsallisParam(2.0 - inside).in_bound_window
-        assert not measures.TsallisParam(3.0 + outside).in_bound_window
-        assert not measures.TsallisParam(2.0 - outside).in_bound_window
         assert measures.RenyiParam(WINDOW_ALPHA - inside).analytic
         assert not measures.RenyiParam(WINDOW_ALPHA - outside).analytic
-        # The two Renyi regimes split alpha = 2 without overlap.
-        for alpha in (2.0 - outside, 2.0 - inside, 2.0, 2.0 + inside):
-            ge2 = bool(measures.RENYI_GE2.contains(alpha))
-            assert ge2 != bool(measures.RENYI_WINDOW.contains(alpha)), alpha
-            assert measures.RenyiParam(alpha).regime == ("ge2" if ge2 else "window")
-        assert measures.RenyiParam(2.0 - inside).regime == "ge2"
-        assert measures.RenyiParam(2.0 - outside).regime == "window"
         values = np.array([1.0 - outside, 1.0 - inside, 2.0 - inside, 2.0])
         assert measures.Window(1.0, 2.0, hi_open=True).contains(values).tolist() == [
             False, True, False, False

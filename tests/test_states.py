@@ -91,7 +91,7 @@ class TestAcinState:
             lams = tuple(raw / np.linalg.norm(raw))
             st = states.acin_state(states.AcinParams(lams))
             rho_a = kernel.partial_trace(states.density(st), 3, {0})
-            lhs = 2.0 * (1.0 - kernel.trace_power(rho_a, 2.0))
+            lhs = 2.0 * (1.0 - np.trace(rho_a @ rho_a).real)
             rhs = 4.0 * lams[0] ** 2 * (lams[2] ** 2 + lams[3] ** 2 + lams[4] ** 2)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 

@@ -122,6 +122,15 @@ class TestGates:
         }
         assert registered == {(family, name) for family, name, *_ in GATES}
 
+    def test_index_gate_is_the_regime_window(self):
+        # A copy with another margin, as bench/tracer.py makes, keeps them.
+        for fam in verify.FAMILIES.values():
+            copy = dataclasses.replace(fam, margin=lambda pts, combo: 0.0)
+            assert (copy.regime, copy.gates) == (fam.regime, fam.gates)
+            if fam.regime is not None:
+                row = bounds.REGIMES[fam.regime]
+                assert (row.index, *row.window) in fam.gates, fam.name
+
     @pytest.mark.parametrize("family,name,lo,hi,hi_open", GATES)
     def test_edges(self, family, name, lo, hi, hi_open):
         fam = verify.family_of(family)
