@@ -2,7 +2,9 @@
 
 Each inequality family is registered with its default grid axes, discrete
 parameter lists, domain predicate and vectorized margin function
-(LHS - RHS, signed, never clamped).  Sweeps are deterministic for a fixed
+(LHS - RHS, signed, never clamped); a family that checks a regime's
+relation states only its kind, relation, regime and defaults, and the rest
+follows from them (``_regime_family``).  Sweeps are deterministic for a fixed
 spec: points are evaluated in a fixed order, argmin ties resolve to the
 lexicographically smallest point, and violations tied at the list's cap
 resolve to the earliest in sweep order (combo, then point).
@@ -10,7 +12,6 @@ resolve to the earliest in sweep order (combo, then point).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -278,7 +279,6 @@ class Family:
     margin: callable
     domain: callable = _domain_all
     regime: str | None = None
-    tolerance: float = GRID_TOLERANCE
 
     @property
     def gates(self) -> tuple[tuple[str, float, float, bool], ...]:
@@ -291,116 +291,58 @@ class Family:
         return tuple((name, *windows[name]) for name in names)
 
 
-_Q_SUPER_DEFAULT = tuple(round(2.0 + 0.1 * i, 10) for i in range(11))
 _GRID_AXES = (("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60))
-
-FAMILIES: dict[str, Family] = {}
-
-
-def _register(name: str, kind: str, margin, regime: str | None = None, **fields):
-    """Register a family.  A regime family names its regime here only: its
-    ``margin`` is a builder, called with the regime's row."""
-    if regime is not None:
-        margin = margin(bounds.REGIMES[regime])
-    FAMILIES[name] = Family(name, kind, margin=margin, regime=regime, **fields)
+# A kind's default axes and triple builder.
+_KINDS = {"grid": (_GRID_AXES, _grid_triple), "state": ((), _state_triple)}
+# A relation's grid domain.  A grid point (x, y) is a pair of concurrences
+# (C_ab, C_ac), which CKW keeps in the unit disc, and the powered tails need
+# e1 >= e2, so x >= y.
+_GRID_DOMAINS = {"additive": _domain_disc, "powered": _domain_disc_ordered}
 
 
-_register(
-    "lemma1",
-    "grid",
-    axes=(("x", 0.0, 1.0, 200), ("mu", 1.0, 4.0, 200)),
-    params=(),
-    margin=_margin_power_chain,
-)
-_register(
-    "gqsuper",
-    "grid",
-    axes=_GRID_AXES,
-    params=(("q", _Q_SUPER_DEFAULT),),
-    margin=functools.partial(_additive, _grid_triple),
-    regime="tsallis_q2to3",
-    domain=_domain_disc,
-)
-_register(
-    "falphaadd",
-    "grid",
-    axes=_GRID_AXES,
-    params=(("alpha", (2.0, 2.5, 3.0, 4.0)),),
-    margin=functools.partial(_additive, _grid_triple),
-    regime="renyi_ge2",
-    domain=_domain_disc,
-)
-_register(
-    "falphasqadd",
-    "grid",
-    axes=_GRID_AXES,
-    params=(("alpha", (_WINDOW_MIN, 1.2, 1.5, 1.9)),),
-    margin=functools.partial(_additive, _grid_triple),
-    regime="renyi_window",
-    domain=_domain_disc,
-)
-_register(
-    "lemma2",
-    "grid",
-    axes=_GRID_AXES,
-    params=(("q", (2.0, 2.5, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
-    margin=functools.partial(_powered, _grid_triple, power="mu"),
-    regime="tsallis_q2to3",
-    domain=_domain_disc_ordered,
-)
-_register(
-    "lemma5",
-    "grid",
-    axes=_GRID_AXES,
-    params=(("alpha", (2.0, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
-    margin=functools.partial(_powered, _grid_triple, power="mu"),
-    regime="renyi_ge2",
-    domain=_domain_disc_ordered,
-)
-_register(
-    "lemma6",
-    "grid",
-    axes=_GRID_AXES,
-    params=(("alpha", (_WINDOW_MIN, 1.2, 1.5, 1.9)), ("gamma", (2.0, 3.0, 4.0))),
-    margin=functools.partial(_powered, _grid_triple, power="gamma"),
-    regime="renyi_window",
-    domain=_domain_disc_ordered,
-)
-_register(
-    "ckw",
-    "state",
-    axes=(),
-    params=(),
-    margin=_margin_ckw,
-    tolerance=STATE_TOLERANCE,
-)
-_register(
-    "remark1",
-    "state",
-    axes=(),
-    params=(("q", (2.0, 2.5, 3.0)), ("eta", (1.0, 1.5, 2.0, 3.0))),
-    margin=functools.partial(_powered, _state_triple, power="eta"),
-    regime="tsallis_q2to3",
-    tolerance=STATE_TOLERANCE,
-)
-_register(
-    "remark2",
-    "state",
-    axes=(),
-    params=(("alpha", (2.0, 3.0)), ("mu", (1.0, 1.5, 2.0, 3.0))),
-    margin=functools.partial(_powered, _state_triple, power="mu"),
-    regime="renyi_ge2",
-    tolerance=STATE_TOLERANCE,
-)
-_register(
-    "remark3",
-    "state",
-    axes=(),
-    params=(("alpha", (_WINDOW_MIN, 1.5)), ("gamma", (2.0, 3.0, 4.0))),
-    margin=functools.partial(_powered, _state_triple, power="gamma"),
-    regime="renyi_window",
-    tolerance=STATE_TOLERANCE,
-)
+def _regime_family(name, kind, relation, regime, index_values, **exponent):
+    """The family that checks ``regime``'s ``relation`` (``"additive"`` or
+    ``"powered"``) on the points of its ``kind`` (``"grid"`` or ``"state"``).
+
+    Its parameters are the regime's index, with ``index_values``, then a
+    powered relation's exponent, named with its values.
+    """
+    row = bounds.REGIMES[regime]
+    axes, triple = _KINDS[kind]
+    domain = _GRID_DOMAINS[relation] if kind == "grid" else _domain_all
+    if relation == "additive":
+        margin = _additive(triple, row)
+    else:
+        margin = _powered(triple, row, *exponent)
+    params = ((row.index, index_values), *exponent.items())
+    return Family(name, kind, axes, params, margin, domain, regime)
+
+
+_MU = (1.0, 1.5, 2.0, 3.0)
+_GAMMA = (2.0, 3.0, 4.0)
+_WINDOW_ALPHA = (_WINDOW_MIN, 1.2, 1.5, 1.9)
+_Q_SUPER = tuple(round(2.0 + 0.1 * i, 10) for i in range(11))
+
+FAMILIES: dict[str, Family] = {
+    fam.name: fam
+    for fam in (
+        Family(
+            "lemma1", "grid", (("x", 0.0, 1.0, 200), ("mu", 1.0, 4.0, 200)), (), _margin_power_chain
+        ),
+        _regime_family("gqsuper", "grid", "additive", "tsallis_q2to3", _Q_SUPER),
+        _regime_family("falphaadd", "grid", "additive", "renyi_ge2", (2.0, 2.5, 3.0, 4.0)),
+        _regime_family("falphasqadd", "grid", "additive", "renyi_window", _WINDOW_ALPHA),
+        _regime_family("lemma2", "grid", "powered", "tsallis_q2to3", (2.0, 2.5, 3.0), mu=_MU),
+        _regime_family("lemma5", "grid", "powered", "renyi_ge2", (2.0, 3.0), mu=_MU),
+        _regime_family("lemma6", "grid", "powered", "renyi_window", _WINDOW_ALPHA, gamma=_GAMMA),
+        Family("ckw", "state", (), (), _margin_ckw),
+        _regime_family("remark1", "state", "powered", "tsallis_q2to3", (2.0, 2.5, 3.0), eta=_MU),
+        _regime_family("remark2", "state", "powered", "renyi_ge2", (2.0, 3.0), mu=_MU),
+        _regime_family(
+            "remark3", "state", "powered", "renyi_window", (_WINDOW_MIN, 1.5), gamma=_GAMMA
+        ),
+    )
+}
 
 FAMILY_NAMES = tuple(FAMILIES)
 GRID_FAMILIES = tuple(name for name, f in FAMILIES.items() if f.kind == "grid")
@@ -417,25 +359,34 @@ def family_of(name: str) -> Family:
 def default_spec(family: str, **overrides) -> SweepSpec:
     """Spec with the family's default grid/params; keyword overrides allowed."""
     fam = family_of(family)
+    grid = fam.kind == "grid"
     base = dict(
         family=fam.name,
         grid=fam.axes,
         params=fam.params,
-        random_samples=DEFAULT_RANDOM_SAMPLES if fam.kind == "grid" else DEFAULT_STATES,
+        random_samples=DEFAULT_RANDOM_SAMPLES if grid else DEFAULT_STATES,
         seed=0,
-        tolerance=fam.tolerance,
+        tolerance=GRID_TOLERANCE if grid else STATE_TOLERANCE,
     )
     base.update(overrides)
     return SweepSpec(**base)
 
 
 def _validate_against_gates(fam: Family, spec: SweepSpec):
-    """Raise ValueError if an axis range or a parameter value leaves its gate."""
+    """Raise ValueError unless the spec's axis and parameter names are the
+    family's, each once and in any order, and every axis range and
+    parameter value lies in its gate."""
+    for kind, expected, given in (
+        ("axes", fam.axes, spec.grid),
+        ("parameters", fam.params, spec.params),
+    ):
+        expected = tuple(name for name, *_ in expected)
+        given = tuple(name for name, *_ in given)
+        if sorted(given) != sorted(expected):
+            raise ValueError(f"family {fam.name!r} takes {kind} {expected}, got {given}")
     gates = {name: measures.Window(*window) for name, *window in fam.gates}
     ranges = [(name, (lo, hi)) for name, lo, hi, _steps in spec.grid]
     for name, values in ranges + list(spec.params):
-        if name not in gates:
-            continue
         lo, hi, hi_open = window = gates[name]
         arr = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(arr)):
@@ -448,12 +399,9 @@ def _validate_against_gates(fam: Family, spec: SweepSpec):
 
 
 def _combos(spec: SweepSpec):
+    """One dict per parameter combination; with no parameters, one ``{}``."""
     names = [name for name, _ in spec.params]
-    value_lists = [values for _, values in spec.params]
-    if not names:
-        yield {}
-        return
-    for combo in itertools.product(*value_lists):
+    for combo in itertools.product(*(values for _, values in spec.params)):
         yield dict(zip(names, combo))
 
 
@@ -520,8 +468,6 @@ def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, np.ndarray]:
     a column is its broadcast axis view, whole or masked, and the samples
     fill the tail.
     """
-    if not spec.grid:
-        raise ValueError(f"family {fam.name!r} needs grid axes")
     axis_names = [name for name, *_ in spec.grid]
     shape = tuple(steps for *_, steps in spec.grid)
     n_mesh = math.prod(shape)

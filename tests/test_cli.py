@@ -329,6 +329,25 @@ class TestSweep:
         assert "Traceback" not in err and "Warning" not in err
         assert f"error: {name} must be finite" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "lemma2", "--mu-values", "0.9999999999995"], "power must be >= 1"),
+            (["sweep", "remark1", "--eta-values", "0.9999999999995"], "power must be >= 1"),
+            (["sweep", "lemma1", "--mu-min", "0.9999999999995"], "power must be >= 1"),
+            (["sweep", "lemma6", "--gamma-values", "1.9999999999995"], "power gamma must be >= 2"),
+        ],
+    )
+    def test_power_edges_are_exact(self, argv, message, capsys):
+        # The power gates admit 1e-12 of roundoff, but a power just below
+        # its edge is refused by PowerParam: below mu = 1, e1^(mu - 1) is
+        # infinite at e1 = 0, so a slack there would turn into non-finite
+        # margins.
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: {message}, got {argv[-1]}"
+
     def test_violation_cap_keeps_the_earliest_tie(self, capsys):
         # Margin -2.78e-16 ties at the 100th place: the cap keeps the tied
         # point that comes first in the sweep's point order.

@@ -78,6 +78,35 @@ STATE_TABLE_SHA256 = {
 }
 
 
+GRID_AXES = (("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60))
+Q_SUPER = (2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9, 3.0)
+MU = (1.0, 1.5, 2.0, 3.0)
+
+# (family, kind, regime, domain, default axes, default parameters, default
+# tolerance) of every registered family, in registry order.
+REGISTRY = [
+    ("lemma1", "grid", None, "_domain_all",
+     (("x", 0.0, 1.0, 200), ("mu", 1.0, 4.0, 200)), (), 1e-12),
+    ("gqsuper", "grid", "tsallis_q2to3", "_domain_disc", GRID_AXES, (("q", Q_SUPER),), 1e-12),
+    ("falphaadd", "grid", "renyi_ge2", "_domain_disc", GRID_AXES,
+     (("alpha", (2.0, 2.5, 3.0, 4.0)),), 1e-12),
+    ("falphasqadd", "grid", "renyi_window", "_domain_disc", GRID_AXES,
+     (("alpha", (WINDOW_ALPHA, 1.2, 1.5, 1.9)),), 1e-12),
+    ("lemma2", "grid", "tsallis_q2to3", "_domain_disc_ordered", GRID_AXES,
+     (("q", (2.0, 2.5, 3.0)), ("mu", MU)), 1e-12),
+    ("lemma5", "grid", "renyi_ge2", "_domain_disc_ordered", GRID_AXES,
+     (("alpha", (2.0, 3.0)), ("mu", MU)), 1e-12),
+    ("lemma6", "grid", "renyi_window", "_domain_disc_ordered", GRID_AXES,
+     (("alpha", (WINDOW_ALPHA, 1.2, 1.5, 1.9)), ("gamma", (2.0, 3.0, 4.0))), 1e-12),
+    ("ckw", "state", None, "_domain_all", (), (), 1e-9),
+    ("remark1", "state", "tsallis_q2to3", "_domain_all", (),
+     (("q", (2.0, 2.5, 3.0)), ("eta", MU)), 1e-9),
+    ("remark2", "state", "renyi_ge2", "_domain_all", (), (("alpha", (2.0, 3.0)), ("mu", MU)), 1e-9),
+    ("remark3", "state", "renyi_window", "_domain_all", (),
+     (("alpha", (WINDOW_ALPHA, 1.5)), ("gamma", (2.0, 3.0, 4.0))), 1e-9),
+]
+
+
 def small_spec(family, **overrides):
     fam = verify.family_of(family)
     shrunk = tuple((name, lo, hi, min(steps, 25)) for name, lo, hi, steps in fam.axes)
@@ -113,6 +142,23 @@ class TestSweepSpec:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             verify.family_of("lemma99")
+
+
+class TestRegistry:
+    def test_names_in_order(self):
+        assert verify.FAMILY_NAMES == tuple(row[0] for row in REGISTRY)
+
+    @pytest.mark.parametrize("family,kind,regime,domain,axes,params,tolerance", REGISTRY)
+    def test_row(self, family, kind, regime, domain, axes, params, tolerance):
+        fam = verify.family_of(family)
+        assert (fam.name, fam.kind, fam.regime) == (family, kind, regime)
+        assert fam.domain.__name__ == domain
+        assert (fam.axes, fam.params) == (axes, params)
+        spec = verify.default_spec(family)
+        assert (spec.grid, spec.params, spec.tolerance) == (axes, params, tolerance)
+        if regime is not None:
+            # The regime's index is the first parameter.
+            assert params[0][0] == bounds.REGIMES[regime].index
 
 
 class TestGates:
@@ -301,6 +347,62 @@ class TestRunSweep:
             verify.run_sweep(verify.default_spec("falphasqadd", params=(("alpha", (2.0,)),)))
         with pytest.raises(ValueError, match="'ckw' needs at least one state, got 0"):
             verify.run_sweep(verify.default_spec("ckw", random_samples=0))
+
+
+class TestSpecNames:
+    @pytest.mark.parametrize(
+        "family,field,value,expected,given",
+        [
+            ("remark1", "params", (("q", (2.0,)), ("mu", (1.0,))), "('q', 'eta')", "('q', 'mu')"),
+            ("lemma2", "params", (("q", (2.0,)),), "('q', 'mu')", "('q',)"),
+            ("gqsuper", "grid", (("x", 0.0, 1.0, 10),), "('x', 'y')", "('x',)"),
+            ("gqsuper", "params", (("q", (2.0,)), ("zeta", (1.0,))), "('q',)", "('q', 'zeta')"),
+            ("lemma1", "params", (("q", (9.0,)),), "()", "('q',)"),
+            ("ckw", "grid", (("x", 0.0, 1.0, 10),), "()", "('x',)"),
+            (
+                "remark2", "params", (("alpha", (2.0,)), ("alpha", (3.0,))),
+                "('alpha', 'mu')", "('alpha', 'alpha')",
+            ),
+        ],
+    )
+    def test_mismatched_names_are_refused(self, family, field, value, expected, given):
+        # A missing name used to end in a bare KeyError, an extra one was
+        # silently ignored; a name given twice is refused too.
+        spec = verify.default_spec(family, random_samples=10, **{field: value})
+        kind = "axes" if field == "grid" else "parameters"
+        message = f"family '{family}' takes {kind} {expected}, got {given}"
+        with pytest.raises(ValueError) as excinfo:
+            verify.run_sweep(spec)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "family,overrides,expected",
+        [
+            (
+                "lemma2",
+                dict(
+                    grid=(("y", 0.0, 1.0, 12), ("x", 0.0, 1.0, 12)),
+                    params=(("mu", (1.0, 2.0)), ("q", (2.0, 3.0))),
+                    random_samples=20,
+                    seed=5,
+                ),
+                '{"family": "lemma2", "points": 308, "min_margin": -3.3306690738754696e-16, '
+                '"argmin": [0.1490385835335558, 0.6985119903183108, 1.0, 2.0], "violations": [], '
+                '"violations_total": 0, "nonfinite": 0}',
+            ),
+            (
+                "remark1",
+                dict(params=(("eta", (1.5,)), ("q", (2.5, 3.0))), random_samples=30, seed=3),
+                '{"family": "remark1", "points": 60, "min_margin": 0.010514410426337203, '
+                '"argmin": [21.0, 1.5, 3.0], "violations": [], "violations_total": 0, '
+                '"nonfinite": 0}',
+            ),
+        ],
+    )
+    def test_reordered_names_keep_their_report(self, family, overrides, expected):
+        # Any order of the family's own names is a valid spec; a point lists
+        # its coordinates and parameters in the spec's order.
+        assert verify.run_sweep(verify.default_spec(family, **overrides)).to_json() == expected
 
 
 def tie_margin(pts, combo):
