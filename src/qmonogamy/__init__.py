@@ -19,8 +19,8 @@ from .bounds import (
 )
 from .kernel import hermitian_eigenvalues, partial_trace
 from .measures import (
-    RenyiParam,
-    TsallisParam,
+    MEASURES,
+    Measure,
     concurrence_pure,
     concurrence_roof_oracle,
     concurrence_two_qubit,
@@ -52,12 +52,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AcinParams",
     "BoundReport",
+    "MEASURES",
+    "Measure",
     "PowerParam",
     "PureState",
-    "RenyiParam",
     "SweepReport",
     "SweepSpec",
-    "TsallisParam",
     "acin_state",
     "chain_bound",
     "compare_chain",

@@ -82,15 +82,19 @@ class PowerParam:
 
 @dataclass(frozen=True)
 class Regime:
-    """One regime of the powered relations: the entropy ``measure`` and the
-    name of its ``index``, the index ``window`` the relation holds on, and
-    the ``coupling``, which sets the relation's exponent."""
+    """One regime of the powered relations: the entropy ``measure``, the
+    ``window`` of its index the relation holds on, and the ``coupling``,
+    which sets the relation's exponent."""
 
     name: str
-    measure: str  # "tsallis" | "renyi"
-    index: str  # "q" | "alpha"
+    measure: str  # a key of measures.MEASURES
     window: measures.Window
     coupling: str  # a key of _DEGREE
+
+    @property
+    def index(self) -> str:
+        """The name of the measure's index, ``q`` or ``alpha``."""
+        return measures.MEASURES[self.measure].index
 
     @property
     def degree(self) -> int:
@@ -110,22 +114,19 @@ REGIMES = {
     row.name: row
     for row in (
         # g_q is superadditive for 2 <= q <= 3.
-        Regime("tsallis_q2to3", "tsallis", "q", measures.Window(2.0, 3.0), "linear"),
-        Regime("renyi_ge2", "renyi", "alpha", measures.Window(2.0), "linear"),
-        # Below alpha = 2 only f_alpha^2 is superadditive.
+        Regime("tsallis_q2to3", "tsallis", measures.Window(2.0, 3.0), "linear"),
+        Regime("renyi_ge2", "renyi", measures.Window(2.0), "linear"),
+        # Below alpha = 2 only f_alpha^2 is superadditive.  The window holds
+        # alpha = 1, the von Neumann limit, which the measure's index check
+        # leaves out.
         Regime(
             "renyi_window",
             "renyi",
-            "alpha",
             measures.Window(measures.RENYI_ANALYTIC_MIN, 2.0, hi_open=True),
             "squared",
         ),
     )
 }
-
-# Each measure's index; building one checks that it is finite, positive and
-# not 1.
-_INDEX_PARAMS = {"tsallis": measures.TsallisParam, "renyi": measures.RenyiParam}
 
 
 def regime_of(measure: str, index: float) -> Regime:
@@ -135,10 +136,9 @@ def regime_of(measure: str, index: float) -> Regime:
     An index outside every window raises a ValueError naming the span of
     the measure's windows.
     """
-    if measure not in _INDEX_PARAMS:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {tuple(_INDEX_PARAMS)}")
-    index = float(index)
-    _INDEX_PARAMS[measure](index)
+    if measure not in measures.MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {tuple(measures.MEASURES)}")
+    index = measures.MEASURES[measure].check(index)
     rows = [row for row in REGIMES.values() if row.measure == measure]
     for row in rows:
         if row.window.contains(index):
@@ -359,13 +359,17 @@ def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
     param = _as_power(p)
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {tuple(REGIMES)}")
+    lhs = float(lhs)
+    # A negative lhs has a complex power; a NaN one would read as an overflow.
+    if not (math.isfinite(lhs) and lhs >= 0.0):
+        raise ValueError(f"lhs must be finite and nonnegative, got {lhs}")
     coupling = REGIMES[regime].coupling
     pow_ = _coupling_exponent(param, coupling)
     # An overflow shows as a non-finite bound, which BoundReport rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         return BoundReport(
             exponent=pow_,
-            lhs=float(lhs) ** pow_,
+            lhs=lhs**pow_,
             new_bound=chain_bound(values, m, param, coupling),
             prior_bound=chain_bound(values, m, param, coupling, tail="prior"),
             naive_bound=chain_bound(values, m, param, coupling, tail="naive"),

@@ -43,12 +43,9 @@ EXAMPLE_REFERENCE = {
 }
 EXAMPLE_TOL = 1e-5
 
-_FIGURES = {
-    # figure id -> (measure, index, exponent grid (start, stop, step))
-    1: ("tsallis", 2.0, (1.0, 3.0, 0.02)),
-    2: ("renyi", 2.0, (1.0, 4.0, 0.02)),
-    3: ("renyi", measures.RENYI_ANALYTIC_MIN, (2.0, 6.0, 0.02)),
-}
+# Figure id -> exponent grid (start, stop, step); each figure plots its
+# example's measure and index.
+_FIGURES = {1: (1.0, 3.0, 0.02), 2: (1.0, 4.0, 0.02), 3: (2.0, 6.0, 0.02)}
 
 
 def _cut_values(state: PureState, pivot: int, measure: str, index):
@@ -96,7 +93,8 @@ def cmd_example(which: int, out=None) -> int:
 
 def figure_rows(which: int):
     """(exponent, lhs, new, prior) rows of one bound-comparison figure."""
-    measure, index, (start, stop, step) = _FIGURES[which]
+    measure, index, _ = EXAMPLE_REFERENCE[which]
+    start, stop, step = _FIGURES[which]
     regime = bounds.regime_of(measure, index)
     full, pair_hi, pair_lo = example_values(measure, index)
     e1, e2 = max(pair_hi, pair_lo), min(pair_hi, pair_lo)
@@ -316,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="bound report for a state file")
     p_eval.add_argument("--state", required=True, help="JSON state file")
-    p_eval.add_argument("--measure", required=True, choices=("tsallis", "renyi"))
+    p_eval.add_argument("--measure", required=True, choices=tuple(measures.MEASURES))
     p_eval.add_argument("--index", type=float, required=True,
                         help="entropy index (q or alpha)")
     p_eval.add_argument("--exponent", type=float, required=True,

@@ -10,14 +10,14 @@ Every pure-state cut value takes one stacked route, ``cut_spectrum`` and
 then one of them (the squared concurrence is ``2 T_2``); the ``*_pure``
 functions wrap it.  The analytic conversions ``g_q(C^2)`` and
 ``f_alpha(C)`` are the same formulas on the two-eigenvalue
-``qubit_spectrum`` of a concurrence, after an index-window check.
+``qubit_spectrum`` of a concurrence, after an index-window check; each
+measure's index, window and formula are one row of ``MEASURES``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -60,50 +60,35 @@ TSALLIS_ANALYTIC = Window(TSALLIS_ANALYTIC_MIN, TSALLIS_ANALYTIC_MAX)
 RENYI_ANALYTIC = Window(RENYI_ANALYTIC_MIN)
 
 
-@dataclass(frozen=True)
-class TsallisParam:
-    """Tsallis entropy index q > 0, q != 1, finite."""
+class Measure(NamedTuple):
+    """One entanglement measure: its entropy ``index``, the ``analytic``
+    window of its two-qubit closed form, whether that form takes C^2
+    (``squared``) or C, and the name of its formula on spectra, which is
+    looked up at call time like every callee."""
 
-    q: float
+    name: str
+    index: str  # "q" | "alpha"
+    analytic: Window
+    squared: bool
+    of_spectrum: str
 
-    def __post_init__(self):
-        q = float(self.q)
-        if not math.isfinite(q):
-            raise ValueError(f"q must be finite, got {q}")
-        if not q > 0 or q == 1.0:
-            raise ValueError(f"q must be positive and != 1, got {q}")
-        object.__setattr__(self, "q", q)
-
-    @property
-    def analytic(self) -> bool:
-        return TSALLIS_ANALYTIC.contains(self.q)
-
-
-@dataclass(frozen=True)
-class RenyiParam:
-    """Renyi entropy index alpha > 0, alpha != 1, finite."""
-
-    alpha: float
-
-    def __post_init__(self):
-        alpha = float(self.alpha)
-        if not math.isfinite(alpha):
-            raise ValueError(f"alpha must be finite, got {alpha}")
-        if not alpha > 0 or alpha == 1.0:
-            raise ValueError(f"alpha must be positive and != 1, got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def analytic(self) -> bool:
-        return RENYI_ANALYTIC.contains(self.alpha)
+    def check(self, value) -> float:
+        """``value`` as a float entropy index: finite, positive and not 1."""
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"{self.index} must be finite, got {value}")
+        if not value > 0 or value == 1.0:
+            raise ValueError(f"{self.index} must be positive and != 1, got {value}")
+        return value
 
 
-def _tsallis(p) -> TsallisParam:
-    return p if isinstance(p, TsallisParam) else TsallisParam(p)
-
-
-def _renyi(p) -> RenyiParam:
-    return p if isinstance(p, RenyiParam) else RenyiParam(p)
+MEASURES = {
+    row.name: row
+    for row in (
+        Measure("tsallis", "q", TSALLIS_ANALYTIC, True, "tsallis_of_spectrum"),
+        Measure("renyi", "alpha", RENYI_ANALYTIC, False, "renyi_of_spectrum"),
+    )
+}
 
 
 def _checked_unit_interval(x, name: str):
@@ -131,6 +116,20 @@ def qubit_spectrum(x, *, squared: bool) -> np.ndarray:
     return np.moveaxis(np.array([(1.0 + root) / 2.0, (1.0 - root) / 2.0]), 0, -1)
 
 
+def _closed_form(measure: str, x, index):
+    """The ``MEASURES[measure]`` entropy of the ``qubit_spectrum`` of ``x``
+    at ``index``, which must lie in the measure's analytic window."""
+    row = MEASURES[measure]
+    value = row.check(index)
+    lo, hi, _ = window = row.analytic
+    if not window.contains(value):
+        if hi == math.inf:
+            raise ValueError(f"{row.index} {value} below the analytic threshold {lo:.6f}")
+        raise ValueError(f"{row.index} {value} outside the analytic window [{lo:.6f}, {hi:.6f}]")
+    of_spectrum = globals()[row.of_spectrum]
+    return _like(x, of_spectrum(qubit_spectrum(x, squared=row.squared), value))
+
+
 def g_q(x, q) -> float | np.ndarray:
     """Tsallis-q entanglement of a two-qubit pure state with squared
     concurrence ``x``: the Tsallis-q entropy of its ``qubit_spectrum``.
@@ -138,13 +137,7 @@ def g_q(x, q) -> float | np.ndarray:
     Increasing and convex on [0, 1], with g_q(0) = 0.  Valid for q inside
     the analytic window (roughly 0.697 .. 4.303); array inputs broadcast.
     """
-    param = _tsallis(q)
-    if not param.analytic:
-        raise ValueError(
-            f"q {param.q} outside the analytic window "
-            f"[{TSALLIS_ANALYTIC_MIN:.6f}, {TSALLIS_ANALYTIC_MAX:.6f}]"
-        )
-    return _like(x, tsallis_of_spectrum(qubit_spectrum(x, squared=True), param))
+    return _closed_form("tsallis", x, q)
 
 
 def f_alpha(x, alpha) -> float | np.ndarray:
@@ -154,12 +147,7 @@ def f_alpha(x, alpha) -> float | np.ndarray:
     Increasing and convex on [0, 1] for alpha >= (sqrt(7)-1)/2, with
     f_alpha(0) = 0 and f_alpha(1) = 1; array inputs broadcast.
     """
-    param = _renyi(alpha)
-    if not param.analytic:
-        raise ValueError(
-            f"alpha {param.alpha} below the analytic threshold {RENYI_ANALYTIC_MIN:.6f}"
-        )
-    return _like(x, renyi_of_spectrum(qubit_spectrum(x, squared=False), param))
+    return _closed_form("renyi", x, alpha)
 
 
 def cut_spectrum(rho, n_qubits: int, side) -> np.ndarray:
@@ -177,7 +165,7 @@ def tsallis_of_spectrum(lam, q):
     the last axis, clamped at 0.0.  The whole array is raised to the power
     at once, so one spectrum gives the bits it gets as a member of a stack.
     """
-    qv = _tsallis(q).q
+    qv = MEASURES["tsallis"].check(q)
     powers = lam**qv
     rest = 1.0
     for k in range(powers.shape[-1]):
@@ -191,7 +179,7 @@ def renyi_of_spectrum(lam, alpha):
     """Renyi-alpha entropy log2(sum lam^alpha) / (1 - alpha) of each
     spectrum along the last axis, clamped at 0.0; powers as in
     ``tsallis_of_spectrum``."""
-    av = _renyi(alpha).alpha
+    av = MEASURES["renyi"].check(alpha)
     shift = 0.0
     # The top of k eigenvalues is >= 1/k, so only past alpha log2(k) ~ 1022
     # can every power underflow; there the top comes out of the sum first.

@@ -37,8 +37,6 @@ _STATE_BLOCK = 512
 # every combo runs over it.
 _SWEEP_BLOCK = 16384
 
-_WINDOW_MIN = measures.RENYI_ANALYTIC_MIN
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -147,12 +145,6 @@ def _shared(pts, fn, *args):
     return held[1]
 
 
-# Per index name: whether its qubit spectra take squared concurrences (g_q)
-# or concurrences (f_alpha), and the ``measures`` entropy, looked up by name
-# at call time like every callee.
-_ENTROPIES = {"q": (True, "tsallis_of_spectrum"), "alpha": (False, "renyi_of_spectrum")}
-
-
 def _grid_spectra(pts, squared):
     """Qubit spectra of the squared concurrences x^2 + y^2, x^2 and y^2
     (``squared``), or of the concurrences min(1, hypot(x, y)), x and y."""
@@ -161,12 +153,14 @@ def _grid_spectra(pts, squared):
     return [measures.qubit_spectrum(v, squared=squared) for v in values]
 
 
-def _grid_triple(pts, index, value):
-    """g_q of x^2 + y^2, x^2 and y^2 (``index`` "q"), or f_alpha of
-    min(1, hypot(x, y)), x and y (``index`` "alpha"), at ``value``."""
-    squared, entropy = _ENTROPIES[index]
-    spectra = _shared(pts, _grid_spectra, squared)
-    return tuple(getattr(measures, entropy)(s, value) for s in spectra)
+def _grid_triple(pts, measure, value):
+    """g_q of x^2 + y^2, x^2 and y^2 (``measure`` "tsallis"), or f_alpha of
+    min(1, hypot(x, y)), x and y (``measure`` "renyi"), at index ``value``.
+    The entropy is the row's formula, looked up by name on ``measures``."""
+    row = measures.MEASURES[measure]
+    spectra = _shared(pts, _grid_spectra, row.squared)
+    of_spectrum = getattr(measures, row.of_spectrum)
+    return tuple(of_spectrum(s, value) for s in spectra)
 
 
 def _margin_power_chain(pts, combo):
@@ -186,24 +180,24 @@ def _pivot_spectrum(pts):
     return np.array([pts["lam_hi"], pts["lam_lo"]]).T
 
 
-def _state_triple(pts, index, value):
+def _state_triple(pts, measure, value):
     """The entropy of the pivot cut, then the larger and the smaller of
-    g_q(C_ab^2) and g_q(C_ac^2) (``index`` "q", Tsallis), or of f_alpha(C_ab)
-    and f_alpha(C_ac) (``index`` "alpha", Renyi), at ``value``."""
-    squared, entropy = _ENTROPIES[index]
-    of_spectrum = getattr(measures, entropy)
+    g_q(C_ab^2) and g_q(C_ac^2) (``measure`` "tsallis"), or of f_alpha(C_ab)
+    and f_alpha(C_ac) (``measure`` "renyi"), at index ``value``."""
+    row = measures.MEASURES[measure]
+    of_spectrum = getattr(measures, row.of_spectrum)
     full = of_spectrum(_shared(pts, _pivot_spectrum), value)
-    ab, ac = (of_spectrum(s, value) for s in _shared(pts, _pair_spectra, squared))
+    ab, ac = (of_spectrum(s, value) for s in _shared(pts, _pair_spectra, row.squared))
     return full, np.maximum(ab, ac), np.minimum(ab, ac)
 
 
 def _additive(triple, regime: bounds.Regime):
     """Margin z^k - x^k - y^k of ``triple``'s (z, x, y) at the combo's
     index, with k the regime's degree (the superadditivity lemmas)."""
-    index, k = regime.index, regime.degree
+    measure, index, k = regime.measure, regime.index, regime.degree
 
     def margin(pts, combo):
-        z, x, y = _shared(pts, triple, index, combo[index])
+        z, x, y = _shared(pts, triple, measure, combo[index])
         if k != 1:
             z, x, y = z**k, x**k, y**k
         return z - x - y
@@ -215,10 +209,10 @@ def _powered(triple, regime: bounds.Regime, power: str):
     """Margin E^p - Q_new(e1, e2) of the regime's powered pair relation,
     with (E, e1 >= e2) from ``triple`` at the combo's index and p the
     combo's ``power``, the relation's exponent."""
-    index = regime.index
+    measure, index = regime.measure, regime.index
 
     def margin(pts, combo):
-        full, e1, e2 = _shared(pts, triple, index, combo[index])
+        full, e1, e2 = _shared(pts, triple, measure, combo[index])
         p = combo[power]
         return full**p - bounds.pair_bound_new(e1, e2, regime.power(p), regime.coupling)
 
@@ -320,7 +314,7 @@ def _regime_family(name, kind, relation, regime, index_values, **exponent):
 
 _MU = (1.0, 1.5, 2.0, 3.0)
 _GAMMA = (2.0, 3.0, 4.0)
-_WINDOW_ALPHA = (_WINDOW_MIN, 1.2, 1.5, 1.9)
+_WINDOW_ALPHA = (measures.RENYI_ANALYTIC_MIN, 1.2, 1.5, 1.9)
 _Q_SUPER = tuple(round(2.0 + 0.1 * i, 10) for i in range(11))
 
 FAMILIES: dict[str, Family] = {
@@ -339,7 +333,7 @@ FAMILIES: dict[str, Family] = {
         _regime_family("remark1", "state", "powered", "tsallis_q2to3", (2.0, 2.5, 3.0), eta=_MU),
         _regime_family("remark2", "state", "powered", "renyi_ge2", (2.0, 3.0), mu=_MU),
         _regime_family(
-            "remark3", "state", "powered", "renyi_window", (_WINDOW_MIN, 1.5), gamma=_GAMMA
+            "remark3", "state", "powered", "renyi_window", (_WINDOW_ALPHA[0], 1.5), gamma=_GAMMA
         ),
     )
 }
@@ -396,6 +390,11 @@ def _validate_against_gates(fam: Family, spec: SweepSpec):
                 raise ValueError(f"{name!r} values must be >= {lo}")
             edge = ")" if hi_open else "]"
             raise ValueError(f"{name!r} values must lie in [{lo}, {hi}{edge}")
+    if fam.regime is not None:
+        # A regime's window may hold an index its measure refuses (alpha = 1).
+        measure = measures.MEASURES[bounds.REGIMES[fam.regime].measure]
+        for value in dict(spec.params)[measure.index]:
+            measure.check(value)
 
 
 def _combos(spec: SweepSpec):

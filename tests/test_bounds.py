@@ -102,11 +102,10 @@ class TestRegimes:
         assert [row.degree for row in bounds.REGIMES.values()] == [1, 1, 2]
 
     def test_table_invariants(self):
-        analytic = {"tsallis": measures.TSALLIS_ANALYTIC, "renyi": measures.RENYI_ANALYTIC}
         for row in bounds.REGIMES.values():
-            assert row.index == {"tsallis": "q", "renyi": "alpha"}[row.measure]
+            assert row.index == measures.MEASURES[row.measure].index
             assert row.coupling in bounds.COUPLINGS
-            outer = analytic[row.measure]
+            outer = measures.MEASURES[row.measure].analytic
             assert outer.lo <= row.window.lo and row.window.hi <= outer.hi, row.name
         # The Renyi rows tile [RENYI_ANALYTIC_MIN, inf): each value lies in
         # exactly one of them.
@@ -353,6 +352,14 @@ class TestCompareBounds:
         assert rep.prior_bound == pytest.approx(e1 + e2, abs=1e-14)
         assert rep.new_bound == pytest.approx(0.85752, abs=1e-5)
         assert rep.lhs >= rep.new_bound
+
+    @pytest.mark.parametrize("lhs", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("exponent", [2.5, 2.0])
+    def test_lhs_must_be_finite_and_nonnegative(self, lhs, exponent):
+        # A negative lhs has a complex power at 2.5 and a positive one at 2.0;
+        # a NaN one would read as an overflow.
+        with pytest.raises(ValueError, match=f"^lhs must be finite and nonnegative, got {lhs}$"):
+            bounds.compare_chain(lhs, (0.3, 0.1), 1, exponent, "tsallis_q2to3")
 
     def test_unknown_regime(self):
         with pytest.raises(ValueError):

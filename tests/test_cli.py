@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmonogamy import cli, measures, states, verify
+from qmonogamy import bounds, cli, measures, states, verify
 
 WINDOW_ALPHA = measures.RENYI_ANALYTIC_MIN
 
@@ -378,6 +378,27 @@ class TestSweep:
         assert out == ""
         assert "Traceback" not in err
         assert err == f"error: {size} does not fit in memory: Unable to allocate 11.9 GiB\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "remark3", "--alpha-values", "1.0", "--states", "10"],
+            ["sweep", "remark3", "--alpha-values", "1.0", "--states", "1000000"],
+            ["sweep", "falphasqadd", "--alpha-values", "1.0"],
+        ],
+    )
+    def test_von_neumann_limit_refused_before_any_point(self, argv, monkeypatch, capsys):
+        # The renyi_window row's window holds alpha = 1, which the Renyi
+        # index check leaves out.
+        def no_points(*args):
+            raise AssertionError("points built")
+
+        monkeypatch.setattr(verify, "_grid_points", no_points)
+        monkeypatch.setattr(verify, "_state_tables", no_points)
+        message = "alpha must be positive and != 1, got 1.0"
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bounds.regime_of("renyi", 1.0)
 
     @pytest.mark.parametrize("steps", [2**61, 2**62, 2**63 - 1, 2**63, 2**64])
     @pytest.mark.parametrize("family,other", [("lemma1", 200), ("lemma2", 60)])

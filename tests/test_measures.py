@@ -41,58 +41,64 @@ PURE_CUT_WRAPPERS = [
 
 
 class TestParams:
+    """Each measure's index check and analytic window are its ``MEASURES``
+    row."""
+
+    def test_rows(self):
+        rows = [tuple(row) for row in measures.MEASURES.values()]
+        assert rows == [
+            ("tsallis", "q", measures.TSALLIS_ANALYTIC, True, "tsallis_of_spectrum"),
+            ("renyi", "alpha", measures.RENYI_ANALYTIC, False, "renyi_of_spectrum"),
+        ]
+        for name, row in measures.MEASURES.items():
+            assert row.name == name
+            assert callable(getattr(measures, row.of_spectrum))
+
     def test_tsallis_gates(self):
-        with pytest.raises(ValueError):
-            measures.TsallisParam(1.0)
-        with pytest.raises(ValueError):
-            measures.TsallisParam(0.0)
-        assert measures.TsallisParam(2.0).analytic
-        assert not measures.TsallisParam(0.5).analytic
-        assert measures.TsallisParam(measures.TSALLIS_ANALYTIC_MAX).analytic
+        tsallis = measures.MEASURES["tsallis"]
+        for value in (1.0, 0.0, -2.0):
+            with pytest.raises(ValueError, match=f"^q must be positive and != 1, got {value}$"):
+                tsallis.check(value)
+        assert tsallis.check(2) == 2.0 and type(tsallis.check(2)) is float
+        assert tsallis.analytic.contains(2.0)
+        assert not tsallis.analytic.contains(0.5)
+        assert tsallis.analytic.contains(measures.TSALLIS_ANALYTIC_MAX)
+        for q in (0.5, 5.0):
+            message = rf"^q {q} outside the analytic window \[0.697224, 4.302776\]$"
+            with pytest.raises(ValueError, match=message):
+                measures.g_q(0.5, q)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_index_rejected(self, value):
-        with pytest.raises(ValueError, match="q must be finite"):
-            measures.TsallisParam(value)
-        with pytest.raises(ValueError, match="alpha must be finite"):
-            measures.RenyiParam(value)
-        with pytest.raises(ValueError, match="alpha must be finite"):
+        for name, index in (("tsallis", "q"), ("renyi", "alpha")):
+            with pytest.raises(ValueError, match=f"^{index} must be finite, got {value}$"):
+                measures.MEASURES[name].check(value)
+        with pytest.raises(ValueError, match="^q must be finite"):
+            measures.g_q(0.5, value)
+        with pytest.raises(ValueError, match="^alpha must be finite"):
             measures.f_alpha(0.5, value)
 
     def test_renyi_gates(self):
-        with pytest.raises(ValueError):
-            measures.RenyiParam(1.0)
-        with pytest.raises(ValueError):
-            measures.RenyiParam(-2.0)
-        assert measures.RenyiParam(WINDOW_ALPHA).analytic
-        assert not measures.RenyiParam(0.5).analytic
+        renyi = measures.MEASURES["renyi"]
+        for value in (1.0, 0.0, -2.0):
+            with pytest.raises(ValueError, match=f"^alpha must be positive and != 1, got {value}$"):
+                renyi.check(value)
+        assert renyi.analytic.contains(WINDOW_ALPHA)
+        assert not renyi.analytic.contains(0.5)
+        message = "^alpha 0.5 below the analytic threshold 0.822876$"
+        with pytest.raises(ValueError, match=message):
+            measures.f_alpha(0.5, 0.5)
 
     def test_one_edge_rule(self):
         # A closed edge admits 1e-12 of roundoff, an open edge excludes it.
         inside, outside = 5e-13, 2e-12
-        assert measures.RenyiParam(WINDOW_ALPHA - inside).analytic
-        assert not measures.RenyiParam(WINDOW_ALPHA - outside).analytic
+        renyi = measures.MEASURES["renyi"].analytic
+        assert renyi.contains(WINDOW_ALPHA - inside)
+        assert not renyi.contains(WINDOW_ALPHA - outside)
         values = np.array([1.0 - outside, 1.0 - inside, 2.0 - inside, 2.0])
         assert measures.Window(1.0, 2.0, hi_open=True).contains(values).tolist() == [
             False, True, False, False
         ]
-
-    @pytest.mark.parametrize(
-        "conversion,param", [("g_q", "TsallisParam"), ("f_alpha", "RenyiParam")]
-    )
-    def test_float_index_builds_one_param(self, conversion, param, monkeypatch):
-        built = []
-
-        class Counted(getattr(measures, param)):
-            def __post_init__(self):
-                built.append(self)
-                super().__post_init__()
-
-        monkeypatch.setattr(measures, param, Counted)
-        getattr(measures, conversion)(np.array([0.25, 0.5]), 2.5)
-        assert len(built) == 1
-        getattr(measures, conversion)(0.5, Counted(2.5))
-        assert len(built) == 2
 
 
 class TestGq:
