@@ -29,9 +29,9 @@ DEFAULT_STATES = 1000
 MAX_VIOLATIONS = 100
 # States per stack in ``_state_tables``: large enough that the fixed cost of
 # each of the block's few dozen numpy calls is small beside its per-state
-# work, small enough that their intermediates (columns of 4 or 8 KB, under
-# 0.2 MB in all) stay in cache and add nothing to a sweep's peak memory.
-_STATE_BLOCK = 512
+# work, small enough that their intermediates (columns of 32 or 64 KB, a
+# few MB in all) add little to the peak memory of a large table.
+_STATE_BLOCK = 4096
 # Points per block in ``_sweep``: a block's columns and the temporaries of
 # one margin evaluation (a few dozen arrays of 128 KB) stay in cache while
 # every combo runs over it.
@@ -122,14 +122,18 @@ def _hypot_clamped(x, y):
 class _Block(dict):
     """Columns of one block of sweep points.
 
-    Keeps the last result of each function ``_shared`` calls on it, so the
-    combos of one block build its qubit spectra once for every ``q`` or
-    ``alpha``, and the combos that share a ``q`` or ``alpha`` (consecutive
-    in ``_combos``) convert the block once.
+    ``axes`` maps each grid axis to its table and the block's indices into
+    it (``_grid_points``); the block's column of that axis is gathered
+    from them.  Keeps the last result of each function ``_shared`` calls
+    on it, so the combos of one block build its qubit spectra once for
+    every ``q`` or ``alpha``, and the combos that share a ``q`` or
+    ``alpha`` (consecutive in ``_combos``) convert the block once.
     """
 
-    def __init__(self, columns):
+    def __init__(self, columns, axes):
         super().__init__(columns)
+        self.update((name, table.take(index)) for name, (table, index) in axes.items())
+        self.axes = axes
         self.memo = {}
 
 
@@ -145,22 +149,49 @@ def _shared(pts, fn, *args):
     return held[1]
 
 
+def _axis_values(pts, name):
+    """The values of axis ``name`` that the points use, as the contiguous
+    run of its table from the smallest index to the largest, and each
+    point's position in that run.  A plain dict of columns is its own
+    table, with the identity index, returned as None."""
+    if not isinstance(pts, _Block):
+        return pts[name], None
+    table, index = pts.axes[name]
+    lo, hi = int(index.min()), int(index.max()) + 1
+    return table[lo:hi], np.subtract(index, lo, dtype=np.intp)
+
+
 def _grid_spectra(pts, squared):
-    """Qubit spectra of the squared concurrences x^2 + y^2, x^2 and y^2
-    (``squared``), or of the concurrences min(1, hypot(x, y)), x and y."""
+    """Qubit spectra of the squared concurrences x^2 + y^2 at each point,
+    and of x^2 and y^2 at each axis value the points use (``squared``), or
+    of min(1, hypot(x, y)), x and y; then the positions of the points among
+    the x and the y values (``_axis_values``)."""
     x, y = pts["x"], pts["y"]
-    values = (x * x + y * y, x * x, y * y) if squared else (_hypot_clamped(x, y), x, y)
-    return [measures.qubit_spectrum(v, squared=squared) for v in values]
+    joint = x * x + y * y if squared else _hypot_clamped(x, y)
+    spectra, positions = [measures.qubit_spectrum(joint, squared=squared)], []
+    for name in ("x", "y"):
+        values, position = _axis_values(pts, name)
+        spectra.append(
+            measures.qubit_spectrum(values * values if squared else values, squared=squared)
+        )
+        positions.append(position)
+    return spectra, positions
 
 
 def _grid_triple(pts, measure, value):
     """g_q of x^2 + y^2, x^2 and y^2 (``measure`` "tsallis"), or f_alpha of
     min(1, hypot(x, y)), x and y (``measure`` "renyi"), at index ``value``.
-    The entropy is the row's formula, looked up by name on ``measures``."""
+    The entropy is the row's formula, looked up by name on ``measures``;
+    the x and y terms are converted once per axis value and gathered to
+    the points."""
     row = measures.MEASURES[measure]
-    spectra = _shared(pts, _grid_spectra, row.squared)
+    (joint, *axes), positions = _shared(pts, _grid_spectra, row.squared)
     of_spectrum = getattr(measures, row.of_spectrum)
-    return tuple(of_spectrum(s, value) for s in spectra)
+    terms = [of_spectrum(joint, value)]
+    for spectrum, position in zip(axes, positions):
+        per_value = of_spectrum(spectrum, value)
+        terms.append(per_value if position is None else per_value[position])
+    return tuple(terms)
 
 
 def _margin_power_chain(pts, combo):
@@ -458,14 +489,16 @@ def _merge(state, local_min, point, violations, n_violations, nonfinite):
     return min_margin, argmin, worst, total + n_violations, all_nonfinite + nonfinite
 
 
-def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, np.ndarray]:
+def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Grid mesh points inside the family's domain, in C order over the
-    axes, then the rejection samples.
+    axes, then the rejection samples, as ``{axis: (table, index)}``.
 
-    Each column is allocated once at its final length and written once: the
-    domain runs on the open-grid axis views of ``np.ix_``, the mesh part of
-    a column is its broadcast axis view, whole or masked, and the samples
-    fill the tail.
+    An axis's table holds its ``np.linspace`` values, then its coordinate
+    of each rejection sample, and point ``i`` lies at ``table[index[i]]``
+    on it.  An index column takes the smallest unsigned dtype that spans
+    its table and is allocated once at its final length.  The domain runs
+    on the open-grid axis views of ``np.ix_``, about one sweep block of
+    mesh rows at a time; only its masks, packed to bits, span the mesh.
     """
     axis_names = [name for name, *_ in spec.grid]
     shape = tuple(steps for *_, steps in spec.grid)
@@ -477,46 +510,74 @@ def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, np.ndarray]:
     # (random_samples, axes) draw.
     if (n_mesh + spec.random_samples * len(shape)) * 8 > np.iinfo(np.intp).max:
         raise MemoryError("its float64 columns would exceed the largest array size")
-    axes = np.ix_(*(np.linspace(lo, hi, steps) for _, lo, hi, steps in spec.grid))
-    mask = fam.domain(dict(zip(axis_names, axes)))
-    # Tested before broadcasting: a mask that does not span every axis
-    # (``_domain_all``'s) would be walked at its zero strides.
-    whole = bool(mask.all())
-    if not whole:
-        mask = np.broadcast_to(mask, shape)
-        n_mesh = int(np.count_nonzero(mask))
+    tables = [np.empty(steps + spec.random_samples) for steps in shape]
+    for table, (_, lo, hi, steps) in zip(tables, spec.grid):
+        table[:steps] = np.linspace(lo, hi, steps)
+    views = np.ix_(*(table[:steps] for table, steps in zip(tables, shape)))
+    rows = max(1, _SWEEP_BLOCK // (n_mesh // shape[0]))
+    tops = range(0, shape[0], rows)
+    # The domain's mask of each block of mesh rows, packed to bits, each
+    # block's from a byte boundary.  Reserved for the whole mesh before the
+    # first block is walked, so a mesh too large for memory fails here.
+    bits = np.empty(n_mesh // 8 + len(tops), np.uint8)
+    row_blocks, n_mesh, used = [], 0, 0
+    for top in tops:
+        block = (min(rows, shape[0] - top), *shape[1:])
+        mask = fam.domain(dict(zip(axis_names, (views[0][top : top + rows], *views[1:]))))
+        # Tested before broadcasting: a mask that does not span every axis
+        # (``_domain_all``'s) would be walked at its zero strides.
+        if mask.all():
+            packed = None  # every point of the block
+            n_mesh += math.prod(block)
+        else:
+            mask = np.broadcast_to(mask, block)
+            packed = bits[used : used + (mask.size + 7) // 8]
+            packed[...] = np.packbits(mask)
+            used += packed.size
+            n_mesh += int(np.count_nonzero(mask))
+        row_blocks.append((top, block, packed))
     n_total = n_mesh + spec.random_samples
     if n_total == 0:
         raise ValueError("sweep domain is empty")
 
-    pts = {name: np.empty(n_total) for name in axis_names}
-    for name, axis in zip(axis_names, axes):
-        if whole:
-            pts[name][:n_mesh].reshape(shape)[...] = axis
-        else:
-            pts[name][:n_mesh] = np.broadcast_to(axis, shape)[mask]
+    dtypes = [np.min_scalar_type(table.size - 1) for table in tables]
+    index = [np.empty(n_total, dtype) for dtype in dtypes]
+    positions = np.ix_(*(np.arange(steps, dtype=dtype) for steps, dtype in zip(shape, dtypes)))
+    filled = 0
+    for top, block, packed in row_blocks:
+        part = (positions[0][top : top + block[0]], *positions[1:])
+        if packed is not None:
+            kept = np.unpackbits(packed, count=math.prod(block)).view(bool).reshape(block)
+        for column, axis in zip(index, part):
+            axis = np.broadcast_to(axis, block)
+            if packed is not None:
+                axis = axis[kept]
+            column[filled : filled + axis.size].reshape(axis.shape)[...] = axis
+        filled += axis.size
 
     if spec.random_samples:
         rng = np.random.default_rng(spec.seed)
         lows = np.array([lo for _, lo, _, _ in spec.grid])
         highs = np.array([hi for _, _, hi, _ in spec.grid])
-        filled = n_mesh
+        drawn = 0
         for _ in range(1000):
-            remaining = n_total - filled
+            remaining = spec.random_samples - drawn
             if remaining <= 0:
                 break
             draw = rng.random((remaining, len(axis_names))) * (highs - lows) + lows
             cand = {name: draw[:, j] for j, name in enumerate(axis_names)}
             ok = fam.domain(cand)
             accepted = int(np.count_nonzero(ok))
-            for name in axis_names:
-                pts[name][filled : filled + accepted] = cand[name][ok]
-            filled += accepted
-        if filled < n_total:
+            for table, steps, name in zip(tables, shape, axis_names):
+                table[steps + drawn : steps + drawn + accepted] = cand[name][ok]
+            drawn += accepted
+        if drawn < spec.random_samples:
             raise ValueError(
                 f"rejection sampling failed to reach {spec.random_samples} points"
             )
-    return pts
+        for column, steps in zip(index, shape):
+            column[n_mesh:] = np.arange(steps, steps + spec.random_samples, dtype=column.dtype)
+    return dict(zip(axis_names, zip(tables, index)))
 
 
 def _pair_concurrence(x: np.ndarray) -> np.ndarray:
@@ -590,9 +651,10 @@ def _sweep(spec: SweepSpec) -> SweepReport:
     """Evaluate the family's margin at every point for every parameter combo.
 
     Points come from the grid mesh plus rejection samples for grid families
-    and from ``_state_tables`` for state-level ones.  A point is reported as
-    ``(*coordinates, *param values)``, the coordinates being the axis values
-    on a grid and the state index for a state-level family.
+    and from ``_state_tables`` for state-level ones; a grid block gathers
+    its coordinate columns from the axis tables (``_Block``).  A point is
+    reported as ``(*coordinates, *param values)``, the coordinates being the
+    axis values on a grid and the state index for a state-level family.
 
     The points are walked in blocks of ``_SWEEP_BLOCK``, every combo over
     one block before the next, into one accumulator per combo.  Blocks come
@@ -602,27 +664,30 @@ def _sweep(spec: SweepSpec) -> SweepReport:
     fam = family_of(spec.family)
     _validate_against_gates(fam, spec)
     if fam.kind == "grid":
-        pts = _grid_points(fam, spec)
+        columns, axes = {}, _grid_points(fam, spec)
         coordinates = [name for name, *_ in spec.grid]
+        n_points = axes[coordinates[0]][1].size
     else:
         if spec.random_samples < 1:
             raise ValueError(
                 f"family {fam.name!r} needs at least one state, got {spec.random_samples}"
             )
-        pts = _state_tables(spec.random_samples, spec.seed)
+        columns, axes = _state_tables(spec.random_samples, spec.seed), {}
         coordinates = ["index"]
+        n_points = spec.random_samples
 
     combos = list(_combos(spec))
     tails = [tuple(combo[name] for name, _ in spec.params) for combo in combos]
     empty = (math.inf, None, [], 0, 0)
     per_combo = [empty] * len(combos)
     checked = 0
-    n_points = pts[coordinates[0]].size
     for start in range(0, n_points, _SWEEP_BLOCK):
+        rows = slice(start, start + _SWEEP_BLOCK)
         block = _Block(
-            (name, column[start : start + _SWEEP_BLOCK]) for name, column in pts.items()
+            {name: column[rows] for name, column in columns.items()},
+            {name: (table, index[rows]) for name, (table, index) in axes.items()},
         )
-        columns = [block[name] for name in coordinates]
+        coords = [block[name] for name in coordinates]
         for k, combo in enumerate(combos):
             # Overflow in the bound arithmetic, or a power that underflows to
             # 0 under a log, surfaces as non-finite margins, which the scan
@@ -630,7 +695,7 @@ def _sweep(spec: SweepSpec) -> SweepReport:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 margins = np.asarray(fam.margin(block, combo), dtype=float)
             checked += margins.size
-            per_combo[k] = _merge(per_combo[k], *_scan(margins, columns, tails[k], spec.tolerance))
+            per_combo[k] = _merge(per_combo[k], *_scan(margins, coords, tails[k], spec.tolerance))
 
     state = empty
     for acc in per_combo:

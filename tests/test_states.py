@@ -184,7 +184,7 @@ def per_state_haar_vectors(n_qubits, count, seed):
 
 class TestBatchedSampler:
     @pytest.mark.parametrize("seed", [0, 7919])
-    @pytest.mark.parametrize("count", [1, 400, verify._STATE_BLOCK + 3])
+    @pytest.mark.parametrize("count", [1, 400, 515, verify._STATE_BLOCK + 3])
     def test_batch_equals_per_state_draws(self, seed, count):
         batch = states.random_pure_states(3, count, seed)
         reference = per_state_haar_vectors(3, count, seed)

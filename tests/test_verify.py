@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmonogamy import bounds, kernel, measures, states, verify
@@ -48,8 +48,9 @@ GATES = [
 ]
 
 
-# sha256 of every `_state_tables` column at 515 states, across the 512-state
-# block boundary: the closed forms the state sweeps read.
+# sha256 of every `_state_tables` column at 515 states: the closed forms the
+# state sweeps read.  Each state's values do not depend on its stack, so the
+# digests hold at any `_STATE_BLOCK`.
 STATE_TABLE_SHA256 = {
     0: {
         "lam_hi": "6dc08a8506490e80d1a6e0e821475573d80a6447e3c2f17f9fdf2764eacb6654",
@@ -321,7 +322,7 @@ class TestRunSweep:
         monkeypatch.setitem(verify.FAMILIES, "gqsuper", fam)
         spec = small_spec("gqsuper")
         report = verify.run_sweep(spec)
-        pts = verify._grid_points(fam, spec)
+        pts = gathered_points(fam, spec)
         margins = np.concatenate(
             [fam.margin(pts, {"q": q}) for q in dict(spec.params)["q"]]
         )
@@ -441,7 +442,7 @@ class TestScan:
         monkeypatch.setattr(verify, "_SWEEP_BLOCK", block)
         spec = small_spec("gqsuper", random_samples=40, seed=2, tolerance=0.5)
         report = verify.run_sweep(spec)
-        pts = verify._grid_points(fam, spec)
+        pts = gathered_points(fam, spec)
         points = list(zip(pts["x"].tolist(), pts["y"].tolist()))
         low = [pt + (2.0,) for pt in points if pt[0] < 0.05]
         rest = [pt + (2.0,) for pt in points if pt[0] >= 0.05]
@@ -453,11 +454,16 @@ class TestScan:
         assert report.violations_total == report.points_checked
 
 
+# The grid families that check a regime's relation (all but lemma1).
+REGIME_GRID_FAMILIES = [name for name in verify.GRID_FAMILIES if verify.family_of(name).regime]
+
+
 @st.composite
-def grid_sweeps(draw):
-    """A small grid spec inside the family's gates, a block size and a
-    shift that lowers every margin (so that many points violate)."""
-    fam = verify.family_of(draw(st.sampled_from(verify.GRID_FAMILIES)))
+def grid_sweeps(draw, families=verify.GRID_FAMILIES):
+    """A small grid spec of one of ``families`` inside the family's gates, a
+    block size and a shift that lowers every margin (so that many points
+    violate)."""
+    fam = verify.family_of(draw(st.sampled_from(families)))
     gates = {name: (lo, hi, hi_open) for name, lo, hi, hi_open in fam.gates}
 
     def values(name, count):
@@ -522,6 +528,32 @@ class TestBlockedSweep:
         monkeypatch.setattr(verify, "_SWEEP_BLOCK", block)
         assert verify._sweep(spec).to_json() == one_block
 
+    @settings(max_examples=60, deadline=None)
+    @given(grid_sweeps(REGIME_GRID_FAMILIES))
+    # 245 mesh points and 40 samples: the third block of 97 holds the last
+    # 51 mesh points and every sample.
+    @example((small_spec("lemma6", random_samples=40, seed=2), 97, 0.0))
+    def test_block_margins_equal_plain_columns_bit_for_bit(self, case):
+        # Each engine block converts its axis values and gathers them; a
+        # plain dict of the block's coordinates converts every point.
+        spec, block, _shift = case
+        fam = verify.family_of(spec.family)
+        seen = []
+
+        def recorded(pts, combo):
+            margins = fam.margin(pts, combo)
+            seen.append(({name: pts[name].copy() for name in ("x", "y")}, dict(combo), margins))
+            return margins
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(verify.FAMILIES, fam.name, dataclasses.replace(fam, margin=recorded))
+            mp.setattr(verify, "_SWEEP_BLOCK", block)
+            sweep_outcome(spec)
+        for columns, combo, margins in seen:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                plain = np.asarray(fam.margin(columns, combo), dtype=float)
+            assert np.array_equal(margins.view(np.int64), plain.view(np.int64))
+
     @pytest.mark.parametrize(
         "family,conversion,calls_per_block",
         [
@@ -529,6 +561,8 @@ class TestBlockedSweep:
             ("lemma5", "f_alpha", 2 * 3),  # 2 alpha values x 4 mu values
             ("lemma6", "f_alpha", 4 * 3),  # 4 alpha values x 3 gamma values
             ("gqsuper", "g_q", 11 * 3),
+            ("falphaadd", "f_alpha", 4 * 3),
+            ("falphasqadd", "f_alpha", 4 * 3),
             ("remark1", "g_q", 3 * 2),  # 3 q values x 4 eta values
             ("remark2", "f_alpha", 2 * 2),  # 2 alpha values x 4 mu values
             ("remark3", "f_alpha", 2 * 2),  # 2 alpha values x 3 gamma values
@@ -539,19 +573,23 @@ class TestBlockedSweep:
     ):
         # A conversion is the entropy of a qubit spectrum: g_q the Tsallis
         # and f_alpha the Renyi one.  A state block's pivot cut entropy is
-        # not a conversion and is not counted.
+        # not a conversion and is not counted.  A grid block has three
+        # spectra (the joint one and one per axis), a state block two (C_ab
+        # and C_ac); each takes one conversion per q or alpha, over the
+        # whole spectrum, whatever the number of combos that share it.
         entropy = {"g_q": "tsallis_of_spectrum", "f_alpha": "renyi_of_spectrum"}[conversion]
         original, make_spectrum = getattr(measures, entropy), measures.qubit_spectrum
-        spectra, calls = [], []
+        spectra = []  # (spectrum, the sizes it was converted at)
 
         def spectrum(x, *, squared):
             lam = make_spectrum(x, squared=squared)
-            spectra.append(lam)
+            spectra.append((lam, []))
             return lam
 
         def counted(lam, index):
-            if any(lam is s for s in spectra):
-                calls.append(lam.shape[0])
+            for made, sizes in spectra:
+                if lam is made:
+                    sizes.append(lam.shape[0])
             return original(lam, index)
 
         monkeypatch.setattr(measures, "qubit_spectrum", spectrum)
@@ -561,9 +599,11 @@ class TestBlockedSweep:
         report = verify.run_sweep(spec)
         n_points = report.points_checked // math.prod(len(v) for _, v in spec.params)
         n_blocks = -(-n_points // 97)
-        assert len(calls) == calls_per_block * n_blocks
-        # Every call converts its whole block.
-        assert sum(calls) == calls_per_block * n_points
+        n_values = len(spec.params[0][1])
+        assert sum(len(sizes) for _, sizes in spectra) == calls_per_block * n_blocks
+        assert len(spectra) == calls_per_block // n_values * n_blocks
+        for lam, sizes in spectra:
+            assert sizes == [lam.shape[0]] * n_values
 
     @pytest.mark.parametrize(
         "family",
@@ -583,11 +623,21 @@ class TestBlockedSweep:
         spec = small_spec(family)
         report = verify.run_sweep(spec)
         n_points = report.points_checked // math.prod(len(v) for _, v in spec.params)
-        # Three spectra per grid block (two per state block: C_ab and C_ac),
-        # each over the whole block, whatever the number of q or alpha values.
-        per_block = 2 if verify.family_of(family).kind == "state" else 3
-        assert len(sizes) == per_block * -(-n_points // 97)
-        assert sum(sizes) == per_block * n_points
+        blocks = [(start, min(start + 97, n_points)) for start in range(0, n_points, 97)]
+        if verify.family_of(family).kind == "state":
+            # C_ab and C_ac, each over the whole block.
+            assert sizes == [stop - start for start, stop in blocks for _ in range(2)]
+            return
+        # The joint concurrence over the whole block, then x and y over the
+        # axis values the block uses: at most the axis's steps plus the
+        # block's samples, whatever the number of q or alpha values.
+        n_mesh = n_points - spec.random_samples
+        steps = [steps for *_, steps in spec.grid]
+        assert len(sizes) == 3 * len(blocks)
+        for (start, stop), (joint, *axes) in zip(blocks, zip(*[iter(sizes)] * 3)):
+            samples = max(0, stop - max(start, n_mesh))
+            assert joint == stop - start
+            assert all(1 <= size <= n + samples for size, n in zip(axes, steps))
 
 
 class TestRunStateCheck:
@@ -620,7 +670,9 @@ class TestRunStateCheck:
             verify.run_sweep(spec)
 
     @pytest.mark.parametrize("family", verify.STATE_FAMILIES)
-    @pytest.mark.parametrize("n_states,seed", [(1, 0), (37, 5), (verify._STATE_BLOCK + 3, 7919)])
+    @pytest.mark.parametrize(
+        "n_states,seed", [(1, 0), (37, 5), (515, 7919), (verify._STATE_BLOCK + 3, 7919)]
+    )
     def test_equals_run_sweep_of_the_default_spec(self, family, n_states, seed):
         spec = verify.default_spec(family, random_samples=n_states, seed=seed)
         expected = verify.run_sweep(spec).to_json()
@@ -668,7 +720,7 @@ def hyperdeterminant(amplitudes):
 
 class TestStateTables:
     @pytest.mark.parametrize("seed", [0, 7919])
-    @pytest.mark.parametrize("n_states", [1, 400, verify._STATE_BLOCK + 3])
+    @pytest.mark.parametrize("n_states", [1, 400, 515, verify._STATE_BLOCK + 3])
     def test_blocked_table_equals_per_state_loop(self, seed, n_states):
         # The closed forms against the spin-flip route, at roundoff.
         table = verify._state_tables(n_states, seed)
@@ -678,10 +730,10 @@ class TestStateTables:
             np.testing.assert_allclose(table[name], column, rtol=0, atol=1e-13, err_msg=name)
 
     @pytest.mark.parametrize("seed", [0, 7919])
-    @pytest.mark.parametrize("n_states", [1, 400, verify._STATE_BLOCK + 3])
+    @pytest.mark.parametrize("n_states", [1, 400, 515, verify._STATE_BLOCK + 3])
     def test_table_is_a_prefix_of_a_longer_table(self, seed, n_states):
         table = verify._state_tables(n_states, seed)
-        longer = verify._state_tables(2000, seed)
+        longer = verify._state_tables(2 * verify._STATE_BLOCK + 7, seed)
         for name, column in table.items():
             assert np.array_equal(column, longer[name][:n_states]), name
 
@@ -729,6 +781,12 @@ class TestStateTables:
         table = verify._state_tables(515, seed)
         digests = {name: hashlib.sha256(column.tobytes()).hexdigest() for name, column in table.items()}
         assert digests == STATE_TABLE_SHA256[seed]
+
+
+def gathered_points(fam, spec):
+    """``verify._grid_points``' points as float columns, each gathered from
+    its axis table by its index column."""
+    return {name: table[index] for name, (table, index) in verify._grid_points(fam, spec).items()}
 
 
 def meshgrid_points(fam, spec):
@@ -799,7 +857,7 @@ class TestGridPoints:
     @given(grid_point_specs())
     def test_columns_equal_the_meshgrid_route_byte_for_byte(self, case):
         fam, spec = case
-        assert column_bytes(verify._grid_points, fam, spec) == column_bytes(
+        assert column_bytes(gathered_points, fam, spec) == column_bytes(
             meshgrid_points, fam, spec
         )
 
@@ -807,9 +865,12 @@ class TestGridPoints:
     def test_default_grids_equal_the_meshgrid_route(self, family):
         fam = verify.family_of(family)
         spec = verify.default_spec(family, seed=3)
-        assert column_bytes(verify._grid_points, fam, spec) == column_bytes(
+        assert column_bytes(gathered_points, fam, spec) == column_bytes(
             meshgrid_points, fam, spec
         )
+        # Each index column spans its table in the fewest bytes.
+        for table, index in verify._grid_points(fam, spec).values():
+            assert index.dtype == np.min_scalar_type(table.size - 1)
 
     def test_empty_domain_is_an_error(self):
         fam = verify.family_of("lemma2")
@@ -819,10 +880,11 @@ class TestGridPoints:
             verify._grid_points(fam, spec)
         assert column_bytes(meshgrid_points, fam, spec) == "error: sweep domain is empty"
 
-    # Bound on the tracemalloc peak over the returned columns' bytes: a
-    # domain that keeps every point needs nothing beyond the columns; one
-    # that drops points holds its mask and one masked copy of the mesh part.
-    @pytest.mark.parametrize("family,bound", [("lemma1", 1.25), ("lemma2", 2.0), ("gqsuper", 2.0)])
+    # Bound on the tracemalloc peak over the returned tables' and index
+    # columns' bytes: a domain that keeps every point needs nothing beyond
+    # them; one that drops points holds its mask packed to bits and one
+    # block of mesh rows' temporaries.
+    @pytest.mark.parametrize("family,bound", [("lemma1", 1.25), ("lemma2", 1.15), ("gqsuper", 1.1)])
     def test_peak_memory_stays_near_the_output(self, family, bound):
         fam = verify.family_of(family)
         grid = tuple((name, lo, hi, 1000) for name, lo, hi, _steps in fam.axes)
@@ -835,5 +897,5 @@ class TestGridPoints:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        output = sum(col.nbytes for col in pts.values())
+        output = sum(table.nbytes + index.nbytes for table, index in pts.values())
         assert peak <= bound * output
