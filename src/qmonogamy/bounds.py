@@ -225,7 +225,12 @@ def power_chain(x, p):
     # Written so that NaN, for which every comparison is False, fails.
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("x outside [0, 1]")
-    lhs = (1.0 + arr) ** mu
+    if isinstance(mu, np.ndarray):
+        # One shape for x and mu, so that every term spans the result and
+        # is computed in place.
+        arr, mu = np.broadcast_arrays(arr, mu)
+    lhs = 1.0 + arr
+    lhs **= mu
     # Every power of e1 = 1 is exactly 1.  A generator keeps one array of
     # coefficients alive at a time.
     coefficients = (_TAILS[name](mu) for name in ("new", "prior", "naive"))
@@ -259,13 +264,24 @@ def _tail_values(head, lead, e2, last, full, squared: bool, coefficients) -> lis
     full = 2^mu, shared by all coefficients; k is 2 for the squared
     coupling and 1 for the linear one.  The cross term is multiplied left
     to right, one factor of e2 at a time, which fixes how it rounds.
+
+    Each tail is summed into its fresh cross term, which spans the result,
+    and its weight (2^mu - c - 1) e2^p is formed in one array, since an
+    array ``c`` spans ``last`` (``power_chain`` broadcasts mu to x).  The
+    inputs are never written, and addition commutes exactly, so
+    cross + head has the bits of head + cross.
     """
     tails = []
     for c in coefficients:
         cross = c * lead * e2
         if squared:
-            cross = cross * e2
-        tails.append(head + cross + (full - c - 1.0) * last)
+            cross *= e2
+        cross += head
+        weight = full - c
+        weight -= 1.0
+        weight *= last
+        cross += weight
+        tails.append(cross)
     return tails
 
 

@@ -111,9 +111,19 @@ def qubit_spectrum(x, *, squared: bool) -> np.ndarray:
     ``_DOMAIN_SLACK``, which is clipped away.  The rows are a view of a
     ``(2, ...)`` array, so each eigenvalue column is contiguous.
     """
-    arr = _checked_unit_interval(x, "x")
-    root = np.sqrt(np.maximum(0.0, 1.0 - (arr if squared else arr * arr)))
-    return np.moveaxis(np.array([(1.0 + root) / 2.0, (1.0 - root) / 2.0]), 0, -1)
+    arr = _checked_unit_interval(x, "x")  # a fresh array, or a scalar
+    if not squared:
+        arr *= arr
+    spectrum = np.empty((2, *np.shape(arr)))
+    # ``[k, ...]`` keeps a view, 0-d for a scalar ``x``, that ``out=`` takes.
+    hi, root = spectrum[0, ...], spectrum[1, ...]
+    np.subtract(1.0, arr, out=root)
+    np.maximum(0.0, root, out=root)
+    np.sqrt(root, out=root)
+    np.add(1.0, root, out=hi)
+    np.subtract(1.0, root, out=root)
+    spectrum /= 2.0
+    return np.moveaxis(spectrum, 0, -1)
 
 
 def _closed_form(measure: str, x, index):
@@ -167,12 +177,15 @@ def tsallis_of_spectrum(lam, q):
     """
     qv = MEASURES["tsallis"].check(q)
     powers = lam**qv
-    rest = 1.0
-    for k in range(powers.shape[-1]):
-        rest = rest - powers[..., k]
+    # The first difference is the array the rest accumulate into; for one
+    # spectrum it is 0-d, which ``out=`` takes where a numpy scalar is not.
+    rest = np.asarray(1.0 - powers[..., 0])
+    for k in range(1, powers.shape[-1]):
+        rest -= powers[..., k]
+    rest /= qv - 1.0
     # A product cut's roundoff-negative value or -0.0 becomes 0.0; with the
     # arguments swapped, np.maximum would keep a -0.0.
-    return np.maximum(rest / (qv - 1.0), 0.0)
+    return np.maximum(rest, 0.0, out=rest)[()]
 
 
 def renyi_of_spectrum(lam, alpha):
@@ -187,10 +200,16 @@ def renyi_of_spectrum(lam, alpha):
         top = np.max(lam, axis=-1, keepdims=True)
         lam, shift = lam / top, av * np.log2(top[..., 0])
     powers = lam**av
-    total = powers[..., 0]
+    # Summed into a copy of the first column, as in ``tsallis_of_spectrum``:
+    # a view would keep all of ``powers`` alive in the result.
+    total = powers[..., 0].copy()
     for k in range(1, powers.shape[-1]):
-        total = total + powers[..., k]
-    return np.maximum((shift + np.log2(total)) / (1.0 - av), 0.0)
+        total += powers[..., k]
+    np.log2(total, out=total)
+    # shift + log2(total), with the same bits: addition commutes exactly.
+    total += shift
+    total /= 1.0 - av
+    return np.maximum(total, 0.0, out=total)[()]
 
 
 def squared_concurrence_of_spectrum(lam):

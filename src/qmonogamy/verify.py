@@ -115,10 +115,6 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 
 
-def _hypot_clamped(x, y):
-    return np.minimum(1.0, np.sqrt(x * x + y * y))
-
-
 class _Block(dict):
     """Columns of one block of sweep points.
 
@@ -143,9 +139,11 @@ def _shared(pts, fn, *args):
     it directly."""
     if not isinstance(pts, _Block):
         return fn(pts, *args)
-    held = pts.memo.get(fn)
+    held = pts.memo.pop(fn, None)
     if held is None or held[0] != args:
-        held = pts.memo[fn] = (args, fn(pts, *args))
+        del held  # freed before ``fn`` builds the next result, not after
+        held = (args, fn(pts, *args))
+    pts.memo[fn] = held
     return held[1]
 
 
@@ -167,7 +165,11 @@ def _grid_spectra(pts, squared):
     of min(1, hypot(x, y)), x and y; then the positions of the points among
     the x and the y values (``_axis_values``)."""
     x, y = pts["x"], pts["y"]
-    joint = x * x + y * y if squared else _hypot_clamped(x, y)
+    joint = x * x
+    joint += y * y
+    if not squared:
+        np.sqrt(joint, out=joint)
+        np.minimum(1.0, joint, out=joint)
     spectra, positions = [measures.qubit_spectrum(joint, squared=squared)], []
     for name in ("x", "y"):
         values, position = _axis_values(pts, name)
@@ -196,7 +198,12 @@ def _grid_triple(pts, measure, value):
 
 def _margin_power_chain(pts, combo):
     lhs, tight, loose, naive = bounds.power_chain(pts["x"], pts["mu"])
-    return np.minimum(np.minimum(lhs - tight, tight - loose), loose - naive)
+    # The three gaps, each into the array of its left side.
+    lhs -= tight
+    tight -= loose
+    loose -= naive
+    np.minimum(lhs, tight, out=lhs)
+    return np.minimum(lhs, loose, out=lhs)
 
 
 def _pair_spectra(pts, squared):
@@ -228,10 +235,16 @@ def _additive(triple, regime: bounds.Regime):
     measure, index, k = regime.measure, regime.index, regime.degree
 
     def margin(pts, combo):
+        # The block's memoised triple is never written.
         z, x, y = _shared(pts, triple, measure, combo[index])
-        if k != 1:
-            z, x, y = z**k, x**k, y**k
-        return z - x - y
+        if k == 1:
+            gap = z - x
+            gap -= y
+        else:
+            gap = z**k
+            gap -= x**k
+            gap -= y**k
+        return gap
 
     return margin
 
@@ -245,7 +258,8 @@ def _powered(triple, regime: bounds.Regime, power: str):
     def margin(pts, combo):
         full, e1, e2 = _shared(pts, triple, measure, combo[index])
         p = combo[power]
-        return full**p - bounds.pair_bound_new(e1, e2, regime.power(p), regime.coupling)
+        bound = bounds.pair_bound_new(e1, e2, regime.power(p), regime.coupling)
+        return np.subtract(full**p, bound, out=bound)
 
     return margin
 
@@ -442,16 +456,23 @@ def _scan(margins: np.ndarray, columns, tail: tuple, tolerance: float):
 
     Point ``i`` is ``(*(col[i] for col in columns), *tail)``.  With no
     finite margin the minimum is inf and the point None.
+
+    The minimum and the maximum come first: when both are finite, so is
+    every margin (a NaN makes both NaN), and when the minimum is at least
+    ``-tolerance`` no margin violates, so a typical block takes neither
+    the non-finite nor the violation pass.
     """
 
     def point_of(i):
         return tuple(float(col[i]) for col in columns) + tail
 
-    finite = np.isfinite(margins)
-    nonfinite = margins.size - int(np.count_nonzero(finite))
-    if nonfinite:
+    local_min, nonfinite = margins.min(), 0
+    if not (math.isfinite(local_min) and math.isfinite(margins.max())):
+        finite = np.isfinite(margins)
+        nonfinite = margins.size - int(np.count_nonzero(finite))
         margins = np.where(finite, margins, math.inf)
-    local_min = float(np.min(margins))
+        local_min = np.min(margins)
+    local_min = float(local_min)
     best_point = None
     if local_min < math.inf:
         idxs = np.flatnonzero(margins == local_min)
@@ -460,6 +481,8 @@ def _scan(margins: np.ndarray, columns, tail: tuple, tolerance: float):
             # points keep the first position.
             idxs = idxs[np.lexsort([col[idxs] for col in reversed(columns)])]
         best_point = point_of(int(idxs[0]))
+    if local_min >= -tolerance:
+        return local_min, best_point, [], 0, nonfinite
     bad = np.flatnonzero(margins < -tolerance)
     worst = bad
     if bad.size > MAX_VIOLATIONS:
@@ -696,6 +719,7 @@ def _sweep(spec: SweepSpec) -> SweepReport:
                 margins = np.asarray(fam.margin(block, combo), dtype=float)
             checked += margins.size
             per_combo[k] = _merge(per_combo[k], *_scan(margins, coords, tails[k], spec.tolerance))
+            del margins  # freed before the next combo's margins are built
 
     state = empty
     for acc in per_combo:

@@ -541,3 +541,155 @@ class TestOrderingCertificate:
         assert bounds.ordering_certificate(st, 0, (2, 1), table) == [bounds.CERTIFIED]
         # The table alone decides: swapped values swap the tag.
         assert bounds.ordering_certificate(st, 0, (2, 1), table[::-1]) == [bounds.VIOLATED]
+
+
+# ---------------------------------------------------------------------------
+# In-place tails: no input written, and the bits of the out-of-place formulas
+# ---------------------------------------------------------------------------
+
+
+def tail_values_before(head, lead, e2, last, full, squared, coefficients):
+    """``bounds._tail_values`` as it was written before it summed each tail
+    into its cross term: one fresh array per operation."""
+    tails = []
+    for c in coefficients:
+        cross = c * lead * e2
+        if squared:
+            cross = cross * e2
+        tails.append(head + cross + (full - c - 1.0) * last)
+    return tails
+
+
+def tail_before(e1, e2, mu, name, coupling):
+    """``bounds._tail`` on the formula above, gates left out."""
+    a, b = np.asarray(e1, dtype=float), np.asarray(e2, dtype=float)
+    k = 2 if coupling == "squared" else 1
+    pow_ = k * mu
+    [vals] = tail_values_before(
+        a**pow_, a ** (pow_ - k), b, b**pow_, bounds._TWO**mu, k == 2, [bounds._TAILS[name](mu)]
+    )
+    return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
+
+
+def power_chain_before(x, p):
+    """``bounds.power_chain`` as it was written before it raised 1 + x to mu
+    in place, gates left out."""
+    mu = float(p) if np.ndim(p) == 0 else np.asarray(p, dtype=float)
+    arr = np.asarray(x, dtype=float)
+    lhs = (1.0 + arr) ** mu
+    coefficients = (bounds._TAILS[name](mu) for name in ("new", "prior", "naive"))
+    tight, loose, naive = tail_values_before(
+        1.0, 1.0, arr, arr**mu, bounds._TWO**mu, False, coefficients
+    )
+    if np.ndim(x) == 0:
+        return float(lhs), float(tight), float(loose), float(naive)
+    return lhs, tight, loose, naive
+
+
+def bits(value):
+    """The int64 view of a float or an array of them: equal bits, including
+    the sign of a zero and the payload of a NaN."""
+    return np.asarray(value, dtype=float).view(np.int64).tolist()
+
+
+def frozen(value):
+    """A read-only copy of an array, so that any write into it raises; a
+    Python float is returned as it is."""
+    if isinstance(value, float):
+        return value
+    arr = np.array(value, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+UNIT = st.floats(0.0, 1.0)
+MU_VALUES = st.floats(1.0, 12.0)
+PAIR_TAILS = [
+    ("new", bounds.pair_bound_new),
+    ("prior", bounds.pair_bound_prior),
+    ("naive", bounds.pair_bound_naive),
+]
+
+
+@st.composite
+def ordered_pairs(draw):
+    """(e1, e2) with e1 >= e2 elementwise: Python floats, 0-d arrays, equal
+    1-D arrays, or an ``(n, 1)`` column against a ``(1, m)`` row."""
+    shape = draw(st.sampled_from(["float", "0-d", "1-D", "broadcast"]))
+    if shape in ("float", "0-d"):
+        a, b = draw(UNIT), draw(UNIT)
+        e1, e2 = max(a, b), min(a, b)
+        return (e1, e2) if shape == "float" else (np.array(e1), np.array(e2))
+    if shape == "1-D":
+        pairs = draw(st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=12))
+        return np.array([max(p) for p in pairs]), np.array([min(p) for p in pairs])
+    hi = draw(st.lists(st.floats(0.5, 1.0), min_size=1, max_size=6))
+    lo = draw(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=6))
+    return np.array(hi)[:, None], np.array(lo)[None, :]
+
+
+class TestInPlaceTails:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=ordered_pairs(), mu=MU_VALUES)
+    def test_pair_tails_same_bits_and_types(self, pair, mu):
+        for coupling in bounds.COUPLINGS:
+            for name, fn in PAIR_TAILS:
+                want = tail_before(*pair, mu, name, coupling)
+                # Read-only inputs: a write into either raises.
+                for e1, e2 in (pair, [frozen(v) for v in pair]):
+                    got = fn(e1, e2, bounds.PowerParam(mu), coupling)
+                    assert type(got) is type(want), (name, coupling)
+                    assert bits(got) == bits(want), (name, coupling)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.sampled_from(["float", "0-d", "1-D", "broadcast"]),
+        xs=st.lists(UNIT, min_size=1, max_size=8),
+        mus=st.lists(MU_VALUES, min_size=1, max_size=8),
+        array_mu=st.booleans(),
+    )
+    def test_power_chain_same_bits_and_types(self, shape, xs, mus, array_mu):
+        if shape == "float":
+            x, mu = xs[0], mus[0]
+        elif shape == "0-d":
+            x, mu = np.array(xs[0]), np.array(mus[0]) if array_mu else mus[0]
+        elif shape == "1-D":
+            n = min(len(xs), len(mus))
+            x, mu = np.array(xs[:n]), np.array(mus[:n]) if array_mu else mus[0]
+        else:
+            x, mu = np.array(xs)[:, None], np.array(mus)[None, :] if array_mu else mus[0]
+        want = power_chain_before(x, mu)
+        for x_in, mu_in in ((x, mu), (frozen(x), frozen(mu))):
+            got = bounds.power_chain(x_in, mu_in)
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.tuples(UNIT, UNIT, MU_VALUES), min_size=1, max_size=10),
+        squared=st.booleans(),
+    )
+    def test_tail_values_write_no_input(self, values, squared):
+        a, b, mu = (np.array(column) for column in zip(*values))
+        e1, e2 = np.maximum(a, b), np.minimum(a, b)
+        k = 2 if squared else 1
+        args = (e1 ** (k * mu), e1 ** (k * mu - k), e2, e2 ** (k * mu), bounds._TWO**mu)
+        coefficients = [bounds._TAILS[name](mu) for name in bounds._TAILS]
+        want = tail_values_before(*args, squared, coefficients)
+        got = bounds._tail_values(
+            *(frozen(v) for v in args), squared, [frozen(c) for c in coefficients]
+        )
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(UNIT, min_size=2, max_size=4), mu=MU_VALUES, m=st.integers(0, 2))
+    def test_chain_bound_takes_a_read_only_array(self, values, mu, m):
+        # The split's tail couples the last two values, larger one first.
+        m = min(m, len(values) - 1)
+        values = sorted(values, reverse=True)
+        if m < len(values) - 1:
+            values[-2:] = values[:-3:-1]
+        for coupling in bounds.COUPLINGS:
+            want = bounds.chain_bound(list(values), m, mu, coupling)
+            got = bounds.chain_bound(frozen(values), m, mu, coupling)
+            assert type(got) is float and bits(got) == bits(want)

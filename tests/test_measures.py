@@ -531,3 +531,138 @@ class TestMonogamyChain:
             c_ab = measures.concurrence_two_qubit(kernel.partial_trace(rho, 3, {0, 1}))
             c_ac = measures.concurrence_two_qubit(kernel.partial_trace(rho, 3, {0, 2}))
             assert c_full**2 - c_ab**2 - c_ac**2 >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# In-place spectra and entropies: no input written, and the bits of the
+# out-of-place formulas
+# ---------------------------------------------------------------------------
+
+
+def qubit_spectrum_before(x, squared):
+    """``measures.qubit_spectrum`` as it was written before it wrote into
+    one ``(2, ...)`` array, gate left out."""
+    arr = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    root = np.sqrt(np.maximum(0.0, 1.0 - (arr if squared else arr * arr)))
+    return np.moveaxis(np.array([(1.0 + root) / 2.0, (1.0 - root) / 2.0]), 0, -1)
+
+
+def tsallis_before(lam, q):
+    """``measures.tsallis_of_spectrum`` before it accumulated in place."""
+    powers = lam**q
+    rest = 1.0
+    for k in range(powers.shape[-1]):
+        rest = rest - powers[..., k]
+    return np.maximum(rest / (q - 1.0), 0.0)
+
+
+def renyi_before(lam, alpha):
+    """``measures.renyi_of_spectrum`` before it accumulated in place."""
+    shift = 0.0
+    if alpha * math.log2(lam.shape[-1]) > 1000.0:
+        top = np.max(lam, axis=-1, keepdims=True)
+        lam, shift = lam / top, alpha * np.log2(top[..., 0])
+    powers = lam**alpha
+    total = powers[..., 0]
+    for k in range(1, powers.shape[-1]):
+        total = total + powers[..., k]
+    return np.maximum((shift + np.log2(total)) / (1.0 - alpha), 0.0)
+
+
+def int_bits(value):
+    return np.asarray(value, dtype=float).view(np.int64).tolist()
+
+
+def read_only(value):
+    """A read-only copy of an array, so that any write into it raises; a
+    Python float is returned as it is."""
+    if isinstance(value, float):
+        return value
+    arr = np.array(value, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+@st.composite
+def unit_inputs(draw):
+    """x in [0, 1] up to the slack: a Python float, a 0-d array, a 1-D array
+    or an ``(n, 1) + (1, m)`` broadcast of two halves."""
+    shape = draw(st.sampled_from(["float", "0-d", "1-D", "broadcast"]))
+    if shape == "float":
+        return draw(UNIT_INPUTS)
+    if shape == "0-d":
+        return np.array(draw(UNIT_INPUTS))
+    if shape == "1-D":
+        return np.array(draw(st.lists(UNIT_INPUTS, min_size=1, max_size=12)))
+    halves = st.lists(st.floats(0.0, 0.5), min_size=1, max_size=6)
+    return np.array(draw(halves))[:, None] + np.array(draw(halves))[None, :]
+
+
+@st.composite
+def spectra(draw):
+    """Descending spectra along the last axis: one spectrum of 2-4 values,
+    or an ``(n, 2)`` stack in either memory order, with exact zeros and
+    exact ones among them."""
+    unit = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        weights = draw(st.lists(unit, min_size=2, max_size=4).filter(lambda w: sum(w) > 0))
+        lam = np.sort(np.array(weights) / sum(weights))[::-1].copy()
+        return lam
+    lo = np.array(draw(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=12)))
+    stack = np.stack([1.0 - lo, lo], axis=-1)
+    return stack if draw(st.booleans()) else np.asfortranarray(stack)
+
+
+class TestInPlaceEntropies:
+    @settings(max_examples=300, deadline=None)
+    @given(x=unit_inputs(), squared=st.booleans())
+    def test_qubit_spectrum_same_bits(self, x, squared):
+        want = qubit_spectrum_before(x, squared)
+        for x_in in (x, read_only(x)):
+            got = measures.qubit_spectrum(x_in, squared=squared)
+            assert got.shape == want.shape and int_bits(got) == int_bits(want)
+            # Each eigenvalue column stays contiguous.
+            assert all(got[..., k].flags.c_contiguous for k in range(2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=spectra(), q=TSALLIS_INDEX, alpha=RENYI_INDEX, huge=st.sampled_from([1500.0, 5e4]))
+    def test_entropies_same_bits_and_types(self, lam, q, alpha, huge):
+        frozen = read_only(lam)
+        for entropy, before, index in (
+            (measures.tsallis_of_spectrum, tsallis_before, q),
+            (measures.renyi_of_spectrum, renyi_before, alpha),
+            # Past alpha log2(k) = 1000 the top eigenvalue comes out first.
+            (measures.renyi_of_spectrum, renyi_before, huge),
+        ):
+            want = before(lam, index)
+            got = entropy(frozen, index)
+            assert type(got) is type(want)
+            assert int_bits(got) == int_bits(want)
+        assert int_bits(frozen) == int_bits(lam)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=unit_inputs(), q=TSALLIS_INDEX, alpha=RENYI_INDEX)
+    def test_conversions_same_bits_and_types(self, x, q, alpha):
+        frozen = read_only(x)
+        for conversion, before, index, squared in (
+            (measures.g_q, tsallis_before, q, True),
+            (measures.f_alpha, renyi_before, alpha, False),
+        ):
+            values = before(qubit_spectrum_before(x, squared), index)
+            want = float(values) if np.ndim(x) == 0 else values
+            got = conversion(frozen, index)
+            assert type(got) is type(want)
+            assert int_bits(got) == int_bits(want)
+
+    @pytest.mark.parametrize("index", [0.8, 2.0, 3.5])
+    def test_product_cut_is_positive_zero(self, index):
+        # An exact product spectrum: both formulas give (+-0.0) / (1 - index)
+        # before the clamp, which must leave +0.0, for one spectrum and for
+        # each member of a stack.
+        for lam in (np.array([1.0, 0.0]), np.array([[1.0, 0.0], [1.0, 0.0]])):
+            for entropy in (measures.tsallis_of_spectrum, measures.renyi_of_spectrum):
+                for value in np.ravel(entropy(lam, index)):
+                    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        for value in (measures.g_q(0.0, 2.5), measures.f_alpha(0.0, 2.5)):
+            assert type(value) is float
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
