@@ -201,13 +201,19 @@ def _as_power(p) -> PowerParam:
     return p if isinstance(p, PowerParam) else PowerParam(float(p))
 
 
-def power_chain(x, p):
+def power_chain(x, p, out=None):
     """Four-term comparison chain for (1 + x)**mu on 0 <= x <= 1.
 
     Returns ``(lhs, tight_mid, loose_mid, naive)`` with
     lhs >= tight_mid >= loose_mid >= naive, all four meeting at x in {0, 1}.
     The three tails are the new, the prior and the naive pair tails at
     e1 = 1, e2 = x.
+
+    ``out``, an array of shape ``(6, *shape)`` for the broadcast shape of x
+    and mu, takes the four results in its first rows, then x^mu and the
+    tails' weight terms.  2^mu, the cross coefficients and the weights are
+    formed at mu's own shape and meet x only when combined with it, so an
+    open grid (x a column, mu a row) pays for them once per mu.
     """
     if isinstance(p, PowerParam):
         mu = p.mu
@@ -217,24 +223,28 @@ def power_chain(x, p):
         finite = np.isfinite(mu)
         if not finite.all():
             raise ValueError(f"power mu must be finite, got {mu[~finite].flat[0]}")
-        if np.any(mu < 1.0):
+        if (mu < 1.0).any():
             raise ValueError(f"power must be >= 1, got {np.min(mu)}")
         if np.ndim(p) == 0:
             mu = float(mu)
     arr = np.asarray(x, dtype=float)
     # Written so that NaN, for which every comparison is False, fails.
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise ValueError("x outside [0, 1]")
-    if isinstance(mu, np.ndarray):
-        # One shape for x and mu, so that every term spans the result and
-        # is computed in place.
-        arr, mu = np.broadcast_arrays(arr, mu)
+    if out is None:
+        # Arrays of the result's shape, or, for a scalar x and mu, numpy
+        # scalars, whose power (1 + x)**mu is the scalar one.
+        shape = np.broadcast(arr, mu).shape
+        out = [np.empty(shape) if shape else None for _ in range(6)]
     lhs = 1.0 + arr
-    lhs **= mu
+    lhs = lhs**mu if out[0] is None else np.power(lhs, mu, out=out[0])
     # Every power of e1 = 1 is exactly 1.  A generator keeps one array of
     # coefficients alive at a time.
     coefficients = (_TAILS[name](mu) for name in ("new", "prior", "naive"))
-    tight, loose, naive = _tail_values(1.0, 1.0, arr, arr**mu, _TWO**mu, False, coefficients)
+    last = np.power(arr, mu, out=out[4])
+    tight, loose, naive = _tail_values(
+        1.0, 1.0, arr, last, _TWO**mu, False, coefficients, out=(*out[1:4], out[5])
+    )
     if np.ndim(x) == 0:
         return float(lhs), float(tight), float(loose), float(naive)
     return lhs, tight, loose, naive
@@ -244,9 +254,9 @@ def _check_ordered(e1, e2):
     a = np.asarray(e1, dtype=float)
     b = np.asarray(e2, dtype=float)
     # Written so that NaN, for which every comparison is False, fails.
-    if not (np.all(a >= 0.0) and np.all(b >= 0.0)):
+    if not ((a >= 0.0).all() and (b >= 0.0).all()):
         raise ValueError("entanglement values must be nonnegative")
-    if np.any(a < b):
+    if (a < b).any():
         raise ValueError("hypothesis violated: e1 < e2 (caller must order)")
     return a, b
 
@@ -257,7 +267,7 @@ def _coupling_exponent(param: PowerParam, coupling: str) -> float:
     return _DEGREE[coupling] * param.mu
 
 
-def _tail_values(head, lead, e2, last, full, squared: bool, coefficients) -> list:
+def _tail_values(head, lead, e2, last, full, squared: bool, coefficients, out=None) -> list:
     """Pair tails e1^p + c e1^(p-k) e2^k + (2^mu - c - 1) e2^p, one per c.
 
     Takes the powers head = e1^p, lead = e1^(p-k), last = e2^p and
@@ -265,47 +275,70 @@ def _tail_values(head, lead, e2, last, full, squared: bool, coefficients) -> lis
     coupling and 1 for the linear one.  The cross term is multiplied left
     to right, one factor of e2 at a time, which fixes how it rounds.
 
-    Each tail is summed into its fresh cross term, which spans the result,
-    and its weight (2^mu - c - 1) e2^p is formed in one array, since an
-    array ``c`` spans ``last`` (``power_chain`` broadcasts mu to x).  The
-    inputs are never written, and addition commutes exactly, so
-    cross + head has the bits of head + cross.
+    Each tail is summed into its cross term, and its weight term
+    (2^mu - c - 1) e2^p is formed in one array; c e1^(p-k) and the weight
+    are formed at their own shape (``power_chain``'s mu row) before they
+    meet e2.  ``out`` holds one array per coefficient, for its
+    tail, then one for the weight terms; None makes fresh ones.  The inputs
+    are never written, unless the caller passes a row of ``out`` as
+    ``lead`` (the first tail's) or ``last`` (the weight terms') with one
+    coefficient: each is read, elementwise, before its row is written.
+    Multiplication and addition commute exactly, so c e1^(p-k) and
+    cross + head have the bits of e1^(p-k) c and head + cross.
     """
     tails = []
-    for c in coefficients:
-        cross = c * lead * e2
+    for k, c in enumerate(coefficients):
+        row = None if out is None else out[k]
+        # c e1^(p-k) at its own shape, or in place when ``lead`` is the row.
+        scaled = np.multiply(c, lead, out=row) if lead is row else c * lead
+        cross = np.multiply(scaled, e2, out=row)
         if squared:
             cross *= e2
         cross += head
         weight = full - c
         weight -= 1.0
-        weight *= last
-        cross += weight
+        cross += np.multiply(weight, last, out=None if out is None else out[-1])
         tails.append(cross)
     return tails
 
 
-def _tail(e1, e2, p, name: str, coupling: str = "linear"):
-    """Pair tail ``name`` (a key of ``_TAILS``) of the ordered pair e1 >= e2."""
+def _tail(e1, e2, p, name: str, coupling: str = "linear", out=None):
+    """Pair tail ``name`` (a key of ``_TAILS``) of the ordered pair e1 >= e2.
+
+    ``out``, three arrays of the broadcast shape of e1 and e2 (or one
+    ``(3, *shape)`` array), takes the tail in the first; the other two
+    hold its temporaries.  None makes fresh ones.
+    """
     if name not in _TAILS:
         raise ValueError(f"unknown tail {name!r}; expected one of {tuple(_TAILS)}")
     param = _as_power(p)
     a, b = _check_ordered(e1, e2)
     pow_ = _coupling_exponent(param, coupling)
     k = _DEGREE[coupling]
+    if out is None:
+        # Arrays of the tail's shape, or, for scalar e1 and e2, numpy scalars.
+        shape = np.broadcast(a, b).shape
+        out = [np.empty(shape) if shape else None for _ in range(3)]
+    # e1^(p-k) in the tail's row and e2^p in the weight terms' row, each
+    # read before ``_tail_values`` overwrites it (one coefficient).
+    vals, weighted, head = out
+    lead, last = np.power(a, pow_ - k, out=vals), np.power(b, pow_, out=weighted)
     [vals] = _tail_values(
-        a**pow_, a ** (pow_ - k), b, b**pow_, _TWO**param.mu, k == 2, [_TAILS[name](param.mu)]
+        np.power(a, pow_, out=head), lead, b, last, _TWO**param.mu, k == 2,
+        [_TAILS[name](param.mu)], (vals, weighted),
     )
     return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
 
 
-def pair_bound_new(e1, e2, p, coupling: str = "linear"):
+def pair_bound_new(e1, e2, p, coupling: str = "linear", out=None):
     """Tightened two-party tail, coefficient mu^2/(mu+1) on the cross term.
 
     linear:  e1^mu + mu^2/(mu+1) e1^(mu-1) e2 + (2^mu - mu^2/(mu+1) - 1) e2^mu
     squared: e1^g  + mu^2/(mu+1) e1^(g-2) e2^2 + (2^mu - mu^2/(mu+1) - 1) e2^g
+
+    ``out`` as in ``_tail``: the tail is written into its first array.
     """
-    return _tail(e1, e2, p, "new", coupling)
+    return _tail(e1, e2, p, "new", coupling, out)
 
 
 def pair_bound_prior(e1, e2, p, coupling: str = "linear"):

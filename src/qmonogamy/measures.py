@@ -91,39 +91,48 @@ MEASURES = {
 }
 
 
-def _checked_unit_interval(x, name: str):
+def _checked_unit_interval(x, name: str, out=None):
     arr = np.asarray(x, dtype=float)
     # Written so that NaN, for which every comparison is False, fails.
     inside = (arr >= -_DOMAIN_SLACK) & (arr <= 1.0 + _DOMAIN_SLACK)
-    if not np.all(inside):
+    if not inside.all():
         raise ValueError(f"{name} outside [0, 1]: {np.ravel(arr[~inside])[:4]}")
-    return np.clip(arr, 0.0, 1.0)
+    return np.clip(arr, 0.0, 1.0, out=out)
 
 
 def _like(x, values: np.ndarray):
     return float(values) if np.ndim(x) == 0 else values
 
 
-def qubit_spectrum(x, *, squared: bool) -> np.ndarray:
+def qubit_spectrum(x, *, squared: bool, out=None) -> np.ndarray:
     """Descending spectrum ``(1 +- sqrt(1 - C^2)) / 2`` of the qubit marginal
     of a two-qubit pure state, one row per entry of ``x``: ``x`` is C^2
     (``squared``, as for ``g_q``) or C (as for ``f_alpha``), in [0, 1] up to
     ``_DOMAIN_SLACK``, which is clipped away.  The rows are a view of a
-    ``(2, ...)`` array, so each eigenvalue column is contiguous.
+    ``(2, ...)`` array, ``out`` if given, so each eigenvalue column is
+    contiguous.  ``x`` may be a row of ``out``: it is read before the rows
+    are written.
     """
-    arr = _checked_unit_interval(x, "x")  # a fresh array, or a scalar
-    if not squared:
-        arr *= arr
-    spectrum = np.empty((2, *np.shape(arr)))
+    spectrum = np.empty((2, *np.shape(x))) if out is None else out
     # ``[k, ...]`` keeps a view, 0-d for a scalar ``x``, that ``out=`` takes.
     hi, root = spectrum[0, ...], spectrum[1, ...]
-    np.subtract(1.0, arr, out=root)
+    _checked_unit_interval(x, "x", out=root)
+    if not squared:
+        root *= root
+    np.subtract(1.0, root, out=root)
     np.maximum(0.0, root, out=root)
     np.sqrt(root, out=root)
     np.add(1.0, root, out=hi)
     np.subtract(1.0, root, out=root)
     spectrum /= 2.0
-    return np.moveaxis(spectrum, 0, -1)
+    return rows_last(spectrum)
+
+
+def rows_last(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with its first axis moved last (``np.moveaxis(rows, 0,
+    -1)``, a view): the layout of ``qubit_spectrum``'s spectra and of the
+    powers a spectrum formula writes into ``out``."""
+    return rows.transpose(*range(1, rows.ndim), 0)
 
 
 def _closed_form(measure: str, x, index):
@@ -170,16 +179,22 @@ def cut_spectrum(rho, n_qubits: int, side) -> np.ndarray:
     return kernel.clamp_spectrum(kernel.hermitian_eigenvalues(reduced))
 
 
-def tsallis_of_spectrum(lam, q):
+def tsallis_of_spectrum(lam, q, out=None):
     """Tsallis-q entropy (1 - sum lam^q) / (q - 1) of each spectrum along
     the last axis, clamped at 0.0.  The whole array is raised to the power
     at once, so one spectrum gives the bits it gets as a member of a stack.
+
+    ``out``, an array of ``lam``'s shape, takes the powers, and the
+    entropies are then its first column.
     """
     qv = MEASURES["tsallis"].check(q)
-    powers = lam**qv
-    # The first difference is the array the rest accumulate into; for one
-    # spectrum it is 0-d, which ``out=`` takes where a numpy scalar is not.
-    rest = np.asarray(1.0 - powers[..., 0])
+    powers = np.power(lam, qv, out=out)
+    first = powers[..., 0]
+    # The first difference is the array the rest accumulate into: the first
+    # column of ``out``, else a fresh array, since a view would keep all the
+    # powers alive in the result.  For one spectrum it is 0-d, which
+    # ``out=`` takes where a numpy scalar is not.
+    rest = np.subtract(1.0, first, out=first if out is not None else np.empty_like(first))
     for k in range(1, powers.shape[-1]):
         rest -= powers[..., k]
     rest /= qv - 1.0
@@ -188,9 +203,9 @@ def tsallis_of_spectrum(lam, q):
     return np.maximum(rest, 0.0, out=rest)[()]
 
 
-def renyi_of_spectrum(lam, alpha):
+def renyi_of_spectrum(lam, alpha, out=None):
     """Renyi-alpha entropy log2(sum lam^alpha) / (1 - alpha) of each
-    spectrum along the last axis, clamped at 0.0; powers as in
+    spectrum along the last axis, clamped at 0.0; powers and ``out`` as in
     ``tsallis_of_spectrum``."""
     av = MEASURES["renyi"].check(alpha)
     shift = 0.0
@@ -199,10 +214,9 @@ def renyi_of_spectrum(lam, alpha):
     if av * math.log2(lam.shape[-1]) > 1000.0:
         top = np.max(lam, axis=-1, keepdims=True)
         lam, shift = lam / top, av * np.log2(top[..., 0])
-    powers = lam**av
-    # Summed into a copy of the first column, as in ``tsallis_of_spectrum``:
-    # a view would keep all of ``powers`` alive in the result.
-    total = powers[..., 0].copy()
+    powers = np.power(lam, av, out=out)
+    # Summed into the first column, as in ``tsallis_of_spectrum``.
+    total = powers[..., 0] if out is not None else powers[..., 0].copy()
     for k in range(1, powers.shape[-1]):
         total += powers[..., k]
     np.log2(total, out=total)

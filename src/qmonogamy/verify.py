@@ -36,6 +36,13 @@ _STATE_BLOCK = 4096
 # one margin evaluation (a few dozen arrays of 128 KB) stay in cache while
 # every combo runs over it.
 _SWEEP_BLOCK = 16384
+# Rows of one sweep's workspace (``_Workspace``), each as long as its
+# longest block, by the family's kind.  A grid block takes at most ten: the
+# positions of its points on the two axes, the joint spectrum, its powers
+# (the joint entropy, then the x entropy), the y entropy and three margin
+# rows; a full mesh's tile takes six, for ``bounds.power_chain``.  A state
+# block takes fifteen: three spectra, their powers and three margin rows.
+_WORKSPACE_ROWS = {"grid": 10, "state": 15}
 
 
 @dataclass(frozen=True)
@@ -115,22 +122,75 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 
 
-class _Block(dict):
-    """Columns of one block of sweep points.
+class _Workspace:
+    """Working arrays of one sweep, all cut from one buffer that is
+    allocated when the sweep starts and reused by every block and combo.
 
-    ``axes`` maps each grid axis to its table and the block's indices into
-    it (``_grid_points``); the block's column of that axis is gathered
-    from them.  Keeps the last result of each function ``_shared`` calls
-    on it, so the combos of one block build its qubit spectra once for
-    every ``q`` or ``alpha``, and the combos that share a ``q`` or
-    ``alpha`` (consecutive in ``_combos``) convert the block once.
+    ``take(name, shape, rows)`` is the array ``name``: the first
+    ``prod(shape)`` entries of ``rows`` rows of the buffer, which the name
+    holds for the whole sweep.  A block's array is rewritten by the next
+    block; within a block, a name holds one value at a time.
     """
 
-    def __init__(self, columns, axes):
+    def __init__(self, rows: int, length: int):
+        self.buffer = np.empty((rows, length))
+        self.held = {}  # name -> its rows, flattened
+        self.used = 0
+
+    def take(self, name, shape, rows=1, dtype=float):
+        held = self.held.get(name)
+        if held is None:
+            if self.used + rows > len(self.buffer):
+                raise RuntimeError(f"sweep workspace has no rows left for {name!r}")
+            held = self.held[name] = self.buffer[self.used : self.used + rows].reshape(-1)
+            self.used += rows
+        # A shape larger than the rows fails to reshape.
+        return held[: math.prod(shape)].view(dtype).reshape(shape)
+
+
+class _Block(dict):
+    """Columns of one block of sweep points, and the sweep's workspace.
+
+    A full grid mesh is walked as open-grid tiles: the first axis a
+    ``(rows, 1)`` column, the second a ``(1, n)`` row, both views of the
+    axis tables.  A block of any other grid holds, for each axis in
+    ``axes``, the run of its table that the block's points use and each
+    point's position in it; its column of that axis is gathered on first
+    read.  Keeps the last result of each function ``_shared`` calls on it,
+    so the combos of one block build its qubit spectra once for every ``q``
+    or ``alpha``, and the combos that share a ``q`` or ``alpha``
+    (consecutive in ``_combos``) convert the block once.
+    """
+
+    def __init__(self, columns, workspace, axes=()):
         super().__init__(columns)
-        self.update((name, table.take(index)) for name, (table, index) in axes.items())
-        self.axes = axes
+        self.workspace = workspace
+        self.axes = dict(axes)
         self.memo = {}
+
+    def __missing__(self, name):
+        values, position = self.axes[name]
+        column = self[name] = values[position]
+        return column
+
+
+class _Coordinate:
+    """One coordinate of a block's points, read only at the flat positions
+    ``i`` that ``_scan`` reports: ``values[at(i)]``."""
+
+    def __init__(self, values, at):
+        self.values, self.at = values, at
+
+    def __getitem__(self, i):
+        return self.values[self.at(i)]
+
+
+def _block_array(pts, name, shape, rows=1):
+    """Array ``name`` of ``shape`` from the block's workspace
+    (``_Workspace.take``); a plain dict of columns gets a fresh one."""
+    if isinstance(pts, _Block):
+        return pts.workspace.take(name, shape, rows)
+    return np.empty(shape)
 
 
 def _shared(pts, fn, *args):
@@ -141,43 +201,53 @@ def _shared(pts, fn, *args):
         return fn(pts, *args)
     held = pts.memo.pop(fn, None)
     if held is None or held[0] != args:
-        del held  # freed before ``fn`` builds the next result, not after
+        del held  # dropped before ``fn`` writes the next result, not after
         held = (args, fn(pts, *args))
     pts.memo[fn] = held
     return held[1]
 
 
 def _axis_values(pts, name):
-    """The values of axis ``name`` that the points use, as the contiguous
-    run of its table from the smallest index to the largest, and each
-    point's position in that run.  A plain dict of columns is its own
-    table, with the identity index, returned as None."""
-    if not isinstance(pts, _Block):
-        return pts[name], None
-    table, index = pts.axes[name]
-    lo, hi = int(index.min()), int(index.max()) + 1
-    return table[lo:hi], np.subtract(index, lo, dtype=np.intp)
+    """The values of axis ``name`` that the points use, and each point's
+    position among them: a ragged grid block's run of the axis table
+    (``_Block``), or else the points' own column (a tile's row or column)
+    with position None."""
+    if isinstance(pts, _Block) and name in pts.axes:
+        return pts.axes[name]
+    return pts[name], None
 
 
 def _grid_spectra(pts, squared):
     """Qubit spectra of the squared concurrences x^2 + y^2 at each point,
     and of x^2 and y^2 at each axis value the points use (``squared``), or
     of min(1, hypot(x, y)), x and y; then the positions of the points among
-    the x and the y values (``_axis_values``)."""
-    x, y = pts["x"], pts["y"]
-    joint = x * x
-    joint += y * y
+    the x and the y values (``_axis_values``).
+
+    x^2 and y^2 are squared once per axis value and gathered (or broadcast)
+    to the points, into the rows of the joint spectrum, which
+    ``qubit_spectrum`` reads before it writes them."""
+    (x, x_at), (y, y_at) = (_axis_values(pts, name) for name in ("x", "y"))
+    squares = [x * x, y * y]
+    shape = np.broadcast(x, y).shape if x_at is None else x_at.shape
+    spectrum = _block_array(pts, "joint spectrum", (2, *shape), rows=2)
+    joint = _at_points(squares[0], x_at, spectrum[1])
+    joint += _at_points(squares[1], y_at, spectrum[0])
     if not squared:
         np.sqrt(joint, out=joint)
         np.minimum(1.0, joint, out=joint)
-    spectra, positions = [measures.qubit_spectrum(joint, squared=squared)], []
-    for name in ("x", "y"):
-        values, position = _axis_values(pts, name)
-        spectra.append(
-            measures.qubit_spectrum(values * values if squared else values, squared=squared)
-        )
-        positions.append(position)
-    return spectra, positions
+    spectra = [measures.qubit_spectrum(joint, squared=squared, out=spectrum)]
+    for values, square in zip((x, y), squares):
+        spectra.append(measures.qubit_spectrum(square if squared else values, squared=squared))
+    return spectra, [x_at, y_at]
+
+
+def _at_points(values, position, out):
+    """``values`` at each point, into ``out``: gathered by ``position``, or
+    broadcast when it is None."""
+    if position is None:
+        np.copyto(out, values)
+        return out
+    return values.take(position, out=out, mode="clip")
 
 
 def _grid_triple(pts, measure, value):
@@ -185,19 +255,26 @@ def _grid_triple(pts, measure, value):
     min(1, hypot(x, y)), x and y (``measure`` "renyi"), at index ``value``.
     The entropy is the row's formula, looked up by name on ``measures``;
     the x and y terms are converted once per axis value and gathered to
-    the points."""
+    the points, the x term into the joint powers' second row, which holds
+    nothing once the joint entropy is summed."""
     row = measures.MEASURES[measure]
     (joint, *axes), positions = _shared(pts, _grid_spectra, row.squared)
     of_spectrum = getattr(measures, row.of_spectrum)
-    terms = [of_spectrum(joint, value)]
-    for spectrum, position in zip(axes, positions):
+    powers = _block_array(pts, "joint powers", (2, *joint.shape[:-1]), rows=2)
+    terms = [of_spectrum(joint, value, out=measures.rows_last(powers))]
+    for name, spectrum, position in zip(("x", "y"), axes, positions):
         per_value = of_spectrum(spectrum, value)
-        terms.append(per_value if position is None else per_value[position])
+        if position is not None:
+            out = powers[1] if name == "x" else _block_array(pts, "y entropy", position.shape)
+            per_value = _at_points(per_value, position, out)
+        terms.append(per_value)
     return tuple(terms)
 
 
 def _margin_power_chain(pts, combo):
-    lhs, tight, loose, naive = bounds.power_chain(pts["x"], pts["mu"])
+    x, mu = pts["x"], pts["mu"]
+    rows = _block_array(pts, "power chain", (6, *np.broadcast(x, mu).shape), rows=6)
+    lhs, tight, loose, naive = bounds.power_chain(x, mu, out=rows)
     # The three gaps, each into the array of its left side.
     lhs -= tight
     tight -= loose
@@ -207,26 +284,48 @@ def _margin_power_chain(pts, combo):
 
 
 def _pair_spectra(pts, squared):
-    """Qubit spectra of C_ab^2 and C_ac^2 (``squared``), or of C_ab and C_ac."""
-    pairs = [pts["c_ab"], pts["c_ac"]]
-    return [measures.qubit_spectrum(c**2 if squared else c, squared=squared) for c in pairs]
+    """Qubit spectra of C_ab^2 and C_ac^2 (``squared``), or of C_ab and C_ac;
+    a square is taken into its spectrum's rows."""
+    spectra = []
+    for name in ("c_ab", "c_ac"):
+        c = pts[name]
+        spectrum = _block_array(pts, f"{name} spectrum", (2, *c.shape), rows=2)
+        if squared:
+            c = np.square(c, out=spectrum[1])
+        spectra.append(measures.qubit_spectrum(c, squared=squared, out=spectrum))
+    return spectra
 
 
 def _pivot_spectrum(pts):
     """The pivot cut spectrum, one row ``(lam_hi, lam_lo)`` per state, each
     column contiguous."""
-    return np.array([pts["lam_hi"], pts["lam_lo"]]).T
+    hi = pts["lam_hi"]
+    spectrum = _block_array(pts, "pivot spectrum", (2, *hi.shape), rows=2)
+    spectrum[0], spectrum[1] = hi, pts["lam_lo"]
+    return spectrum.T
+
+
+def _entropy_powers(pts, name, lam):
+    """Workspace rows for the powers of spectra ``lam``, laid out as
+    ``lam`` is (``_pivot_spectrum``, ``qubit_spectrum``)."""
+    return measures.rows_last(_block_array(pts, name, (2, *lam.shape[:-1]), rows=2))
 
 
 def _state_triple(pts, measure, value):
     """The entropy of the pivot cut, then the larger and the smaller of
     g_q(C_ab^2) and g_q(C_ac^2) (``measure`` "tsallis"), or of f_alpha(C_ab)
-    and f_alpha(C_ac) (``measure`` "renyi"), at index ``value``."""
+    and f_alpha(C_ac) (``measure`` "renyi"), at index ``value``.  The
+    larger and the smaller go into the second columns of the pair powers,
+    which hold nothing once each entropy is summed."""
     row = measures.MEASURES[measure]
     of_spectrum = getattr(measures, row.of_spectrum)
-    full = of_spectrum(_shared(pts, _pivot_spectrum), value)
-    ab, ac = (of_spectrum(s, value) for s in _shared(pts, _pair_spectra, row.squared))
-    return full, np.maximum(ab, ac), np.minimum(ab, ac)
+    pivot = _shared(pts, _pivot_spectrum)
+    full = of_spectrum(pivot, value, out=_entropy_powers(pts, "pivot powers", pivot))
+    pairs = _shared(pts, _pair_spectra, row.squared)
+    powers = [_entropy_powers(pts, f"{name} powers", s) for name, s in zip(("c_ab", "c_ac"), pairs)]
+    ab, ac = (of_spectrum(s, value, out=out) for s, out in zip(pairs, powers))
+    e1 = np.maximum(ab, ac, out=powers[0][..., 1])
+    return full, e1, np.minimum(ab, ac, out=powers[1][..., 1])
 
 
 def _additive(triple, regime: bounds.Regime):
@@ -237,13 +336,14 @@ def _additive(triple, regime: bounds.Regime):
     def margin(pts, combo):
         # The block's memoised triple is never written.
         z, x, y = _shared(pts, triple, measure, combo[index])
+        gap = _block_array(pts, "margin", z.shape)
         if k == 1:
-            gap = z - x
+            np.subtract(z, x, out=gap)
             gap -= y
         else:
-            gap = z**k
-            gap -= x**k
-            gap -= y**k
+            np.power(z, k, out=gap)
+            for term in (x, y):
+                gap -= np.power(term, k, out=_block_array(pts, "power", term.shape))
         return gap
 
     return margin
@@ -258,14 +358,21 @@ def _powered(triple, regime: bounds.Regime, power: str):
     def margin(pts, combo):
         full, e1, e2 = _shared(pts, triple, measure, combo[index])
         p = combo[power]
-        bound = bounds.pair_bound_new(e1, e2, regime.power(p), regime.coupling)
-        return np.subtract(full**p, bound, out=bound)
+        rows = _block_array(pts, "margin", (3, *full.shape), rows=3)
+        bound = bounds.pair_bound_new(e1, e2, regime.power(p), regime.coupling, out=rows)
+        # E^p into a row that held the tail's temporaries.
+        return np.subtract(np.power(full, p, out=rows[1]), bound, out=bound)
 
     return margin
 
 
 def _margin_ckw(pts, combo):
-    return pts["c2_full"] - pts["c_ab"] ** 2 - pts["c_ac"] ** 2
+    c_ab, c_ac = pts["c_ab"], pts["c_ac"]
+    square = _block_array(pts, "power", c_ab.shape)
+    gap = _block_array(pts, "margin", c_ab.shape)
+    np.subtract(pts["c2_full"], np.square(c_ab, out=square), out=gap)
+    gap -= np.square(c_ac, out=square)
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +561,8 @@ def _scan(margins: np.ndarray, columns, tail: tuple, tolerance: float):
     violations (at most ``MAX_VIOLATIONS``, worst first), the number of
     violations and the number of non-finite margins.
 
-    Point ``i`` is ``(*(col[i] for col in columns), *tail)``.  With no
+    ``margins`` may have any shape; margin ``i``, its flat position in C
+    order, is at point ``(*(col[i] for col in columns), *tail)``.  With no
     finite margin the minimum is inf and the point None.
 
     The minimum and the maximum come first: when both are finite, so is
@@ -465,6 +573,8 @@ def _scan(margins: np.ndarray, columns, tail: tuple, tolerance: float):
 
     def point_of(i):
         return tuple(float(col[i]) for col in columns) + tail
+
+    margins = margins.reshape(-1)
 
     local_min, nonfinite = margins.min(), 0
     if not (math.isfinite(local_min) and math.isfinite(margins.max())):
@@ -519,9 +629,11 @@ def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, tuple[np.ndarray, np
     An axis's table holds its ``np.linspace`` values, then its coordinate
     of each rejection sample, and point ``i`` lies at ``table[index[i]]``
     on it.  An index column takes the smallest unsigned dtype that spans
-    its table and is allocated once at its final length.  The domain runs
-    on the open-grid axis views of ``np.ix_``, about one sweep block of
-    mesh rows at a time; only its masks, packed to bits, span the mesh.
+    its table and is allocated once at its final length.  When the domain
+    keeps the whole mesh, every index is None: the points are the open
+    grid of the axes' values, then the samples (``_blocks``).  The domain
+    runs on the open-grid axis views of ``np.ix_``, about one sweep block
+    of mesh rows at a time; only its masks, packed to bits, span the mesh.
     """
     axis_names = [name for name, *_ in spec.grid]
     shape = tuple(steps for *_, steps in spec.grid)
@@ -563,20 +675,22 @@ def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, tuple[np.ndarray, np
     if n_total == 0:
         raise ValueError("sweep domain is empty")
 
-    dtypes = [np.min_scalar_type(table.size - 1) for table in tables]
-    index = [np.empty(n_total, dtype) for dtype in dtypes]
-    positions = np.ix_(*(np.arange(steps, dtype=dtype) for steps, dtype in zip(shape, dtypes)))
-    filled = 0
-    for top, block, packed in row_blocks:
-        part = (positions[0][top : top + block[0]], *positions[1:])
-        if packed is not None:
-            kept = np.unpackbits(packed, count=math.prod(block)).view(bool).reshape(block)
-        for column, axis in zip(index, part):
-            axis = np.broadcast_to(axis, block)
+    index = [None] * len(tables)
+    if any(packed is not None for *_, packed in row_blocks):
+        dtypes = [np.min_scalar_type(table.size - 1) for table in tables]
+        index = [np.empty(n_total, dtype) for dtype in dtypes]
+        positions = np.ix_(*(np.arange(steps, dtype=dtype) for steps, dtype in zip(shape, dtypes)))
+        filled = 0
+        for top, block, packed in row_blocks:
+            part = (positions[0][top : top + block[0]], *positions[1:])
             if packed is not None:
-                axis = axis[kept]
-            column[filled : filled + axis.size].reshape(axis.shape)[...] = axis
-        filled += axis.size
+                kept = np.unpackbits(packed, count=math.prod(block)).view(bool).reshape(block)
+            for column, axis in zip(index, part):
+                axis = np.broadcast_to(axis, block)
+                if packed is not None:
+                    axis = axis[kept]
+                column[filled : filled + axis.size].reshape(axis.shape)[...] = axis
+            filled += axis.size
 
     if spec.random_samples:
         rng = np.random.default_rng(spec.seed)
@@ -599,7 +713,8 @@ def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, tuple[np.ndarray, np
                 f"rejection sampling failed to reach {spec.random_samples} points"
             )
         for column, steps in zip(index, shape):
-            column[n_mesh:] = np.arange(steps, steps + spec.random_samples, dtype=column.dtype)
+            if column is not None:
+                column[n_mesh:] = np.arange(steps, steps + spec.random_samples, dtype=column.dtype)
     return dict(zip(axis_names, zip(tables, index)))
 
 
@@ -670,47 +785,96 @@ def _state_tables(n_states: int, seed: int) -> dict[str, np.ndarray]:
     return table
 
 
-def _sweep(spec: SweepSpec) -> SweepReport:
-    """Evaluate the family's margin at every point for every parameter combo.
+def _blocks(fam: Family, spec: SweepSpec):
+    """The sweep's points, in sweep order, as ``(block, coordinates)``: at
+    most ``_SWEEP_BLOCK`` points a ``_Block``, all sharing one workspace
+    (``_Workspace``), and the columns ``_scan`` reports them by.
 
-    Points come from the grid mesh plus rejection samples for grid families
-    and from ``_state_tables`` for state-level ones; a grid block gathers
-    its coordinate columns from the axis tables (``_Block``).  A point is
-    reported as ``(*coordinates, *param values)``, the coordinates being the
-    axis values on a grid and the state index for a state-level family.
-
-    The points are walked in blocks of ``_SWEEP_BLOCK``, every combo over
-    one block before the next, into one accumulator per combo.  Blocks come
-    in point order and the accumulators are folded in combo order, so the
-    report equals that of one pass over all points, combo after combo.
+    A full grid mesh comes as open-grid tiles: a ``(rows, 1)`` column of
+    the first axis against a ``(1, n)`` row of the second, every grid
+    family's two axes, a longer row split into chunks of ``_SWEEP_BLOCK``
+    values; then its samples, as flat blocks of the tables' tails.  Any
+    other grid comes as flat blocks of its index columns, each axis as the
+    run of its table the block uses and each point's position in it; the
+    state tables as flat blocks of their columns.
     """
-    fam = family_of(spec.family)
-    _validate_against_gates(fam, spec)
-    if fam.kind == "grid":
-        columns, axes = {}, _grid_points(fam, spec)
-        coordinates = [name for name, *_ in spec.grid]
-        n_points = axes[coordinates[0]][1].size
-    else:
+    if fam.kind == "state":
         if spec.random_samples < 1:
             raise ValueError(
                 f"family {fam.name!r} needs at least one state, got {spec.random_samples}"
             )
-        columns, axes = _state_tables(spec.random_samples, spec.seed), {}
-        coordinates = ["index"]
-        n_points = spec.random_samples
+        columns = _state_tables(spec.random_samples, spec.seed)
+        workspace = _Workspace(_WORKSPACE_ROWS["state"], min(_SWEEP_BLOCK, spec.random_samples))
+        for start in range(0, spec.random_samples, _SWEEP_BLOCK):
+            block = {name: column[start : start + _SWEEP_BLOCK] for name, column in columns.items()}
+            yield _Block(block, workspace), [block["index"]]
+        return
 
+    axes = _grid_points(fam, spec)
+    names = list(axes)
+    tables = [table for table, _ in axes.values()]
+    steps = [steps for *_, steps in spec.grid]
+    index = [index for _, index in axes.values()]
+    if index[0] is None:
+        n_rows, n_cols = steps
+        first, second = (table[:n] for table, n in zip(tables, steps))
+        length = min(_SWEEP_BLOCK, n_rows * n_cols + spec.random_samples)
+        workspace = _Workspace(_WORKSPACE_ROWS["grid"], length)
+        rows, width = max(1, _SWEEP_BLOCK // n_cols), min(n_cols, _SWEEP_BLOCK)
+        for top in range(0, n_rows, rows):
+            column = first[top : top + rows, None]
+            for left in range(0, n_cols, width):
+                row = second[None, left : left + width]
+                # Point i of a (rows, n) tile is at row i // n and column i % n.
+                n = row.shape[1]
+                coordinates = [
+                    _Coordinate(column[:, 0], lambda i, n=n: i // n),
+                    _Coordinate(row[0], lambda i, n=n: i % n),
+                ]
+                yield _Block(dict(zip(names, (column, row))), workspace), coordinates
+        for start in range(0, spec.random_samples, _SWEEP_BLOCK):
+            stop = min(start + _SWEEP_BLOCK, spec.random_samples)
+            columns = [table[n + start : n + stop] for table, n in zip(tables, steps)]
+            yield _Block(dict(zip(names, columns)), workspace), columns
+        return
+
+    n_points = index[0].size
+    workspace = _Workspace(_WORKSPACE_ROWS["grid"], min(_SWEEP_BLOCK, n_points))
+    for start in range(0, n_points, _SWEEP_BLOCK):
+        runs = []
+        for name, table, column in zip(names, tables, index):
+            part = column[start : start + _SWEEP_BLOCK]
+            position = workspace.take(f"{name} positions", part.shape, dtype=np.intp)
+            position[...] = part
+            lo = int(position.min())
+            position -= lo
+            runs.append((table[lo : lo + int(position.max()) + 1], position))
+        coordinates = [_Coordinate(run, position.__getitem__) for run, position in runs]
+        yield _Block({}, workspace, zip(names, runs)), coordinates
+
+
+def _sweep(spec: SweepSpec) -> SweepReport:
+    """Evaluate the family's margin at every point for every parameter combo.
+
+    Points come from the grid mesh plus rejection samples for grid families
+    and from ``_state_tables`` for state-level ones, block by block
+    (``_blocks``).  A point is reported as ``(*coordinates, *param
+    values)``, the coordinates being the axis values on a grid and the
+    state index for a state-level family.
+
+    Every combo runs over one block before the next block, into one
+    accumulator per combo.  Blocks come in point order and the accumulators
+    are folded in combo order, so the report equals that of one pass over
+    all points, combo after combo.
+    """
+    fam = family_of(spec.family)
+    _validate_against_gates(fam, spec)
     combos = list(_combos(spec))
     tails = [tuple(combo[name] for name, _ in spec.params) for combo in combos]
     empty = (math.inf, None, [], 0, 0)
     per_combo = [empty] * len(combos)
     checked = 0
-    for start in range(0, n_points, _SWEEP_BLOCK):
-        rows = slice(start, start + _SWEEP_BLOCK)
-        block = _Block(
-            {name: column[rows] for name, column in columns.items()},
-            {name: (table, index[rows]) for name, (table, index) in axes.items()},
-        )
-        coords = [block[name] for name in coordinates]
+    for block, coordinates in _blocks(fam, spec):
         for k, combo in enumerate(combos):
             # Overflow in the bound arithmetic, or a power that underflows to
             # 0 under a log, surfaces as non-finite margins, which the scan
@@ -718,8 +882,9 @@ def _sweep(spec: SweepSpec) -> SweepReport:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 margins = np.asarray(fam.margin(block, combo), dtype=float)
             checked += margins.size
-            per_combo[k] = _merge(per_combo[k], *_scan(margins, coords, tails[k], spec.tolerance))
-            del margins  # freed before the next combo's margins are built
+            scan = _scan(margins, coordinates, tails[k], spec.tolerance)
+            per_combo[k] = _merge(per_combo[k], *scan)
+            del margins  # the block's margin rows, rewritten by the next combo
 
     state = empty
     for acc in per_combo:

@@ -197,6 +197,23 @@ class TestPairBounds:
         with pytest.raises(ValueError, match="nonnegative"):
             bounds.pair_bound_new(np.array([0.5, 0.4]), np.array([0.1, math.nan]), 2.0)
 
+    @pytest.mark.parametrize("nan_in", ["e1", "e2"])
+    @pytest.mark.parametrize("shape", ["0-d", "1-D", "open grid"])
+    def test_nan_refused_with_the_message(self, nan_in, shape):
+        e1, e2 = {
+            "0-d": (np.array(0.5), np.array(0.2)),
+            "1-D": (np.array([0.5, 0.4]), np.array([0.1, 0.2])),
+            "open grid": (np.array([[0.5], [0.4]]), np.array([[0.1, 0.2, 0.3]])),
+        }[shape]
+        bad = {"e1": e1, "e2": e2}[nan_in].copy()
+        bad.flat[-1] = math.nan
+        args = (bad, e2) if nan_in == "e1" else (e1, bad)
+        with pytest.raises(ValueError, match="^entanglement values must be nonnegative$"):
+            bounds.pair_bound_new(*args, 2.0)
+        unordered = r"^hypothesis violated: e1 < e2 \(caller must order\)$"
+        with pytest.raises(ValueError, match=unordered):
+            bounds.pair_bound_new(e2, e1, 2.0)
+
     def test_old_family_name_is_an_unknown_coupling(self):
         with pytest.raises(ValueError, match="unknown coupling 'ref11'"):
             bounds.pair_bound_prior(T_HI, T_LO, bounds.PowerParam(2.0), "ref11")

@@ -2,6 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -559,6 +563,54 @@ def grid_sweeps(draw, families=verify.GRID_FAMILIES):
     return spec, block, draw(st.sampled_from([0.0, 0.0, 1e-2, 0.1]))
 
 
+@st.composite
+def full_mesh_sweeps(draw):
+    """A spec whose domain keeps its whole mesh, and a block size.  lemma1
+    takes mu up to 2000, where 2^mu overflows; a regime family takes a
+    corner of the unit square inside its domain (x, y <= 0.7, and for the
+    powered relations x >= 0.5 >= y).  2-50 steps per axis against blocks
+    of 1-64 points split rows into chunks."""
+    fam = verify.family_of(draw(st.sampled_from(verify.GRID_FAMILIES)))
+    gates = {name: (lo, hi, hi_open) for name, lo, hi, hi_open in fam.gates}
+
+    def between(lo, hi, count):
+        return sorted(draw(st.lists(st.floats(lo, hi), min_size=count, max_size=count)))
+
+    if fam.name == "lemma1":
+        ranges = {"x": between(0.0, 1.0, 2), "mu": between(1.0, 2000.0, 2)}
+    elif fam.domain is verify._domain_disc:
+        ranges = {"x": between(0.0, 0.7, 2), "y": between(0.0, 0.7, 2)}
+    else:
+        ranges = {"x": between(0.5, 0.7, 2), "y": between(0.0, 0.5, 2)}
+    grid = tuple((name, *ranges[name], draw(st.integers(2, 50))) for name, *_ in fam.axes)
+
+    def values(name):
+        lo, hi, hi_open = gates[name]
+        floats = st.floats(lo, min(hi, lo + 7.0), exclude_max=hi_open)
+        return tuple(draw(st.lists(floats, min_size=1, max_size=2)))
+
+    spec = verify.default_spec(
+        fam.name,
+        grid=grid,
+        params=tuple((name, values(name)) for name, _ in fam.params),
+        random_samples=draw(st.integers(0, 40)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        tolerance=draw(st.sampled_from([1e-18, 1e-12, 0.5])),
+    )
+    return spec, draw(st.integers(1, 64))
+
+
+def with_index_columns(points, spec):
+    """``verify._grid_points``' output for a whole mesh, with the index
+    column of every mesh point and sample: the flat route's input."""
+    steps = [steps for *_, steps in spec.grid]
+    mesh = np.indices(steps).reshape(len(steps), -1)
+    return {
+        name: (table, np.concatenate([axis, np.arange(n, n + spec.random_samples)]))
+        for (name, (table, _)), axis, n in zip(points.items(), mesh, steps)
+    }
+
+
 def sweep_outcome(spec):
     try:
         return verify.run_sweep(spec).to_json()
@@ -576,6 +628,19 @@ def freeze(value):
     elif isinstance(value, (tuple, list)):
         for item in value:
             freeze(item)
+
+
+def frozen_tree(value):
+    freeze(value)
+    return value
+
+
+def flat_columns(block, names):
+    """Copies of a block's coordinate columns, of equal length: a tile's
+    column and row broadcast to the tile and raveled in C order, a ragged
+    block's columns gathered from its axis runs."""
+    shape = np.broadcast_shapes(*(np.shape(block[name]) for name in names))
+    return {name: np.broadcast_to(block[name], shape).flatten() for name in names}
 
 
 class TestBlockedSweep:
@@ -620,8 +685,9 @@ class TestBlockedSweep:
         seen = []
 
         def recorded(pts, combo):
+            # Copied: the block's margin rows are rewritten by the next combo.
             margins = fam.margin(pts, combo)
-            seen.append(({name: pts[name].copy() for name in ("x", "y")}, dict(combo), margins))
+            seen.append((flat_columns(pts, ("x", "y")), dict(combo), margins.copy()))
             return margins
 
         with pytest.MonkeyPatch.context() as mp:
@@ -631,7 +697,41 @@ class TestBlockedSweep:
         for columns, combo, margins in seen:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 plain = np.asarray(fam.margin(columns, combo), dtype=float)
-            assert np.array_equal(margins.view(np.int64), plain.view(np.int64))
+            assert np.array_equal(margins.ravel().view(np.int64), plain.view(np.int64))
+
+    @settings(max_examples=80, deadline=None)
+    @given(full_mesh_sweeps())
+    # 2^mu overflows past mu = 1024; blocks of one point.
+    @example((verify.default_spec("lemma1", grid=(("x", 0, 1, 2), ("mu", 900, 1100, 2))), 1))
+    def test_tiles_equal_the_flat_route_bit_for_bit(self, case):
+        # A mesh the domain keeps whole is walked as open-grid tiles; the
+        # margins of every tile equal those of its points as flat columns,
+        # and the report equals the one the flat (index column) route makes.
+        spec, block = case
+        fam = verify.family_of(spec.family)
+        names = [name for name, *_ in spec.grid]
+        seen = []
+
+        def recorded(pts, combo):
+            margins = fam.margin(pts, combo)
+            seen.append((flat_columns(pts, names), dict(combo), margins.copy()))
+            return margins
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_SWEEP_BLOCK", block)
+            assert all(index is None for _, index in verify._grid_points(fam, spec).values())
+            mp.setitem(verify.FAMILIES, fam.name, dataclasses.replace(fam, margin=recorded))
+            tiled = sweep_outcome(spec)
+            mp.setitem(verify.FAMILIES, fam.name, fam)
+            mesh = verify._grid_points
+            mp.setattr(verify, "_grid_points", lambda *args: with_index_columns(mesh(*args), spec))
+            assert sweep_outcome(spec) == tiled
+        assert any(margins.ndim == 2 for _, _, margins in seen)
+        for columns, combo, margins in seen:
+            assert margins.size <= block
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                plain = np.asarray(fam.margin(columns, combo), dtype=float)
+            assert np.array_equal(margins.ravel().view(np.int64), plain.view(np.int64))
 
     @pytest.mark.parametrize(
         "family,conversion,calls_per_block",
@@ -660,16 +760,16 @@ class TestBlockedSweep:
         original, make_spectrum = getattr(measures, entropy), measures.qubit_spectrum
         spectra = []  # (spectrum, the sizes it was converted at)
 
-        def spectrum(x, *, squared):
-            lam = make_spectrum(x, squared=squared)
+        def spectrum(x, *, squared, out=None):
+            lam = make_spectrum(x, squared=squared, out=out)
             spectra.append((lam, []))
             return lam
 
-        def counted(lam, index):
+        def counted(lam, index, out=None):
             for made, sizes in spectra:
                 if lam is made:
                     sizes.append(lam.shape[0])
-            return original(lam, index)
+            return original(lam, index, out=out)
 
         monkeypatch.setattr(measures, "qubit_spectrum", spectrum)
         monkeypatch.setattr(measures, entropy, counted)
@@ -693,9 +793,9 @@ class TestBlockedSweep:
         original = measures.qubit_spectrum
         sizes = []
 
-        def counted(x, *, squared):
+        def counted(x, *, squared, out=None):
             sizes.append(np.size(x))
-            return original(x, squared=squared)
+            return original(x, squared=squared, out=out)
 
         monkeypatch.setattr(measures, "qubit_spectrum", counted)
         monkeypatch.setattr(verify, "_SWEEP_BLOCK", 97)
@@ -720,17 +820,21 @@ class TestBlockedSweep:
 
     @pytest.mark.parametrize("family", verify.FAMILY_NAMES)
     def test_margin_twice_on_one_block_same_bits(self, family):
-        # Axis tables, index columns, state columns and the gathered block
-        # columns are read-only from the start, and the block's memoised
-        # results after the first call, so a write into any of them raises.
+        # Axis tables, index columns and state columns are read-only from
+        # the start, the first block's columns and axis runs once it is
+        # built, and its memoised results after the first call, so a write
+        # into any of them raises.
         fam = verify.family_of(family)
         if fam.kind == "grid":
-            columns, axes = {}, verify._grid_points(fam, small_spec(family, seed=4))
+            spec = small_spec(family, seed=4)
         else:
-            columns, axes = verify._state_tables(300, 4), {}
-        freeze([columns, axes])
-        block = verify._Block(columns, axes)
-        freeze(dict(block))
+            spec = verify.default_spec(family, random_samples=300, seed=4)
+        with pytest.MonkeyPatch.context() as mp:
+            for source in ("_grid_points", "_state_tables"):
+                built = getattr(verify, source)
+                mp.setattr(verify, source, lambda *args, built=built: frozen_tree(built(*args)))
+            block, _ = next(verify._blocks(fam, spec))
+        freeze([dict(block), block.axes])
         for combo in verify._combos(verify.default_spec(family)):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 first = np.array(fam.margin(block, combo))
@@ -739,10 +843,12 @@ class TestBlockedSweep:
             assert first.view(np.int64).tolist() == second.view(np.int64).tolist(), combo
 
     # The tracemalloc peak of one benchmark-density sweep beyond its points,
-    # in block columns of _SWEEP_BLOCK float64s: the block's gathered
-    # columns, its memoised spectra and entropies, and the temporaries of
-    # one margin evaluation.  It measures 13.2 (lemma2) and 11.1 (gqsuper)
-    # columns; out-of-place margins took 16.8 and 15.1.
+    # in block columns of _SWEEP_BLOCK float64s: the sweep's workspace (ten
+    # columns: the block's point positions, its memoised spectra and
+    # entropies, and the temporaries of one margin evaluation) and the
+    # per-axis values.  It measures 10.0 (lemma2) and 11.0 (gqsuper)
+    # columns; separately allocated block arrays took 13.2 and 11.1, and
+    # out-of-place margins 16.8 and 15.1.
     @pytest.mark.parametrize("family,bound", [("lemma2", 14.2), ("gqsuper", 12.1)])
     def test_block_temporaries_stay_bounded(self, family, bound):
         fam = verify.family_of(family)
@@ -758,6 +864,42 @@ class TestBlockedSweep:
         finally:
             tracemalloc.stop()
         assert (peak - points) / (verify._SWEEP_BLOCK * 8) <= bound
+
+
+# The benchmark's grid-sweep calls (bench/workloads.py, GridSweep): each grid
+# family at 3x its default steps per axis with 2000 samples, three rounds,
+# and the minor page faults (ru_minflt) each call takes.
+FAULT_SCRIPT = """
+import json, resource
+from qmonogamy import verify
+
+def spec(family, seed):
+    grid = tuple((n, lo, hi, 3 * steps) for n, lo, hi, steps in verify.default_spec(family).grid)
+    return verify.default_spec(family, grid=grid, random_samples=2000, seed=seed)
+
+faults = {family: [] for family in verify.GRID_FAMILIES}
+for seed in range(3):
+    for family in verify.GRID_FAMILIES:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        verify.run_sweep(spec(family, seed))
+        faults[family].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap behaviour")
+def test_grid_sweeps_take_no_page_faults_after_the_first_round():
+    # A sweep draws its block arrays from one workspace, which the heap
+    # hands back to the next sweep: after the first round no call grows
+    # the heap and has it trimmed again, so none faults its pages back in.
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", FAULT_SCRIPT],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    faults = json.loads(done.stdout)
+    assert {family: counts for family, counts in faults.items() if max(counts[1:]) > 32} == {}
 
 
 class TestRunStateCheck:
@@ -904,9 +1046,11 @@ class TestStateTables:
 
 
 def gathered_points(fam, spec):
-    """``verify._grid_points``' points as float columns, each gathered from
-    its axis table by its index column."""
-    return {name: table[index] for name, (table, index) in verify._grid_points(fam, spec).items()}
+    """The points of ``verify._blocks``' blocks as float columns: a ragged
+    block's gathered from its axis runs, an open-grid tile's expanded."""
+    names = [name for name, *_ in spec.grid]
+    blocks = [flat_columns(block, names) for block, _ in verify._blocks(fam, spec)]
+    return {name: np.concatenate([block[name] for block in blocks]) for name in names}
 
 
 def meshgrid_points(fam, spec):
@@ -988,9 +1132,13 @@ class TestGridPoints:
         assert column_bytes(gathered_points, fam, spec) == column_bytes(
             meshgrid_points, fam, spec
         )
-        # Each index column spans its table in the fewest bytes.
+        # Each index column spans its table in the fewest bytes; a domain
+        # that keeps the whole mesh (lemma1's) needs none.
         for table, index in verify._grid_points(fam, spec).values():
-            assert index.dtype == np.min_scalar_type(table.size - 1)
+            if family == "lemma1":
+                assert index is None
+            else:
+                assert index.dtype == np.min_scalar_type(table.size - 1)
 
     def test_empty_domain_is_an_error(self):
         fam = verify.family_of("lemma2")
@@ -1001,21 +1149,39 @@ class TestGridPoints:
         assert column_bytes(meshgrid_points, fam, spec) == "error: sweep domain is empty"
 
     # Bound on the tracemalloc peak over the returned tables' and index
-    # columns' bytes: a domain that keeps every point needs nothing beyond
-    # them; one that drops points holds its mask packed to bits and one
-    # block of mesh rows' temporaries.
-    @pytest.mark.parametrize("family,bound", [("lemma1", 1.25), ("lemma2", 1.15), ("gqsuper", 1.1)])
+    # columns' bytes: a domain that drops points holds its mask packed to
+    # bits and one block of mesh rows' temporaries beyond them.
+    @pytest.mark.parametrize("family,bound", [("lemma2", 1.15), ("gqsuper", 1.1)])
     def test_peak_memory_stays_near_the_output(self, family, bound):
-        fam = verify.family_of(family)
-        grid = tuple((name, lo, hi, 1000) for name, lo, hi, _steps in fam.axes)
-        spec = verify.default_spec(family, grid=grid, random_samples=500)
-        # A first call imports what the sampler needs, outside the trace.
-        verify._grid_points(fam, verify.default_spec(family, random_samples=5))
-        tracemalloc.start()
-        try:
-            pts = verify._grid_points(fam, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        pts, peak = grid_points_peak(family)
         output = sum(table.nbytes + index.nbytes for table, index in pts.values())
         assert peak <= bound * output
+
+    def test_full_mesh_peak_memory_is_tables_mask_and_one_row_block(self):
+        # A domain that keeps the whole mesh (lemma1's) returns its tables
+        # and no index column; beyond them it holds the mask reservation
+        # and at most one block of mesh rows (a float64 column of
+        # _SWEEP_BLOCK points).
+        pts, peak = grid_points_peak("lemma1")
+        assert all(index is None for _, index in pts.values())
+        tables = sum(table.nbytes for table, _ in pts.values())
+        rows = verify._SWEEP_BLOCK // 1000
+        mask = 1000 * 1000 // 8 + -(-1000 // rows)
+        assert peak <= tables + mask + verify._SWEEP_BLOCK * 8
+
+
+def grid_points_peak(family):
+    """``verify._grid_points`` of ``family`` on a 1000 x 1000 mesh with 500
+    samples, and the tracemalloc peak of the call."""
+    fam = verify.family_of(family)
+    grid = tuple((name, lo, hi, 1000) for name, lo, hi, _steps in fam.axes)
+    spec = verify.default_spec(family, grid=grid, random_samples=500)
+    # A first call imports what the sampler needs, outside the trace.
+    verify._grid_points(fam, verify.default_spec(family, random_samples=5))
+    tracemalloc.start()
+    try:
+        pts = verify._grid_points(fam, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return pts, peak
