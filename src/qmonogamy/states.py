@@ -148,19 +148,36 @@ def _haar_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     Vector ``i`` takes uniforms ``2 dim i`` onwards, ``dim`` for the radii and
     then ``dim`` for the angles, so one draw of shape ``(count, 2, dim)`` gives
     the same vectors as ``count`` draws of one vector each.
+
+    The radius times the cosine and the sine of the angle go straight into
+    the real and the imaginary parts of the result, and each row is scaled
+    by the reciprocal of its norm: numpy divides a complex number by a real
+    one as exactly that product, so the bits are those of
+    ``(radius * cos + 1j * radius * sin) / norm``.
     """
-    # numpy's own error for a draw past the largest array is a ValueError.
-    if int(count) * 2 * dim * 8 > np.iinfo(np.intp).max:
-        raise MemoryError("its float64 draw would exceed the largest array size")
+    _check_draw(count, dim)
     u = rng.random((count, 2, dim))
-    u1 = 1.0 - u[:, 0]  # (0, 1]: log stays finite
-    u2 = u[:, 1]
-    radius = np.sqrt(-2.0 * np.log(u1))
-    vec = radius * np.cos(2.0 * np.pi * u2) + 1j * radius * np.sin(2.0 * np.pi * u2)
+    radius = np.subtract(1.0, u[:, 0])  # (0, 1]: log stays finite
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = u[:, 1]
+    angle *= 2.0 * np.pi
+    vec = np.empty((count, dim), dtype=complex)
+    np.multiply(radius, np.cos(angle, out=vec.real), out=vec.real)
+    np.multiply(radius, np.sin(angle, out=vec.imag), out=vec.imag)
     # The row norms as np.linalg.norm forms them for one vector, so every
     # row is normalized exactly as a single draw would be.
     norm = np.sqrt(np.vecdot(vec.real, vec.real) + np.vecdot(vec.imag, vec.imag))
-    return vec / norm[:, None]
+    vec *= (1.0 / norm)[:, None]
+    return vec
+
+
+def _check_draw(rows: int, dim: int):
+    """Refuse ``rows`` vectors of ``dim`` amplitudes whose uniforms would
+    pass the largest array size; numpy's own error there is a ValueError."""
+    if int(rows) * 2 * dim * 8 > np.iinfo(np.intp).max:
+        raise MemoryError("its float64 draw would exceed the largest array size")
 
 
 def haar_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,17 +191,29 @@ def random_pure_state(n_qubits: int, seed: int) -> PureState:
     return PureState(n_qubits, random_pure_states(n_qubits, 1, seed)[0])
 
 
-def random_pure_states(n_qubits: int, count: int, seed: int) -> np.ndarray:
-    """A reproducible batch drawn from one seeded stream: a read-only
-    ``(count, 2**n_qubits)`` array, one normalized amplitude vector per row.
+def random_pure_states(n_qubits: int, count: int, seed: int, start: int = 0) -> np.ndarray:
+    """Rows ``start .. start + count`` of one seeded stream of states: a
+    read-only ``(count, 2**n_qubits)`` array, one normalized amplitude
+    vector per row.
 
-    The first ``k`` rows of any batch equal the first ``k`` of a longer
-    batch with the same seed, so enlarging a sweep only appends states.
+    Row ``i`` of the stream depends only on the seed and ``i``, so any
+    batch equals the same rows of a longer one: enlarging a sweep only
+    appends states, and a long stream can be drawn a block at a time.  The
+    generator skips the ``2 * 2**n_qubits`` uniforms of each earlier row
+    (``bit_generator.advance``) without drawing them.  A ``start`` whose
+    uniforms would pass the largest array size is refused, as such a
+    ``count`` is.
     """
     n_qubits = kernel.as_integer(n_qubits, "n_qubits")
     if not 1 <= n_qubits <= 4:
         raise ValueError(f"n_qubits must be in 1..4, got {n_qubits}")
+    start = kernel.as_integer(start, "start")
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
+    dim = 2**n_qubits
+    _check_draw(start, dim)
     rng = np.random.default_rng(seed)
-    vectors = _haar_vectors(rng, count, 2**n_qubits)
+    rng.bit_generator.advance(start * 2 * dim)
+    vectors = _haar_vectors(rng, count, dim)
     vectors.setflags(write=False)
     return vectors

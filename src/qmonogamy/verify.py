@@ -32,6 +32,9 @@ MAX_VIOLATIONS = 100
 # work, small enough that their intermediates (columns of 32 or 64 KB, a
 # few MB in all) add little to the peak memory of a large table.
 _STATE_BLOCK = 4096
+# The pairs (i, j), i < j, of the four columns of a pivot cut's amplitude
+# matrix: its 2 x 2 minors (``_state_tables``).
+_UPPER = np.triu_indices(4, 1)
 # Points per block in ``_sweep``: a block's columns and the temporaries of
 # one margin evaluation (a few dozen arrays of 128 KB) stay in cache while
 # every combo runs over it.
@@ -129,15 +132,22 @@ class _Workspace:
     ``take(name, shape, rows)`` is the array ``name``: the first
     ``prod(shape)`` entries of ``rows`` rows of the buffer, which the name
     holds for the whole sweep.  A block's array is rewritten by the next
-    block; within a block, a name holds one value at a time.
+    block; within a block, a name holds one value at a time.  The view of
+    each name, shape and dtype is cut once; each take is a fresh view of
+    it, so a flag set on one taken array (read-only, say) stays on it.
     """
 
     def __init__(self, rows: int, length: int):
         self.buffer = np.empty((rows, length))
         self.held = {}  # name -> its rows, flattened
+        self.views = {}  # (name, shape, dtype) -> its array
         self.used = 0
 
     def take(self, name, shape, rows=1, dtype=float):
+        key = (name, shape, dtype)
+        view = self.views.get(key)
+        if view is not None:
+            return view.view()
         held = self.held.get(name)
         if held is None:
             if self.used + rows > len(self.buffer):
@@ -145,7 +155,8 @@ class _Workspace:
             held = self.held[name] = self.buffer[self.used : self.used + rows].reshape(-1)
             self.used += rows
         # A shape larger than the rows fails to reshape.
-        return held[: math.prod(shape)].view(dtype).reshape(shape)
+        view = self.views[key] = held[: math.prod(shape)].view(dtype).reshape(shape)
+        return view.view()
 
 
 class _Block(dict):
@@ -585,7 +596,7 @@ def _scan(margins: np.ndarray, columns, tail: tuple, tolerance: float):
     local_min = float(local_min)
     best_point = None
     if local_min < math.inf:
-        idxs = np.flatnonzero(margins == local_min)
+        idxs = (margins == local_min).nonzero()[0]
         if idxs.size > 1:
             # lexsort's last key is its primary one; it is stable, so equal
             # points keep the first position.
@@ -593,7 +604,7 @@ def _scan(margins: np.ndarray, columns, tail: tuple, tolerance: float):
         best_point = point_of(int(idxs[0]))
     if local_min >= -tolerance:
         return local_min, best_point, [], 0, nonfinite
-    bad = np.flatnonzero(margins < -tolerance)
+    bad = (margins < -tolerance).nonzero()[0]
     worst = bad
     if bad.size > MAX_VIOLATIONS:
         # Every margin below the cut value, then the earliest of its ties.
@@ -756,20 +767,26 @@ def _state_tables(n_states: int, seed: int) -> dict[str, np.ndarray]:
     sqrt((rho_00 - rho_11)^2 + 4 |rho_01|^2), which keeps its accuracy near
     a maximally entangled cut, where 1 - C^2 cancels.  Then
     lam_lo = C^2 / (2 (1 + gap)) and lam_hi = 1 - lam_lo, both accurate to
-    roundoff.  The pairs are ``_pair_concurrence`` of the AB and AC
-    amplitude blocks.  All states are drawn in one batch and worked in
-    stacks of ``_STATE_BLOCK``.
+    roundoff.  The pairs are one ``_pair_concurrence`` of the AB and AC
+    amplitude blocks, stacked.  The states are drawn and reduced
+    ``_STATE_BLOCK`` at a time (``states.random_pure_states``' ``start``),
+    so no more than one block of amplitudes is held at once.
     """
-    amplitudes = states.random_pure_states(3, n_states, seed)
+    # The stream's uniforms, 16 float64s a state, must fit one array, as
+    # ``random_pure_states`` requires of each block's offset; checked
+    # before any column is allocated.
+    if n_states * 16 * 8 > np.iinfo(np.intp).max:
+        raise MemoryError("its float64 draw would exceed the largest array size")
     table = {name: np.empty(n_states) for name in ("lam_hi", "lam_lo", "c_ab", "c_ac", "c2_full")}
     table["index"] = np.arange(n_states, dtype=float)
-    upper = np.triu_indices(4, 1)
+    i, j = _UPPER
     for start in range(0, n_states, _STATE_BLOCK):
         block = slice(start, start + _STATE_BLOCK)
-        amps = amplitudes[block].reshape(-1, 2, 2, 2)
+        count = min(_STATE_BLOCK, n_states - start)
+        amps = states.random_pure_states(3, count, seed, start=start).reshape(-1, 2, 2, 2)
         pivot = amps.reshape(-1, 2, 4)
         row0, row1 = pivot[:, 0], pivot[:, 1]
-        minors = row0[:, upper[0]] * row1[:, upper[1]] - row0[:, upper[1]] * row1[:, upper[0]]
+        minors = row0[:, i] * row1[:, j] - row0[:, j] * row1[:, i]
         c2 = np.minimum(4.0 * np.vecdot(minors, minors).real, 1.0)
         off = np.vecdot(row1, row0)
         gap = np.sqrt(
@@ -780,8 +797,8 @@ def _state_tables(n_states: int, seed: int) -> dict[str, np.ndarray]:
         spectrum = kernel.clamp_spectrum(np.stack([1.0 - lam_lo, lam_lo], axis=-1))
         table["lam_hi"][block], table["lam_lo"][block] = spectrum.T
         table["c2_full"][block] = measures.squared_concurrence_of_spectrum(spectrum)
-        table["c_ab"][block] = _pair_concurrence(amps.reshape(-1, 4, 2))
-        table["c_ac"][block] = _pair_concurrence(amps.swapaxes(2, 3).reshape(-1, 4, 2))
+        pairs = np.concatenate([amps.reshape(-1, 4, 2), amps.swapaxes(2, 3).reshape(-1, 4, 2)])
+        table["c_ab"][block], table["c_ac"][block] = _pair_concurrence(pairs).reshape(2, -1)
     return table
 
 
@@ -875,16 +892,17 @@ def _sweep(spec: SweepSpec) -> SweepReport:
     per_combo = [empty] * len(combos)
     checked = 0
     for block, coordinates in _blocks(fam, spec):
-        for k, combo in enumerate(combos):
-            # Overflow in the bound arithmetic, or a power that underflows to
-            # 0 under a log, surfaces as non-finite margins, which the scan
-            # counts and the report carries.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # Overflow in the bound arithmetic, or a power that underflows to 0
+        # under a log, surfaces as non-finite margins, which the scan counts
+        # and the report carries.  The points are built outside this, in
+        # ``_blocks``, where such an operation is a fault.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for k, combo in enumerate(combos):
                 margins = np.asarray(fam.margin(block, combo), dtype=float)
-            checked += margins.size
-            scan = _scan(margins, coordinates, tails[k], spec.tolerance)
-            per_combo[k] = _merge(per_combo[k], *scan)
-            del margins  # the block's margin rows, rewritten by the next combo
+                checked += margins.size
+                scan = _scan(margins, coordinates, tails[k], spec.tolerance)
+                per_combo[k] = _merge(per_combo[k], *scan)
+                del margins  # the block's margin rows, rewritten by the next combo
 
     state = empty
     for acc in per_combo:

@@ -1,12 +1,18 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and the sizes it quotes
+are the code's."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+from qmonogamy import verify
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+# "N (`verify._NAME`)", the README's way of quoting a module constant; a
+# line break may fall before the parenthesis.
+CONSTANTS = re.findall(r"(\d+)\s+\(`verify\.(_[A-Z][A-Z0-9_]*)`\)", README.read_text())
 
 
 def test_readme_has_python_blocks():
@@ -17,3 +23,12 @@ def test_readme_has_python_blocks():
 def test_python_block_runs(index, capsys):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_quotes_block_sizes():
+    assert {name for _, name in CONSTANTS} >= {"_STATE_BLOCK", "_SWEEP_BLOCK"}
+
+
+@pytest.mark.parametrize("quoted,name", CONSTANTS)
+def test_quoted_constant_is_the_code_value(quoted, name):
+    assert int(quoted) == getattr(verify, name), name

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,62 @@ class TestBatchedSampler:
             batch[1, 0] = 1.0
         with pytest.raises(ValueError):
             batch[1][0] = 1.0
+
+
+class TestStreamStart:
+    # Offsets on both sides of a _STATE_BLOCK boundary, and counts that
+    # cross it.
+    BLOCK = verify._STATE_BLOCK
+
+    @pytest.mark.parametrize("seed", [3, 7919])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "start,count",
+        [(0, 1), (5, 0), (5, 1), (BLOCK - 1, 1), (BLOCK - 3, 7), (BLOCK, 1), (BLOCK + 2, 0),
+         (2 * BLOCK - 5, BLOCK + 9)],
+    )
+    def test_rows_of_a_longer_batch(self, n_qubits, start, count, seed):
+        longer = states.random_pure_states(n_qubits, 3 * self.BLOCK + 5, seed)
+        rows = states.random_pure_states(n_qubits, count, seed, start=start)
+        assert rows.shape == (count, 2**n_qubits)
+        assert np.array_equal(rows, longer[start : start + count])
+        assert not rows.flags.writeable
+
+    def test_integral_float_start(self):
+        assert np.array_equal(
+            states.random_pure_states(2, 3, 5, start=4.0), states.random_pure_states(2, 3, 5, start=4)
+        )
+
+    @pytest.mark.parametrize(
+        "start,message",
+        [(-1, "start must be >= 0, got -1"), (2.5, "start must be an integer, got 2.5"),
+         (True, "start must be an integer, got True"), (float("nan"), "start must be an integer"),
+         ("3", "start must be an integer")],
+    )
+    def test_bad_start_is_a_value_error(self, start, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            states.random_pure_states(3, 2, 0, start=start)
+
+    @pytest.mark.parametrize(
+        "n_qubits,count,start",
+        [(3, 2**60, 0), (3, 1, 2**56), (3, 0, 2**60), (1, 1, 2**59), (4, 1, 2**55), (3, 1, 2**200)],
+    )
+    def test_offset_past_the_largest_array_is_refused_before_any_draw(
+        self, n_qubits, count, start, monkeypatch
+    ):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("generator made")
+
+        if start:
+            monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(MemoryError, match="its float64 draw would exceed the largest array size"):
+            states.random_pure_states(n_qubits, count, 0, start=start)
+
+    def test_largest_offset_below_the_bound_is_drawn(self):
+        # 2**56 rows of 16 float64 uniforms put the offset at 2**63 bytes,
+        # one past the largest array size; one row less is drawn.
+        [row] = states.random_pure_states(3, 1, 0, start=2**56 - 1)
+        assert abs(np.vdot(row, row).real - 1.0) < 1e-12
 
 
 class TestPureStateJson:

@@ -585,8 +585,11 @@ def full_mesh_sweeps(draw):
     grid = tuple((name, *ranges[name], draw(st.integers(2, 50))) for name, *_ in fam.axes)
 
     def values(name):
+        # Only values the sweep takes: a refused sweep has no tile to
+        # compare.  The refusals have their own tests.
         lo, hi, hi_open = gates[name]
         floats = st.floats(lo, min(hi, lo + 7.0), exclude_max=hi_open)
+        floats = floats.filter(lambda value: sweep_takes(fam, name, value))
         return tuple(draw(st.lists(floats, min_size=1, max_size=2)))
 
     spec = verify.default_spec(
@@ -598,6 +601,25 @@ def full_mesh_sweeps(draw):
         tolerance=draw(st.sampled_from([1e-18, 1e-12, 0.5])),
     )
     return spec, draw(st.integers(1, 64))
+
+
+def sweep_takes(fam, name, value):
+    """Whether a sweep of ``fam`` takes ``value`` for its parameter
+    ``name``: inside the gate, whose open edge excludes its slack of
+    roundoff, and, for a regime's index, one the measure's check takes
+    (renyi_window's window holds alpha = 1, which the Renyi check refuses;
+    test_cli.py's test_von_neumann_limit_refused_before_any_point)."""
+    lo, hi, hi_open = next(gate for gate_name, *gate in fam.gates if gate_name == name)
+    if not measures.Window(lo, hi, hi_open).contains(value):
+        return False
+    if fam.regime is not None:
+        measure = measures.MEASURES[bounds.REGIMES[fam.regime].measure]
+        if name == measure.index:
+            try:
+                measure.check(value)
+            except ValueError:
+                return False
+    return True
 
 
 def with_index_columns(points, spec):
@@ -1013,7 +1035,10 @@ class TestStateTables:
         rows[0, 0] = 1.0
         rows[1, [0, 7]] = 1.0 / math.sqrt(2.0)
         rows[2, [1, 2, 4]] = 1.0 / math.sqrt(3.0)
-        monkeypatch.setattr(states, "random_pure_states", lambda n, count, seed: rows[:count])
+        monkeypatch.setattr(
+            states, "random_pure_states",
+            lambda n, count, seed, start=0: rows[start : start + count],
+        )
         table = verify._state_tables(3, 0)
         # |000>: a product state, exactly.
         assert [table[name][0] for name in ("lam_hi", "lam_lo", "c_ab", "c_ac", "c2_full")] == [
@@ -1038,11 +1063,38 @@ class TestStateTables:
         table = verify._state_tables(515, 0)
         assert table["c_ab"].shape == (515,)
 
+    # Bound on the tracemalloc peak beyond the six returned columns, per
+    # state of one block: the block's amplitudes (128 bytes a state), its
+    # uniforms and the temporaries of its reduction.  It measures 921
+    # bytes; drawing the whole stream at once took 1585 at this size, and
+    # grows with the table.
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_peak_memory_is_the_columns_and_one_block(self, seed):
+        n_states = 3 * verify._STATE_BLOCK + 5
+        table, peak = state_tables_peak(n_states, seed)
+        columns = sum(column.nbytes for column in table.values())
+        assert columns == 6 * 8 * n_states
+        assert peak <= columns + 1024 * verify._STATE_BLOCK
+
     @pytest.mark.parametrize("seed", sorted(STATE_TABLE_SHA256))
     def test_columns_pinned(self, seed):
         table = verify._state_tables(515, seed)
         digests = {name: hashlib.sha256(column.tobytes()).hexdigest() for name, column in table.items()}
         assert digests == STATE_TABLE_SHA256[seed]
+
+
+def state_tables_peak(n_states, seed):
+    """``verify._state_tables(n_states, seed)`` and the tracemalloc peak of
+    the call."""
+    # A first call imports what the table needs, outside the trace.
+    verify._state_tables(5, seed)
+    tracemalloc.start()
+    try:
+        table = verify._state_tables(n_states, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return table, peak
 
 
 def gathered_points(fam, spec):
