@@ -46,6 +46,10 @@ _SWEEP_BLOCK = 16384
 # rows; a full mesh's tile takes six, for ``bounds.power_chain``.  A state
 # block takes fifteen: three spectra, their powers and three margin rows.
 _WORKSPACE_ROWS = {"grid": 10, "state": 15}
+# Mesh points a grid sweep takes at most (``_grid_points``): at the 3 x 10^7
+# points a second of the benchmark's grid sweeps (one core, every combo
+# counted), 10^12 take eight hours with one combo and days with 12-44.
+_MAX_MESH_POINTS = 10**12
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,9 @@ class SweepSpec:
         for name, values in self.params:
             if not values:
                 raise ValueError(f"parameter {name!r} has no values")
+            # A repeated value would check, and report, its points twice.
+            if len(set(values)) < len(values):
+                raise ValueError(f"parameter {name!r} repeats a value, got {values}")
 
 
 @dataclass
@@ -633,75 +640,48 @@ def _merge(state, local_min, point, violations, n_violations, nonfinite):
     return min_margin, argmin, worst, total + n_violations, all_nonfinite + nonfinite
 
 
-def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Grid mesh points inside the family's domain, in C order over the
-    axes, then the rejection samples, as ``{axis: (table, index)}``.
+def _grid_points(fam: Family, spec: SweepSpec) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The axis tables and the mesh's row runs of the family's domain.
 
-    An axis's table holds its ``np.linspace`` values, then its coordinate
-    of each rejection sample, and point ``i`` lies at ``table[index[i]]``
-    on it.  An index column takes the smallest unsigned dtype that spans
-    its table and is allocated once at its final length.  When the domain
-    keeps the whole mesh, every index is None: the points are the open
-    grid of the axes' values, then the samples (``_blocks``).  The domain
-    runs on the open-grid axis views of ``np.ix_``, about one sweep block
-    of mesh rows at a time; only its masks, packed to bits, span the mesh.
+    A table holds the axis's ``np.linspace`` values, then its coordinate of
+    each rejection sample.  ``runs`` holds one ``(start, stop)`` column per
+    mesh row, which keeps the second axis's entries ``start:stop`` (``(0, 0)``
+    if none); the domain runs on about one sweep block of mesh rows at a time.
     """
     axis_names = [name for name, *_ in spec.grid]
     shape = tuple(steps for *_, steps in spec.grid)
     n_mesh = math.prod(shape)
-    # Refused before any allocation: no array can be indexed past this
-    # size, and there numpy raises its own IndexError (np.linspace) or
-    # ValueError (np.empty, the sample draw).  The bound covers both the
-    # columns, at most n_mesh + random_samples long, and the sampler's
-    # (random_samples, axes) draw.
-    if (n_mesh + spec.random_samples * len(shape)) * 8 > np.iinfo(np.intp).max:
+    # Refused before any allocation: no table (steps + random_samples), run
+    # array or sample draw can be indexed past this size, and there numpy
+    # raises its own IndexError (np.linspace) or ValueError (np.empty).
+    if (max(shape) + spec.random_samples * len(shape)) * 8 > np.iinfo(np.intp).max:
         raise MemoryError("its float64 columns would exceed the largest array size")
+    if n_mesh > _MAX_MESH_POINTS:
+        size = f"a {' x '.join(map(str, shape))} mesh ({n_mesh} points)"
+        raise ValueError(f"{size} is past the cap of {_MAX_MESH_POINTS} mesh points")
     tables = [np.empty(steps + spec.random_samples) for steps in shape]
     for table, (_, lo, hi, steps) in zip(tables, spec.grid):
         table[:steps] = np.linspace(lo, hi, steps)
-    views = np.ix_(*(table[:steps] for table, steps in zip(tables, shape)))
-    rows = max(1, _SWEEP_BLOCK // (n_mesh // shape[0]))
-    tops = range(0, shape[0], rows)
-    # The domain's mask of each block of mesh rows, packed to bits, each
-    # block's from a byte boundary.  Reserved for the whole mesh before the
-    # first block is walked, so a mesh too large for memory fails here.
-    bits = np.empty(n_mesh // 8 + len(tops), np.uint8)
-    row_blocks, n_mesh, used = [], 0, 0
-    for top in tops:
-        block = (min(rows, shape[0] - top), *shape[1:])
-        mask = fam.domain(dict(zip(axis_names, (views[0][top : top + rows], *views[1:]))))
-        # Tested before broadcasting: a mask that does not span every axis
-        # (``_domain_all``'s) would be walked at its zero strides.
-        if mask.all():
-            packed = None  # every point of the block
-            n_mesh += math.prod(block)
-        else:
-            mask = np.broadcast_to(mask, block)
-            packed = bits[used : used + (mask.size + 7) // 8]
-            packed[...] = np.packbits(mask)
-            used += packed.size
-            n_mesh += int(np.count_nonzero(mask))
-        row_blocks.append((top, block, packed))
-    n_total = n_mesh + spec.random_samples
-    if n_total == 0:
+    x, y = np.ix_(*(table[:steps] for table, steps in zip(tables, shape)))
+    runs = np.empty((2, shape[0]), np.intp)
+    rows = max(1, _SWEEP_BLOCK // shape[1])
+    for top in range(0, shape[0], rows):
+        kept = fam.domain(dict(zip(axis_names, (x[top : top + rows], y))))
+        run = runs[:, top : top + rows]
+        if kept.all():  # before broadcasting: ``_domain_all``'s spans no axis
+            run[0], run[1] = 0, shape[1]
+            continue
+        kept = np.broadcast_to(kept, (run.shape[1], shape[1]))
+        # A row's first kept entry (0 when it keeps none) and its count; the
+        # run they make must end at its last kept entry (the reversed argmax).
+        start, count = kept.argmax(axis=1), np.count_nonzero(kept, axis=1)
+        if np.any((start + count + kept[:, ::-1].argmax(axis=1) != shape[1]) & (count > 0)):
+            raise ValueError(
+                f"family {fam.name!r} keeps more than one run of {axis_names[1]!r} on a mesh row"
+            )
+        run[0], run[1] = start, start + count
+    if spec.random_samples == 0 and not np.any(runs[1] > runs[0]):
         raise ValueError("sweep domain is empty")
-
-    index = [None] * len(tables)
-    if any(packed is not None for *_, packed in row_blocks):
-        dtypes = [np.min_scalar_type(table.size - 1) for table in tables]
-        index = [np.empty(n_total, dtype) for dtype in dtypes]
-        positions = np.ix_(*(np.arange(steps, dtype=dtype) for steps, dtype in zip(shape, dtypes)))
-        filled = 0
-        for top, block, packed in row_blocks:
-            part = (positions[0][top : top + block[0]], *positions[1:])
-            if packed is not None:
-                kept = np.unpackbits(packed, count=math.prod(block)).view(bool).reshape(block)
-            for column, axis in zip(index, part):
-                axis = np.broadcast_to(axis, block)
-                if packed is not None:
-                    axis = axis[kept]
-                column[filled : filled + axis.size].reshape(axis.shape)[...] = axis
-            filled += axis.size
 
     if spec.random_samples:
         rng = np.random.default_rng(spec.seed)
@@ -723,10 +703,7 @@ def _grid_points(fam: Family, spec: SweepSpec) -> dict[str, tuple[np.ndarray, np
             raise ValueError(
                 f"rejection sampling failed to reach {spec.random_samples} points"
             )
-        for column, steps in zip(index, shape):
-            if column is not None:
-                column[n_mesh:] = np.arange(steps, steps + spec.random_samples, dtype=column.dtype)
-    return dict(zip(axis_names, zip(tables, index)))
+    return dict(zip(axis_names, tables)), runs
 
 
 def _pair_concurrence(x: np.ndarray) -> np.ndarray:
@@ -805,15 +782,9 @@ def _state_tables(n_states: int, seed: int) -> dict[str, np.ndarray]:
 def _blocks(fam: Family, spec: SweepSpec):
     """The sweep's points, in sweep order, as ``(block, coordinates)``: at
     most ``_SWEEP_BLOCK`` points a ``_Block``, all sharing one workspace
-    (``_Workspace``), and the columns ``_scan`` reports them by.
-
-    A full grid mesh comes as open-grid tiles: a ``(rows, 1)`` column of
-    the first axis against a ``(1, n)`` row of the second, every grid
-    family's two axes, a longer row split into chunks of ``_SWEEP_BLOCK``
-    values; then its samples, as flat blocks of the tables' tails.  Any
-    other grid comes as flat blocks of its index columns, each axis as the
-    run of its table the block uses and each point's position in it; the
-    state tables as flat blocks of their columns.
+    (``_Workspace``), and the columns ``_scan`` reports them by: a grid mesh
+    that keeps every row whole as open-grid tiles (``_tile_blocks``), any
+    other as its row runs (``_run_blocks``), the state tables as columns.
     """
     if fam.kind == "state":
         if spec.random_samples < 1:
@@ -827,47 +798,73 @@ def _blocks(fam: Family, spec: SweepSpec):
             yield _Block(block, workspace), [block["index"]]
         return
 
-    axes = _grid_points(fam, spec)
-    names = list(axes)
-    tables = [table for table, _ in axes.values()]
-    steps = [steps for *_, steps in spec.grid]
-    index = [index for _, index in axes.values()]
-    if index[0] is None:
-        n_rows, n_cols = steps
-        first, second = (table[:n] for table, n in zip(tables, steps))
-        length = min(_SWEEP_BLOCK, n_rows * n_cols + spec.random_samples)
-        workspace = _Workspace(_WORKSPACE_ROWS["grid"], length)
-        rows, width = max(1, _SWEEP_BLOCK // n_cols), min(n_cols, _SWEEP_BLOCK)
-        for top in range(0, n_rows, rows):
-            column = first[top : top + rows, None]
-            for left in range(0, n_cols, width):
-                row = second[None, left : left + width]
-                # Point i of a (rows, n) tile is at row i // n and column i % n.
-                n = row.shape[1]
-                coordinates = [
-                    _Coordinate(column[:, 0], lambda i, n=n: i // n),
-                    _Coordinate(row[0], lambda i, n=n: i % n),
-                ]
-                yield _Block(dict(zip(names, (column, row))), workspace), coordinates
-        for start in range(0, spec.random_samples, _SWEEP_BLOCK):
-            stop = min(start + _SWEEP_BLOCK, spec.random_samples)
-            columns = [table[n + start : n + stop] for table, n in zip(tables, steps)]
-            yield _Block(dict(zip(names, columns)), workspace), columns
-        return
-
-    n_points = index[0].size
+    tables, (start, stop) = _grid_points(fam, spec)
+    n_points = int(np.sum(stop - start)) + spec.random_samples
     workspace = _Workspace(_WORKSPACE_ROWS["grid"], min(_SWEEP_BLOCK, n_points))
-    for start in range(0, n_points, _SWEEP_BLOCK):
-        runs = []
-        for name, table, column in zip(names, tables, index):
-            part = column[start : start + _SWEEP_BLOCK]
-            position = workspace.take(f"{name} positions", part.shape, dtype=np.intp)
-            position[...] = part
-            lo = int(position.min())
-            position -= lo
-            runs.append((table[lo : lo + int(position.max()) + 1], position))
-        coordinates = [_Coordinate(run, position.__getitem__) for run, position in runs]
-        yield _Block({}, workspace, zip(names, runs)), coordinates
+    walk = _tile_blocks if np.all(start == 0) and np.all(stop == spec.grid[1][3]) else _run_blocks
+    yield from walk(spec, tables, (start, stop), workspace)
+
+
+def _tile_blocks(spec: SweepSpec, tables, runs, workspace):
+    """A full mesh as open-grid tiles, ``(rows, 1)`` views of the first axis
+    against ``(1, n)`` views of the second, a row longer than
+    ``_SWEEP_BLOCK`` split into chunks; then the samples, as flat blocks."""
+    names, steps = list(tables), [steps for *_, steps in spec.grid]
+    n_rows, n_cols = steps
+    first, second = (table[:n] for table, n in zip(tables.values(), steps))
+    rows, width = max(1, _SWEEP_BLOCK // n_cols), min(n_cols, _SWEEP_BLOCK)
+    for top in range(0, n_rows, rows):
+        column = first[top : top + rows, None]
+        for left in range(0, n_cols, width):
+            row = second[None, left : left + width]
+            # Point i of a (rows, n) tile is at row i // n and column i % n.
+            n = row.shape[1]
+            coordinates = [
+                _Coordinate(column[:, 0], lambda i, n=n: i // n),
+                _Coordinate(row[0], lambda i, n=n: i % n),
+            ]
+            yield _Block(dict(zip(names, (column, row))), workspace), coordinates
+    for start in range(0, spec.random_samples, _SWEEP_BLOCK):
+        stop = min(start + _SWEEP_BLOCK, spec.random_samples)
+        columns = [table[n + start : n + stop] for table, n in zip(tables.values(), steps)]
+        yield _Block(dict(zip(names, columns)), workspace), columns
+
+
+def _run_blocks(spec: SweepSpec, tables, runs, workspace):
+    """The mesh's row runs, then the samples, as flat blocks in C order;
+    sample ``k`` is one more row, the first axis's entry ``n_rows + k``,
+    whose run is the second axis's entry ``n_cols + k``.  A block holds,
+    for each axis, the run of its table that its points use and, in a
+    workspace row, each point's position in it: the sum of the steps from
+    point to point, (0, 1) in a mesh row, (1, 1) between samples, and a
+    jump into each row."""
+    (x_table, y_table), (n_rows, n_cols) = tables.values(), (n for *_, n in spec.grid)
+    start, stop = runs
+    kept = np.flatnonzero(stop > start)
+    # The kept rows, then the first sample: where each starts, and the jump into it.
+    rows, firsts = np.append(kept, n_rows), np.append(start[kept], n_cols)
+    begins = np.cumsum(np.append(0, stop[kept] - start[kept]))
+    x_jumps, y_jumps = np.diff(rows), firsts[1:] - (stop[kept] - 1)
+    n_mesh = int(begins[-1])
+    for lo in range(0, n_mesh + spec.random_samples, _SWEEP_BLOCK):
+        size = min(_SWEEP_BLOCK, n_mesh + spec.random_samples - lo)
+        x_at, y_at = (workspace.take(f"{a} positions", (size,), dtype=np.intp) for a in tables)
+        mesh = max(0, n_mesh - lo)
+        x_at[:mesh], x_at[mesh:] = 0, 1
+        y_at.fill(1)
+        # The rows of the block's first and last points.
+        i, j = np.searchsorted(begins, (lo, lo + size - 1), side="right") - 1
+        at = begins[i + 1 : j + 1] - lo
+        x_at[at], y_at[at] = x_jumps[i:j], y_jumps[i:j]
+        x_at[0], y_at[0] = 0, firsts[i] + lo - begins[i]
+        np.cumsum(x_at, out=x_at)
+        np.cumsum(y_at, out=y_at)
+        top, left = int(rows[i]) + max(0, lo - n_mesh), int(y_at.min())
+        y_at -= left
+        x_run = x_table[top : top + int(x_at[-1]) + 1]
+        axes = [(x_run, x_at), (y_table[left : left + int(y_at.max()) + 1], y_at)]
+        coordinates = [_Coordinate(run, position.__getitem__) for run, position in axes]
+        yield _Block({}, workspace, zip(tables, axes)), coordinates
 
 
 def _sweep(spec: SweepSpec) -> SweepReport:

@@ -348,6 +348,24 @@ class TestSweep:
         assert out == ""
         assert err.strip() == f"error: {message}, got {argv[-1]}"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "lemma2", "--q-values", "2,2", "--mu-values", "1"],
+             "parameter 'q' repeats a value, got (2.0, 2.0)"),
+            (["sweep", "remark3", "--gamma-values", "2,3,2.0", "--states", "10"],
+             "parameter 'gamma' repeats a value, got (2.0, 3.0, 2.0)"),
+        ],
+    )
+    def test_repeated_parameter_value_is_a_usage_error(self, argv, message, monkeypatch, capsys):
+        # Each repeat would check, and list, every point once more.
+        def no_points(*args):
+            raise AssertionError("points built")
+
+        monkeypatch.setattr(verify, "_grid_points", no_points)
+        monkeypatch.setattr(verify, "_state_tables", no_points)
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
     def test_violation_cap_keeps_the_earliest_tie(self, capsys):
         # Margin -2.78e-16 ties at the 100th place: the cap keeps the tied
         # point that comes first in the sweep's point order.
@@ -419,10 +437,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("family,second", [("lemma1", "--mu-steps"), ("lemma2", "--y-steps")])
     def test_unmappable_mesh_exits_quickly(self, family, second):
-        # 10^14 points need 800 TB a column, more than any 64-bit process
-        # can map, so this fails the same under every overcommit setting.
-        # Nothing may walk the mesh before that: at 10^14 points any
-        # per-point pass would run for hours.
+        # 10^14 points are past the mesh cap, which is refused before
+        # anything is allocated: at 10^14 points any per-point pass would
+        # run for days.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         argv = ["sweep", family, "--x-steps", "10000000", second, "10000000"]
         done = subprocess.run(
@@ -431,7 +448,8 @@ class TestSweep:
         )
         assert (done.returncode, done.stdout) == (2, "")
         size = "a 10000000 x 10000000 mesh (100000000000000 points)"
-        assert done.stderr.startswith(f"error: {size} does not fit in memory: ")
+        cap = verify._MAX_MESH_POINTS
+        assert done.stderr == f"error: {size} is past the cap of {cap} mesh points\n"
 
     @pytest.mark.parametrize(
         "argv,size,reason",

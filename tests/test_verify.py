@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -137,6 +138,11 @@ class TestSweepSpec:
             verify.SweepSpec("lemma1", seed=-1)
         with pytest.raises(ValueError):
             verify.SweepSpec("lemma1", grid=(("x", 1.0, 0.0, 5),))
+
+    @pytest.mark.parametrize("values", [(2.0, 2.0), (2.0, 3.0, 2.0), (0.0, -0.0)])
+    def test_repeated_parameter_value_is_refused(self, values):
+        with pytest.raises(ValueError, match=r"^parameter 'q' repeats a value, got \("):
+            verify.SweepSpec("lemma2", params=(("q", values), ("mu", (1.0,))))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_axis_bound_named(self, bad):
@@ -537,19 +543,19 @@ def grid_sweeps(draw, families=verify.GRID_FAMILIES):
     fam = verify.family_of(draw(st.sampled_from(families)))
     gates = {name: (lo, hi, hi_open) for name, lo, hi, hi_open in fam.gates}
 
-    def values(name, count):
+    def values(name, count, unique=False):
         lo, hi, hi_open = gates[name]
         hi = min(hi, lo + 7.0)
-        return draw(
-            st.lists(st.floats(lo, hi, exclude_max=hi_open), min_size=count, max_size=count)
-        )
+        floats = st.floats(lo, hi, exclude_max=hi_open)
+        return draw(st.lists(floats, min_size=count, max_size=count, unique=unique))
 
     grid = tuple(
         (name, *sorted(values(name, 2)), draw(st.integers(2, 25)))
         for name, *_ in fam.axes
     )
     params = tuple(
-        (name, tuple(values(name, draw(st.integers(1, 2))))) for name, _ in fam.params
+        (name, tuple(values(name, draw(st.integers(1, 2)), unique=True)))
+        for name, _ in fam.params
     )
     spec = verify.default_spec(
         fam.name,
@@ -590,7 +596,7 @@ def full_mesh_sweeps(draw):
         lo, hi, hi_open = gates[name]
         floats = st.floats(lo, min(hi, lo + 7.0), exclude_max=hi_open)
         floats = floats.filter(lambda value: sweep_takes(fam, name, value))
-        return tuple(draw(st.lists(floats, min_size=1, max_size=2)))
+        return tuple(draw(st.lists(floats, min_size=1, max_size=2, unique=True)))
 
     spec = verify.default_spec(
         fam.name,
@@ -622,15 +628,10 @@ def sweep_takes(fam, name, value):
     return True
 
 
-def with_index_columns(points, spec):
-    """``verify._grid_points``' output for a whole mesh, with the index
-    column of every mesh point and sample: the flat route's input."""
-    steps = [steps for *_, steps in spec.grid]
-    mesh = np.indices(steps).reshape(len(steps), -1)
-    return {
-        name: (table, np.concatenate([axis, np.arange(n, n + spec.random_samples)]))
-        for (name, (table, _)), axis, n in zip(points.items(), mesh, steps)
-    }
+def every_run_full(spec):
+    """Whether ``verify._grid_points`` keeps every mesh row of ``spec`` whole."""
+    _, (start, stop) = verify._grid_points(verify.family_of(spec.family), spec)
+    return bool(np.all(start == 0) and np.all(stop == spec.grid[1][3]))
 
 
 def sweep_outcome(spec):
@@ -728,7 +729,8 @@ class TestBlockedSweep:
     def test_tiles_equal_the_flat_route_bit_for_bit(self, case):
         # A mesh the domain keeps whole is walked as open-grid tiles; the
         # margins of every tile equal those of its points as flat columns,
-        # and the report equals the one the flat (index column) route makes.
+        # and the report equals the one the flat (row run) route makes of
+        # the same full runs.
         spec, block = case
         fam = verify.family_of(spec.family)
         names = [name for name, *_ in spec.grid]
@@ -741,12 +743,11 @@ class TestBlockedSweep:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "_SWEEP_BLOCK", block)
-            assert all(index is None for _, index in verify._grid_points(fam, spec).values())
+            assert every_run_full(spec)
             mp.setitem(verify.FAMILIES, fam.name, dataclasses.replace(fam, margin=recorded))
             tiled = sweep_outcome(spec)
             mp.setitem(verify.FAMILIES, fam.name, fam)
-            mesh = verify._grid_points
-            mp.setattr(verify, "_grid_points", lambda *args: with_index_columns(mesh(*args), spec))
+            mp.setattr(verify, "_tile_blocks", verify._run_blocks)
             assert sweep_outcome(spec) == tiled
         assert any(margins.ndim == 2 for _, _, margins in seen)
         for columns, combo, margins in seen:
@@ -876,7 +877,8 @@ class TestBlockedSweep:
         fam = verify.family_of(family)
         grid = tuple((name, lo, hi, 3 * steps) for name, lo, hi, steps in fam.axes)
         spec = verify.default_spec(family, grid=grid, random_samples=2000, seed=3)
-        points = sum(t.nbytes + i.nbytes for t, i in verify._grid_points(fam, spec).values())
+        tables, runs = verify._grid_points(fam, spec)
+        points = runs.nbytes + sum(table.nbytes for table in tables.values())
         # A first sweep imports what the sweep needs, outside the trace.
         verify.run_sweep(verify.default_spec(family, random_samples=5))
         tracemalloc.start()
@@ -1177,6 +1179,23 @@ class TestGridPoints:
             meshgrid_points, fam, spec
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(grid_point_specs(), st.integers(1, 300))
+    def test_runs_inside_rows_equal_the_meshgrid_route(self, case, block):
+        # Every registered domain keeps a prefix of each row; a band keeps
+        # a run that starts inside it, so the walk's jumps between rows go
+        # both ways.
+        fam, spec = case
+        first, second = (name for name, *_ in spec.grid)
+        band = dataclasses.replace(
+            fam, domain=lambda pts: (pts[second] >= pts[first]) & (pts[second] <= pts[first] + 0.5)
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_SWEEP_BLOCK", block)
+            assert column_bytes(gathered_points, band, spec) == column_bytes(
+                meshgrid_points, band, spec
+            )
+
     @pytest.mark.parametrize("family", verify.GRID_FAMILIES)
     def test_default_grids_equal_the_meshgrid_route(self, family):
         fam = verify.family_of(family)
@@ -1184,13 +1203,8 @@ class TestGridPoints:
         assert column_bytes(gathered_points, fam, spec) == column_bytes(
             meshgrid_points, fam, spec
         )
-        # Each index column spans its table in the fewest bytes; a domain
-        # that keeps the whole mesh (lemma1's) needs none.
-        for table, index in verify._grid_points(fam, spec).values():
-            if family == "lemma1":
-                assert index is None
-            else:
-                assert index.dtype == np.min_scalar_type(table.size - 1)
+        # Only a domain that keeps the whole mesh (lemma1's) keeps every row whole.
+        assert every_run_full(spec) == (family == "lemma1")
 
     def test_empty_domain_is_an_error(self):
         fam = verify.family_of("lemma2")
@@ -1200,33 +1214,71 @@ class TestGridPoints:
             verify._grid_points(fam, spec)
         assert column_bytes(meshgrid_points, fam, spec) == "error: sweep domain is empty"
 
-    # Bound on the tracemalloc peak over the returned tables' and index
-    # columns' bytes: a domain that drops points holds its mask packed to
-    # bits and one block of mesh rows' temporaries beyond them.
-    @pytest.mark.parametrize("family,bound", [("lemma2", 1.15), ("gqsuper", 1.1)])
-    def test_peak_memory_stays_near_the_output(self, family, bound):
-        pts, peak = grid_points_peak(family)
-        output = sum(table.nbytes + index.nbytes for table, index in pts.values())
-        assert peak <= bound * output
+    def test_a_row_of_two_runs_is_an_error(self, monkeypatch):
+        # Every domain keeps one run of y on each mesh row; one that keeps
+        # two would lose points if it were walked as one.
+        fam = dataclasses.replace(
+            verify.family_of("lemma2"), domain=lambda pts: np.abs(pts["y"] - 0.5) > 0.25
+        )
+        monkeypatch.setitem(verify.FAMILIES, fam.name, fam)
+        message = "family 'lemma2' keeps more than one run of 'y' on a mesh row"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify._grid_points(fam, verify.default_spec("lemma2"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify.run_sweep(verify.default_spec("lemma2"))
 
-    def test_full_mesh_peak_memory_is_tables_mask_and_one_row_block(self):
-        # A domain that keeps the whole mesh (lemma1's) returns its tables
-        # and no index column; beyond them it holds the mask reservation
-        # and at most one block of mesh rows (a float64 column of
-        # _SWEEP_BLOCK points).
-        pts, peak = grid_points_peak("lemma1")
-        assert all(index is None for _, index in pts.values())
-        tables = sum(table.nbytes for table, _ in pts.values())
-        rows = verify._SWEEP_BLOCK // 1000
-        mask = 1000 * 1000 // 8 + -(-1000 // rows)
-        assert peak <= tables + mask + verify._SWEEP_BLOCK * 8
+    def test_mesh_past_the_cap_is_refused_before_any_allocation(self, monkeypatch):
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("np.linspace called")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        steps = verify._MAX_MESH_POINTS // 2 + 1
+        spec = verify.default_spec("lemma2", grid=(("x", 0.0, 1.0, steps), ("y", 0.0, 1.0, 2)))
+        message = (
+            f"a {steps} x 2 mesh ({2 * steps} points) is past the cap of "
+            f"{verify._MAX_MESH_POINTS} mesh points"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify._grid_points(verify.family_of("lemma2"), spec)
+
+    # Bound on the tracemalloc peak over the returned tables and runs, in
+    # block columns of _SWEEP_BLOCK float64s: one block of mesh rows'
+    # domain temporaries (its float x^2 + y^2, its boolean masks and the
+    # buffers of broadcasting ufuncs).  It measures 2.2 columns at 1000 x
+    # 1000 and 1.4 at 4000 x 4000; mask bits and index columns took 1.8 MB
+    # (lemma2) and 3.4 MB (gqsuper) at 1000 x 1000.
+    @pytest.mark.parametrize("family", ["lemma2", "gqsuper"])
+    def test_peak_memory_stays_near_the_output(self, family):
+        (tables, runs), peak = grid_points_peak(family, 1000)
+        output = runs.nbytes + sum(table.nbytes for table in tables.values())
+        assert runs.shape == (2, 1000)
+        assert peak <= output + 3 * verify._SWEEP_BLOCK * 8
+
+    @pytest.mark.parametrize("family", ["lemma2", "gqsuper"])
+    def test_peak_memory_is_independent_of_the_mesh(self, family):
+        # 16 times the mesh, and the same block of mesh rows: the peak
+        # beyond the tables and runs does not grow, up to two block columns.
+        excess = []
+        for steps in (1000, 4000):
+            (tables, runs), peak = grid_points_peak(family, steps)
+            excess.append(peak - runs.nbytes - sum(table.nbytes for table in tables.values()))
+        assert excess[1] <= excess[0] + 2 * verify._SWEEP_BLOCK * 8
+
+    def test_full_mesh_peak_memory_is_tables_runs_and_one_row_block(self):
+        # A domain that keeps the whole mesh (lemma1's) keeps every row
+        # whole; beyond its tables and runs it holds at most one block of
+        # mesh rows (a float64 column of _SWEEP_BLOCK points).
+        (tables, runs), peak = grid_points_peak("lemma1", 1000)
+        assert np.all(runs == [[0], [1000]])
+        output = runs.nbytes + sum(table.nbytes for table in tables.values())
+        assert peak <= output + verify._SWEEP_BLOCK * 8
 
 
-def grid_points_peak(family):
-    """``verify._grid_points`` of ``family`` on a 1000 x 1000 mesh with 500
-    samples, and the tracemalloc peak of the call."""
+def grid_points_peak(family, steps):
+    """``verify._grid_points`` of ``family`` on a ``steps`` x ``steps``
+    mesh with 500 samples, and the tracemalloc peak of the call."""
     fam = verify.family_of(family)
-    grid = tuple((name, lo, hi, 1000) for name, lo, hi, _steps in fam.axes)
+    grid = tuple((name, lo, hi, steps) for name, lo, hi, _steps in fam.axes)
     spec = verify.default_spec(family, grid=grid, random_samples=500)
     # A first call imports what the sampler needs, outside the trace.
     verify._grid_points(fam, verify.default_spec(family, random_samples=5))
@@ -1237,3 +1289,39 @@ def grid_points_peak(family):
     finally:
         tracemalloc.stop()
     return pts, peak
+
+
+# The peak RSS in MB of a process that builds the grid source of lemma2 on
+# an 8000 x 8000 mesh and walks every block of it, margins left out, and
+# the number of points it walked.  The peak is the process's own high-water
+# mark (VmHWM), which its ru_maxrss equals when a shell starts it: Linux
+# keeps the ru_maxrss of the process that launched it across the exec,
+# and here that is the test runner.
+RSS_SCRIPT = """
+import json
+from qmonogamy import verify
+
+fam = verify.family_of("lemma2")
+grid = tuple((name, lo, hi, 8000) for name, lo, hi, _steps in fam.axes)
+spec = verify.default_spec("lemma2", grid=grid)
+points = sum(block.axes["x"][1].size for block, _ in verify._blocks(fam, spec))
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps([points, peak / 1024]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_grid_source_rss_is_independent_of_the_mesh():
+    # 25133248 mesh points and 500 samples.  The process holds numpy
+    # (about 31 MB), the tables, the runs and one sweep workspace (1.3 MB):
+    # 37 MB.  Index columns and mask bits took 140 MB.
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", RSS_SCRIPT],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    points, peak_mb = json.loads(done.stdout)
+    assert points == 25133248 + verify.DEFAULT_RANDOM_SAMPLES
+    assert peak_mb < 50
