@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, measures
-from .states import PureState, density
+from .states import PureState
 
 # The power k that each coupling puts on e2 in a tail's cross term; the
 # relation's exponent is k mu.
@@ -464,12 +464,17 @@ def ordering_certificate(state: PureState, pivot: int, rest_order, concurrences)
             lower = upper = c_of[rest[0]]
         else:
             lower = float(np.sqrt(sum(c_of[b] ** 2 for b in rest)))
-            keep = sorted({pivot, *rest})
-            w, v = np.linalg.eigh(kernel.partial_trace(density(state), n, keep))
+            # The marginal is M M^† for the amplitudes M, kept qubits (pivot
+            # first) against the traced ones: its eigenvectors are M's left
+            # singular vectors, its eigenvalues the squared singular values.
+            amps = state.amplitudes.reshape((2,) * n).transpose([pivot, *rest, *order[: i + 1]])
+            u, s, _ = np.linalg.svd(amps.reshape(2 ** (len(rest) + 1), -1), full_matrices=False)
+            w = s**2
             live = w > 1e-12
-            vecs = v[:, live].T  # one projector per live eigenvector
-            projectors = vecs[:, :, None] * vecs[:, None, :].conj()
-            spectra = measures.cut_spectrum(projectors, len(keep), {keep.index(pivot)})
+            # Each eigenvector as its pivot row against the rest; its squared
+            # singular values are its pivot spectrum.
+            pivot_rows = u[:, live].T.reshape(-1, 2, 2 ** len(rest))
+            spectra = kernel.clamp_spectrum(np.linalg.svd(pivot_rows, compute_uv=False) ** 2)
             c2 = measures.squared_concurrence_of_spectrum(spectra)
             upper = float(np.sum(w[live] * np.sqrt(c2)))
         if c_pair >= upper - _CERT_TOL:

@@ -408,7 +408,8 @@ def concurrence_roof_oracle(rho, restarts: int = 200, seed: int = 0) -> float:
     for a fixed seed the estimate is the running minimum over restarts:
     raising ``restarts`` can only lower (never raise) the result.
     """
-    if not isinstance(restarts, numbers.Integral) or restarts < 1:
+    # A bool is an Integral, and True would run one restart.
+    if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts < 1:
         raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     arr = kernel.require_density(rho, dim=4)
     w, v = np.linalg.eigh(arr)

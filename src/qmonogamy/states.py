@@ -210,6 +210,9 @@ def random_pure_states(n_qubits: int, count: int, seed: int, start: int = 0) -> 
     start = kernel.as_integer(start, "start")
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
+    count = kernel.as_integer(count, "count")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     dim = 2**n_qubits
     _check_draw(start, dim)
     rng = np.random.default_rng(seed)

@@ -69,11 +69,17 @@ class SweepSpec:
             raise ValueError(
                 f"tolerance must be finite and positive, got {self.tolerance}"
             )
-        if self.random_samples < 0:
-            raise ValueError(f"random_samples must be >= 0, got {self.random_samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name, lo, hi, steps in self.grid:
+        # Counts are stored as ints: a boolean or a fraction fails here, by
+        # name, and not deep in the point source.
+        for count in ("random_samples", "seed"):
+            value = kernel.as_integer(getattr(self, count), count)
+            if value < 0:
+                raise ValueError(f"{count} must be >= 0, got {value}")
+            object.__setattr__(self, count, value)
+        grid = tuple((name, lo, hi, kernel.as_integer(steps, f"axis {name!r} steps"))
+                     for name, lo, hi, steps in self.grid)
+        object.__setattr__(self, "grid", grid)
+        for name, lo, hi, steps in grid:
             # Every comparison with NaN is False, so the checks below and the
             # gates would let a NaN bound through.
             if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -29,6 +29,19 @@ def pair_concurrences(st, pivot, order):
     ]
 
 
+def density_route_upper(st, pivot, rest):
+    """The certificate's upper bracket from the density: the eigenpairs of
+    the marginal on the pivot and ``rest``, one projector per live
+    eigenvector, and the pivot spectrum of each projector."""
+    keep = sorted({pivot, *rest})
+    w, v = np.linalg.eigh(kernel.partial_trace(states.density(st), st.n_qubits, keep))
+    live = w > 1e-12
+    vecs = v[:, live].T
+    projectors = vecs[:, :, None] * vecs[:, None, :].conj()
+    spectra = measures.cut_spectrum(projectors, len(keep), {keep.index(pivot)})
+    return float(np.sum(w[live] * np.sqrt(measures.squared_concurrence_of_spectrum(spectra))))
+
+
 def certificate(st, pivot, order):
     return bounds.ordering_certificate(st, pivot, order, pair_concurrences(st, pivot, order))
 
@@ -552,12 +565,39 @@ class TestOrderingCertificate:
     def test_three_qubits_use_the_table_alone(self, monkeypatch):
         st = example_state()
         table = pair_concurrences(st, 0, (2, 1))
-        # Any density or partial trace would now raise.
-        monkeypatch.setattr(bounds, "density", None)
-        monkeypatch.setattr(kernel, "partial_trace", None)
+        four = states.random_pure_state(4, 5)
+        four_table = pair_concurrences(four, 0, (1, 2, 3))
+        four_tags = bounds.ordering_certificate(four, 0, (1, 2, 3), four_table)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("density route called")
+
+        # Neither a density, a partial trace nor an eigensolver is needed.
+        for owner, name in ((states, "density"), (kernel, "partial_trace"),
+                            (measures, "cut_spectrum"), (np.linalg, "eigh")):
+            monkeypatch.setattr(owner, name, refuse)
         assert bounds.ordering_certificate(st, 0, (2, 1), table) == [bounds.CERTIFIED]
         # The table alone decides: swapped values swap the tag.
         assert bounds.ordering_certificate(st, 0, (2, 1), table[::-1]) == [bounds.VIOLATED]
+        # Four qubits bracket the first position from the amplitudes.
+        assert bounds.ordering_certificate(four, 0, (1, 2, 3), four_table) == four_tags
+
+    def test_upper_bracket_threshold_is_the_density_routes(self):
+        # Every pivot and first partner of 200 Haar states: the first
+        # position certifies just above the reference's threshold and not
+        # just below it.
+        for amps in states.random_pure_states(4, 200, 11):
+            st = states.PureState(4, amps)
+            for pivot in range(4):
+                partners = [b for b in range(4) if b != pivot]
+                for first in partners:
+                    rest = [b for b in partners if b != first]
+                    threshold = density_route_upper(st, pivot, rest) - bounds._CERT_TOL
+                    for shift in (1e-13, -1e-13):
+                        tags = bounds.ordering_certificate(
+                            st, pivot, [first, *rest], [threshold + shift, 0.5, 0.5]
+                        )
+                        assert (tags[0] == bounds.CERTIFIED) == (shift > 0), (pivot, first)
 
 
 # ---------------------------------------------------------------------------

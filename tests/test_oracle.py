@@ -66,7 +66,8 @@ def test_deterministic_and_nonincreasing_in_restarts():
 def test_restart_gate():
     with pytest.raises(ValueError):
         measures.concurrence_roof_oracle(np.eye(4, dtype=complex) / 4.0, restarts=0)
-    for restarts in (2.5, 3.0, "3"):
+    # A bool is an Integral, but not a restart count.
+    for restarts in (2.5, 3.0, "3", True):
         with pytest.raises(ValueError, match="integer"):
             measures.concurrence_roof_oracle(np.eye(4) / 4.0, restarts=restarts)
     assert measures.concurrence_roof_oracle(np.eye(4) / 4.0, restarts=np.int64(3)) == 0.0

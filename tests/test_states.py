@@ -203,6 +203,19 @@ class TestBatchedSampler:
             assert np.array_equal(row, vec)
             assert np.array_equal(states.haar_state_vector(2**n_qubits, rng), vec)
 
+    @pytest.mark.parametrize(
+        "count,message",
+        [(2.5, "count must be an integer, got 2.5"), (True, "count must be an integer, got True"),
+         (-1, "count must be >= 0, got -1")],
+    )
+    def test_bad_count_is_a_value_error(self, count, message):
+        # Refused by name before any draw; a boolean is not a count.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            states.random_pure_states(3, count, 0)
+
+    def test_integral_float_count(self):
+        assert np.array_equal(states.random_pure_states(2, 3.0, 5), states.random_pure_states(2, 3, 5))
+
     def test_amplitudes_are_read_only(self):
         batch = states.random_pure_states(2, 3, 0)
         with pytest.raises(ValueError):

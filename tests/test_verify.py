@@ -139,6 +139,35 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             verify.SweepSpec("lemma1", grid=(("x", 1.0, 0.0, 5),))
 
+    @pytest.mark.parametrize(
+        "name,overrides",
+        [("random_samples", {"random_samples": 10.5}), ("random_samples", {"random_samples": True}),
+         ("seed", {"seed": 1.5}), ("seed", {"seed": False}),
+         ("axis 'x' steps", {"grid": (("x", 0.0, 1.0, 20.5), ("y", 0.0, 1.0, 20))}),
+         ("axis 'y' steps", {"grid": (("x", 0.0, 1.0, 20), ("y", 0.0, 1.0, True))})],
+    )
+    def test_counts_must_be_integers(self, name, overrides):
+        # Refused by name in the spec, not deep in the point source; a
+        # boolean is not a count.
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got"):
+            verify.default_spec("lemma2", **overrides)
+
+    def test_state_check_count_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="^random_samples must be an integer, got 2.5"):
+            verify.run_state_check("ckw", 2.5)
+
+    def test_integral_float_counts_are_stored_as_ints(self):
+        grid = (("x", 0.0, 1.0, 20), ("y", 0.0, 1.0, 20))
+        floats = verify.default_spec(
+            "lemma2", grid=[(name, lo, hi, float(n)) for name, lo, hi, n in grid],
+            random_samples=10.0, seed=3.0,
+        )
+        ints = verify.default_spec("lemma2", grid=grid, random_samples=10, seed=3)
+        assert floats == ints
+        counts = [floats.random_samples, floats.seed, *(n for *_, n in floats.grid)]
+        assert all(type(n) is int for n in counts)
+        assert verify.run_sweep(floats).to_json() == verify.run_sweep(ints).to_json()
+
     @pytest.mark.parametrize("values", [(2.0, 2.0), (2.0, 3.0, 2.0), (0.0, -0.0)])
     def test_repeated_parameter_value_is_refused(self, values):
         with pytest.raises(ValueError, match=r"^parameter 'q' repeats a value, got \("):
@@ -1083,6 +1112,29 @@ class TestStateTables:
         table = verify._state_tables(515, seed)
         digests = {name: hashlib.sha256(column.tobytes()).hexdigest() for name, column in table.items()}
         assert digests == STATE_TABLE_SHA256[seed]
+
+
+# Each 3-qubit state family's grid twin, with the parameter names the twin
+# gives the state family's.
+GRID_TWINS = {"remark1": ("lemma2", {"eta": "mu"}), "remark2": ("lemma5", {}), "remark3": ("lemma6", {})}
+
+
+@pytest.mark.parametrize("seed", [3, 7919])
+@pytest.mark.parametrize("family", sorted(GRID_TWINS))
+def test_state_margins_are_at_least_their_grid_twins(family, seed):
+    # C^2(A|BC) = C_AB^2 + C_AC^2 + tau with tau >= 0 (Coffman, Kundu and
+    # Wootters, PRA 61, 052306, 2000), and the cut entropy increases in it,
+    # so a state's margin is at least its twin's at (max, min) of its pair
+    # concurrences.  The smallest gap here is about 4e-8.
+    table = verify._state_tables(20000, seed)
+    x = np.maximum(table["c_ab"], table["c_ac"])
+    y = np.minimum(table["c_ab"], table["c_ac"])
+    twin, renamed = GRID_TWINS[family]
+    for combo in verify._combos(verify.default_spec(family)):
+        margins = verify.FAMILIES[family].margin(table, combo)
+        twin_combo = {renamed.get(name, name): value for name, value in combo.items()}
+        twin_margins = verify.FAMILIES[twin].margin({"x": x, "y": y}, twin_combo)
+        assert np.all(margins >= twin_margins), combo
 
 
 def state_tables_peak(n_states, seed):
