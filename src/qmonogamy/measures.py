@@ -411,6 +411,9 @@ def concurrence_roof_oracle(rho, restarts: int = 200, seed: int = 0) -> float:
     # A bool is an Integral, and True would run one restart.
     if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts < 1:
         raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
+    seed = kernel.as_integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     arr = kernel.require_density(rho, dim=4)
     w, v = np.linalg.eigh(arr)
     keep = w > _RANK_CUTOFF

@@ -213,6 +213,10 @@ def random_pure_states(n_qubits: int, count: int, seed: int, start: int = 0) -> 
     count = kernel.as_integer(count, "count")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    # numpy takes True as seed 1 and refuses 3.0 with a TypeError.
+    seed = kernel.as_integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     dim = 2**n_qubits
     _check_draw(start, dim)
     rng = np.random.default_rng(seed)

@@ -40,12 +40,13 @@ _UPPER = np.triu_indices(4, 1)
 # every combo runs over it.
 _SWEEP_BLOCK = 16384
 # Rows of one sweep's workspace (``_Workspace``), each as long as its
-# longest block, by the family's kind.  A grid block takes at most ten: the
-# positions of its points on the two axes, the joint spectrum, its powers
-# (the joint entropy, then the x entropy), the y entropy and three margin
-# rows; a full mesh's tile takes six, for ``bounds.power_chain``.  A state
-# block takes fifteen: three spectra, their powers and three margin rows.
-_WORKSPACE_ROWS = {"grid": 10, "state": 15}
+# longest block.  A grid block takes at most ten: the positions of its
+# points on the two axes, the joint spectrum, its powers (the joint
+# entropy, then the x entropy), the y entropy and three margin rows; a full
+# mesh's tile takes six, for ``bounds.power_chain``.  A state block takes
+# nine: its x and y columns, the joint spectrum, its powers and three
+# margin rows.
+_WORKSPACE_ROWS = 10
 # Mesh points a grid sweep takes at most (``_grid_points``): at the 3 x 10^7
 # points a second of the benchmark's grid sweeps (one core, every combo
 # counted), 10^12 take eight hours with one combo and days with 12-44.
@@ -245,7 +246,9 @@ def _grid_spectra(pts, squared):
     """Qubit spectra of the squared concurrences x^2 + y^2 at each point,
     and of x^2 and y^2 at each axis value the points use (``squared``), or
     of min(1, hypot(x, y)), x and y; then the positions of the points among
-    the x and the y values (``_axis_values``).
+    the x and the y values (``_axis_values``).  A state block's joint
+    spectrum is its pivot cut's, ``(lam_hi, lam_lo)``: its C^2 is x^2 + y^2
+    plus the three-tangle (CKW).
 
     x^2 and y^2 are squared once per axis value and gathered (or broadcast)
     to the points, into the rows of the joint spectrum, which
@@ -254,12 +257,17 @@ def _grid_spectra(pts, squared):
     squares = [x * x, y * y]
     shape = np.broadcast(x, y).shape if x_at is None else x_at.shape
     spectrum = _block_array(pts, "joint spectrum", (2, *shape), rows=2)
-    joint = _at_points(squares[0], x_at, spectrum[1])
-    joint += _at_points(squares[1], y_at, spectrum[0])
-    if not squared:
-        np.sqrt(joint, out=joint)
-        np.minimum(1.0, joint, out=joint)
-    spectra = [measures.qubit_spectrum(joint, squared=squared, out=spectrum)]
+    if "lam_hi" in pts:
+        spectrum[0], spectrum[1] = pts["lam_hi"], pts["lam_lo"]
+        joint = measures.rows_last(spectrum)
+    else:
+        joint = _at_points(squares[0], x_at, spectrum[1])
+        joint += _at_points(squares[1], y_at, spectrum[0])
+        if not squared:
+            np.sqrt(joint, out=joint)
+            np.minimum(1.0, joint, out=joint)
+        joint = measures.qubit_spectrum(joint, squared=squared, out=spectrum)
+    spectra = [joint]
     for values, square in zip((x, y), squares):
         spectra.append(measures.qubit_spectrum(square if squared else values, squared=squared))
     return spectra, [x_at, y_at]
@@ -280,7 +288,9 @@ def _grid_triple(pts, measure, value):
     The entropy is the row's formula, looked up by name on ``measures``;
     the x and y terms are converted once per axis value and gathered to
     the points, the x term into the joint powers' second row, which holds
-    nothing once the joint entropy is summed."""
+    nothing once the joint entropy is summed.  A state block's triple is
+    its pivot cut's entropy, then its grid twin's x and y terms, larger
+    first since the conversion increases (``_blocks``)."""
     row = measures.MEASURES[measure]
     (joint, *axes), positions = _shared(pts, _grid_spectra, row.squared)
     of_spectrum = getattr(measures, row.of_spectrum)
@@ -307,59 +317,14 @@ def _margin_power_chain(pts, combo):
     return np.minimum(lhs, loose, out=lhs)
 
 
-def _pair_spectra(pts, squared):
-    """Qubit spectra of C_ab^2 and C_ac^2 (``squared``), or of C_ab and C_ac;
-    a square is taken into its spectrum's rows."""
-    spectra = []
-    for name in ("c_ab", "c_ac"):
-        c = pts[name]
-        spectrum = _block_array(pts, f"{name} spectrum", (2, *c.shape), rows=2)
-        if squared:
-            c = np.square(c, out=spectrum[1])
-        spectra.append(measures.qubit_spectrum(c, squared=squared, out=spectrum))
-    return spectra
-
-
-def _pivot_spectrum(pts):
-    """The pivot cut spectrum, one row ``(lam_hi, lam_lo)`` per state, each
-    column contiguous."""
-    hi = pts["lam_hi"]
-    spectrum = _block_array(pts, "pivot spectrum", (2, *hi.shape), rows=2)
-    spectrum[0], spectrum[1] = hi, pts["lam_lo"]
-    return spectrum.T
-
-
-def _entropy_powers(pts, name, lam):
-    """Workspace rows for the powers of spectra ``lam``, laid out as
-    ``lam`` is (``_pivot_spectrum``, ``qubit_spectrum``)."""
-    return measures.rows_last(_block_array(pts, name, (2, *lam.shape[:-1]), rows=2))
-
-
-def _state_triple(pts, measure, value):
-    """The entropy of the pivot cut, then the larger and the smaller of
-    g_q(C_ab^2) and g_q(C_ac^2) (``measure`` "tsallis"), or of f_alpha(C_ab)
-    and f_alpha(C_ac) (``measure`` "renyi"), at index ``value``.  The
-    larger and the smaller go into the second columns of the pair powers,
-    which hold nothing once each entropy is summed."""
-    row = measures.MEASURES[measure]
-    of_spectrum = getattr(measures, row.of_spectrum)
-    pivot = _shared(pts, _pivot_spectrum)
-    full = of_spectrum(pivot, value, out=_entropy_powers(pts, "pivot powers", pivot))
-    pairs = _shared(pts, _pair_spectra, row.squared)
-    powers = [_entropy_powers(pts, f"{name} powers", s) for name, s in zip(("c_ab", "c_ac"), pairs)]
-    ab, ac = (of_spectrum(s, value, out=out) for s, out in zip(pairs, powers))
-    e1 = np.maximum(ab, ac, out=powers[0][..., 1])
-    return full, e1, np.minimum(ab, ac, out=powers[1][..., 1])
-
-
-def _additive(triple, regime: bounds.Regime):
-    """Margin z^k - x^k - y^k of ``triple``'s (z, x, y) at the combo's
+def _additive(regime: bounds.Regime):
+    """Margin z^k - x^k - y^k of the block's triple (z, x, y) at the combo's
     index, with k the regime's degree (the superadditivity lemmas)."""
     measure, index, k = regime.measure, regime.index, regime.degree
 
     def margin(pts, combo):
         # The block's memoised triple is never written.
-        z, x, y = _shared(pts, triple, measure, combo[index])
+        z, x, y = _shared(pts, _grid_triple, measure, combo[index])
         gap = _block_array(pts, "margin", z.shape)
         if k == 1:
             np.subtract(z, x, out=gap)
@@ -373,14 +338,14 @@ def _additive(triple, regime: bounds.Regime):
     return margin
 
 
-def _powered(triple, regime: bounds.Regime, power: str):
+def _powered(regime: bounds.Regime, power: str):
     """Margin E^p - Q_new(e1, e2) of the regime's powered pair relation,
-    with (E, e1 >= e2) from ``triple`` at the combo's index and p the
+    with (E, e1 >= e2) the block's triple at the combo's index and p the
     combo's ``power``, the relation's exponent."""
     measure, index = regime.measure, regime.index
 
     def margin(pts, combo):
-        full, e1, e2 = _shared(pts, triple, measure, combo[index])
+        full, e1, e2 = _shared(pts, _grid_triple, measure, combo[index])
         p = combo[power]
         rows = _block_array(pts, "margin", (3, *full.shape), rows=3)
         bound = bounds.pair_bound_new(e1, e2, regime.power(p), regime.coupling, out=rows)
@@ -438,7 +403,8 @@ class Family:
     boolean mask of their broadcast shape; a predicate that ignores some
     columns may return a mask that only broadcasts to it, as
     ``_domain_all`` does.  ``margin`` takes a dict of equal-length point
-    columns and one parameter combo.  ``regime`` names the
+    columns, a state table's with its grid twin's ``x`` and ``y``
+    (``_blocks``), and one parameter combo.  ``regime`` names the
     ``bounds.REGIMES`` row of the relation the family checks, if any.
     """
 
@@ -462,8 +428,8 @@ class Family:
 
 
 _GRID_AXES = (("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60))
-# A kind's default axes and triple builder.
-_KINDS = {"grid": (_GRID_AXES, _grid_triple), "state": ((), _state_triple)}
+# A kind's default axes.
+_KINDS = {"grid": _GRID_AXES, "state": ()}
 # A relation's grid domain.  A grid point (x, y) is a pair of concurrences
 # (C_ab, C_ac), which CKW keeps in the unit disc, and the powered tails need
 # e1 >= e2, so x >= y.
@@ -478,14 +444,10 @@ def _regime_family(name, kind, relation, regime, index_values, **exponent):
     powered relation's exponent, named with its values.
     """
     row = bounds.REGIMES[regime]
-    axes, triple = _KINDS[kind]
     domain = _GRID_DOMAINS[relation] if kind == "grid" else _domain_all
-    if relation == "additive":
-        margin = _additive(triple, row)
-    else:
-        margin = _powered(triple, row, *exponent)
+    margin = _additive(row) if relation == "additive" else _powered(row, *exponent)
     params = ((row.index, index_values), *exponent.items())
-    return Family(name, kind, axes, params, margin, domain, regime)
+    return Family(name, kind, _KINDS[kind], params, margin, domain, regime)
 
 
 _MU = (1.0, 1.5, 2.0, 3.0)
@@ -790,7 +752,8 @@ def _blocks(fam: Family, spec: SweepSpec):
     most ``_SWEEP_BLOCK`` points a ``_Block``, all sharing one workspace
     (``_Workspace``), and the columns ``_scan`` reports them by: a grid mesh
     that keeps every row whole as open-grid tiles (``_tile_blocks``), any
-    other as its row runs (``_run_blocks``), the state tables as columns.
+    other as its row runs (``_run_blocks``), the state tables as columns,
+    with each state's grid twin (``_grid_triple``) as its ``x`` and ``y``.
     """
     if fam.kind == "state":
         if spec.random_samples < 1:
@@ -798,15 +761,19 @@ def _blocks(fam: Family, spec: SweepSpec):
                 f"family {fam.name!r} needs at least one state, got {spec.random_samples}"
             )
         columns = _state_tables(spec.random_samples, spec.seed)
-        workspace = _Workspace(_WORKSPACE_ROWS["state"], min(_SWEEP_BLOCK, spec.random_samples))
+        workspace = _Workspace(_WORKSPACE_ROWS, min(_SWEEP_BLOCK, spec.random_samples))
         for start in range(0, spec.random_samples, _SWEEP_BLOCK):
             block = {name: column[start : start + _SWEEP_BLOCK] for name, column in columns.items()}
+            # The grid twin's point: the larger and the smaller pair concurrence.
+            c_ab, c_ac, shape = block["c_ab"], block["c_ac"], block["index"].shape
+            block["x"] = np.maximum(c_ab, c_ac, out=workspace.take("x", shape))
+            block["y"] = np.minimum(c_ab, c_ac, out=workspace.take("y", shape))
             yield _Block(block, workspace), [block["index"]]
         return
 
     tables, (start, stop) = _grid_points(fam, spec)
     n_points = int(np.sum(stop - start)) + spec.random_samples
-    workspace = _Workspace(_WORKSPACE_ROWS["grid"], min(_SWEEP_BLOCK, n_points))
+    workspace = _Workspace(_WORKSPACE_ROWS, min(_SWEEP_BLOCK, n_points))
     walk = _tile_blocks if np.all(start == 0) and np.all(stop == spec.grid[1][3]) else _run_blocks
     yield from walk(spec, tables, (start, stop), workspace)
 

@@ -73,6 +73,20 @@ def test_restart_gate():
     assert measures.concurrence_roof_oracle(np.eye(4) / 4.0, restarts=np.int64(3)) == 0.0
 
 
+def test_seed_gate():
+    rho = states.density(states.random_pure_state(2, 44))
+    mixed = 0.6 * rho + 0.4 * states.density(states.random_pure_state(2, 45))
+    # numpy refuses 1.5 with a TypeError and takes True as seed 1.
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
+            measures.concurrence_roof_oracle(mixed, restarts=2, seed=seed)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        measures.concurrence_roof_oracle(mixed, restarts=2, seed=-1)
+    expected = measures.concurrence_roof_oracle(mixed, restarts=4, seed=3)
+    for seed in (3.0, np.int64(3)):
+        assert measures.concurrence_roof_oracle(mixed, restarts=4, seed=seed) == expected
+
+
 def test_non_finite_input_is_a_value_error():
     # Validation must name the bad input before it reaches LAPACK.
     rho = np.eye(4, dtype=complex) / 4.0

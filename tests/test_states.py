@@ -150,6 +150,20 @@ class TestRandomPureState:
             sampler(2.5)
         assert np.array_equal(sampler(3.0), sampler(3))
 
+    @pytest.mark.parametrize("sampler", [
+        lambda seed: states.random_pure_state(3, seed).amplitudes,
+        lambda seed: states.random_pure_states(3, 2, seed),
+    ], ids=["random_pure_state", "random_pure_states"])
+    def test_seed_is_a_nonnegative_integer(self, sampler):
+        # numpy refuses 1.5 with a TypeError and draws seed 1's stream for True.
+        for seed in (1.5, True):
+            with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
+                sampler(seed)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sampler(-1)
+        assert np.array_equal(sampler(3.0), sampler(3))
+        assert np.array_equal(sampler(np.int64(3)), sampler(3))
+
     def test_marginal_purity_haar_average(self):
         # Two-qubit Haar states have E[tr rho_A^2] = 4/5.
         rng = np.random.default_rng(2024)

@@ -805,8 +805,8 @@ class TestBlockedSweep:
         # A conversion is the entropy of a qubit spectrum: g_q the Tsallis
         # and f_alpha the Renyi one.  A state block's pivot cut entropy is
         # not a conversion and is not counted.  A grid block has three
-        # spectra (the joint one and one per axis), a state block two (C_ab
-        # and C_ac); each takes one conversion per q or alpha, over the
+        # spectra (the joint one and one per axis), a state block two (its
+        # x and y); each takes one conversion per q or alpha, over the
         # whole spectrum, whatever the number of combos that share it.
         entropy = {"g_q": "tsallis_of_spectrum", "f_alpha": "renyi_of_spectrum"}[conversion]
         original, make_spectrum = getattr(measures, entropy), measures.qubit_spectrum
@@ -856,7 +856,8 @@ class TestBlockedSweep:
         n_points = report.points_checked // math.prod(len(v) for _, v in spec.params)
         blocks = [(start, min(start + 97, n_points)) for start in range(0, n_points, 97)]
         if verify.family_of(family).kind == "state":
-            # C_ab and C_ac, each over the whole block.
+            # x and y, the larger and the smaller of C_ab and C_ac, each
+            # over the whole block.
             assert sizes == [stop - start for start, stop in blocks for _ in range(2)]
             return
         # The joint concurrence over the whole block, then x and y over the
@@ -1131,10 +1132,46 @@ def test_state_margins_are_at_least_their_grid_twins(family, seed):
     y = np.minimum(table["c_ab"], table["c_ac"])
     twin, renamed = GRID_TWINS[family]
     for combo in verify._combos(verify.default_spec(family)):
-        margins = verify.FAMILIES[family].margin(table, combo)
+        margins = verify.FAMILIES[family].margin({**table, "x": x, "y": y}, combo)
         twin_combo = {renamed.get(name, name): value for name, value in combo.items()}
         twin_margins = verify.FAMILIES[twin].margin({"x": x, "y": y}, twin_combo)
         assert np.all(margins >= twin_margins), combo
+
+
+def pairwise_state_triple(table, measure, value):
+    """A state's triple with each pair converted on its own: the pivot cut's
+    entropy, then the larger and the smaller of the entropies of C_ab and
+    C_ac (of their squares for the Tsallis measure)."""
+    row = measures.MEASURES[measure]
+    of_spectrum = getattr(measures, row.of_spectrum)
+    full = of_spectrum(np.stack([table["lam_hi"], table["lam_lo"]], axis=-1), value)
+    ab, ac = (
+        of_spectrum(measures.qubit_spectrum(np.square(c) if row.squared else c, squared=row.squared), value)
+        for c in (table["c_ab"], table["c_ac"])
+    )
+    return full, np.maximum(ab, ac), np.minimum(ab, ac)
+
+
+@pytest.mark.parametrize("seed", [3, 7919])
+@pytest.mark.parametrize("family", sorted(GRID_TWINS))
+def test_state_margins_equal_the_pairwise_conversion(family, seed):
+    # A sweep converts the larger and the smaller pair concurrence, its grid
+    # twin's x and y; converting each pair and ordering the entropies gives
+    # the same bits, since each conversion increases.  20000 states take
+    # two sweep blocks.
+    fam = verify.family_of(family)
+    spec = verify.default_spec(family, random_samples=20000, seed=seed)
+    regime = bounds.REGIMES[fam.regime]
+    power = spec.params[1][0]
+    for block, _ in verify._blocks(fam, spec):
+        for combo in verify._combos(spec):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                margins = np.array(fam.margin(block, combo))
+                full, e1, e2 = pairwise_state_triple(block, regime.measure, combo[regime.index])
+                p = combo[power]
+                bound = bounds.pair_bound_new(e1, e2, regime.power(p), regime.coupling)
+                reference = np.power(full, p) - bound
+            assert np.array_equal(margins, reference), combo
 
 
 def state_tables_peak(n_states, seed):
