@@ -30,7 +30,7 @@ MAX_VIOLATIONS = 100
 # States per stack in ``_state_tables``: large enough that the fixed cost of
 # each of the block's few dozen numpy calls is small beside its per-state
 # work, small enough that their intermediates (columns of 32 or 64 KB, a
-# few MB in all) add little to the peak memory of a large table.
+# few MB in all) stay in cache and add little to a sweep's peak memory.
 _STATE_BLOCK = 4096
 # The pairs (i, j), i < j, of the four columns of a pivot cut's amplitude
 # matrix: its 2 x 2 minors (``_state_tables``).
@@ -45,12 +45,13 @@ _SWEEP_BLOCK = 16384
 # entropy, then the x entropy), the y entropy and three margin rows; a full
 # mesh's tile takes six, for ``bounds.power_chain``.  A state block takes
 # nine: its x and y columns, the joint spectrum, its powers and three
-# margin rows.
+# margin rows, beside the block's own table (``_state_tables``).
 _WORKSPACE_ROWS = 10
-# Mesh points a grid sweep takes at most (``_grid_points``): at the 3 x 10^7
-# points a second of the benchmark's grid sweeps (one core, every combo
-# counted), 10^12 take eight hours with one combo and days with 12-44.
-_MAX_MESH_POINTS = 10**12
+# Mesh points (``_grid_points``) or states (``_blocks``) a sweep takes at
+# most: at the 3 x 10^7 points a second of the benchmark's grid sweeps (one
+# core, every combo counted), 10^12 take eight hours with one combo and days
+# with 12-44, and 10^12 states take eleven days at 10^6 a second.
+_MAX_POINTS = 10**12
 
 
 @dataclass(frozen=True)
@@ -624,9 +625,9 @@ def _grid_points(fam: Family, spec: SweepSpec) -> tuple[dict[str, np.ndarray], n
     # raises its own IndexError (np.linspace) or ValueError (np.empty).
     if (max(shape) + spec.random_samples * len(shape)) * 8 > np.iinfo(np.intp).max:
         raise MemoryError("its float64 columns would exceed the largest array size")
-    if n_mesh > _MAX_MESH_POINTS:
+    if n_mesh > _MAX_POINTS:
         size = f"a {' x '.join(map(str, shape))} mesh ({n_mesh} points)"
-        raise ValueError(f"{size} is past the cap of {_MAX_MESH_POINTS} mesh points")
+        raise ValueError(f"{size} is past the cap of {_MAX_POINTS} mesh points")
     tables = [np.empty(steps + spec.random_samples) for steps in shape]
     for table, (_, lo, hi, steps) in zip(tables, spec.grid):
         table[:steps] = np.linspace(lo, hi, steps)
@@ -691,19 +692,20 @@ def _pair_concurrence(x: np.ndarray) -> np.ndarray:
     t01_sq = np.abs(t01) ** 2
     p = np.abs(t00) ** 2 + t01_sq
     r = t01_sq + np.abs(t11) ** 2
-    q = t00 * t01.conj() + t01 * t11.conj()
+    # Not ``*``, which numpy may compute in place, rounding differently.
+    q = np.multiply(t00, t01.conj()) + np.multiply(t01, t11.conj())
     gap = np.sqrt((p - r) ** 2 + 4.0 * (q.real**2 + q.imag**2))
     total = np.sqrt(p + r + 2.0 * np.abs(t00 * t11 - t01 * t01))
     return np.divide(gap, total, out=np.zeros_like(gap), where=total > 0.0)
 
 
-def _state_tables(n_states: int, seed: int) -> dict[str, np.ndarray]:
+def _state_tables(n_states: int, seed: int, start: int = 0) -> dict[str, np.ndarray]:
     """Per-state quantities every state-level family consumes.
 
-    For each sampled 3-qubit pure state: the spectrum and the squared
-    concurrence of the pivot cut (pivot = qubit 0), and the concurrences of
-    the two pair marginals, all in closed form from the amplitudes, with no
-    density matrix and no eigensolver.
+    For rows ``start .. start + n_states`` of the seed's 3-qubit pure-state
+    stream: the spectrum and the squared concurrence of the pivot cut (pivot
+    = qubit 0), and the concurrences of the two pair marginals, all in closed
+    form from the amplitudes, with no density matrix and no eigensolver.
 
     With M the 2 x 4 amplitude matrix of qubit 0 against qubits 1-2 and
     rho_A = M M^dagger, C^2(A|BC) = 4 det rho_A = 4 sum of
@@ -717,18 +719,11 @@ def _state_tables(n_states: int, seed: int) -> dict[str, np.ndarray]:
     ``_STATE_BLOCK`` at a time (``states.random_pure_states``' ``start``),
     so no more than one block of amplitudes is held at once.
     """
-    # The stream's uniforms, 16 float64s a state, must fit one array, as
-    # ``random_pure_states`` requires of each block's offset; checked
-    # before any column is allocated.
-    if n_states * 16 * 8 > np.iinfo(np.intp).max:
-        raise MemoryError("its float64 draw would exceed the largest array size")
-    table = {name: np.empty(n_states) for name in ("lam_hi", "lam_lo", "c_ab", "c_ac", "c2_full")}
-    table["index"] = np.arange(n_states, dtype=float)
     i, j = _UPPER
-    for start in range(0, n_states, _STATE_BLOCK):
-        block = slice(start, start + _STATE_BLOCK)
-        count = min(_STATE_BLOCK, n_states - start)
-        amps = states.random_pure_states(3, count, seed, start=start).reshape(-1, 2, 2, 2)
+    parts = []
+    for offset in range(start, start + n_states, _STATE_BLOCK):
+        count = min(_STATE_BLOCK, start + n_states - offset)
+        amps = states.random_pure_states(3, count, seed, offset).reshape(-1, 2, 2, 2)
         pivot = amps.reshape(-1, 2, 4)
         row0, row1 = pivot[:, 0], pivot[:, 1]
         minors = row0[:, i] * row1[:, j] - row0[:, j] * row1[:, i]
@@ -740,11 +735,14 @@ def _state_tables(n_states: int, seed: int) -> dict[str, np.ndarray]:
         )
         lam_lo = c2 / (2.0 * (1.0 + gap))
         spectrum = kernel.clamp_spectrum(np.stack([1.0 - lam_lo, lam_lo], axis=-1))
-        table["lam_hi"][block], table["lam_lo"][block] = spectrum.T
-        table["c2_full"][block] = measures.squared_concurrence_of_spectrum(spectrum)
+        c2_full = measures.squared_concurrence_of_spectrum(spectrum)
         pairs = np.concatenate([amps.reshape(-1, 4, 2), amps.swapaxes(2, 3).reshape(-1, 4, 2)])
-        table["c_ab"][block], table["c_ac"][block] = _pair_concurrence(pairs).reshape(2, -1)
-    return table
+        c_pairs = _pair_concurrence(pairs).reshape(2, -1)
+        parts.append(np.vstack([spectrum.T, c_pairs, c2_full, np.arange(offset, offset + count)]))
+    # Joined once the draws are done: a table allocated first lies below their
+    # temporaries, and glibc hands those back to the OS at every call.
+    table = np.concatenate(parts, axis=1)
+    return dict(zip(("lam_hi", "lam_lo", "c_ab", "c_ac", "c2_full", "index"), table))
 
 
 def _blocks(fam: Family, spec: SweepSpec):
@@ -752,18 +750,23 @@ def _blocks(fam: Family, spec: SweepSpec):
     most ``_SWEEP_BLOCK`` points a ``_Block``, all sharing one workspace
     (``_Workspace``), and the columns ``_scan`` reports them by: a grid mesh
     that keeps every row whole as open-grid tiles (``_tile_blocks``), any
-    other as its row runs (``_run_blocks``), the state tables as columns,
-    with each state's grid twin (``_grid_triple``) as its ``x`` and ``y``.
+    other as its row runs (``_run_blocks``), the states as one fresh
+    ``_state_tables`` table a block, with each state's grid twin
+    (``_grid_triple``) as its ``x`` and ``y``.
     """
     if fam.kind == "state":
-        if spec.random_samples < 1:
-            raise ValueError(
-                f"family {fam.name!r} needs at least one state, got {spec.random_samples}"
-            )
-        columns = _state_tables(spec.random_samples, spec.seed)
-        workspace = _Workspace(_WORKSPACE_ROWS, min(_SWEEP_BLOCK, spec.random_samples))
-        for start in range(0, spec.random_samples, _SWEEP_BLOCK):
-            block = {name: column[start : start + _SWEEP_BLOCK] for name, column in columns.items()}
+        n_states = spec.random_samples
+        if n_states < 1:
+            raise ValueError(f"family {fam.name!r} needs at least one state, got {n_states}")
+        # The stream's uniforms, 16 float64s a state, must fit one array, as
+        # ``random_pure_states`` requires of each block's offset.
+        if n_states * 16 * 8 > np.iinfo(np.intp).max:
+            raise MemoryError("its float64 draw would exceed the largest array size")
+        if n_states > _MAX_POINTS:
+            raise ValueError(f"{n_states} states are past the cap of {_MAX_POINTS} states")
+        workspace = _Workspace(_WORKSPACE_ROWS, min(_SWEEP_BLOCK, n_states))
+        for start in range(0, n_states, _SWEEP_BLOCK):
+            block = _state_tables(min(_SWEEP_BLOCK, n_states - start), spec.seed, start)
             # The grid twin's point: the larger and the smaller pair concurrence.
             c_ab, c_ac, shape = block["c_ab"], block["c_ac"], block["index"].shape
             block["x"] = np.maximum(c_ab, c_ac, out=workspace.take("x", shape))
@@ -844,7 +847,7 @@ def _sweep(spec: SweepSpec) -> SweepReport:
     """Evaluate the family's margin at every point for every parameter combo.
 
     Points come from the grid mesh plus rejection samples for grid families
-    and from ``_state_tables`` for state-level ones, block by block
+    and from one ``_state_tables`` call a block for state-level ones
     (``_blocks``).  A point is reported as ``(*coordinates, *param
     values)``, the coordinates being the axis values on a grid and the
     state index for a state-level family.

@@ -448,7 +448,7 @@ class TestSweep:
         )
         assert (done.returncode, done.stdout) == (2, "")
         size = "a 10000000 x 10000000 mesh (100000000000000 points)"
-        cap = verify._MAX_MESH_POINTS
+        cap = verify._MAX_POINTS
         assert done.stderr == f"error: {size} is past the cap of {cap} mesh points\n"
 
     @pytest.mark.parametrize(
@@ -466,6 +466,9 @@ class TestSweep:
             (["sweep", "lemma2", "--samples", "100000000000000"],
              "a 60 x 60 mesh (3600 points) and 100000000000000 samples",
              ""),
+            # 10^13 states fit a draw, and a sweep holds one block of them:
+            # past the cap, refused by name before the first draw.
+            (["sweep", "ckw", "--states", str(10**13)], f"{10**13} states", None),
         ],
     )
     def test_huge_counts_exit_quickly(self, argv, size, reason):
@@ -475,7 +478,11 @@ class TestSweep:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30,
         )
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr.startswith(f"error: {size} does not fit in memory: {reason}")
+        if reason is None:
+            cap = verify._MAX_POINTS
+            assert done.stderr == f"error: {size} are past the cap of {cap} states\n"
+        else:
+            assert done.stderr.startswith(f"error: {size} does not fit in memory: {reason}")
 
     @pytest.mark.parametrize(
         "argv",

@@ -54,8 +54,9 @@ GATES = [
 
 
 # sha256 of every `_state_tables` column at 515 states: the closed forms the
-# state sweeps read.  Each state's values do not depend on its stack, so the
-# digests hold at any `_STATE_BLOCK`.
+# state sweeps read.  Each state's values do not depend on its stack, at any
+# stack length (test_pair_concurrence_bits_do_not_depend_on_the_stack_length),
+# so the digests hold at any `_STATE_BLOCK` and whichever call draws the rows.
 STATE_TABLE_SHA256 = {
     0: {
         "lam_hi": "6dc08a8506490e80d1a6e0e821475573d80a6447e3c2f17f9fdf2764eacb6654",
@@ -1048,10 +1049,23 @@ class TestStateTables:
     @pytest.mark.parametrize("seed", [0, 7919])
     @pytest.mark.parametrize("n_states", [1, 400, 515, verify._STATE_BLOCK + 3])
     def test_table_is_a_prefix_of_a_longer_table(self, seed, n_states):
-        table = verify._state_tables(n_states, seed)
         longer = verify._state_tables(2 * verify._STATE_BLOCK + 7, seed)
-        for name, column in table.items():
-            assert np.array_equal(column, longer[name][:n_states]), name
+        # From the first row, and from a start whose rows cross a
+        # _STATE_BLOCK edge of the longer table's draws.
+        for start in (0, verify._STATE_BLOCK - 200):
+            table = verify._state_tables(n_states, seed, start)
+            for name, column in table.items():
+                assert np.array_equal(column, longer[name][start : start + n_states]), (start, name)
+
+    def test_pair_concurrence_bits_do_not_depend_on_the_stack_length(self):
+        # From 256 KiB numpy may compute a product in place into a temporary
+        # operand, which rounds differently; a row's bits must not depend on
+        # the rows it is stacked with.  16384 rows are 8192 states' pairs.
+        amps = states.random_pure_states(3, 8192, 3).reshape(-1, 2, 2, 2)
+        stack = np.concatenate([amps.reshape(-1, 4, 2), amps.swapaxes(2, 3).reshape(-1, 4, 2)])
+        whole = verify._pair_concurrence(stack)
+        pieces = [verify._pair_concurrence(stack[k : k + 1000]) for k in range(0, len(stack), 1000)]
+        assert whole.tobytes() == np.concatenate(pieces).tobytes()
 
     @pytest.mark.parametrize("seed", [3, 7919])
     def test_ckw_residual_is_the_three_tangle(self, seed):
@@ -1097,7 +1111,7 @@ class TestStateTables:
 
     # Bound on the tracemalloc peak beyond the six returned columns, per
     # state of one block: the block's amplitudes (128 bytes a state), its
-    # uniforms and the temporaries of its reduction.  It measures 921
+    # uniforms and the temporaries of its reduction.  It measures 897
     # bytes; drawing the whole stream at once took 1585 at this size, and
     # grows with the table.
     @pytest.mark.parametrize("seed", [0, 7919])
@@ -1107,6 +1121,23 @@ class TestStateTables:
         columns = sum(column.nbytes for column in table.values())
         assert columns == 6 * 8 * n_states
         assert peak <= columns + 1024 * verify._STATE_BLOCK
+
+    def test_state_sweep_peak_memory_is_flat_in_the_state_count(self):
+        # One table a sweep block: 12 blocks of states peak as 3 do (within
+        # 2 KB here), where a whole-run table added its six columns, 48
+        # bytes a state (7.1 MB between these two counts).
+        def peak(n_states):
+            tracemalloc.start()
+            try:
+                verify.run_state_check("ckw", n_states, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # A first sweep imports what the sweep needs, outside the trace.
+        verify.run_state_check("ckw", 5)
+        block = verify._SWEEP_BLOCK
+        assert abs(peak(12 * block) - peak(3 * block)) <= block * 8
 
     @pytest.mark.parametrize("seed", sorted(STATE_TABLE_SHA256))
     def test_columns_pinned(self, seed):
@@ -1321,11 +1352,11 @@ class TestGridPoints:
             raise AssertionError("np.linspace called")
 
         monkeypatch.setattr(np, "linspace", no_linspace)
-        steps = verify._MAX_MESH_POINTS // 2 + 1
+        steps = verify._MAX_POINTS // 2 + 1
         spec = verify.default_spec("lemma2", grid=(("x", 0.0, 1.0, steps), ("y", 0.0, 1.0, 2)))
         message = (
             f"a {steps} x 2 mesh ({2 * steps} points) is past the cap of "
-            f"{verify._MAX_MESH_POINTS} mesh points"
+            f"{verify._MAX_POINTS} mesh points"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify._grid_points(verify.family_of("lemma2"), spec)
