@@ -385,6 +385,8 @@ def chain_bound(values, m: int, p, coupling: str = "linear", tail: str = "new"):
         raise ValueError(f"split index {m} outside 0..{n - 2}")
     h = param.h
     pow_ = _coupling_exponent(param, coupling)
+    # numpy scalars, whose powers overflow to inf as ``_TWO``'s do.
+    vals = np.array(vals)
     if m == n - 2:
         total = sum(h ** (i - 1) * vals[i - 1] ** pow_ for i in range(1, n - 2))
         q = _tail(vals[-2], vals[-1], param, tail, coupling)
@@ -418,7 +420,7 @@ def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
     with np.errstate(over="ignore", invalid="ignore"):
         return BoundReport(
             exponent=pow_,
-            lhs=lhs**pow_,
+            lhs=float(np.float64(lhs) ** pow_),
             new_bound=chain_bound(values, m, param, coupling),
             prior_bound=chain_bound(values, m, param, coupling, tail="prior"),
             naive_bound=chain_bound(values, m, param, coupling, tail="naive"),

@@ -56,7 +56,11 @@ _MAX_POINTS = 10**12
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid, parameter lists, sample count, seed and tolerance of one sweep."""
+    """Grid, parameter lists, sample count, seed and tolerance of one sweep.
+
+    Checked once, when it is made, so that every spec can run: its own
+    fields, then its family's names, gates (``Family.gates``) and index.
+    """
 
     family: str
     grid: tuple[tuple[str, float, float, int], ...] = ()
@@ -90,12 +94,38 @@ class SweepSpec:
                 raise ValueError(f"axis {name!r} needs >= 2 steps, got {steps}")
             if hi < lo:
                 raise ValueError(f"axis {name!r} has max {hi} < min {lo}")
-        for name, values in self.params:
+        params = tuple((name, tuple(values)) for name, values in self.params)
+        object.__setattr__(self, "params", params)
+        for name, values in params:
             if not values:
                 raise ValueError(f"parameter {name!r} has no values")
             # A repeated value would check, and report, its points twice.
             if len(set(values)) < len(values):
                 raise ValueError(f"parameter {name!r} repeats a value, got {values}")
+
+        fam = family_of(self.family)
+        for kind, expected, given in (("axes", fam.axes, grid), ("parameters", fam.params, params)):
+            expected = tuple(name for name, *_ in expected)
+            given = tuple(name for name, *_ in given)
+            if sorted(given) != sorted(expected):
+                raise ValueError(f"family {fam.name!r} takes {kind} {expected}, got {given}")
+        gates = {name: measures.Window(*window) for name, *window in fam.gates}
+        ranges = [(name, (lo, hi)) for name, lo, hi, _steps in grid]
+        for k, (name, values) in enumerate(ranges + list(params)):
+            # Axis bounds are finite (above); inf passes an open-ended gate.
+            if k >= len(ranges) and not all(map(math.isfinite, values)):
+                raise ValueError(f"{name!r} values must be finite, got {values}")
+            lo, hi, hi_open = window = gates[name]
+            if not all(window.contains(value) for value in values):
+                if hi == math.inf:
+                    raise ValueError(f"{name!r} values must be >= {lo}")
+                edge = ")" if hi_open else "]"
+                raise ValueError(f"{name!r} values must lie in [{lo}, {hi}{edge}")
+        if fam.regime is not None:
+            # A regime's window may hold an index its measure refuses (alpha = 1).
+            measure = measures.MEASURES[bounds.REGIMES[fam.regime].measure]
+            for value in dict(params)[measure.index]:
+                measure.check(value)
 
 
 @dataclass
@@ -505,37 +535,6 @@ def default_spec(family: str, **overrides) -> SweepSpec:
     return SweepSpec(**base)
 
 
-def _validate_against_gates(fam: Family, spec: SweepSpec):
-    """Raise ValueError unless the spec's axis and parameter names are the
-    family's, each once and in any order, and every axis range and
-    parameter value lies in its gate."""
-    for kind, expected, given in (
-        ("axes", fam.axes, spec.grid),
-        ("parameters", fam.params, spec.params),
-    ):
-        expected = tuple(name for name, *_ in expected)
-        given = tuple(name for name, *_ in given)
-        if sorted(given) != sorted(expected):
-            raise ValueError(f"family {fam.name!r} takes {kind} {expected}, got {given}")
-    gates = {name: measures.Window(*window) for name, *window in fam.gates}
-    ranges = [(name, (lo, hi)) for name, lo, hi, _steps in spec.grid]
-    for name, values in ranges + list(spec.params):
-        lo, hi, hi_open = window = gates[name]
-        arr = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name!r} values must be finite, got {values}")
-        if not np.all(window.contains(arr)):
-            if hi == math.inf:
-                raise ValueError(f"{name!r} values must be >= {lo}")
-            edge = ")" if hi_open else "]"
-            raise ValueError(f"{name!r} values must lie in [{lo}, {hi}{edge}")
-    if fam.regime is not None:
-        # A regime's window may hold an index its measure refuses (alpha = 1).
-        measure = measures.MEASURES[bounds.REGIMES[fam.regime].measure]
-        for value in dict(spec.params)[measure.index]:
-            measure.check(value)
-
-
 def _combos(spec: SweepSpec):
     """One dict per parameter combination; with no parameters, one ``{}``."""
     names = [name for name, _ in spec.params]
@@ -858,7 +857,6 @@ def _sweep(spec: SweepSpec) -> SweepReport:
     all points, combo after combo.
     """
     fam = family_of(spec.family)
-    _validate_against_gates(fam, spec)
     combos = list(_combos(spec))
     tails = [tuple(combo[name] for name, _ in spec.params) for combo in combos]
     empty = (math.inf, None, [], 0, 0)

@@ -353,6 +353,17 @@ class TestChainBound:
         with pytest.raises(ValueError, match=message):
             bounds.compare_chain(0.5, [bad, 0.1], 1, 2.0, "tsallis_q2to3")
 
+    def test_overflow_is_inf_not_overflow_error(self):
+        # An overflowing power is numpy's, as in the pair tails: inf with a
+        # RuntimeWarning, never OverflowError.
+        for vals, m in (((1e200, 1e150, 1e-3), 2), ((1e200, 1e-3, 1e150), 1)):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                assert bounds.chain_bound(vals, m, 3.0) == math.inf
+        # At split 1 the last two values must ascend: the call ends in the
+        # ordering error, not in the first value's overflow.
+        with pytest.raises(ValueError, match="e1 < e2"), np.errstate(over="ignore"):
+            bounds.chain_bound([1e200, 1e150, 1e-3], 1, 3.0)
+
 
 class TestCompareBounds:
     def test_example_power_one_all_coincide(self):
@@ -394,6 +405,16 @@ class TestCompareBounds:
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
             bounds.compare_chain(0.5, (0.4, 0.2), 1, bounds.PowerParam(1.0), "nope")
+
+    def test_overflow_is_a_value_error(self):
+        # lhs**2000 overflows: the report names the exponent, and no
+        # OverflowError escapes.
+        message = (
+            r"^exponent 2000.0 overflows the bound arithmetic "
+            r"\(lhs, new, prior, naive = \(inf, "
+        )
+        with pytest.raises(ValueError, match=message):
+            bounds.compare_chain(2.0, (1.5, 0.5), 1, 2000.0, "renyi_ge2")
 
     def test_needs_an_ordered_pair(self):
         with pytest.raises(ValueError, match="e1 < e2"):

@@ -184,6 +184,31 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             verify.family_of("lemma99")
 
+    def test_params_are_stored_as_tuples(self):
+        # Lists and arrays of values are kept as tuples, as the grid is, so
+        # the frozen spec hashes; an array's truth value used to be ambiguous.
+        expected = verify.default_spec("lemma2", params=(("q", (2.0, 2.5)), ("mu", (1.0,))))
+        for values in (list, np.array):
+            spec = verify.default_spec(
+                "lemma2", params=[("q", values([2.0, 2.5])), ("mu", values([1.0]))]
+            )
+            assert spec == expected
+            assert hash(spec) == hash(expected)
+            assert all(type(vals) is tuple for _, vals in spec.params)
+
+    @pytest.mark.parametrize("family", ["lemma6", "remark3"])
+    def test_family_checked_once_when_made(self, family, monkeypatch):
+        # The engine trusts its spec: with the family's gates broken after
+        # the spec is made, the sweep gives the same report.
+        spec = small_spec(family, random_samples=40, seed=3)
+        expected = verify.run_sweep(spec).to_json()
+
+        def broken(fam):
+            raise AssertionError("gates read")
+
+        monkeypatch.setattr(verify.Family, "gates", property(broken))
+        assert verify.run_sweep(spec).to_json() == expected
+
 
 class TestRegistry:
     def test_names_in_order(self):
@@ -231,9 +256,7 @@ class TestGates:
                 (param, (value,)) if param == name else (param, values)
                 for param, values in fam.params
             )
-            verify._validate_against_gates(
-                fam, verify.default_spec(family, grid=grid, params=params)
-            )
+            verify.default_spec(family, grid=grid, params=params)
 
         check(lo)
         if not hi_open and math.isfinite(hi):
@@ -258,9 +281,8 @@ class TestGates:
                 (other, (values[0], bad) if other == name else vals)
                 for other, vals in fam.params
             )
-            spec = verify.default_spec(family, params=params)
             with pytest.raises(ValueError, match=f"'{name}' values must be finite"):
-                verify._validate_against_gates(fam, spec)
+                verify.default_spec(family, params=params)
 
 
 class TestRunSweep:
@@ -408,12 +430,12 @@ class TestSpecNames:
     )
     def test_mismatched_names_are_refused(self, family, field, value, expected, given):
         # A missing name used to end in a bare KeyError, an extra one was
-        # silently ignored; a name given twice is refused too.
-        spec = verify.default_spec(family, random_samples=10, **{field: value})
+        # silently ignored; a name given twice is refused too.  The spec
+        # refuses when it is made.
         kind = "axes" if field == "grid" else "parameters"
         message = f"family '{family}' takes {kind} {expected}, got {given}"
         with pytest.raises(ValueError) as excinfo:
-            verify.run_sweep(spec)
+            verify.default_spec(family, random_samples=10, **{field: value})
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
@@ -569,7 +591,8 @@ REGIME_GRID_FAMILIES = [name for name in verify.GRID_FAMILIES if verify.family_o
 def grid_sweeps(draw, families=verify.GRID_FAMILIES):
     """A small grid spec of one of ``families`` inside the family's gates, a
     block size and a shift that lowers every margin (so that many points
-    violate)."""
+    violate).  Only values the spec takes are drawn (``sweep_takes``): a
+    refused one is never made."""
     fam = verify.family_of(draw(st.sampled_from(families)))
     gates = {name: (lo, hi, hi_open) for name, lo, hi, hi_open in fam.gates}
 
@@ -577,6 +600,7 @@ def grid_sweeps(draw, families=verify.GRID_FAMILIES):
         lo, hi, hi_open = gates[name]
         hi = min(hi, lo + 7.0)
         floats = st.floats(lo, hi, exclude_max=hi_open)
+        floats = floats.filter(lambda value: sweep_takes(fam, name, value))
         return draw(st.lists(floats, min_size=count, max_size=count, unique=unique))
 
     grid = tuple(
@@ -621,8 +645,8 @@ def full_mesh_sweeps(draw):
     grid = tuple((name, *ranges[name], draw(st.integers(2, 50))) for name, *_ in fam.axes)
 
     def values(name):
-        # Only values the sweep takes: a refused sweep has no tile to
-        # compare.  The refusals have their own tests.
+        # Only values the spec takes: a refused spec is never made.  The
+        # refusals have their own tests.
         lo, hi, hi_open = gates[name]
         floats = st.floats(lo, min(hi, lo + 7.0), exclude_max=hi_open)
         floats = floats.filter(lambda value: sweep_takes(fam, name, value))
@@ -640,7 +664,7 @@ def full_mesh_sweeps(draw):
 
 
 def sweep_takes(fam, name, value):
-    """Whether a sweep of ``fam`` takes ``value`` for its parameter
+    """Whether a spec of ``fam`` takes ``value`` for its axis or parameter
     ``name``: inside the gate, whose open edge excludes its slack of
     roundoff, and, for a regime's index, one the measure's check takes
     (renyi_window's window holds alpha = 1, which the Renyi check refuses;
@@ -980,11 +1004,10 @@ class TestRunStateCheck:
             verify.run_state_check("lemma1", n_states=10)
 
     def test_rejects_bad_params(self):
-        spec = verify.default_spec(
-            "remark1", random_samples=10, params=(("q", (5.0,)), ("eta", (1.0,)))
-        )
         with pytest.raises(ValueError, match="'q' values"):
-            verify.run_sweep(spec)
+            verify.default_spec(
+                "remark1", random_samples=10, params=(("q", (5.0,)), ("eta", (1.0,)))
+            )
 
     @pytest.mark.parametrize("family", verify.STATE_FAMILIES)
     @pytest.mark.parametrize(
