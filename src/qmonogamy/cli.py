@@ -201,15 +201,7 @@ def cmd_sweep(args, out=None) -> int:
     try:
         report = verify.run_sweep(spec)
     except MemoryError as exc:
-        if spec.grid:
-            steps = [steps for *_, steps in spec.grid]
-            size = f"a {' x '.join(map(str, steps))} mesh ({math.prod(steps)} points)"
-            # Given samples can outgrow the mesh; the default few never do.
-            if args.samples:
-                size += f" and {spec.random_samples} samples"
-        else:
-            size = f"{spec.random_samples} states"
-        raise MemoryError(f"{size} does not fit in memory: {exc}") from exc
+        raise MemoryError(f"{spec.size} does not fit in memory: {exc}") from exc
     print(report.to_json(), file=out)
     return 1 if report.violations_total or report.nonfinite else 0
 

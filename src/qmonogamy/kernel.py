@@ -111,14 +111,18 @@ def clamp_spectrum(spectrum: np.ndarray) -> np.ndarray:
     return np.where(spectrum < ROUNDOFF_ZERO, 0.0, spectrum)
 
 
-def as_integer(value, name: str) -> int:
-    """``value`` as an int, for every qubit count and index: an integer or an
-    integral float."""
+def as_integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int, for every qubit count, index, count and seed: an
+    integer or an integral float, and at least ``least`` when that is given."""
     if isinstance(value, float) and value.is_integer():  # False for NaN and inf
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = int(value)
+    else:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def partial_trace(rho, n_qubits: int, keep) -> np.ndarray:

@@ -17,7 +17,6 @@ measure's index, window and formula are one row of ``MEASURES``.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -408,12 +407,8 @@ def concurrence_roof_oracle(rho, restarts: int = 200, seed: int = 0) -> float:
     for a fixed seed the estimate is the running minimum over restarts:
     raising ``restarts`` can only lower (never raise) the result.
     """
-    # A bool is an Integral, and True would run one restart.
-    if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts < 1:
-        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
-    seed = kernel.as_integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    restarts = kernel.as_integer(restarts, "restarts", least=1)
+    seed = kernel.as_integer(seed, "seed", least=0)
     arr = kernel.require_density(rho, dim=4)
     w, v = np.linalg.eigh(arr)
     keep = w > _RANK_CUTOFF

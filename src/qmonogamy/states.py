@@ -37,9 +37,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = kernel.as_integer(self.n_qubits, "n_qubits")
-        if n < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n}")
+        n = kernel.as_integer(self.n_qubits, "n_qubits", least=1)
         try:
             amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         except OverflowError:
@@ -207,16 +205,10 @@ def random_pure_states(n_qubits: int, count: int, seed: int, start: int = 0) -> 
     n_qubits = kernel.as_integer(n_qubits, "n_qubits")
     if not 1 <= n_qubits <= 4:
         raise ValueError(f"n_qubits must be in 1..4, got {n_qubits}")
-    start = kernel.as_integer(start, "start")
-    if start < 0:
-        raise ValueError(f"start must be >= 0, got {start}")
-    count = kernel.as_integer(count, "count")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    start = kernel.as_integer(start, "start", least=0)
+    count = kernel.as_integer(count, "count", least=0)
     # numpy takes True as seed 1 and refuses 3.0 with a TypeError.
-    seed = kernel.as_integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = kernel.as_integer(seed, "seed", least=0)
     dim = 2**n_qubits
     _check_draw(start, dim)
     rng = np.random.default_rng(seed)

@@ -47,10 +47,12 @@ _SWEEP_BLOCK = 16384
 # nine: its x and y columns, the joint spectrum, its powers and three
 # margin rows, beside the block's own table (``_state_tables``).
 _WORKSPACE_ROWS = 10
-# Mesh points (``_grid_points``) or states (``_blocks``) a sweep takes at
-# most: at the 3 x 10^7 points a second of the benchmark's grid sweeps (one
-# core, every combo counted), 10^12 take eight hours with one combo and days
-# with 12-44, and 10^12 states take eleven days at 10^6 a second.
+# Points a sweep takes at most (``SweepSpec``): a grid's mesh points plus
+# its samples, or a state family's states.  At the 3 x 10^7 points a second
+# of the benchmark's grid sweeps (one core, every combo counted), 10^12 take
+# eight hours with one combo and days with 12-44, and 10^12 states take
+# eleven days at 10^6 a second.  It also keeps every table (10^12 float64s)
+# and state draw (1.3 x 10^14 bytes) far below the largest array size.
 _MAX_POINTS = 10**12
 
 
@@ -59,7 +61,9 @@ class SweepSpec:
     """Grid, parameter lists, sample count, seed and tolerance of one sweep.
 
     Checked once, when it is made, so that every spec can run: its own
-    fields, then its family's names, gates (``Family.gates``) and index.
+    fields, then its family's names, gates (``Family.gates``) and index,
+    then its size: a state family needs at least one state, and no sweep
+    takes more than ``_MAX_POINTS`` points (``size`` words them).
     """
 
     family: str
@@ -78,10 +82,7 @@ class SweepSpec:
         # Counts are stored as ints: a boolean or a fraction fails here, by
         # name, and not deep in the point source.
         for count in ("random_samples", "seed"):
-            value = kernel.as_integer(getattr(self, count), count)
-            if value < 0:
-                raise ValueError(f"{count} must be >= 0, got {value}")
-            object.__setattr__(self, count, value)
+            object.__setattr__(self, count, kernel.as_integer(getattr(self, count), count, least=0))
         grid = tuple((name, lo, hi, kernel.as_integer(steps, f"axis {name!r} steps"))
                      for name, lo, hi, steps in self.grid)
         object.__setattr__(self, "grid", grid)
@@ -126,6 +127,20 @@ class SweepSpec:
             measure = measures.MEASURES[bounds.REGIMES[fam.regime].measure]
             for value in dict(params)[measure.index]:
                 measure.check(value)
+        if fam.kind == "state" and self.random_samples == 0:
+            raise ValueError(f"family {fam.name!r} needs at least one state, got 0")
+        points = math.prod(steps for *_, steps in grid) if grid else 0
+        if points + self.random_samples > _MAX_POINTS:
+            raise ValueError(f"a sweep of {self.size} is past the cap of {_MAX_POINTS} points")
+
+    @property
+    def size(self) -> str:
+        """The sweep's points in words: its mesh and any samples, or its states."""
+        if not self.grid:
+            return f"{self.random_samples} states"
+        steps = [steps for *_, steps in self.grid]
+        size = f"a {' x '.join(map(str, steps))} mesh ({math.prod(steps)} points)"
+        return f"{size} and {self.random_samples} samples" if self.random_samples else size
 
 
 @dataclass
@@ -618,15 +633,6 @@ def _grid_points(fam: Family, spec: SweepSpec) -> tuple[dict[str, np.ndarray], n
     """
     axis_names = [name for name, *_ in spec.grid]
     shape = tuple(steps for *_, steps in spec.grid)
-    n_mesh = math.prod(shape)
-    # Refused before any allocation: no table (steps + random_samples), run
-    # array or sample draw can be indexed past this size, and there numpy
-    # raises its own IndexError (np.linspace) or ValueError (np.empty).
-    if (max(shape) + spec.random_samples * len(shape)) * 8 > np.iinfo(np.intp).max:
-        raise MemoryError("its float64 columns would exceed the largest array size")
-    if n_mesh > _MAX_POINTS:
-        size = f"a {' x '.join(map(str, shape))} mesh ({n_mesh} points)"
-        raise ValueError(f"{size} is past the cap of {_MAX_POINTS} mesh points")
     tables = [np.empty(steps + spec.random_samples) for steps in shape]
     for table, (_, lo, hi, steps) in zip(tables, spec.grid):
         table[:steps] = np.linspace(lo, hi, steps)
@@ -755,14 +761,6 @@ def _blocks(fam: Family, spec: SweepSpec):
     """
     if fam.kind == "state":
         n_states = spec.random_samples
-        if n_states < 1:
-            raise ValueError(f"family {fam.name!r} needs at least one state, got {n_states}")
-        # The stream's uniforms, 16 float64s a state, must fit one array, as
-        # ``random_pure_states`` requires of each block's offset.
-        if n_states * 16 * 8 > np.iinfo(np.intp).max:
-            raise MemoryError("its float64 draw would exceed the largest array size")
-        if n_states > _MAX_POINTS:
-            raise ValueError(f"{n_states} states are past the cap of {_MAX_POINTS} states")
         workspace = _Workspace(_WORKSPACE_ROWS, min(_SWEEP_BLOCK, n_states))
         for start in range(0, n_states, _SWEEP_BLOCK):
             block = _state_tables(min(_SWEEP_BLOCK, n_states - start), spec.seed, start)

@@ -381,7 +381,7 @@ class TestSweep:
         "argv,size",
         [
             (["sweep", "lemma2", "--x-steps", "40000", "--y-steps", "40000"],
-             "a 40000 x 40000 mesh (1600000000 points)"),
+             "a 40000 x 40000 mesh (1600000000 points) and 500 samples"),
             (["sweep", "ckw", "--states", "100000000"], "100000000 states"),
         ],
     )
@@ -428,18 +428,14 @@ class TestSweep:
 
         monkeypatch.setattr(np, "linspace", no_linspace)
         code, out, err = run(["sweep", family, "--x-steps", str(steps)], capsys)
-        size = f"a {steps} x {other} mesh ({steps * other} points)"
+        size = f"a {steps} x {other} mesh ({steps * other} points) and 500 samples"
         assert (code, out) == (2, "")
-        assert err == (
-            f"error: {size} does not fit in memory: "
-            "its float64 columns would exceed the largest array size\n"
-        )
+        assert err == f"error: a sweep of {size} is past the cap of {verify._MAX_POINTS} points\n"
 
     @pytest.mark.parametrize("family,second", [("lemma1", "--mu-steps"), ("lemma2", "--y-steps")])
     def test_unmappable_mesh_exits_quickly(self, family, second):
-        # 10^14 points are past the mesh cap, which is refused before
-        # anything is allocated: at 10^14 points any per-point pass would
-        # run for days.
+        # 10^14 points are past the cap, which is refused when the spec is
+        # made: at 10^14 points any per-point pass would run for days.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         argv = ["sweep", family, "--x-steps", "10000000", second, "10000000"]
         done = subprocess.run(
@@ -447,42 +443,36 @@ class TestSweep:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30,
         )
         assert (done.returncode, done.stdout) == (2, "")
-        size = "a 10000000 x 10000000 mesh (100000000000000 points)"
+        size = "a 10000000 x 10000000 mesh (100000000000000 points) and 500 samples"
         cap = verify._MAX_POINTS
-        assert done.stderr == f"error: {size} is past the cap of {cap} mesh points\n"
+        assert done.stderr == f"error: a sweep of {size} is past the cap of {cap} points\n"
 
     @pytest.mark.parametrize(
-        "argv,size,reason",
+        "argv,size",
         [
-            # Past the largest array: refused before any allocation.
+            # Past the largest array size.
             (["sweep", "lemma2", "--samples", str(2**63 - 1)],
-             f"a 60 x 60 mesh (3600 points) and {2**63 - 1} samples",
-             "its float64 columns would exceed the largest array size\n"),
-            (["sweep", "ckw", "--states", str(2**60)],
-             f"{2**60} states",
-             "its float64 draw would exceed the largest array size\n"),
+             f"a 60 x 60 mesh (3600 points) and {2**63 - 1} samples"),
+            (["sweep", "ckw", "--states", str(2**60)], f"{2**60} states"),
             # 10^14 samples need 800 TB a column, more than any 64-bit
-            # process can map: numpy's allocation fails at once.
+            # process can map.
             (["sweep", "lemma2", "--samples", "100000000000000"],
-             "a 60 x 60 mesh (3600 points) and 100000000000000 samples",
-             ""),
-            # 10^13 states fit a draw, and a sweep holds one block of them:
-            # past the cap, refused by name before the first draw.
-            (["sweep", "ckw", "--states", str(10**13)], f"{10**13} states", None),
+             "a 60 x 60 mesh (3600 points) and 100000000000000 samples"),
+            # 10^13 states fit a draw, and a sweep holds one block of them.
+            (["sweep", "ckw", "--states", str(10**13)], f"{10**13} states"),
         ],
     )
-    def test_huge_counts_exit_quickly(self, argv, size, reason):
+    def test_huge_counts_exit_quickly(self, argv, size):
+        # Each is past the cap, refused by name when the spec is made,
+        # before anything is allocated.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         done = subprocess.run(
             [sys.executable, "-m", "qmonogamy", *argv],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30,
         )
         assert (done.returncode, done.stdout) == (2, "")
-        if reason is None:
-            cap = verify._MAX_POINTS
-            assert done.stderr == f"error: {size} are past the cap of {cap} states\n"
-        else:
-            assert done.stderr.startswith(f"error: {size} does not fit in memory: {reason}")
+        cap = verify._MAX_POINTS
+        assert done.stderr == f"error: a sweep of {size} is past the cap of {cap} points\n"
 
     @pytest.mark.parametrize(
         "argv",

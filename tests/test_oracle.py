@@ -64,13 +64,18 @@ def test_deterministic_and_nonincreasing_in_restarts():
 
 
 def test_restart_gate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^restarts must be >= 1, got 0$"):
         measures.concurrence_roof_oracle(np.eye(4, dtype=complex) / 4.0, restarts=0)
     # A bool is an Integral, but not a restart count.
-    for restarts in (2.5, 3.0, "3", True):
+    for restarts in (2.5, "3", True):
         with pytest.raises(ValueError, match="integer"):
             measures.concurrence_roof_oracle(np.eye(4) / 4.0, restarts=restarts)
     assert measures.concurrence_roof_oracle(np.eye(4) / 4.0, restarts=np.int64(3)) == 0.0
+    # An integral float is a count, as it is for every other count and seed.
+    mixed = rank2_density(np.random.default_rng(5))
+    expected = measures.concurrence_roof_oracle(mixed, restarts=3)
+    for restarts in (3.0, np.int64(3)):
+        assert measures.concurrence_roof_oracle(mixed, restarts=restarts) == expected
 
 
 def test_seed_gate():

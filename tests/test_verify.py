@@ -196,6 +196,28 @@ class TestSweepSpec:
             assert hash(spec) == hash(expected)
             assert all(type(vals) is tuple for _, vals in spec.params)
 
+    @pytest.mark.parametrize("family", verify.STATE_FAMILIES)
+    def test_state_family_without_states_is_refused_when_made(self, family):
+        with pytest.raises(ValueError, match=f"^family '{family}' needs at least one state, got 0$"):
+            verify.default_spec(family, random_samples=0)
+
+    def test_points_past_the_cap_are_refused_when_made(self, monkeypatch):
+        # Mesh points and samples count together: 10^6 x 10^6 is the cap,
+        # one sample more is past it.  Nothing is allocated or run.
+        def no_points(*args):
+            raise AssertionError("points built")
+
+        monkeypatch.setattr(verify, "_grid_points", no_points)
+        grid = (("x", 0.0, 1.0, 10**6), ("y", 0.0, 1.0, 10**6))
+        spec = verify.default_spec("lemma2", grid=grid, random_samples=0)
+        assert spec.size == f"a 1000000 x 1000000 mesh ({10**12} points)"
+        message = (
+            f"a sweep of a 1000000 x 1000000 mesh ({10**12} points) and 1 samples "
+            f"is past the cap of {verify._MAX_POINTS} points"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify.default_spec("lemma2", grid=grid, random_samples=1)
+
     @pytest.mark.parametrize("family", ["lemma6", "remark3"])
     def test_family_checked_once_when_made(self, family, monkeypatch):
         # The engine trusts its spec: with the family's gates broken after
@@ -1376,13 +1398,12 @@ class TestGridPoints:
 
         monkeypatch.setattr(np, "linspace", no_linspace)
         steps = verify._MAX_POINTS // 2 + 1
-        spec = verify.default_spec("lemma2", grid=(("x", 0.0, 1.0, steps), ("y", 0.0, 1.0, 2)))
         message = (
-            f"a {steps} x 2 mesh ({2 * steps} points) is past the cap of "
-            f"{verify._MAX_POINTS} mesh points"
+            f"a sweep of a {steps} x 2 mesh ({2 * steps} points) and 500 samples "
+            f"is past the cap of {verify._MAX_POINTS} points"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            verify._grid_points(verify.family_of("lemma2"), spec)
+            verify.default_spec("lemma2", grid=(("x", 0.0, 1.0, steps), ("y", 0.0, 1.0, 2)))
 
     # Bound on the tracemalloc peak over the returned tables and runs, in
     # block columns of _SWEEP_BLOCK float64s: one block of mesh rows'
