@@ -8,7 +8,6 @@ grids and random-state ensembles.
 
 from .bounds import (
     BoundReport,
-    PowerParam,
     chain_bound,
     compare_chain,
     ordering_certificate,
@@ -54,7 +53,6 @@ __all__ = [
     "BoundReport",
     "MEASURES",
     "Measure",
-    "PowerParam",
     "PureState",
     "SweepReport",
     "SweepSpec",

@@ -47,37 +47,34 @@ _CERT_TOL = 1e-10
 _TWO = np.float64(2.0)
 
 
-@dataclass(frozen=True)
-class PowerParam:
-    """Power mu >= 1 of the monogamy relation; the squared coupling uses
-    the exponent gamma = 2 mu."""
+# Each power's floor, and the message that refuses a power below it.
+_POWER_FLOORS = {"mu": (1.0, "power must be >= 1"), "gamma": (2.0, "power gamma must be >= 2")}
 
-    mu: float
 
-    def __post_init__(self):
-        mu = float(self.mu)
-        # A NaN passes the comparison below; name the bad parameter.
-        if not math.isfinite(mu):
-            raise ValueError(f"power mu must be finite, got {mu}")
-        if mu < 1.0:
-            raise ValueError(f"power must be >= 1, got {mu}")
-        object.__setattr__(self, "mu", mu)
-
-    @classmethod
-    def from_gamma(cls, gamma: float) -> "PowerParam":
-        """The power mu = gamma / 2; halving and doubling are exact, so the
-        squared coupling's exponent 2 mu is ``gamma`` again."""
-        gamma = float(gamma)
-        if not math.isfinite(gamma):
-            raise ValueError(f"power gamma must be finite, got {gamma}")
-        if gamma < 2.0:
-            raise ValueError(f"power gamma must be >= 2, got {gamma}")
-        return cls(gamma / 2.0)
-
-    @property
-    def h(self) -> float:
-        """Tail weight 2**mu - 1 of the chain expansion."""
-        return _TWO**self.mu - 1.0
+def check_power(power, name: str = "mu"):
+    """``power``, a number or an array, as a float or a float array, once
+    every entry is finite and at least the floor of ``name``: 1 for the
+    power mu of the relations, 2 for the exponent gamma = 2 mu of the
+    squared coupling.  The floor is exact: below mu = 1, e1^(mu - 1) is
+    infinite at e1 = 0."""
+    floor, below = _POWER_FLOORS[name]
+    # NaN passes the floor's comparison and inf turns every tail into NaN,
+    # so both are refused by name.  A number takes plain comparisons, which
+    # cost less than numpy's.
+    if isinstance(power, (int, float)):
+        power = float(power)
+        if not math.isfinite(power):
+            raise ValueError(f"power {name} must be finite, got {power}")
+        if power < floor:
+            raise ValueError(f"{below}, got {power}")
+        return power
+    values = np.asarray(power, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"power {name} must be finite, got {values[~finite].flat[0]}")
+    if (values < floor).any():
+        raise ValueError(f"{below}, got {np.min(values)}")
+    return values if values.ndim else float(values)
 
 
 @dataclass(frozen=True)
@@ -102,12 +99,14 @@ class Regime:
         E^k >= E_AB^k + E_AC^k; the relation's exponent is k mu."""
         return _DEGREE[self.coupling]
 
-    def power(self, exponent: float) -> PowerParam:
-        """The power of the relation with ``exponent``: mu for the linear
-        coupling, gamma = 2 mu for the squared one."""
+    def power(self, exponent: float) -> float:
+        """The power mu of the relation with ``exponent``: the exponent
+        itself for the linear coupling, gamma / 2 for the squared one, whose
+        exponent is gamma = 2 mu.  Halving is exact, so 2 mu is ``gamma``
+        bit for bit."""
         if self.coupling == "squared":
-            return PowerParam.from_gamma(exponent)
-        return PowerParam(exponent)
+            return check_power(exponent, "gamma") / 2.0
+        return check_power(exponent)
 
 
 REGIMES = {
@@ -197,11 +196,7 @@ class BoundReport:
         }
 
 
-def _as_power(p) -> PowerParam:
-    return p if isinstance(p, PowerParam) else PowerParam(float(p))
-
-
-def power_chain(x, p, out=None):
+def power_chain(x, mu, out=None):
     """Four-term comparison chain for (1 + x)**mu on 0 <= x <= 1.
 
     Returns ``(lhs, tight_mid, loose_mid, naive)`` with
@@ -215,22 +210,13 @@ def power_chain(x, p, out=None):
     formed at mu's own shape and meet x only when combined with it, so an
     open grid (x a column, mu a row) pays for them once per mu.
     """
-    if isinstance(p, PowerParam):
-        mu = p.mu
-    else:
-        mu = np.asarray(p, dtype=float)
-        # NaN passes the comparison below, and inf turns every tail into NaN.
-        finite = np.isfinite(mu)
-        if not finite.all():
-            raise ValueError(f"power mu must be finite, got {mu[~finite].flat[0]}")
-        if (mu < 1.0).any():
-            raise ValueError(f"power must be >= 1, got {np.min(mu)}")
-        if np.ndim(p) == 0:
-            mu = float(mu)
+    mu = check_power(mu)
     arr = np.asarray(x, dtype=float)
-    # Written so that NaN, for which every comparison is False, fails.
-    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+    # The sweep gates' edge rule: a NaN fails, and the roundoff a closed edge
+    # admits is clipped away, since x^mu is NaN below 0.
+    if not measures.Window(0.0, 1.0).contains(arr).all():
         raise ValueError("x outside [0, 1]")
+    arr = np.clip(arr, 0.0, 1.0)
     if out is None:
         # Arrays of the result's shape, or, for a scalar x and mu, numpy
         # scalars, whose power (1 + x)**mu is the scalar one.
@@ -253,18 +239,19 @@ def power_chain(x, p, out=None):
 def _check_ordered(e1, e2):
     a = np.asarray(e1, dtype=float)
     b = np.asarray(e2, dtype=float)
-    # Written so that NaN, for which every comparison is False, fails.
-    if not ((a >= 0.0).all() and (b >= 0.0).all()):
-        raise ValueError("entanglement values must be nonnegative")
-    if (a < b).any():
+    # Written so that NaN, for which every comparison is False, fails:
+    # 0 <= b <= a < inf holds every value finite and nonnegative.
+    if not ((b >= 0.0).all() and (a >= b).all() and (a < math.inf).all()):
+        if not all((np.isfinite(v) & (v >= 0.0)).all() for v in (a, b)):
+            raise ValueError("entanglement values must be finite and nonnegative")
         raise ValueError("hypothesis violated: e1 < e2 (caller must order)")
     return a, b
 
 
-def _coupling_exponent(param: PowerParam, coupling: str) -> float:
+def _coupling_exponent(mu: float, coupling: str) -> float:
     if coupling not in _DEGREE:
         raise ValueError(f"unknown coupling {coupling!r}; expected one of {COUPLINGS}")
-    return _DEGREE[coupling] * param.mu
+    return _DEGREE[coupling] * mu
 
 
 def _tail_values(head, lead, e2, last, full, squared: bool, coefficients, out=None) -> list:
@@ -302,7 +289,7 @@ def _tail_values(head, lead, e2, last, full, squared: bool, coefficients, out=No
     return tails
 
 
-def _tail(e1, e2, p, name: str, coupling: str = "linear", out=None):
+def _tail(e1, e2, mu, name: str, coupling: str = "linear", out=None):
     """Pair tail ``name`` (a key of ``_TAILS``) of the ordered pair e1 >= e2.
 
     ``out``, three arrays of the broadcast shape of e1 and e2 (or one
@@ -311,9 +298,9 @@ def _tail(e1, e2, p, name: str, coupling: str = "linear", out=None):
     """
     if name not in _TAILS:
         raise ValueError(f"unknown tail {name!r}; expected one of {tuple(_TAILS)}")
-    param = _as_power(p)
+    mu = check_power(mu)
     a, b = _check_ordered(e1, e2)
-    pow_ = _coupling_exponent(param, coupling)
+    pow_ = _coupling_exponent(mu, coupling)
     k = _DEGREE[coupling]
     if out is None:
         # Arrays of the tail's shape, or, for scalar e1 and e2, numpy scalars.
@@ -324,13 +311,13 @@ def _tail(e1, e2, p, name: str, coupling: str = "linear", out=None):
     vals, weighted, head = out
     lead, last = np.power(a, pow_ - k, out=vals), np.power(b, pow_, out=weighted)
     [vals] = _tail_values(
-        np.power(a, pow_, out=head), lead, b, last, _TWO**param.mu, k == 2,
-        [_TAILS[name](param.mu)], (vals, weighted),
+        np.power(a, pow_, out=head), lead, b, last, _TWO**mu, k == 2,
+        [_TAILS[name](mu)], (vals, weighted),
     )
     return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
 
 
-def pair_bound_new(e1, e2, p, coupling: str = "linear", out=None):
+def pair_bound_new(e1, e2, mu, coupling: str = "linear", out=None):
     """Tightened two-party tail, coefficient mu^2/(mu+1) on the cross term.
 
     linear:  e1^mu + mu^2/(mu+1) e1^(mu-1) e2 + (2^mu - mu^2/(mu+1) - 1) e2^mu
@@ -338,10 +325,10 @@ def pair_bound_new(e1, e2, p, coupling: str = "linear", out=None):
 
     ``out`` as in ``_tail``: the tail is written into its first array.
     """
-    return _tail(e1, e2, p, "new", coupling, out)
+    return _tail(e1, e2, mu, "new", coupling, out)
 
 
-def pair_bound_prior(e1, e2, p, coupling: str = "linear"):
+def pair_bound_prior(e1, e2, mu, coupling: str = "linear"):
     """Previously published two-party tail, cross coefficient mu/2.
 
     linear:  e1^mu + (mu/2) e1^(mu-1) e2 + (2^mu - mu/2 - 1) e2^mu
@@ -352,15 +339,15 @@ def pair_bound_prior(e1, e2, p, coupling: str = "linear"):
     reference [12] gives it for alpha >= 2 and, with g = 2 mu, the squared
     tail below.
     """
-    return _tail(e1, e2, p, "prior", coupling)
+    return _tail(e1, e2, mu, "prior", coupling)
 
 
-def pair_bound_naive(e1, e2, p, coupling: str = "linear"):
+def pair_bound_naive(e1, e2, mu, coupling: str = "linear"):
     """Weakest tail e1^pow + (2^mu - 1) e2^pow (no cross term)."""
-    return _tail(e1, e2, p, "naive", coupling)
+    return _tail(e1, e2, mu, "naive", coupling)
 
 
-def chain_bound(values, m: int, p, coupling: str = "linear", tail: str = "new"):
+def chain_bound(values, m: int, mu: float, coupling: str = "linear", tail: str = "new"):
     """Multi-party chain lower bound with split index ``m``.
 
     ``values`` are the per-pair entanglement values (length N-1 >= 2) in the
@@ -371,7 +358,7 @@ def chain_bound(values, m: int, p, coupling: str = "linear", tail: str = "new"):
     ``Q(v[N-1], v[N-2])`` and reweights the middle block.  ``tail`` selects
     the pairwise tail: "new" for the tightened one, "prior" or "naive".
     """
-    param = _as_power(p)
+    mu = check_power(mu)
     vals = [float(v) for v in values]
     n_minus_1 = len(vals)
     if n_minus_1 < 2:
@@ -383,21 +370,22 @@ def chain_bound(values, m: int, p, coupling: str = "linear", tail: str = "new"):
     m = kernel.as_integer(m, "split index")
     if not 0 <= m <= n - 2:
         raise ValueError(f"split index {m} outside 0..{n - 2}")
-    h = param.h
-    pow_ = _coupling_exponent(param, coupling)
+    # The tail weight 2^mu - 1 of the chain expansion.
+    h = _TWO**mu - 1.0
+    pow_ = _coupling_exponent(mu, coupling)
     # numpy scalars, whose powers overflow to inf as ``_TWO``'s do.
     vals = np.array(vals)
     if m == n - 2:
         total = sum(h ** (i - 1) * vals[i - 1] ** pow_ for i in range(1, n - 2))
-        q = _tail(vals[-2], vals[-1], param, tail, coupling)
+        q = _tail(vals[-2], vals[-1], mu, tail, coupling)
         return float(total + h ** (n - 3) * q)
     total = sum(h ** (i - 1) * vals[i - 1] ** pow_ for i in range(1, m + 1))
     total += h ** (m + 1) * sum(vals[j - 1] ** pow_ for j in range(m + 1, n - 2))
-    q = _tail(vals[-1], vals[-2], param, tail, coupling)
+    q = _tail(vals[-1], vals[-2], mu, tail, coupling)
     return float(total + h**m * q)
 
 
-def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
+def compare_chain(lhs: float, values, m: int, mu: float, regime: str) -> BoundReport:
     """Powered comparison of the full-cut value ``lhs`` (unpowered) against
     the new, prior and naive chain bounds of ``values`` at split ``m``.
 
@@ -407,7 +395,7 @@ def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
     matching pairwise tail swapped in, so the term-by-term dominance of the
     tails carries over to the chains.
     """
-    param = _as_power(p)
+    mu = check_power(mu)
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {tuple(REGIMES)}")
     lhs = float(lhs)
@@ -415,15 +403,15 @@ def compare_chain(lhs: float, values, m: int, p, regime: str) -> BoundReport:
     if not (math.isfinite(lhs) and lhs >= 0.0):
         raise ValueError(f"lhs must be finite and nonnegative, got {lhs}")
     coupling = REGIMES[regime].coupling
-    pow_ = _coupling_exponent(param, coupling)
+    pow_ = _coupling_exponent(mu, coupling)
     # An overflow shows as a non-finite bound, which BoundReport rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         return BoundReport(
             exponent=pow_,
             lhs=float(np.float64(lhs) ** pow_),
-            new_bound=chain_bound(values, m, param, coupling),
-            prior_bound=chain_bound(values, m, param, coupling, tail="prior"),
-            naive_bound=chain_bound(values, m, param, coupling, tail="naive"),
+            new_bound=chain_bound(values, m, mu, coupling),
+            prior_bound=chain_bound(values, m, mu, coupling, tail="prior"),
+            naive_bound=chain_bound(values, m, mu, coupling, tail="naive"),
         )
 
 

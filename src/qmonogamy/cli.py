@@ -146,40 +146,27 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _build_sweep_spec(args) -> verify.SweepSpec:
     fam = verify.family_of(args.family)
-    axis_names = [name for name, *_ in fam.axes]
-    param_names = [name for name, _ in fam.params]
 
-    grid = []
-    for name, lo, hi, steps in fam.axes:
-        arg_lo = getattr(args, f"{name}_min", None)
-        arg_hi = getattr(args, f"{name}_max", None)
-        arg_steps = getattr(args, f"{name}_steps", None)
-        grid.append(
-            (
-                name,
-                float(lo if arg_lo is None else arg_lo),
-                float(hi if arg_hi is None else arg_hi),
-                int(steps if arg_steps is None else arg_steps),
-            )
-        )
-    for flag in _AXIS_FLAGS:
-        if flag in axis_names:
-            continue
-        for suffix in ("min", "max", "steps"):
-            if getattr(args, f"{flag}_{suffix}", None) is not None:
-                raise ValueError(f"family {fam.name!r} has no {flag!r} axis")
+    def given(name, suffix, default):
+        value = getattr(args, f"{name}_{suffix}", None)
+        return default if value is None else value
 
-    params = []
-    for name, defaults in fam.params:
-        override = getattr(args, f"{name}_values", None)
-        params.append((name, override if override is not None else defaults))
-    for flag in _PARAM_FLAGS:
-        if flag in param_names:
-            continue
-        if getattr(args, f"{flag}_values", None) is not None:
-            raise ValueError(f"family {fam.name!r} has no {flag!r} parameter")
+    grid = tuple(
+        (name, float(given(name, "min", lo)), float(given(name, "max", hi)),
+         int(given(name, "steps", steps)))
+        for name, lo, hi, steps in fam.axes
+    )
+    params = tuple((name, given(name, "values", defaults)) for name, defaults in fam.params)
+    for kind, flags, suffixes, own in (
+        ("axis", _AXIS_FLAGS, ("min", "max", "steps"), grid),
+        ("parameter", _PARAM_FLAGS, ("values",), params),
+    ):
+        names = [name for name, *_ in own]
+        for flag in flags:
+            if flag not in names and any(given(flag, s, None) is not None for s in suffixes):
+                raise ValueError(f"family {fam.name!r} has no {flag!r} {kind}")
 
-    overrides = {"grid": tuple(grid), "params": tuple(params), "seed": args.seed}
+    overrides = {"grid": grid, "params": params, "seed": args.seed}
     if args.tolerance is not None:
         overrides["tolerance"] = args.tolerance
     if fam.kind == "grid":

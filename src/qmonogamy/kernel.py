@@ -61,7 +61,7 @@ def _check_members(values, failed, describe) -> None:
         raise ValueError(f"stack member {index}: {describe(values[index])}")
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     arr = as_matrix(m)
     if arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"matrix is not square: shape {arr.shape}")
@@ -69,8 +69,8 @@ def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     defect = np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     _check_members(
         defect,
-        defect > tol,
-        lambda d: f"matrix is not Hermitian: defect {d:.3e} > {tol:.1e}",
+        defect > HERMITICITY_TOL,
+        lambda d: f"matrix is not Hermitian: defect {d:.3e} > {HERMITICITY_TOL:.1e}",
     )
     return arr
 

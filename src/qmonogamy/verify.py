@@ -61,9 +61,10 @@ class SweepSpec:
     """Grid, parameter lists, sample count, seed and tolerance of one sweep.
 
     Checked once, when it is made, so that every spec can run: its own
-    fields, then its family's names, gates (``Family.gates``) and index,
-    then its size: a state family needs at least one state, and no sweep
-    takes more than ``_MAX_POINTS`` points (``size`` words them).
+    fields, then its family's names, gates (``Family.gates``), powers
+    (``bounds.check_power``) and index, then its size: a state family
+    needs at least one state, and no sweep takes more than
+    ``_MAX_POINTS`` points (``size`` words them).
     """
 
     family: str
@@ -122,6 +123,11 @@ class SweepSpec:
                     raise ValueError(f"{name!r} values must be >= {lo}")
                 edge = ")" if hi_open else "]"
                 raise ValueError(f"{name!r} values must lie in [{lo}, {hi}{edge}")
+            if name in _POWERS:
+                # A gate admits roundoff below its edge; the power's own
+                # floor is exact.
+                for value in values:
+                    bounds.check_power(value, _POWERS[name])
         if fam.regime is not None:
             # A regime's window may hold an index its measure refuses (alpha = 1).
             measure = measures.MEASURES[bounds.REGIMES[fam.regime].measure]
@@ -438,6 +444,8 @@ _GATES = {
     "eta": measures.Window(1.0),
     "gamma": measures.Window(2.0),
 }
+# The name each power takes in ``bounds.check_power``: eta is the Tsallis mu.
+_POWERS = {"mu": "mu", "eta": "mu", "gamma": "gamma"}
 
 
 @dataclass(frozen=True)

@@ -222,12 +222,12 @@ def test_extension_four_party_chain():
         for q, eta in ((2.0, 1.0), (2.0, 2.0), (3.0, 1.5)):
             lhs = measures.tsallis_pure(st, {0}, q)
             tail = [measures.g_q(pair_c[b] ** 2, q) for b in order]
-            margin = lhs**eta - bounds.chain_bound(tail, split, bounds.PowerParam(eta))
+            margin = lhs**eta - bounds.chain_bound(tail, split, eta)
             ok = ok and margin >= -1e-9
         for alpha, mu in ((2.0, 1.0), (2.0, 2.0)):
             lhs = measures.renyi_pure(st, {0}, alpha)
             tail = [measures.f_alpha(pair_c[b], alpha) for b in order]
-            margin = lhs**mu - bounds.chain_bound(tail, split, bounds.PowerParam(mu))
+            margin = lhs**mu - bounds.chain_bound(tail, split, mu)
             ok = ok and margin >= -1e-9
     ok = ok and decisive >= 50
 

@@ -6,7 +6,6 @@ PUBLIC_API = [
     "BoundReport",
     "MEASURES",
     "Measure",
-    "PowerParam",
     "PureState",
     "SweepReport",
     "SweepSpec",

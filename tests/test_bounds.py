@@ -46,27 +46,29 @@ def certificate(st, pivot, order):
     return bounds.ordering_certificate(st, pivot, order, pair_concurrences(st, pivot, order))
 
 
-class TestPowerParam:
+class TestCheckPower:
     def test_gates(self):
-        with pytest.raises(ValueError):
-            bounds.PowerParam(0.5)
+        with pytest.raises(ValueError, match="power must be >= 1, got 0.5"):
+            bounds.check_power(0.5)
+        with pytest.raises(ValueError, match="power must be >= 1, got 0.5"):
+            bounds.check_power(np.array([2.0, 0.5]))
         with pytest.raises(ValueError, match="power gamma must be >= 2, got 1.5"):
-            bounds.PowerParam.from_gamma(1.5)
-        assert bounds.PowerParam.from_gamma(5.0).mu == 2.5
-        assert bounds.PowerParam(2.0).h == 3.0
+            bounds.check_power(1.5, "gamma")
+        assert bounds.REGIMES["renyi_window"].power(5.0) == 2.5
+        assert bounds.check_power(2) == 2.0 and type(bounds.check_power(2)) is float
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(2.0, 1.7e308))
     def test_gamma_round_trips_exactly(self, gamma):
         # The squared coupling's exponent is 2 mu; it must be gamma bit for bit.
-        assert 2.0 * bounds.PowerParam.from_gamma(gamma).mu == gamma
+        assert 2.0 * bounds.REGIMES["renyi_window"].power(gamma) == gamma
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_power_named(self, bad):
         with pytest.raises(ValueError, match=f"power mu must be finite, got {bad}"):
-            bounds.PowerParam(bad)
+            bounds.check_power(bad)
         with pytest.raises(ValueError, match=f"power gamma must be finite, got {bad}"):
-            bounds.PowerParam.from_gamma(bad)
+            bounds.REGIMES["renyi_window"].power(bad)
 
 
 class TestRegimes:
@@ -110,8 +112,8 @@ class TestRegimes:
             bounds.regime_of("shannon", 2.0)
 
     def test_power_follows_the_coupling(self):
-        assert bounds.REGIMES["renyi_ge2"].power(3.0).mu == 3.0
-        assert bounds.REGIMES["renyi_window"].power(3.0).mu == 1.5
+        assert bounds.REGIMES["renyi_ge2"].power(3.0) == 3.0
+        assert bounds.REGIMES["renyi_window"].power(3.0) == 1.5
         assert [row.degree for row in bounds.REGIMES.values()] == [1, 1, 2]
 
     def test_table_invariants(self):
@@ -171,6 +173,14 @@ class TestPowerChain:
         with pytest.raises(ValueError):
             bounds.power_chain(0.5, 0.8)
 
+    def test_gate_slack_is_clipped(self):
+        # The sweep gates admit 1e-12 of roundoff past x's edges.
+        assert bounds.power_chain(1.0 + 1e-13, 2.5) == bounds.power_chain(1.0, 2.5)
+        assert bounds.power_chain(-1e-13, 2.5) == bounds.power_chain(0.0, 2.5)
+        for x in (1.0 + 2e-12, -2e-12):
+            with pytest.raises(ValueError, match=r"x outside \[0, 1\]"):
+                bounds.power_chain(x, 2.5)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_power_named(self, bad):
         # NaN passes the mu >= 1 check and inf makes NaN tails with warnings.
@@ -182,7 +192,7 @@ class TestPowerChain:
 
 class TestPairBounds:
     def test_single_party_reduction(self):
-        p = bounds.PowerParam.from_gamma(5.0)
+        p = bounds.REGIMES["renyi_window"].power(5.0)
         assert bounds.pair_bound_new(0.7, 0.0, p) == pytest.approx(0.7**2.5, abs=1e-15)
         assert bounds.pair_bound_new(0.7, 0.0, p, "squared") == pytest.approx(
             0.7**5.0, abs=1e-15
@@ -193,12 +203,12 @@ class TestPairBounds:
 
     def test_saturation_at_power_one(self):
         # g_2 is linear, so the canonical example satisfies additivity exactly.
-        val = bounds.pair_bound_new(T_HI, T_LO, bounds.PowerParam(1.0))
+        val = bounds.pair_bound_new(T_HI, T_LO, 1.0)
         assert val == pytest.approx(T_FULL, abs=1e-15)
 
     def test_example_prior_value(self):
         # hand-derived: e1^2 + 3 e2^2 + e2 (e1 - e2) = 1400/6561
-        got = bounds.pair_bound_prior(T_HI, T_LO, bounds.PowerParam(2.0))
+        got = bounds.pair_bound_prior(T_HI, T_LO, 2.0)
         assert got == pytest.approx(1400.0 / 6561.0, abs=1e-15)
 
     @pytest.mark.parametrize("e1,e2", [(0.5, math.nan), (math.nan, 0.2), (math.nan, math.nan)])
@@ -221,23 +231,38 @@ class TestPairBounds:
         bad = {"e1": e1, "e2": e2}[nan_in].copy()
         bad.flat[-1] = math.nan
         args = (bad, e2) if nan_in == "e1" else (e1, bad)
-        with pytest.raises(ValueError, match="^entanglement values must be nonnegative$"):
+        with pytest.raises(ValueError, match="^entanglement values must be finite and nonnegative$"):
             bounds.pair_bound_new(*args, 2.0)
         unordered = r"^hypothesis violated: e1 < e2 \(caller must order\)$"
         with pytest.raises(ValueError, match=unordered):
             bounds.pair_bound_new(e2, e1, 2.0)
 
+    @pytest.mark.parametrize(
+        "e1,e2",
+        [
+            (math.inf, 0.5),
+            (0.5, math.inf),
+            (np.array([0.5, math.inf]), np.array([0.1, 0.2])),
+            (np.array([[0.5], [0.4]]), np.array([[0.1, math.inf]])),
+        ],
+    )
+    def test_inf_refused_with_the_message(self, e1, e2):
+        # As ``chain_bound`` refuses it; the sign and finite check comes
+        # before the ordering one.
+        with pytest.raises(ValueError, match="^entanglement values must be finite and nonnegative$"):
+            bounds.pair_bound_new(e1, e2, 2.0)
+
     def test_old_family_name_is_an_unknown_coupling(self):
         with pytest.raises(ValueError, match="unknown coupling 'ref11'"):
-            bounds.pair_bound_prior(T_HI, T_LO, bounds.PowerParam(2.0), "ref11")
+            bounds.pair_bound_prior(T_HI, T_LO, 2.0, "ref11")
 
     def test_example_new_value(self):
         # hand-derived: e1^2 + (4/3) e1 e2 + (5/3) e2^2 = 4400/19683
-        got = bounds.pair_bound_new(T_HI, T_LO, bounds.PowerParam(2.0))
+        got = bounds.pair_bound_new(T_HI, T_LO, 2.0)
         assert got == pytest.approx(4400.0 / 19683.0, abs=1e-15)
 
     def test_mu1_collapse_families_agree(self):
-        p = bounds.PowerParam(1.0)
+        p = 1.0
         for e1, e2 in ((0.9, 0.4), (0.5, 0.5), (0.3, 0.0)):
             new = bounds.pair_bound_new(e1, e2, p)
             assert new == pytest.approx(e1 + e2, abs=1e-15)
@@ -246,7 +271,7 @@ class TestPairBounds:
     def test_squared_example_at_gamma2(self):
         e1 = measures.f_alpha(2.0 * math.sqrt(15.0) / 9.0, WINDOW_ALPHA)
         e2 = measures.f_alpha(2.0 * math.sqrt(5.0) / 9.0, WINDOW_ALPHA)
-        p = bounds.PowerParam.from_gamma(2.0)
+        p = bounds.REGIMES["renyi_window"].power(2.0)
         new = bounds.pair_bound_new(e1, e2, p, "squared")
         prior = bounds.pair_bound_prior(e1, e2, p, "squared")
         assert new == pytest.approx(e1 * e1 + e2 * e2, abs=1e-14)
@@ -254,9 +279,9 @@ class TestPairBounds:
 
     def test_ordering_hypothesis_enforced(self):
         with pytest.raises(ValueError):
-            bounds.pair_bound_new(0.2, 0.4, bounds.PowerParam(2.0))
+            bounds.pair_bound_new(0.2, 0.4, 2.0)
         with pytest.raises(ValueError):
-            bounds.pair_bound_prior(0.2, 0.4, bounds.PowerParam(2.0))
+            bounds.pair_bound_prior(0.2, 0.4, 2.0)
 
     def test_new_dominates_prior_everywhere(self):
         es = np.linspace(0.0, 1.0, 60)
@@ -264,8 +289,8 @@ class TestPairBounds:
         keep = e1 >= e2
         e1, e2 = e1[keep], e2[keep]
         for mu in (1.0, 1.3, 2.0, 2.7, 4.0):
-            p_lin = bounds.PowerParam(mu)
-            p_sq = bounds.PowerParam.from_gamma(2.0 * mu)
+            p_lin = mu
+            p_sq = bounds.REGIMES["renyi_window"].power(2.0 * mu)
             new_lin = bounds.pair_bound_new(e1, e2, p_lin)
             prior = bounds.pair_bound_prior(e1, e2, p_lin)
             assert np.min(new_lin - prior) >= -1e-12
@@ -291,7 +316,7 @@ class TestTailDominanceProperty:
     )
     def test_new_prior_naive(self, a, b, mu):
         e1, e2 = max(a, b), min(a, b)
-        p = bounds.PowerParam(mu)
+        p = mu
         for coupling in bounds.COUPLINGS:
             new = bounds.pair_bound_new(e1, e2, p, coupling)
             prior = bounds.pair_bound_prior(e1, e2, p, coupling)
@@ -303,27 +328,27 @@ class TestTailDominanceProperty:
 
 class TestChainBound:
     def test_collapses_to_pair_bit_for_bit(self):
-        p = bounds.PowerParam(2.5)
+        p = 2.5
         for vals in ((0.7, 0.3), (0.5, 0.5), (0.2, 0.0)):
             assert bounds.chain_bound(vals, 1, p) == bounds.pair_bound_new(*vals, p)
 
     def test_four_party_descending_expansion(self):
-        p = bounds.PowerParam(1.8)
+        p = 1.8
         a, b, c = 0.8, 0.5, 0.2
-        expected = a**1.8 + p.h * bounds.pair_bound_new(b, c, p)
+        expected = a**1.8 + (2.0**p - 1) * bounds.pair_bound_new(b, c, p)
         assert bounds.chain_bound((a, b, c), 2, p) == pytest.approx(expected, abs=1e-15)
 
     def test_four_party_split_zero(self):
-        p = bounds.PowerParam(2.0)
+        p = 2.0
         a, b, c = 0.3, 0.5, 0.8
-        expected = p.h * a**2.0 + bounds.pair_bound_new(c, b, p)
+        expected = (2.0**p - 1) * a**2.0 + bounds.pair_bound_new(c, b, p)
         assert bounds.chain_bound((a, b, c), 0, p) == pytest.approx(expected, abs=1e-15)
 
     def test_all_zero(self):
-        assert bounds.chain_bound((0.0, 0.0, 0.0), 2, bounds.PowerParam(2.0)) == 0.0
+        assert bounds.chain_bound((0.0, 0.0, 0.0), 2, 2.0) == 0.0
 
     def test_gates(self):
-        p = bounds.PowerParam(2.0)
+        p = 2.0
         with pytest.raises(ValueError):
             bounds.chain_bound((0.5,), 0, p)
         with pytest.raises(ValueError):
@@ -333,7 +358,7 @@ class TestChainBound:
 
     def test_split_index_is_an_integer(self):
         # An integral float is the integer; anything else is a ValueError.
-        p = bounds.PowerParam(2.0)
+        p = 2.0
         vals = (0.5, 0.3, 0.4)
         assert bounds.chain_bound(vals, 1.0, p) == bounds.chain_bound(vals, 1, p)
         report = bounds.compare_chain(0.9, vals, 1.0, p, "tsallis_q2to3")
@@ -368,7 +393,7 @@ class TestChainBound:
 class TestCompareBounds:
     def test_example_power_one_all_coincide(self):
         rep = bounds.compare_chain(
-            T_FULL, (T_HI, T_LO), 1, bounds.PowerParam(1.0), "tsallis_q2to3"
+            T_FULL, (T_HI, T_LO), 1, 1.0, "tsallis_q2to3"
         )
         assert rep.margins[0] == pytest.approx(0.0, abs=1e-12)
         assert rep.margins[1] == pytest.approx(0.0, abs=1e-12)
@@ -378,7 +403,7 @@ class TestCompareBounds:
     def test_example_power_two_gap(self):
         # new - prior = (mu^2/(mu+1) - mu/2) e2 (e1 - e2) = 200/19683 here
         rep = bounds.compare_chain(
-            T_FULL, (T_HI, T_LO), 1, bounds.PowerParam(2.0), "tsallis_q2to3"
+            T_FULL, (T_HI, T_LO), 1, 2.0, "tsallis_q2to3"
         )
         assert rep.lhs == pytest.approx(1600.0 / 6561.0, abs=1e-15)
         assert rep.new_bound - rep.prior_bound == pytest.approx(200.0 / 19683.0, abs=1e-14)
@@ -388,7 +413,7 @@ class TestCompareBounds:
         e_full = measures.f_alpha(math.sqrt(80.0 / 81.0), 2.0)
         e1 = measures.f_alpha(math.sqrt(60.0 / 81.0), 2.0)
         e2 = measures.f_alpha(math.sqrt(20.0 / 81.0), 2.0)
-        rep = bounds.compare_chain(e_full, (e1, e2), 1, bounds.PowerParam(1.0), "renyi_ge2")
+        rep = bounds.compare_chain(e_full, (e1, e2), 1, 1.0, "renyi_ge2")
         assert rep.new_bound == pytest.approx(e1 + e2, abs=1e-14)
         assert rep.prior_bound == pytest.approx(e1 + e2, abs=1e-14)
         assert rep.new_bound == pytest.approx(0.85752, abs=1e-5)
@@ -404,7 +429,7 @@ class TestCompareBounds:
 
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
-            bounds.compare_chain(0.5, (0.4, 0.2), 1, bounds.PowerParam(1.0), "nope")
+            bounds.compare_chain(0.5, (0.4, 0.2), 1, 1.0, "nope")
 
     def test_overflow_is_a_value_error(self):
         # lhs**2000 overflows: the report names the exponent, and no
@@ -418,9 +443,9 @@ class TestCompareBounds:
 
     def test_needs_an_ordered_pair(self):
         with pytest.raises(ValueError, match="e1 < e2"):
-            bounds.compare_chain(0.5, (0.2, 0.4), 1, bounds.PowerParam(2.0), "tsallis_q2to3")
+            bounds.compare_chain(0.5, (0.2, 0.4), 1, 2.0, "tsallis_q2to3")
         with pytest.raises(ValueError, match="nonnegative"):
-            bounds.compare_chain(0.5, (0.4, -0.2), 1, bounds.PowerParam(2.0), "tsallis_q2to3")
+            bounds.compare_chain(0.5, (0.4, -0.2), 1, 2.0, "tsallis_q2to3")
 
     def test_chain_comparison_dominance(self):
         vals = np.linspace(0.0, 0.9, 8)
@@ -429,7 +454,7 @@ class TestCompareBounds:
                 for c in vals[vals <= b]:
                     for mu in (1.0, 2.0, 3.0):
                         rep = bounds.compare_chain(
-                            1.0, (a, b, c), 2, bounds.PowerParam(mu), "tsallis_q2to3"
+                            1.0, (a, b, c), 2, mu, "tsallis_q2to3"
                         )
                         assert rep.new_bound - rep.prior_bound >= -1e-12
                         assert rep.prior_bound - rep.naive_bound >= -1e-12
@@ -457,7 +482,7 @@ class TestStateLevelRemarks:
                 t2 = measures.g_q(c_ac * c_ac, q)
                 e1, e2 = max(t1, t2), min(t1, t2)
                 for eta in etas:
-                    margin = lhs**eta - bounds.pair_bound_new(e1, e2, bounds.PowerParam(eta))
+                    margin = lhs**eta - bounds.pair_bound_new(e1, e2, eta)
                     assert margin >= -1e-9
 
     def test_renyi_powered_monogamy_random_states(self):
@@ -472,7 +497,7 @@ class TestStateLevelRemarks:
                 r2 = measures.f_alpha(c_ac, alpha)
                 e1, e2 = max(r1, r2), min(r1, r2)
                 for mu in (1.0, 1.5, 2.0, 3.0):
-                    margin = lhs**mu - bounds.pair_bound_new(e1, e2, bounds.PowerParam(mu))
+                    margin = lhs**mu - bounds.pair_bound_new(e1, e2, mu)
                     assert margin >= -1e-9
 
     def test_renyi_window_powered_monogamy_random_states(self):
@@ -487,7 +512,7 @@ class TestStateLevelRemarks:
                 r2 = measures.f_alpha(c_ac, alpha)
                 e1, e2 = max(r1, r2), min(r1, r2)
                 for gamma in (2.0, 3.0, 4.0):
-                    p = bounds.PowerParam.from_gamma(gamma)
+                    p = bounds.REGIMES["renyi_window"].power(gamma)
                     margin = lhs**gamma - bounds.pair_bound_new(e1, e2, p, "squared")
                     assert margin >= -1e-9
 
@@ -543,7 +568,7 @@ class TestOrderingCertificate:
         # chain bound saturates: values (t, 0, 0) give t^eta
         t_pair = measures.tsallis_pure(st, {0}, 2.0)
         for eta in (1.0, 2.0):
-            chain = bounds.chain_bound((t_pair, 0.0, 0.0), 2, bounds.PowerParam(eta))
+            chain = bounds.chain_bound((t_pair, 0.0, 0.0), 2, eta)
             assert chain == pytest.approx(t_pair**eta, abs=1e-12)
 
     def test_fewer_than_two_partners_has_no_positions(self):
@@ -715,7 +740,7 @@ class TestInPlaceTails:
                 want = tail_before(*pair, mu, name, coupling)
                 # Read-only inputs: a write into either raises.
                 for e1, e2 in (pair, [frozen(v) for v in pair]):
-                    got = fn(e1, e2, bounds.PowerParam(mu), coupling)
+                    got = fn(e1, e2, mu, coupling)
                     assert type(got) is type(want), (name, coupling)
                     assert bits(got) == bits(want), (name, coupling)
 

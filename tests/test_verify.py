@@ -307,6 +307,30 @@ class TestGates:
                 verify.default_spec(family, params=params)
 
 
+    @pytest.mark.parametrize(
+        "family,name,value,message",
+        [
+            ("lemma2", "mu", 1.0 - 1e-13, "power must be >= 1"),
+            ("remark1", "eta", 1.0 - 1e-13, "power must be >= 1"),
+            ("lemma6", "gamma", 2.0 - 1e-13, "power gamma must be >= 2"),
+            ("lemma1", "mu", 1.0 - 1e-13, "power must be >= 1"),
+        ],
+    )
+    def test_power_below_its_floor_is_refused_when_made(self, family, name, value, message):
+        # The gate admits 1e-12 of roundoff below its edge; a power's floor
+        # is exact, so the spec is refused before it runs.
+        fam = verify.family_of(family)
+        grid = tuple(
+            (axis, value, hi, steps) if axis == name else (axis, lo, hi, steps)
+            for axis, lo, hi, steps in fam.axes
+        )
+        params = tuple(
+            (param, (value,)) if param == name else (param, values) for param, values in fam.params
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {value}$"):
+            verify.default_spec(family, grid=grid, params=params)
+
+
 class TestRunSweep:
     @pytest.mark.parametrize("family", verify.GRID_FAMILIES)
     def test_defaults_hold(self, family):
@@ -422,6 +446,14 @@ class TestRunSweep:
         data = json.loads(report.to_json())
         assert data["violations_total"] == bad.size
         assert len(data["violations"]) == verify.MAX_VIOLATIONS
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0 + 1e-13), (-1e-13, 1.0)])
+    def test_x_axis_gate_slack_runs(self, lo, hi):
+        # The x gate admits 1e-12 of roundoff past its edges, and a spec it
+        # admits can run: ``power_chain`` clips x as the gate reads it.
+        spec = verify.default_spec("lemma1", grid=(("x", lo, hi, 5), ("mu", 1.0, 2.0, 5)))
+        report = verify.run_sweep(spec)
+        assert (report.violations_total, report.nonfinite) == (0, 0)
 
     def test_domain_gates(self):
         with pytest.raises(ValueError):
@@ -1044,7 +1076,7 @@ class TestRunStateCheck:
         # The canonical example satisfies Tsallis additivity exactly at q=2,
         # so the pair bound saturates at eta=1 on those values.
         t_hi, t_lo = 30.0 / 81.0, 10.0 / 81.0
-        margin = (40.0 / 81.0) - bounds.pair_bound_new(t_hi, t_lo, bounds.PowerParam(1.0))
+        margin = (40.0 / 81.0) - bounds.pair_bound_new(t_hi, t_lo, 1.0)
         assert margin == pytest.approx(0.0, abs=1e-12)
 
 
