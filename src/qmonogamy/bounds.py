@@ -249,6 +249,10 @@ def _check_ordered(e1, e2):
 
 
 def _coupling_exponent(mu: float, coupling: str) -> float:
+    """The exponent k mu of a relation in the scalar entries, which take one
+    power: ``check_power`` returns an array only for an array mu."""
+    if not isinstance(mu, float):
+        raise ValueError(f"power mu must be a number, got an array of shape {np.shape(mu)}")
     if coupling not in _DEGREE:
         raise ValueError(f"unknown coupling {coupling!r}; expected one of {COUPLINGS}")
     return _DEGREE[coupling] * mu
@@ -290,7 +294,8 @@ def _tail_values(head, lead, e2, last, full, squared: bool, coefficients, out=No
 
 
 def _tail(e1, e2, mu, name: str, coupling: str = "linear", out=None):
-    """Pair tail ``name`` (a key of ``_TAILS``) of the ordered pair e1 >= e2.
+    """Pair tail ``name`` (a key of ``_TAILS``) of the ordered pair e1 >= e2:
+    every check, then ``_tail_core``.
 
     ``out``, three arrays of the broadcast shape of e1 and e2 (or one
     ``(3, *shape)`` array), takes the tail in the first; the other two
@@ -300,8 +305,19 @@ def _tail(e1, e2, mu, name: str, coupling: str = "linear", out=None):
         raise ValueError(f"unknown tail {name!r}; expected one of {tuple(_TAILS)}")
     mu = check_power(mu)
     a, b = _check_ordered(e1, e2)
-    pow_ = _coupling_exponent(mu, coupling)
+    _coupling_exponent(mu, coupling)  # refuses an array mu and an unknown coupling
+    vals = _tail_core(a, b, mu, name, coupling, out)
+    return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
+
+
+def _tail_core(a, b, mu: float, name: str, coupling: str, out=None):
+    """``_tail`` of float arrays a >= b that ``_check_ordered`` has passed, a
+    power mu that ``check_power`` has passed and a known tail and coupling,
+    with no check of its own: the sweeps check a block's pair once and call
+    this for every combo.  Returns an array, or a numpy scalar for 0-d a and
+    b."""
     k = _DEGREE[coupling]
+    pow_ = k * mu
     if out is None:
         # Arrays of the tail's shape, or, for scalar e1 and e2, numpy scalars.
         shape = np.broadcast(a, b).shape
@@ -314,7 +330,7 @@ def _tail(e1, e2, mu, name: str, coupling: str = "linear", out=None):
         np.power(a, pow_, out=head), lead, b, last, _TWO**mu, k == 2,
         [_TAILS[name](mu)], (vals, weighted),
     )
-    return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
+    return vals
 
 
 def pair_bound_new(e1, e2, mu, coupling: str = "linear", out=None):

@@ -20,7 +20,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from . import kernel
 from .states import PureState, density
@@ -315,16 +314,24 @@ def _qr_errors():
     )
 
 
+try:
+    from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced
+except ImportError:  # numpy may drop or rename its private gufuncs
+    qr_r_raw = qr_reduced = None
+
+
 def _q_factor(a: np.ndarray) -> np.ndarray:
     """Q of the reduced QR factorization of a complex ``(..., k, r)`` stack.
 
     Bit for bit ``np.linalg.qr(a)[0]``: the same two LAPACK gufuncs
     (geqrf, then ungqr) from numpy's private ``_umath_linalg``, but ``a`` is
     factored in place (it is overwritten) and no R is built.  Callers enter
-    ``_qr_errors()`` around it.
+    ``_qr_errors()`` around it.  A numpy without that module or either
+    gufunc gets ``np.linalg.qr`` itself, which has the same bits.
     """
-    tau = _umath_linalg.qr_r_raw(a)
-    return _umath_linalg.qr_reduced(a, tau)
+    if qr_reduced is None:
+        return np.linalg.qr(a)[0]
+    return qr_reduced(a, qr_r_raw(a))
 
 
 def _haar_isometries(k: int, r: int, rngs) -> np.ndarray:

@@ -147,10 +147,12 @@ def _haar_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     then ``dim`` for the angles, so one draw of shape ``(count, 2, dim)`` gives
     the same vectors as ``count`` draws of one vector each.
 
-    The radius times the cosine and the sine of the angle go straight into
-    the real and the imaginary parts of the result, and each row is scaled
-    by the reciprocal of its norm: numpy divides a complex number by a real
-    one as exactly that product, so the bits are those of
+    The cosine and then the sine of the angles go into one contiguous
+    array, and the radius times each into the real and the imaginary parts
+    of the result.  Each row is scaled by the reciprocal of its norm, on
+    the result's floats: numpy divides a complex number by a real one as
+    that product, and a complex times a real has the bits of its two real
+    products, so the bits are those of
     ``(radius * cos + 1j * radius * sin) / norm``.
     """
     _check_draw(count, dim)
@@ -159,15 +161,17 @@ def _haar_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     np.log(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    angle = u[:, 1]
-    angle *= 2.0 * np.pi
+    angle = np.multiply(u[:, 1], 2.0 * np.pi)
+    trig = np.cos(angle)
     vec = np.empty((count, dim), dtype=complex)
-    np.multiply(radius, np.cos(angle, out=vec.real), out=vec.real)
-    np.multiply(radius, np.sin(angle, out=vec.imag), out=vec.imag)
+    np.multiply(radius, trig, out=vec.real)
+    np.multiply(radius, np.sin(angle, out=trig), out=vec.imag)
     # The row norms as np.linalg.norm forms them for one vector, so every
-    # row is normalized exactly as a single draw would be.
+    # row is normalized exactly as a single draw would be.  They stay on the
+    # strided views: vecdot rounds contiguous copies differently.
     norm = np.sqrt(np.vecdot(vec.real, vec.real) + np.vecdot(vec.imag, vec.imag))
-    vec *= (1.0 / norm)[:, None]
+    floats = vec.view(float)
+    floats *= (1.0 / norm)[:, None]
     return vec
 
 

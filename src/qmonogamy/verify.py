@@ -357,6 +357,15 @@ def _grid_triple(pts, measure, value):
     return tuple(terms)
 
 
+def _ordered_triple(pts, measure, value):
+    """``_grid_triple`` once its pair has passed ``bounds._check_ordered``,
+    which therefore runs once per block and index, not once per combo; the
+    powered margins read the triple only through it."""
+    triple = _shared(pts, _grid_triple, measure, value)
+    bounds._check_ordered(*triple[1:])
+    return triple
+
+
 def _margin_power_chain(pts, combo):
     x, mu = pts["x"], pts["mu"]
     rows = _block_array(pts, "power chain", (6, *np.broadcast(x, mu).shape), rows=6)
@@ -397,10 +406,10 @@ def _powered(regime: bounds.Regime, power: str):
     measure, index = regime.measure, regime.index
 
     def margin(pts, combo):
-        full, e1, e2 = _shared(pts, _grid_triple, measure, combo[index])
+        full, e1, e2 = _shared(pts, _ordered_triple, measure, combo[index])
         p = combo[power]
         rows = _block_array(pts, "margin", (3, *full.shape), rows=3)
-        bound = bounds.pair_bound_new(e1, e2, regime.power(p), regime.coupling, out=rows)
+        bound = bounds._tail_core(e1, e2, regime.power(p), "new", regime.coupling, out=rows)
         # E^p into a row that held the tail's temporaries.
         return np.subtract(np.power(full, p, out=rows[1]), bound, out=bound)
 
@@ -752,9 +761,10 @@ def _state_tables(n_states: int, seed: int, start: int = 0) -> dict[str, np.ndar
         pairs = np.concatenate([amps.reshape(-1, 4, 2), amps.swapaxes(2, 3).reshape(-1, 4, 2)])
         c_pairs = _pair_concurrence(pairs).reshape(2, -1)
         parts.append(np.vstack([spectrum.T, c_pairs, c2_full, np.arange(offset, offset + count)]))
-    # Joined once the draws are done: a table allocated first lies below their
-    # temporaries, and glibc hands those back to the OS at every call.
-    table = np.concatenate(parts, axis=1)
+    # One draw is its own table.  More are joined once the draws are done: a
+    # table allocated first lies below their temporaries, and glibc hands
+    # those back to the OS at every call.
+    table = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     return dict(zip(("lam_hi", "lam_lo", "c_ab", "c_ac", "c2_full", "index"), table))
 
 

@@ -252,6 +252,20 @@ class TestPairBounds:
         with pytest.raises(ValueError, match="^entanglement values must be finite and nonnegative$"):
             bounds.pair_bound_new(e1, e2, 2.0)
 
+    def test_array_mu_refused_by_name(self):
+        # The scalar entries take one power (power_chain takes a row of them);
+        # an array mu was a TypeError from float().
+        two = r"^power mu must be a number, got an array of shape \(2,\)$"
+        for tail in (bounds.pair_bound_new, bounds.pair_bound_prior, bounds.pair_bound_naive):
+            with pytest.raises(ValueError, match=two):
+                tail(0.5, 0.2, np.array([2.0, 3.0]))
+        with pytest.raises(ValueError, match=two):
+            bounds.chain_bound((0.5, 0.2), 1, np.array([2.0, 3.0]))
+        with pytest.raises(ValueError, match=r"^power mu must be a number, got an array of shape \(1,\)$"):
+            bounds.compare_chain(0.9, (0.5, 0.2), 1, np.array([2.0]), "tsallis_q2to3")
+        # A 0-d array is one power.
+        assert bounds.pair_bound_new(0.5, 0.2, np.array(2.0)) == bounds.pair_bound_new(0.5, 0.2, 2.0)
+
     def test_old_family_name_is_an_unknown_coupling(self):
         with pytest.raises(ValueError, match="unknown coupling 'ref11'"):
             bounds.pair_bound_prior(T_HI, T_LO, 2.0, "ref11")

@@ -1,5 +1,9 @@
 """Convex-roof oracle against the closed-form two-qubit concurrence."""
 
+import importlib.util
+import sys
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +195,36 @@ def test_q_factor_matches_numpy_bit_for_bit(batch, k, data, seed):
         got = measures._q_factor(a.copy())
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def measures_without(monkeypatch, missing):
+    """A fresh copy of ``qmonogamy.measures``, imported while numpy's private
+    ``_umath_linalg`` lacks ``missing``: the module itself, or one of its two
+    QR gufuncs (a stand-in module holds the other).  numpy's own ``qr``, which
+    holds its own reference to the module, and the package's own module are
+    left as they are."""
+    private = "numpy.linalg._umath_linalg"
+    if missing == "module":
+        monkeypatch.setitem(sys.modules, private, None)
+        monkeypatch.delattr(np.linalg, "_umath_linalg")
+    else:
+        stand_in = types.ModuleType(private)
+        kept = ({"qr_r_raw", "qr_reduced"} - {missing}).pop()
+        setattr(stand_in, kept, getattr(sys.modules[private], kept))
+        monkeypatch.setitem(sys.modules, private, stand_in)
+        monkeypatch.setattr(np.linalg, "_umath_linalg", stand_in)
+    spec = importlib.util.find_spec("qmonogamy.measures")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("missing", ["module", "qr_r_raw", "qr_reduced"])
+def test_public_qr_fallback_keeps_the_pins(monkeypatch, missing):
+    fallback = measures_without(monkeypatch, missing)
+    for name, restarts in _PINNED:
+        est = fallback.concurrence_roof_oracle(pinned_input(name), restarts=restarts, seed=11)
+        assert est.hex() == _PINNED[name, restarts], (name, restarts)
 
 
 @pytest.mark.parametrize(("name", "calls", "rows"), [("rank2", 1202, 35223), ("rank3", 1707, 49707)])

@@ -950,6 +950,47 @@ class TestBlockedSweep:
             assert joint == stop - start
             assert all(1 <= size <= n + samples for size, n in zip(axes, steps))
 
+    def test_pair_order_checked_once_per_block_and_index(self, monkeypatch):
+        # A powered margin checks its block's memoised pair once per q or
+        # alpha, not once per combo; a public tail checks on every call.
+        check, calls = bounds._check_ordered, []
+
+        def counted(e1, e2):
+            calls.append(np.shape(e1))
+            return check(e1, e2)
+
+        monkeypatch.setattr(bounds, "_check_ordered", counted)
+        verify.run_state_check("remark1", 400, 0)
+        assert calls == [(400,)] * 3  # one block, 3 q values (x 4 eta values)
+        for block in (97, verify._SWEEP_BLOCK):
+            calls.clear()
+            monkeypatch.setattr(verify, "_SWEEP_BLOCK", block)
+            report = verify.run_sweep(verify.default_spec("lemma2"))
+            n_points = report.points_checked // (3 * 4)  # 3 q values x 4 mu values
+            assert len(calls) == 3 * -(-n_points // block)
+        calls.clear()
+        bounds.pair_bound_new(0.5, 0.2, 2.0)
+        bounds.chain_bound((0.5, 0.3, 0.2), 2, 2.0)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("family", ["lemma2", "remark1"])
+    def test_an_unordered_triple_is_refused(self, family, monkeypatch):
+        # The order is checked once per block, but still checked: a triple
+        # whose pair comes out unordered fails the sweep with the tails' message.
+        triple = verify._grid_triple
+
+        def swapped(pts, measure, value):
+            full, e1, e2 = triple(pts, measure, value)
+            return full, e2, e1
+
+        monkeypatch.setattr(verify, "_grid_triple", swapped)
+        if verify.family_of(family).kind == "grid":
+            spec = small_spec(family)
+        else:
+            spec = verify.default_spec(family, random_samples=50)
+        with pytest.raises(ValueError, match=r"^hypothesis violated: e1 < e2 \(caller must order\)$"):
+            verify.run_sweep(spec)
+
     @pytest.mark.parametrize("family", verify.FAMILY_NAMES)
     def test_margin_twice_on_one_block_same_bits(self, family):
         # Axis tables, index columns and state columns are read-only from
