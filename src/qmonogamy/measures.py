@@ -16,6 +16,7 @@ measure's index, window and formula are one row of ``MEASURES``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -295,8 +296,11 @@ def renyi_two_qubit(rho, alpha) -> float:
 # ---------------------------------------------------------------------------
 
 _RANK_CUTOFF = 1e-10
-# Refinement steps whose proposals a restart draws at once.
-_PROPOSAL_BLOCK = 32
+# Refinement steps whose proposals a restart draws at once.  Every restart
+# of a call holds its block from the first step, so this sets the oracle's
+# peak memory: 8 steps of padded rank-2 proposals take 1 KiB per restart,
+# 200 KiB at the default 200 restarts, plus the draws they are copied from.
+_PROPOSAL_BLOCK = 8
 
 
 def _raise_qr_error(err, flag):
@@ -334,6 +338,37 @@ def _q_factor(a: np.ndarray) -> np.ndarray:
     return qr_reduced(a, qr_r_raw(a))
 
 
+def _q_two_columns(a: np.ndarray) -> np.ndarray:
+    """Q of the reduced QR factorization of a C-contiguous complex
+    ``(..., k, 2)`` stack, in closed form; ``a`` is overwritten with it.
+
+    Gram-Schmidt with LAPACK's Householder signs.  Column j is the residual
+    of ``a``'s column j divided by beta_j = -copysign(||residual||, Re alpha_j),
+    where alpha_j is the entry geqrf reflects onto the diagonal: a_00 for the
+    first column and, for the second, w_1 - w_0 a_01 / (a_00 - beta_0) with
+    w the second residual.  So Q agrees with ``np.linalg.qr(a)[0]`` to
+    roundoff (times the condition number of ``a``), with its column signs,
+    though not bit for bit.  Zero rows of ``a`` stay zero, and each matrix's
+    bits do not depend on the rest of the stack.  A column whose entries
+    below the diagonal are exactly zero and whose diagonal is real, which
+    LAPACK leaves unreflected, may come back negated.
+    """
+    flat = a.view(float)  # per row: Re, Im of column 0, then of column 1
+    col0, col1 = a[..., 0], a[..., 1]
+    top = a[..., 0, 0]
+    beta = np.sqrt(np.einsum("...ij,...ij->...", flat[..., :2], flat[..., :2]))
+    np.copysign(beta, -top.real, out=beta)
+    # v_1 of the first reflector, read before column 0 is overwritten.
+    v1 = a[..., 1, 0] / (top - beta)
+    col0 /= beta[..., None]
+    col1 -= col0 * np.vecdot(col0, col1)[..., None]
+    alpha = a[..., 1, 1] - a[..., 0, 1] * v1
+    beta = np.sqrt(np.einsum("...ij,...ij->...", flat[..., 2:], flat[..., 2:]))
+    np.copysign(beta, -alpha.real, out=beta)
+    col1 /= beta[..., None]
+    return a
+
+
 def _haar_isometries(k: int, r: int, rngs) -> np.ndarray:
     """One k x r matrix with orthonormal columns per generator, stacked;
     each is Haar-distributed and drawn from its own generator."""
@@ -353,54 +388,77 @@ def _decomposition_cost(u: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(np.einsum("...ji,ik,...jk->...j", u, tau, u)), axis=-1)
 
 
-def _refine_group(u, tau, rngs) -> float:
+def _refine_group(u, tau, rngs, rows=None) -> float:
     """Random-direction descent, one private stream per restart.
 
-    Restarts are batched for throughput but each draws proposals from its
-    own generator and freezes once its step collapses, so a restart's result
-    depends only on its seed, never on its batch companions.  A restart
-    draws its proposals ``_PROPOSAL_BLOCK`` steps at a time, which yields
-    exactly the numbers one draw per step would, and only the live
-    (unfrozen) restarts are stepped.  Each step re-orthonormalises its
-    proposals with ``_q_factor``: Q alone, the same bits as
-    ``np.linalg.qr``.  Its error state (``_qr_errors``) is entered once for
-    the whole loop, so the cost evaluation and the bookkeeping share it:
-    they too ignore overflow, division and underflow, and an invalid
-    operation in them raises ``LinAlgError``.
+    All restarts step in lockstep, but each draws proposals from its own
+    generator and freezes once its step collapses, so a restart's result
+    depends only on its seed, never on its batch companions.  Restart ``b``
+    fills the first ``rows[b]`` rows of its ``u[b]`` (all of them when
+    ``rows`` is None) and of each proposal; the rest stay zero, which
+    changes neither its Q nor its cost.  A restart draws its proposals
+    ``_PROPOSAL_BLOCK`` steps at a time, which yields exactly the numbers
+    one draw per step would, and only the live (unfrozen) restarts are
+    stepped.  Each step re-orthonormalises its
+    proposals: ``_q_two_columns`` for two columns, else ``_q_factor``, Q
+    alone with the same bits as ``np.linalg.qr``.  Its error state
+    (``_qr_errors``) is entered once for the whole loop, so the cost
+    evaluation and the bookkeeping share it: they too ignore overflow,
+    division and underflow, and an invalid operation in them raises
+    ``LinAlgError``.
     """
     batch, k, r = u.shape
+    rows = [k] * batch if rows is None else rows
+    q_of = _q_two_columns if r == 2 else _q_factor
     val = _decomposition_cost(u, tau)
-    # Per live restart: its index into the batch, iterate, step size, failed
-    # proposals since the last shrink, and its current block of draws (real
-    # and imaginary parts of each step's proposal).
+    # Every restart's proposals for the current block, indexed by restart so
+    # that dropping frozen restarts moves none of them.  Each generator fills
+    # its own row of a real buffer per run of adjacent restarts of one size
+    # in place (real and imaginary parts of each step's proposal), which is
+    # then copied into the first rows of ``proposals``.
+    proposals = np.zeros((batch, _PROPOSAL_BLOCK, k, r), dtype=complex)
+    drawn, copies = [], []
+    lo = 0
+    for size, run in itertools.groupby(rows):
+        hi = lo + len(list(run))
+        block = np.empty((hi - lo, _PROPOSAL_BLOCK, 2, size, r))
+        target = proposals[lo:hi, :, :size]
+        drawn.extend(block)
+        copies += [(target.real, block[:, :, 0]), (target.imag, block[:, :, 1])]
+        lo = hi
+    # Per live restart: its index into the batch, iterate, step size and
+    # failed proposals since the last shrink.
     live = np.arange(batch)
-    cur, cur_val = u, val.copy()
+    cur, cur_val = u.copy(), val.copy()
     step = np.full(batch, 0.3)
     fails = np.zeros(batch, dtype=int)
-    block = np.empty((batch, _PROPOSAL_BLOCK, 2, k, r))
     s = 0
     with _qr_errors():
         while live.size:
             j = s % _PROPOSAL_BLOCK
             if j == 0:
-                for i, b in enumerate(live):
-                    rngs[b].standard_normal(out=block[i])
-            g = block[:, j, 0] + 1j * block[:, j, 1]
-            cand = _q_factor(cur + step[:, None, None] * g)
+                for b in live.tolist():
+                    rngs[b].standard_normal(out=drawn[b])
+                for target, source in copies:
+                    np.copyto(target, source)
+            cand = q_of(cur + step[:, None, None] * proposals[live, j])
             cand_val = _decomposition_cost(cand, tau)
             improved = cand_val < cur_val - 1e-15
-            cur = np.where(improved[:, None, None], cand, cur)
-            cur_val = np.where(improved, cand_val, cur_val)
-            fails = np.where(improved, 0, fails + 1)
-            shrink = fails >= 6
-            step = np.where(shrink, step * 0.6, step)
-            fails = np.where(shrink, 0, fails)
+            np.copyto(cur, cand, where=improved[:, None, None])
+            np.copyto(cur_val, cand_val, where=improved)
+            fails += 1
+            fails[improved] = 0
             s += 1
+            shrink = fails >= 6
+            if not shrink.any():
+                continue
+            step[shrink] *= 0.6
+            fails[shrink] = 0
             keep = step > 1e-4
             if not keep.all():
                 val[live] = cur_val
                 live, cur, cur_val = live[keep], cur[keep], cur_val[keep]
-                step, fails, block = step[keep], fails[keep], block[keep]
+                step, fails = step[keep], fails[keep]
     return float(np.min(val))
 
 
@@ -428,13 +486,17 @@ def concurrence_roof_oracle(rho, restarts: int = 200, seed: int = 0) -> float:
     if rank == 1:
         return best
 
+    # Restart t has size sizes[t % len(sizes)].  The batch holds each size's
+    # restarts side by side, zero-padded to 4 rows, so that all of them
+    # refine at once.
     children = np.random.SeedSequence(seed).spawn(restarts)
-    sizes = list(range(rank, 5))
+    sizes = range(rank, 5)
+    u = np.zeros((restarts, 4, rank), dtype=complex)
+    rngs, rows = [], []
     for k in sizes:
-        indices = [t for t in range(restarts) if sizes[t % len(sizes)] == k]
-        if not indices:
-            continue
-        rngs = [np.random.default_rng(children[t]) for t in indices]
-        u = _haar_isometries(k, rank, rngs)
-        best = min(best, _refine_group(u, tau, rngs))
-    return best
+        group = [np.random.default_rng(child) for child in children[k - rank :: len(sizes)]]
+        if group:
+            u[len(rngs) : len(rngs) + len(group), :k] = _haar_isometries(k, rank, group)
+        rngs += group
+        rows += [k] * len(group)
+    return min(best, _refine_group(u, tau, rngs, rows))

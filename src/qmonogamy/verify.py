@@ -64,7 +64,8 @@ class SweepSpec:
     fields, then its family's names, gates (``Family.gates``), powers
     (``bounds.check_power``) and index, then its size: a state family
     needs at least one state, and no sweep takes more than
-    ``_MAX_POINTS`` points (``size`` words them).
+    ``_MAX_POINTS`` points (``size`` words them).  Last, a grid family's
+    box must meet its domain (``_box_meets_domain``).
     """
 
     family: str
@@ -138,6 +139,12 @@ class SweepSpec:
         points = math.prod(steps for *_, steps in grid) if grid else 0
         if points + self.random_samples > _MAX_POINTS:
             raise ValueError(f"a sweep of {self.size} is past the cap of {_MAX_POINTS} points")
+        # A box that misses the domain leaves no mesh point and no sample;
+        # the messages are the ones ``_grid_points`` would stop with.
+        if fam.kind == "grid" and not _box_meets_domain(fam, grid):
+            if self.random_samples:
+                raise ValueError(f"rejection sampling failed to reach {self.random_samples} points")
+            raise ValueError("sweep domain is empty")
 
     @property
     def size(self) -> str:
@@ -441,6 +448,21 @@ def _domain_disc(pts):
 
 def _domain_disc_ordered(pts):
     return _domain_disc(pts) & (pts["x"] >= pts["y"])
+
+
+def _box_meets_domain(fam, grid) -> bool:
+    """Whether the box of a grid family's axis bounds meets its domain.
+
+    Lowering y keeps a point of the disc or of the ordered disc inside, so
+    a box meets either iff its bottom edge does: the disc at the corner
+    (x_lo, y_lo), the ordered disc at the edge's point nearest the diagonal
+    x = y.  Both points are tested with the domain itself, slack included.
+    Any other domain keeps every point.
+    """
+    if fam.domain not in (_domain_disc, _domain_disc_ordered):
+        return True
+    (_, x_lo, x_hi, _), (_, y_lo, _, _) = sorted(grid)  # x, then y
+    return any(fam.domain({"x": x, "y": y_lo}) for x in (x_lo, min(max(y_lo, x_lo), x_hi)))
 
 
 # Gates (lo, hi, hi_open) by axis or parameter name: values must lie in the

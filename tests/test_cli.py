@@ -499,6 +499,24 @@ class TestSweep:
         assert out == ""
         assert err == "error: family 'ckw' needs at least one state, got 0\n"
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["sweep", "gqsuper", "--x-min", "0.9", "--x-max", "1", "--y-min", "0.9",
+              "--y-max", "1", "--samples", "0"], "sweep domain is empty"),
+            (["sweep", "lemma2", "--x-max", "0.1", "--y-min", "0.5", "--samples", "3"],
+             "rejection sampling failed to reach 3 points"),
+        ],
+    )
+    def test_box_that_misses_its_domain_is_refused_before_any_point(
+        self, argv, message, monkeypatch, capsys
+    ):
+        def no_points(*args):
+            raise AssertionError("points built")
+
+        monkeypatch.setattr(verify, "_grid_points", no_points)
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
     def test_grid_override_runs(self, capsys):
         code, out, _ = run(
             ["sweep", "gqsuper", "--x-steps", "20", "--y-steps", "20",

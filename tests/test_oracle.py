@@ -178,6 +178,37 @@ def test_batched_restarts_are_independent(name, k):
     assert batched == min(alone)
 
 
+@pytest.mark.parametrize(("name", "rows"), [("rank2", [2, 2, 3, 4, 4, 3, 2, 4, 3]), ("rank3", [3, 4, 4, 3, 3, 4])])
+def test_mixed_size_batch_restarts_are_independent(name, rows):
+    # One lockstep batch of restarts of several sizes, zero-padded to 4 rows
+    # and not all grouped by size, against each restart refined alone and
+    # unpadded.
+    rho = pinned_input(name)
+    w, v = np.linalg.eigh(rho)
+    keep = w > 1e-10
+    x = v[:, keep] * np.sqrt(w[keep])
+    tau = x.T @ measures.kernel.YY @ x
+    rank = int(keep.sum())
+    children = np.random.SeedSequence(8).spawn(len(rows))
+
+    def start(child, k):
+        rng = np.random.default_rng(child)
+        g = rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank))
+        return np.linalg.qr(g)[0], rng
+
+    padded = np.zeros((len(rows), 4, rank), dtype=complex)
+    rngs = []
+    for b, (child, k) in enumerate(zip(children, rows)):
+        padded[b, :k], rng = start(child, k)
+        rngs.append(rng)
+    batched = measures._refine_group(padded, tau, rngs, rows)
+    alone = []
+    for child, k in zip(children, rows):
+        u, rng = start(child, k)
+        alone.append(measures._refine_group(u[None], tau, [rng]))
+    assert batched == min(alone)
+
+
 # ``_q_factor`` calls numpy's private LAPACK gufuncs; this guards that API.
 @settings(max_examples=80, deadline=None)
 @given(
@@ -195,6 +226,28 @@ def test_q_factor_matches_numpy_bit_for_bit(batch, k, data, seed):
         got = measures._q_factor(a.copy())
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch=st.integers(1, 70), k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_q_two_columns_matches_numpy(batch, k, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((batch, k, 2)) + 1j * rng.standard_normal((batch, k, 2))
+    padded = np.zeros((batch, 4, 2), dtype=complex)
+    padded[:, :k] = a
+    want_q, want_r = np.linalg.qr(a)
+    with measures._qr_errors():
+        got = measures._q_two_columns(padded.copy())
+        alone = [measures._q_two_columns(padded[i : i + 1].copy()) for i in range(batch)]
+    # Two backward-stable factorizations agree to roundoff times the
+    # condition number of ``a``, which can be large for a random 2 x 2.
+    err = np.abs(got[:, :k] - want_q).max(axis=(1, 2))
+    assert np.all(err <= 1e-14 * np.linalg.cond(a)), err.max()
+    # LAPACK's column signs: the diagonal of R = Q^H a, signed as numpy's.
+    r_diag = np.einsum("nij,nij->nj", got[:, :k].conj(), a).real
+    assert np.array_equal(np.sign(r_diag), np.sign(np.diagonal(want_r, axis1=1, axis2=2).real))
+    assert not got[:, k:].any()
+    assert np.concatenate(alone).tobytes() == got.tobytes()
 
 
 def measures_without(monkeypatch, missing):
@@ -227,10 +280,11 @@ def test_public_qr_fallback_keeps_the_pins(monkeypatch, missing):
         assert est.hex() == _PINNED[name, restarts], (name, restarts)
 
 
-@pytest.mark.parametrize(("name", "calls", "rows"), [("rank2", 1202, 35223), ("rank3", 1707, 49707)])
+@pytest.mark.parametrize(("name", "calls", "rows"), [("rank2", 665, 35223), ("rank3", 1039, 49707)])
 def test_refinement_work_is_pinned(monkeypatch, name, calls, rows):
-    # Same steps, not just the same value: the number of cost evaluations and
-    # the restarts they score (initial isometries plus every proposal).
+    # Same steps, not just the same value: the number of cost evaluations (one
+    # for the initial isometries, then one per lockstep step) and the restarts
+    # they score (initial isometries plus every proposal).
     seen = []
     cost = measures._decomposition_cost
 

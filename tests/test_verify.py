@@ -8,10 +8,11 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from qmonogamy import bounds, kernel, measures, states, verify
@@ -270,8 +271,10 @@ class TestGates:
         fam = verify.family_of(family)
 
         def check(value):
+            # The value is an end of its axis, which keeps its default range
+            # otherwise: a box pinned at y = 1 would miss the ordered disc.
             grid = tuple(
-                (axis, value, value, 2) if axis == name else (axis, a, b, steps)
+                (axis, min(a, value), max(b, value), steps) if axis == name else (axis, a, b, steps)
                 for axis, a, b, steps in fam.axes
             )
             params = tuple(
@@ -641,6 +644,19 @@ class TestScan:
 REGIME_GRID_FAMILIES = [name for name in verify.GRID_FAMILIES if verify.family_of(name).regime]
 
 
+def spec_or_reject(family, **fields):
+    """``verify.default_spec(family, **fields)``; a box that misses the
+    family's domain is refused when its spec is made (``TestBoxMeetsDomain``),
+    and rejects the example instead."""
+    try:
+        return verify.default_spec(family, **fields)
+    except ValueError as exc:
+        samples = fields["random_samples"]
+        refusals = ("sweep domain is empty", f"rejection sampling failed to reach {samples} points")
+        assert str(exc) in refusals
+        reject()
+
+
 @st.composite
 def grid_sweeps(draw, families=verify.GRID_FAMILIES):
     """A small grid spec of one of ``families`` inside the family's gates, a
@@ -665,7 +681,7 @@ def grid_sweeps(draw, families=verify.GRID_FAMILIES):
         (name, tuple(values(name, draw(st.integers(1, 2)), unique=True)))
         for name, _ in fam.params
     )
-    spec = verify.default_spec(
+    spec = spec_or_reject(
         fam.name,
         grid=grid,
         params=params,
@@ -1388,9 +1404,9 @@ def column_bytes(source, fam, spec):
 
 
 @st.composite
-def grid_point_specs(draw):
+def grid_boxes(draw):
     """Any grid family, 2-40 steps per axis over a range inside its gates,
-    0-60 rejection samples and any seed."""
+    0-60 rejection samples and any seed: ``(family, grid, samples, seed)``."""
     fam = verify.family_of(draw(st.sampled_from(verify.GRID_FAMILIES)))
     gates = {name: (lo, hi) for name, lo, hi, _hi_open in fam.gates}
 
@@ -1399,13 +1415,59 @@ def grid_point_specs(draw):
         ends = draw(st.lists(st.floats(lo, min(hi, lo + 7.0)), min_size=2, max_size=2))
         return (name, *sorted(ends), draw(st.integers(2, 40)))
 
-    spec = verify.default_spec(
-        fam.name,
-        grid=tuple(axis(name) for name, *_ in fam.axes),
-        random_samples=draw(st.integers(0, 60)),
-        seed=draw(st.integers(0, 2**64)),
+    grid = tuple(axis(name) for name, *_ in fam.axes)
+    return fam, grid, draw(st.integers(0, 60)), draw(st.integers(0, 2**64))
+
+
+@st.composite
+def grid_point_specs(draw):
+    """The specs of ``grid_boxes`` (``spec_or_reject``)."""
+    fam, grid, samples, seed = draw(grid_boxes())
+    return fam, spec_or_reject(fam.name, grid=grid, random_samples=samples, seed=seed)
+
+
+class TestBoxMeetsDomain:
+    @pytest.mark.parametrize(
+        ("family", "grid", "samples", "message"),
+        [
+            ("gqsuper", (("x", 0.9, 1.0, 60), ("y", 0.9, 1.0, 60)), 0, "sweep domain is empty"),
+            ("lemma2", (("x", 0.0, 0.1, 60), ("y", 0.5, 1.0, 60)), 3,
+             "rejection sampling failed to reach 3 points"),
+            # The ordered disc's nearest point to this box's bottom edge is on
+            # the diagonal, (0.8, 0.8), outside the disc; the corner (0, 0.8)
+            # is inside the disc but not ordered.
+            ("lemma5", (("x", 0.0, 1.0, 60), ("y", 0.8, 1.0, 60)), 0, "sweep domain is empty"),
+        ],
     )
-    return fam, spec
+    def test_refused_when_made(self, family, grid, samples, message, monkeypatch):
+        def no_points(*args):
+            raise AssertionError("points built")
+
+        monkeypatch.setattr(verify, "_grid_points", no_points)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify.default_spec(family, grid=grid, random_samples=samples)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_boxes())
+    # Both corners of the bottom edge miss the ordered disc; (0.5, 0.5) on
+    # it is inside.
+    @example((verify.family_of("lemma2"), (("x", 0.0, 1.0, 2), ("y", 0.5, 1.0, 2)), 0, 0))
+    def test_refused_only_when_no_point_can_be_found(self, case):
+        fam, grid, samples, seed = case
+        try:
+            verify.default_spec(fam.name, grid=grid, random_samples=samples, seed=seed)
+            refusal = None
+        except ValueError as exc:
+            refusal = f"error: {exc}"
+        if refusal is not None:
+            # The reference route, on the same fields, finds no mesh point and
+            # no sample, and stops with the same message.
+            fields = types.SimpleNamespace(grid=grid, random_samples=samples, seed=seed)
+            assert column_bytes(meshgrid_points, fam, fields) == refusal
+        # A box with a point of the domain on a 101 x 101 mesh of it is made.
+        dense = np.meshgrid(*(np.linspace(lo, hi, 101) for _, lo, hi, _ in grid), indexing="ij")
+        if fam.domain(dict(zip((name for name, *_ in grid), dense))).any():
+            assert refusal is None
 
 
 class TestGridPoints:
@@ -1445,8 +1507,10 @@ class TestGridPoints:
         assert every_run_full(spec) == (family == "lemma1")
 
     def test_empty_domain_is_an_error(self):
+        # The box meets the ordered disc, at (0.5, 0.15) say, so the spec
+        # is made, but no point of its 2 x 2 mesh lies inside.
         fam = verify.family_of("lemma2")
-        grid = (("x", 0.9, 1.0, 30), ("y", 0.95, 1.0, 30))
+        grid = (("x", 0.0, 1.0, 2), ("y", 0.1, 0.2, 2))
         spec = verify.default_spec("lemma2", grid=grid, random_samples=0)
         with pytest.raises(ValueError, match="sweep domain is empty"):
             verify._grid_points(fam, spec)
