@@ -210,7 +210,7 @@ def renyi_of_spectrum(lam, alpha, out=None):
     shift = 0.0
     # The top of k eigenvalues is >= 1/k, so only past alpha log2(k) ~ 1022
     # can every power underflow; there the top comes out of the sum first.
-    if av * math.log2(lam.shape[-1]) > 1000.0:
+    if av * math.log2(np.shape(lam)[-1]) > 1000.0:
         top = np.max(lam, axis=-1, keepdims=True)
         lam, shift = lam / top, av * np.log2(top[..., 0])
     powers = np.power(lam, av, out=out)
@@ -273,10 +273,11 @@ def tsallis_pure(state: PureState, side_a, q) -> float:
     return float(tsallis_of_spectrum(spectrum, q))
 
 
-def tsallis_two_qubit(rho, q) -> float:
-    """Tsallis-q entanglement of a two-qubit mixed state, g_q(C^2)."""
+def tsallis_two_qubit(rho, q) -> float | np.ndarray:
+    """Tsallis-q entanglement of a two-qubit mixed state, g_q(C^2); a stack
+    of states gives one value per member."""
     c = concurrence_two_qubit(rho)
-    return float(g_q(c * c, q))
+    return g_q(c * c, q)
 
 
 def renyi_pure(state: PureState, side_a, alpha) -> float:
@@ -285,10 +286,11 @@ def renyi_pure(state: PureState, side_a, alpha) -> float:
     return float(renyi_of_spectrum(spectrum, alpha))
 
 
-def renyi_two_qubit(rho, alpha) -> float:
-    """Renyi-alpha entanglement of a two-qubit mixed state, f_alpha(C)."""
+def renyi_two_qubit(rho, alpha) -> float | np.ndarray:
+    """Renyi-alpha entanglement of a two-qubit mixed state, f_alpha(C); a
+    stack of states gives one value per member."""
     c = concurrence_two_qubit(rho)
-    return float(f_alpha(c, alpha))
+    return f_alpha(c, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -316,26 +318,6 @@ def _qr_errors():
     return np.errstate(
         call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"
     )
-
-
-try:
-    from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced
-except ImportError:  # numpy may drop or rename its private gufuncs
-    qr_r_raw = qr_reduced = None
-
-
-def _q_factor(a: np.ndarray) -> np.ndarray:
-    """Q of the reduced QR factorization of a complex ``(..., k, r)`` stack.
-
-    Bit for bit ``np.linalg.qr(a)[0]``: the same two LAPACK gufuncs
-    (geqrf, then ungqr) from numpy's private ``_umath_linalg``, but ``a`` is
-    factored in place (it is overwritten) and no R is built.  Callers enter
-    ``_qr_errors()`` around it.  A numpy without that module or either
-    gufunc gets ``np.linalg.qr`` itself, which has the same bits.
-    """
-    if qr_reduced is None:
-        return np.linalg.qr(a)[0]
-    return qr_reduced(a, qr_r_raw(a))
 
 
 def _q_two_columns(a: np.ndarray) -> np.ndarray:
@@ -399,17 +381,15 @@ def _refine_group(u, tau, rngs, rows=None) -> float:
     changes neither its Q nor its cost.  A restart draws its proposals
     ``_PROPOSAL_BLOCK`` steps at a time, which yields exactly the numbers
     one draw per step would, and only the live (unfrozen) restarts are
-    stepped.  Each step re-orthonormalises its
-    proposals: ``_q_two_columns`` for two columns, else ``_q_factor``, Q
-    alone with the same bits as ``np.linalg.qr``.  Its error state
-    (``_qr_errors``) is entered once for the whole loop, so the cost
-    evaluation and the bookkeeping share it: they too ignore overflow,
+    stepped.  Each step re-orthonormalises its proposals:
+    ``_q_two_columns`` for two columns, else the Q of ``np.linalg.qr``.  Its
+    error state (``_qr_errors``) is entered once for the whole loop, so the
+    cost evaluation and the bookkeeping share it: they too ignore overflow,
     division and underflow, and an invalid operation in them raises
     ``LinAlgError``.
     """
     batch, k, r = u.shape
     rows = [k] * batch if rows is None else rows
-    q_of = _q_two_columns if r == 2 else _q_factor
     val = _decomposition_cost(u, tau)
     # Every restart's proposals for the current block, indexed by restart so
     # that dropping frozen restarts moves none of them.  Each generator fills
@@ -441,7 +421,8 @@ def _refine_group(u, tau, rngs, rows=None) -> float:
                     rngs[b].standard_normal(out=drawn[b])
                 for target, source in copies:
                     np.copyto(target, source)
-            cand = q_of(cur + step[:, None, None] * proposals[live, j])
+            cand = cur + step[:, None, None] * proposals[live, j]
+            cand = _q_two_columns(cand) if r == 2 else np.linalg.qr(cand)[0]
             cand_val = _decomposition_cost(cand, tau)
             improved = cand_val < cur_val - 1e-15
             np.copyto(cur, cand, where=improved[:, None, None])
@@ -470,11 +451,14 @@ def concurrence_roof_oracle(rho, restarts: int = 200, seed: int = 0) -> float:
     sizes rank..4), refining Haar-seeded restarts by random-direction
     descent.  Restart ``t`` is driven by the ``t``-th child of the seed, so
     for a fixed seed the estimate is the running minimum over restarts:
-    raising ``restarts`` can only lower (never raise) the result.
+    raising ``restarts`` can only lower (never raise) the result.  ``rho``
+    must be one 4x4 density matrix; a stack is refused.
     """
     restarts = kernel.as_integer(restarts, "restarts", least=1)
     seed = kernel.as_integer(seed, "seed", least=0)
-    arr = kernel.require_density(rho, dim=4)
+    if np.shape(rho) != (4, 4):
+        raise ValueError(f"expected one 4x4 density matrix, got shape {np.shape(rho)}")
+    arr = kernel.require_density(rho)
     w, v = np.linalg.eigh(arr)
     keep = w > _RANK_CUTOFF
     w, v = w[keep], v[:, keep]

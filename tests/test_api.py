@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import qmonogamy
 
 # The package's public names; adding or removing one shows here.
@@ -45,3 +48,23 @@ def test_all_is_the_pinned_list():
 def test_every_name_resolves():
     for name in qmonogamy.__all__:
         assert getattr(qmonogamy, name) is not None, name
+
+
+def test_no_private_numpy_import():
+    # The package runs on numpy's public API only: no import may name a numpy
+    # module with a ``_``-prefixed segment, such as ``numpy.linalg._umath_linalg``.
+    src = pathlib.Path(qmonogamy.__file__).parent
+    private = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                parts = module.split(".")
+                if parts[0] == "numpy" and any(part.startswith("_") for part in parts[1:]):
+                    private.append(f"{path.name}:{node.lineno} {module}")
+    assert not private, private

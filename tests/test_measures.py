@@ -512,6 +512,13 @@ def test_roundoff_product_cut_is_zero(entropy, index):
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
+@pytest.mark.parametrize("formula", [measures.tsallis_of_spectrum, measures.renyi_of_spectrum])
+def test_spectrum_formulas_take_a_list(formula):
+    lam = [0.75, 0.25]
+    assert formula(lam, 2.0) == formula(np.array(lam), 2.0)
+    assert formula([[0.5, 0.5], lam], 3.0).tolist() == [formula([0.5, 0.5], 3.0), formula(lam, 3.0)]
+
+
 @pytest.mark.parametrize(
     "wrapper,args", PURE_CUT_WRAPPERS, ids=[w.__name__ for w, _ in PURE_CUT_WRAPPERS]
 )

@@ -1,8 +1,6 @@
 """Convex-roof oracle against the closed-form two-qubit concurrence."""
 
-import importlib.util
-import sys
-import types
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +101,27 @@ def test_non_finite_input_is_a_value_error():
     with pytest.raises(ValueError, match="NaN or infinite"):
         measures.concurrence_two_qubit(rho)
     with pytest.raises(ValueError, match="NaN or infinite"):
+        measures.concurrence_roof_oracle(rho, restarts=2)
+
+
+_MIXED = np.eye(4) / 4.0
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [np.stack([_MIXED, _MIXED]), _MIXED[None], _MIXED.ravel(), np.eye(2) / 2.0],
+    ids=["stack", "stack-of-one", "vector", "2x2"],
+)
+def test_anything_but_one_4x4_matrix_is_refused_by_shape(monkeypatch, rho):
+    # A stack passes ``kernel.require_density``; it must be refused, by its
+    # shape, before any eigensolver runs.
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("eigensolver ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    message = f"expected one 4x4 density matrix, got shape {rho.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         measures.concurrence_roof_oracle(rho, restarts=2)
 
 
@@ -209,25 +228,6 @@ def test_mixed_size_batch_restarts_are_independent(name, rows):
     assert batched == min(alone)
 
 
-# ``_q_factor`` calls numpy's private LAPACK gufuncs; this guards that API.
-@settings(max_examples=80, deadline=None)
-@given(
-    batch=st.integers(1, 70),
-    k=st.integers(2, 4),
-    data=st.data(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_q_factor_matches_numpy_bit_for_bit(batch, k, data, seed):
-    r = data.draw(st.integers(1, k), label="r")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((batch, k, r)) + 1j * rng.standard_normal((batch, k, r))
-    want = np.linalg.qr(a)[0]
-    with measures._qr_errors():
-        got = measures._q_factor(a.copy())
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-
-
 @settings(max_examples=80, deadline=None)
 @given(batch=st.integers(1, 70), k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
 def test_q_two_columns_matches_numpy(batch, k, seed):
@@ -250,37 +250,10 @@ def test_q_two_columns_matches_numpy(batch, k, seed):
     assert np.concatenate(alone).tobytes() == got.tobytes()
 
 
-def measures_without(monkeypatch, missing):
-    """A fresh copy of ``qmonogamy.measures``, imported while numpy's private
-    ``_umath_linalg`` lacks ``missing``: the module itself, or one of its two
-    QR gufuncs (a stand-in module holds the other).  numpy's own ``qr``, which
-    holds its own reference to the module, and the package's own module are
-    left as they are."""
-    private = "numpy.linalg._umath_linalg"
-    if missing == "module":
-        monkeypatch.setitem(sys.modules, private, None)
-        monkeypatch.delattr(np.linalg, "_umath_linalg")
-    else:
-        stand_in = types.ModuleType(private)
-        kept = ({"qr_r_raw", "qr_reduced"} - {missing}).pop()
-        setattr(stand_in, kept, getattr(sys.modules[private], kept))
-        monkeypatch.setitem(sys.modules, private, stand_in)
-        monkeypatch.setattr(np.linalg, "_umath_linalg", stand_in)
-    spec = importlib.util.find_spec("qmonogamy.measures")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.parametrize("missing", ["module", "qr_r_raw", "qr_reduced"])
-def test_public_qr_fallback_keeps_the_pins(monkeypatch, missing):
-    fallback = measures_without(monkeypatch, missing)
-    for name, restarts in _PINNED:
-        est = fallback.concurrence_roof_oracle(pinned_input(name), restarts=restarts, seed=11)
-        assert est.hex() == _PINNED[name, restarts], (name, restarts)
-
-
-@pytest.mark.parametrize(("name", "calls", "rows"), [("rank2", 665, 35223), ("rank3", 1039, 49707)])
+@pytest.mark.parametrize(
+    ("name", "calls", "rows"),
+    [("rank2", 665, 35223), ("rank3", 1039, 49707), ("rank4", 1262, 96843)],
+)
 def test_refinement_work_is_pinned(monkeypatch, name, calls, rows):
     # Same steps, not just the same value: the number of cost evaluations (one
     # for the initial isometries, then one per lockstep step) and the restarts

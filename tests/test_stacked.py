@@ -76,6 +76,18 @@ class TestStackEqualsPerMatrix:
             for matrix, spectrum in zip(reduced, spectra):
                 assert np.array_equal(spectrum, measures.spin_flip_spectrum(matrix))
 
+    @SETTINGS
+    @given(density_stacks())
+    def test_two_qubit_entropies(self, stack):
+        n_qubits, rhos = stack
+        reduced = kernel.partial_trace(rhos, n_qubits, {0, 1})
+        for fn, index in [(measures.tsallis_two_qubit, 2.5), (measures.renyi_two_qubit, 2.0)]:
+            stacked = fn(reduced, index)
+            assert isinstance(stacked, np.ndarray) and stacked.shape == (len(rhos),)
+            singles = [fn(matrix, index) for matrix in reduced]
+            assert all(type(value) is float for value in singles)
+            assert np.array_equal(stacked, singles)
+
 
 @st.composite
 def pure_stacks(draw):
