@@ -335,17 +335,16 @@ def _q_two_columns(a: np.ndarray) -> np.ndarray:
     below the diagonal are exactly zero and whose diagonal is real, which
     LAPACK leaves unreflected, may come back negated.
     """
-    flat = a.view(float)  # per row: Re, Im of column 0, then of column 1
     col0, col1 = a[..., 0], a[..., 1]
     top = a[..., 0, 0]
-    beta = np.sqrt(np.einsum("...ij,...ij->...", flat[..., :2], flat[..., :2]))
+    beta = np.sqrt(np.vecdot(col0, col0).real)
     np.copysign(beta, -top.real, out=beta)
     # v_1 of the first reflector, read before column 0 is overwritten.
     v1 = a[..., 1, 0] / (top - beta)
     col0 /= beta[..., None]
     col1 -= col0 * np.vecdot(col0, col1)[..., None]
     alpha = a[..., 1, 1] - a[..., 0, 1] * v1
-    beta = np.sqrt(np.einsum("...ij,...ij->...", flat[..., 2:], flat[..., 2:]))
+    beta = np.sqrt(np.vecdot(col1, col1).real)
     np.copysign(beta, -alpha.real, out=beta)
     col1 /= beta[..., None]
     return a
@@ -365,9 +364,21 @@ def _decomposition_cost(u: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Average concurrence of the decompositions mixed by each ``u``.
 
     Rows of ``u`` define subnormalized members psi_j = sum_i u_ji x_i; the
-    weighted concurrence sum collapses to sum_j |(u tau u^T)_jj|.
+    weighted concurrence sum collapses to sum_j |(u tau u^T)_jj|.  All rows
+    of a ``(..., k, r)`` stack go through one ``(n, r) @ (r, r)`` product;
+    each row's product is then multiplied by the row, its r entries summed
+    in order, and the k moduli of each matrix summed in order.  A matrix's
+    cost depends only on it and ``tau``, never on the rest of the stack.
     """
-    return np.sum(np.abs(np.einsum("...ji,ik,...jk->...j", u, tau, u)), axis=-1)
+    flat = u.reshape(-1, u.shape[-1])
+    prod = flat @ tau
+    prod *= flat
+    # Column by column, left to right: numpy's reduction over a short last
+    # axis costs more than r - 1 whole-array adds.
+    total = prod[:, 0].copy()
+    for column in prod.T[1:]:
+        total += column
+    return np.add.reduce(np.abs(total).reshape(u.shape[:-1]), axis=-1)
 
 
 def _refine_group(u, tau, rngs, rows=None) -> float:

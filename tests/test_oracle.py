@@ -131,20 +131,20 @@ def test_anything_but_one_4x4_matrix_is_refused_by_shape(monkeypatch, rho):
 # pure state takes the rank-1 shortcut.
 _PIN_WEIGHTS = {2: (0.6, 0.4), 3: (0.7, 0.2, 0.1), 4: (0.82, 0.08, 0.06, 0.04)}
 _PINNED = {
-    ("rank2", 1): "0x1.23688cc86a4dep-3",
-    ("rank2", 2): "0x1.23688cc86a4dep-3",
-    ("rank2", 3): "0x1.23688cc86a4dep-3",
-    ("rank2", 7): "0x1.23688cc86a4dep-3",
+    ("rank2", 1): "0x1.23688cc86a4e1p-3",
+    ("rank2", 2): "0x1.23688cc86a4e1p-3",
+    ("rank2", 3): "0x1.23688cc86a4e1p-3",
+    ("rank2", 7): "0x1.23688cc86a4e1p-3",
     ("rank2", 200): "0x1.23688cc8139dcp-3",
     ("rank3", 1): "0x1.1c639c8a9bac9p-1",
     ("rank3", 2): "0x1.1c639c8a9bac9p-1",
     ("rank3", 3): "0x1.1c639c8a9bac9p-1",
     ("rank3", 7): "0x1.1c639c08464c6p-1",
     ("rank3", 200): "0x1.1c639bfaf4f06p-1",
-    ("rank4", 1): "0x1.8268dfda1481ap-2",
-    ("rank4", 2): "0x1.7702d8a490a7cp-2",
-    ("rank4", 3): "0x1.7702d8a490a7cp-2",
-    ("rank4", 7): "0x1.7702d8a490a7cp-2",
+    ("rank4", 1): "0x1.8268dfda1481bp-2",
+    ("rank4", 2): "0x1.7702d8a490a7bp-2",
+    ("rank4", 3): "0x1.7702d8a490a7bp-2",
+    ("rank4", 7): "0x1.7702d8a490a7bp-2",
     ("rank4", 200): "0x1.76fe1ea4a5c80p-2",
     ("pure", 1): "0x1.ed374b9678e22p-2",
     ("pure", 2): "0x1.ed374b9678e22p-2",
@@ -163,6 +163,14 @@ def pinned_input(name):
     return sum(w * np.outer(v, v.conj()) for w, v in zip(_PIN_WEIGHTS[rank], vecs))
 
 
+def oracle_tau(rho):
+    """``tau`` of ``rho`` as the oracle builds it, and its rank."""
+    w, v = np.linalg.eigh(rho)
+    keep = w > 1e-10
+    x = v[:, keep] * np.sqrt(w[keep])
+    return x.T @ measures.kernel.YY @ x, int(keep.sum())
+
+
 @pytest.mark.parametrize("name", ["rank2", "rank3", "rank4", "pure"])
 def test_pinned_values(name):
     rho = pinned_input(name)
@@ -173,12 +181,7 @@ def test_pinned_values(name):
 
 @pytest.mark.parametrize(("name", "k"), [("rank2", 2), ("rank3", 4)])
 def test_batched_restarts_are_independent(name, k):
-    rho = pinned_input(name)
-    w, v = np.linalg.eigh(rho)
-    keep = w > 1e-10
-    x = v[:, keep] * np.sqrt(w[keep])
-    tau = x.T @ measures.kernel.YY @ x
-    rank = int(keep.sum())
+    tau, rank = oracle_tau(pinned_input(name))
     children = np.random.SeedSequence(8).spawn(9)
 
     def start(child):
@@ -202,12 +205,7 @@ def test_mixed_size_batch_restarts_are_independent(name, rows):
     # One lockstep batch of restarts of several sizes, zero-padded to 4 rows
     # and not all grouped by size, against each restart refined alone and
     # unpadded.
-    rho = pinned_input(name)
-    w, v = np.linalg.eigh(rho)
-    keep = w > 1e-10
-    x = v[:, keep] * np.sqrt(w[keep])
-    tau = x.T @ measures.kernel.YY @ x
-    rank = int(keep.sum())
+    tau, rank = oracle_tau(pinned_input(name))
     children = np.random.SeedSequence(8).spawn(len(rows))
 
     def start(child, k):
@@ -226,6 +224,44 @@ def test_mixed_size_batch_restarts_are_independent(name, rows):
         u, rng = start(child, k)
         alone.append(measures._refine_group(u[None], tau, [rng]))
     assert batched == min(alone)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13, 64, 76, 200, 301])
+@pytest.mark.parametrize("name", ["rank2", "rank3", "rank4"])
+def test_decomposition_cost_does_not_depend_on_its_stack(name, size):
+    # All rows of a stack share one matrix product; each member's cost must
+    # still come out bit for bit as it does alone, whatever the stack's size.
+    tau, rank = oracle_tau(pinned_input(name))
+    rng = np.random.default_rng(size)
+    g = rng.standard_normal((size, 4, rank)) + 1j * rng.standard_normal((size, 4, rank))
+    u = np.linalg.qr(g)[0]
+    stacked = measures._decomposition_cost(u, tau)
+    alone = [measures._decomposition_cost(m[None], tau) for m in u]
+    assert np.concatenate(alone).tobytes() == stacked.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    batch=st.integers(1, 70),
+    rank=st.integers(2, 4),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decomposition_cost_matches_einsum(batch, rank, extra, seed):
+    # Against the three-operand einsum form of the same cost, on zero-padded
+    # isometries of k = rank..4 rows and the tau of a random mixture of
+    # ``rank`` pure states.
+    k = min(rank + extra, 4)
+    rng = np.random.default_rng(seed)
+    vecs = [states.haar_state_vector(4, rng) for _ in range(rank)]
+    weights = rng.dirichlet(np.ones(rank))
+    tau, r = oracle_tau(sum(p * np.outer(v, v.conj()) for p, v in zip(weights, vecs)))
+    g = rng.standard_normal((batch, k, r)) + 1j * rng.standard_normal((batch, k, r))
+    u = np.zeros((batch, 4, r), dtype=complex)
+    u[:, :k] = np.linalg.qr(g)[0]
+    got = measures._decomposition_cost(u, tau)
+    want = np.sum(np.abs(np.einsum("...ji,ik,...jk->...j", u, tau, u)), axis=-1)
+    np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
 
 
 @settings(max_examples=80, deadline=None)
