@@ -181,19 +181,8 @@ class BoundReport:
         )
 
     def as_dict(self) -> dict:
-        m = self.margins
-        return {
-            "exponent": self.exponent,
-            "lhs": self.lhs,
-            "new_bound": self.new_bound,
-            "prior_bound": self.prior_bound,
-            "naive_bound": self.naive_bound,
-            "margins": {
-                "lhs_minus_new": m[0],
-                "new_minus_prior": m[1],
-                "prior_minus_naive": m[2],
-            },
-        }
+        names = ("lhs_minus_new", "new_minus_prior", "prior_minus_naive")
+        return {**vars(self), "margins": dict(zip(names, self.margins))}
 
 
 def power_chain(x, mu, out=None):
@@ -293,20 +282,15 @@ def _tail_values(head, lead, e2, last, full, squared: bool, coefficients, out=No
     return tails
 
 
-def _tail(e1, e2, mu, name: str, coupling: str = "linear", out=None):
+def _tail(e1, e2, mu, name: str, coupling: str = "linear"):
     """Pair tail ``name`` (a key of ``_TAILS``) of the ordered pair e1 >= e2:
-    every check, then ``_tail_core``.
-
-    ``out``, three arrays of the broadcast shape of e1 and e2 (or one
-    ``(3, *shape)`` array), takes the tail in the first; the other two
-    hold its temporaries.  None makes fresh ones.
-    """
+    every check, then ``_tail_core``."""
     if name not in _TAILS:
         raise ValueError(f"unknown tail {name!r}; expected one of {tuple(_TAILS)}")
     mu = check_power(mu)
     a, b = _check_ordered(e1, e2)
     _coupling_exponent(mu, coupling)  # refuses an array mu and an unknown coupling
-    vals = _tail_core(a, b, mu, name, coupling, out)
+    vals = _tail_core(a, b, mu, name, coupling)
     return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
 
 
@@ -315,7 +299,8 @@ def _tail_core(a, b, mu: float, name: str, coupling: str, out=None):
     power mu that ``check_power`` has passed and a known tail and coupling,
     with no check of its own: the sweeps check a block's pair once and call
     this for every combo.  Returns an array, or a numpy scalar for 0-d a and
-    b."""
+    b.  ``out``, three arrays of their broadcast shape (or one ``(3, *shape)``
+    array), takes the tail in the first, its temporaries in the others."""
     k = _DEGREE[coupling]
     pow_ = k * mu
     if out is None:
@@ -333,15 +318,13 @@ def _tail_core(a, b, mu: float, name: str, coupling: str, out=None):
     return vals
 
 
-def pair_bound_new(e1, e2, mu, coupling: str = "linear", out=None):
+def pair_bound_new(e1, e2, mu, coupling: str = "linear"):
     """Tightened two-party tail, coefficient mu^2/(mu+1) on the cross term.
 
     linear:  e1^mu + mu^2/(mu+1) e1^(mu-1) e2 + (2^mu - mu^2/(mu+1) - 1) e2^mu
     squared: e1^g  + mu^2/(mu+1) e1^(g-2) e2^2 + (2^mu - mu^2/(mu+1) - 1) e2^g
-
-    ``out`` as in ``_tail``: the tail is written into its first array.
     """
-    return _tail(e1, e2, mu, "new", coupling, out)
+    return _tail(e1, e2, mu, "new", coupling)
 
 
 def pair_bound_prior(e1, e2, mu, coupling: str = "linear"):
@@ -363,7 +346,7 @@ def pair_bound_naive(e1, e2, mu, coupling: str = "linear"):
     return _tail(e1, e2, mu, "naive", coupling)
 
 
-def chain_bound(values, m: int, mu: float, coupling: str = "linear", tail: str = "new"):
+def chain_bound(values, m: int, mu: float, coupling: str = "linear", tail="new"):
     """Multi-party chain lower bound with split index ``m``.
 
     ``values`` are the per-pair entanglement values (length N-1 >= 2) in the
@@ -372,33 +355,56 @@ def chain_bound(values, m: int, mu: float, coupling: str = "linear", tail: str =
     (fully descending) the tail couples the last two values as
     ``Q(v[N-2], v[N-1])``; smaller ``m`` swaps the tail onto
     ``Q(v[N-1], v[N-2])`` and reweights the middle block.  ``tail`` selects
-    the pairwise tail: "new" for the tightened one, "prior" or "naive".
+    the pairwise tail: "new" for the tightened one, "prior" or "naive".  A
+    tuple of names gives one chain per name from one pass (checks, head sum
+    and the tail pair's powers shared), each with its one-name call's bits.
     """
     mu = check_power(mu)
-    vals = [float(v) for v in values]
-    n_minus_1 = len(vals)
-    if n_minus_1 < 2:
-        raise ValueError(f"need at least two per-pair values, got {n_minus_1}")
+    flat = "entanglement values must be a flat list of numbers, got"
+    if isinstance(values, np.ndarray) and values.ndim != 1:
+        raise ValueError(f"{flat} an array of shape {values.shape}")
+    vals = []
+    for v in values:
+        try:
+            vals.append(float(v))
+        except TypeError:
+            raise ValueError(f"{flat} the entry {v!r}") from None
+    n = len(vals) + 1
+    if n < 3:
+        raise ValueError(f"need at least two per-pair values, got {n - 1}")
     # A NaN passes the sign check, and the chain would then be NaN.
     if not all(math.isfinite(v) and v >= 0.0 for v in vals):
         raise ValueError(f"entanglement values must be finite and nonnegative, got {vals}")
-    n = n_minus_1 + 1
     m = kernel.as_integer(m, "split index")
     if not 0 <= m <= n - 2:
         raise ValueError(f"split index {m} outside 0..{n - 2}")
-    # The tail weight 2^mu - 1 of the chain expansion.
-    h = _TWO**mu - 1.0
+    # 2^mu and the tail weight 2^mu - 1 of the chain expansion.
+    full = _TWO**mu
+    h = full - 1.0
     pow_ = _coupling_exponent(mu, coupling)
     # numpy scalars, whose powers overflow to inf as ``_TWO``'s do.
     vals = np.array(vals)
     if m == n - 2:
         total = sum(h ** (i - 1) * vals[i - 1] ** pow_ for i in range(1, n - 2))
-        q = _tail(vals[-2], vals[-1], mu, tail, coupling)
-        return float(total + h ** (n - 3) * q)
-    total = sum(h ** (i - 1) * vals[i - 1] ** pow_ for i in range(1, m + 1))
-    total += h ** (m + 1) * sum(vals[j - 1] ** pow_ for j in range(m + 1, n - 2))
-    q = _tail(vals[-1], vals[-2], mu, tail, coupling)
-    return float(total + h**m * q)
+        pair, depth = (vals[-2], vals[-1]), n - 3
+    else:
+        total = sum(h ** (i - 1) * vals[i - 1] ** pow_ for i in range(1, m + 1))
+        total += h ** (m + 1) * sum(vals[j - 1] ** pow_ for j in range(m + 1, n - 2))
+        pair, depth = (vals[-1], vals[-2]), m
+    names = tail if isinstance(tail, tuple) else (tail,)
+    for name in names:
+        if name not in _TAILS:
+            raise ValueError(f"unknown tail {name!r}; expected one of {tuple(_TAILS)}")
+    a, b = _check_ordered(*pair)
+    k = _DEGREE[coupling]
+    # ``_tail_core``'s powers, in its order, shared by every name's tail.
+    lead, last = np.power(a, pow_ - k), np.power(b, pow_)
+    tails = _tail_values(
+        np.power(a, pow_), lead, b, last, full, k == 2, [_TAILS[name](mu) for name in names]
+    )
+    # Not tuple() of a generator: its resized tuple grows the tuple free list.
+    chains = [float(total + h**depth * q) for q in tails]
+    return tuple(chains) if isinstance(tail, tuple) else chains[0]
 
 
 def compare_chain(lhs: float, values, m: int, mu: float, regime: str) -> BoundReport:
@@ -407,9 +413,9 @@ def compare_chain(lhs: float, values, m: int, mu: float, regime: str) -> BoundRe
 
     The regime, a key of ``REGIMES``, sets the coupling and so the power of
     ``lhs``, mu or gamma = 2 mu; two values at ``m = 1`` give the pair
-    relation.  The prior and naive columns reuse the chain skeleton with the
-    matching pairwise tail swapped in, so the term-by-term dominance of the
-    tails carries over to the chains.
+    relation.  The three chains come from one ``chain_bound`` pass, the
+    chain skeleton with each pairwise tail swapped in, so the term-by-term
+    dominance of the tails carries over to the chains.
     """
     mu = check_power(mu)
     if regime not in REGIMES:
@@ -422,13 +428,8 @@ def compare_chain(lhs: float, values, m: int, mu: float, regime: str) -> BoundRe
     pow_ = _coupling_exponent(mu, coupling)
     # An overflow shows as a non-finite bound, which BoundReport rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        return BoundReport(
-            exponent=pow_,
-            lhs=float(np.float64(lhs) ** pow_),
-            new_bound=chain_bound(values, m, mu, coupling),
-            prior_bound=chain_bound(values, m, mu, coupling, tail="prior"),
-            naive_bound=chain_bound(values, m, mu, coupling, tail="naive"),
-        )
+        chains = chain_bound(values, m, mu, coupling, ("new", "prior", "naive"))
+        return BoundReport(pow_, float(np.float64(lhs) ** pow_), *chains)
 
 
 def ordering_certificate(state: PureState, pivot: int, rest_order, concurrences) -> list[str]:

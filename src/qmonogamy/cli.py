@@ -50,12 +50,17 @@ _FIGURES = {1: (1.0, 3.0, 0.02), 2: (1.0, 4.0, 0.02), 3: (2.0, 6.0, 0.02)}
 
 def _cut_values(state: PureState, pivot: int, measure: str, index):
     """(full cut, concurrences, marginals) of ``pivot``'s cut, partners in
-    ascending order; ``index`` is q or alpha.  One stacked call gives the
-    concurrences and one more converts them all, with the bits a call per
-    partner would give."""
+    ascending order; ``index`` is q or alpha.  One stacked trace gives the
+    pair densities, one stacked call their concurrences and one more
+    converts them all, with the bits a call per partner would give."""
     n = state.n_qubits
-    rho = density(state)
-    pairs = np.stack([kernel.partial_trace(rho, n, {pivot, b}) for b in range(n) if b != pivot])
+    rho = density(state).reshape((2,) * (2 * n))
+    partners = [b for b in range(n) if b != pivot]
+    # The pair ascending, then the rest ascending: tracing qubits 2.. highest
+    # first sums each entry in the order a trace of ``rho`` would.
+    orders = [sorted((pivot, b)) + [q for q in partners if q != b] for b in partners]
+    stack = np.stack([rho.transpose(order + [n + q for q in order]) for order in orders])
+    pairs = kernel.partial_trace(stack.reshape(n - 1, 2**n, 2**n), n, {0, 1})
     concurrences = measures.concurrence_two_qubit(pairs)
     if measure == "tsallis":
         full = measures.tsallis_pure(state, {pivot}, index)
@@ -138,8 +143,9 @@ _PARAM_FLAGS = tuple(
 
 
 def _float_list(text: str) -> tuple[float, ...]:
+    # A blank text has no values; an empty entry fails as float('') does.
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in text.split(",")) if text.strip() else ()
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad value list {text!r}") from exc
 
@@ -194,17 +200,16 @@ def cmd_sweep(args, out=None) -> int:
 
 
 def load_state_file(path: str) -> PureState:
-    with open(path) as fh:
-        text = fh.read()
     try:
-        data = json.loads(text)
+        with open(path) as fh:
+            data = json.load(fh)
     except RecursionError as exc:
         raise ValueError("state file nests too deeply") from exc
     if not isinstance(data, dict):
         raise ValueError("state file must hold a JSON object")
     if "lambda" in data:
-        return acin_state(AcinParams.from_json(text))
-    return PureState.from_json(text)
+        return acin_state(AcinParams.from_data(data))
+    return PureState.from_data(data)
 
 
 def _evaluate_report(args) -> dict:
@@ -234,27 +239,15 @@ def _evaluate_report(args) -> dict:
     else:
         split = min(split, n - 3)
     report = bounds.compare_chain(lhs, marginals, split, power, regime.name)
-    result = report.as_dict()
-    result.update(
-        {
-            "measure": regime.measure,
-            "index": index,
-            "regime": regime.name,
-            "pivot": pivot,
-            "partners": rest,
-            "marginals": marginals,
-            "ordering": tag,
-            "ordering_positions": positions,
-            "split_index": split,
-        }
+    return dict(
+        report.as_dict(), measure=regime.measure, index=index, regime=regime.name,
+        pivot=pivot, partners=rest, marginals=marginals, ordering=tag,
+        ordering_positions=positions, split_index=split,
     )
-    return result
 
 
 def cmd_evaluate(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    result = _evaluate_report(args)
-    print(json.dumps(result), file=out)
+    print(json.dumps(_evaluate_report(args)), file=out if out is not None else sys.stdout)
     return 0
 
 

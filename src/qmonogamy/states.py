@@ -63,7 +63,10 @@ class PureState:
 
     @classmethod
     def from_json(cls, text: str) -> "PureState":
-        data = json.loads(text)
+        return cls.from_data(json.loads(text))
+
+    @classmethod
+    def from_data(cls, data) -> "PureState":
         try:
             n = data["n_qubits"]
             amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
@@ -105,7 +108,10 @@ class AcinParams:
 
     @classmethod
     def from_json(cls, text: str) -> "AcinParams":
-        data = json.loads(text)
+        return cls.from_data(json.loads(text))
+
+    @classmethod
+    def from_data(cls, data) -> "AcinParams":
         try:
             lams = tuple(float(v) for v in data["lambda"])
             phi = float(data.get("phi", 0.0))

@@ -810,3 +810,111 @@ class TestInPlaceTails:
             want = bounds.chain_bound(list(values), m, mu, coupling)
             got = bounds.chain_bound(frozen(values), m, mu, coupling)
             assert type(got) is float and bits(got) == bits(want)
+
+
+TAIL_NAMES = ("new", "prior", "naive")
+
+
+def tail_ordered(values, m):
+    """``values`` descending, with the last two swapped below the full
+    split: the order the chain's tail pair needs at split ``m``."""
+    values = sorted(values, reverse=True)
+    if m < len(values) - 1:
+        values[-2:] = values[:-3:-1]
+    return values
+
+
+class TestOnePassChain:
+    @settings(max_examples=200, deadline=None)
+    @given(a=UNIT, b=UNIT, mu=MU_VALUES)
+    def test_two_values_are_the_public_pair_tails(self, a, b, mu):
+        e1, e2 = max(a, b), min(a, b)
+        for coupling in bounds.COUPLINGS:
+            got = bounds.chain_bound([e1, e2], 1, mu, coupling, TAIL_NAMES)
+            want = [fn(e1, e2, mu, coupling) for _, fn in PAIR_TAILS]
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            assert [bits(v) for v in got] == [bits(v) for v in want], coupling
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(UNIT, min_size=3, max_size=4), mu=MU_VALUES, m=st.integers(0, 2))
+    def test_three_names_are_three_one_name_calls(self, values, mu, m):
+        values = tail_ordered(values, min(m, len(values) - 1))
+        m = min(m, len(values) - 1)
+        for coupling in bounds.COUPLINGS:
+            got = bounds.chain_bound(values, m, mu, coupling, TAIL_NAMES)
+            want = [bounds.chain_bound(values, m, mu, coupling, name) for name in TAIL_NAMES]
+            assert [bits(v) for v in got] == [bits(v) for v in want], coupling
+            # A single name is one float, not a one-entry tuple.
+            assert type(want[0]) is float
+
+    def test_compare_chain_makes_one_chain_call(self, monkeypatch):
+        calls = []
+        original = bounds.chain_bound
+
+        def counted(*args):
+            calls.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(bounds, "chain_bound", counted)
+        report = bounds.compare_chain(0.9, (0.5, 0.3, 0.2), 2, 2.0, "tsallis_q2to3")
+        assert calls == [TAIL_NAMES]
+        assert report.new_bound == original((0.5, 0.3, 0.2), 2, 2.0)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # Values that are not a flat list of numbers, by shape or entry.
+            (([[0.5, 0.2]], 1, 2.0), r"flat list of numbers, got the entry \[0\.5, 0\.2\]"),
+            ((np.array([[0.5, 0.2]]), 1, 2.0),
+             r"^entanglement values must be a flat list of numbers, got an array of shape \(1, 2\)$"),
+            ((np.array(0.5), 1, 2.0), r"got an array of shape \(\)$"),
+            (([[0.5], [0.2]], 1, 2.0), r"^entanglement values must be a flat list of numbers, got the entry \[0\.5\]$"),
+            (([0.5, None], 1, 2.0), r"got the entry None$"),
+            (([0.5, 1j], 1, 2.0), r"got the entry 1j$"),
+            # The power comes first, then the values, then the split.
+            (([[0.5], [0.2]], 1, 0.5), r"^power must be >= 1, got 0\.5$"),
+            (([0.5], 5, 2.0), r"^need at least two per-pair values, got 1$"),
+            (([math.nan, 0.1], 5, 2.0, "cubic", "bogus"),
+             r"^entanglement values must be finite and nonnegative, got \[nan, 0\.1\]$"),
+            (([0.5, 0.1], 5, 2.0, "cubic", "bogus"), r"^split index 5 outside 0\.\.1$"),
+            (([0.5, 0.1], 1, np.array([2.0]), "cubic"),
+             r"^power mu must be a number, got an array of shape \(1,\)$"),
+            (([0.5, 0.1], 1, 2.0, "cubic", "bogus"),
+             r"^unknown coupling 'cubic'; expected one of \('linear', 'squared'\)$"),
+            # Every name is checked before the pair's order.
+            (([0.1, 0.5], 1, 2.0, "linear", "bogus"),
+             r"^unknown tail 'bogus'; expected one of \('new', 'prior', 'naive'\)$"),
+            (([0.1, 0.5], 1, 2.0, "linear", ("new", "bogus")), r"^unknown tail 'bogus'"),
+            (([0.1, 0.5], 1, 2.0, "linear", TAIL_NAMES),
+             r"^hypothesis violated: e1 < e2 \(caller must order\)$"),
+            (([0.5, 0.2, 0.3], 2, 2.0), r"^hypothesis violated: e1 < e2"),
+        ],
+    )
+    def test_chain_bound_messages(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            bounds.chain_bound(*args)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((0.9, np.array([[0.5, 0.2]]), 1, 2.0, "tsallis_q2to3"),
+             r"^entanglement values must be a flat list of numbers, got an array of shape \(1, 2\)$"),
+            ((0.9, [[0.5], [0.2]], 1, 2.0, "tsallis_q2to3"),
+             r"^entanglement values must be a flat list of numbers, got the entry \[0\.5\]$"),
+            # The power, the regime and lhs come before the values.
+            ((0.9, [[0.5], [0.2]], 1, 0.5, "nope"), r"^power must be >= 1, got 0\.5$"),
+            ((math.nan, [math.nan, 0.1], 1, 2.0, "nope"), r"^unknown regime 'nope'"),
+            ((math.nan, [[0.5], [0.2]], 1, 2.0, "tsallis_q2to3"),
+             r"^lhs must be finite and nonnegative, got nan$"),
+            ((0.9, [0.5, 0.1], 1, np.array([2.0]), "renyi_window"),
+             r"^power mu must be a number, got an array of shape \(1,\)$"),
+            ((0.9, [math.nan, 0.1], 7, 2.0, "tsallis_q2to3"),
+             r"^entanglement values must be finite and nonnegative, got \[nan, 0\.1\]$"),
+            ((0.9, [0.5, 0.1], 7, 2.0, "tsallis_q2to3"), r"^split index 7 outside 0\.\.1$"),
+            ((0.9, [0.1, 0.5], 1, 2.0, "renyi_window"),
+             r"^hypothesis violated: e1 < e2 \(caller must order\)$"),
+        ],
+    )
+    def test_compare_chain_messages(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            bounds.compare_chain(*args)

@@ -10,10 +10,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmonogamy import bounds, cli, measures, states, verify
+from qmonogamy import bounds, cli, kernel, measures, states, verify
 
 WINDOW_ALPHA = measures.RENYI_ANALYTIC_MIN
 
@@ -290,6 +290,18 @@ class TestSweep:
         code, _, err = run(["sweep", "lemma1", "--q-values", "2.5"], capsys)
         assert code == 2
         assert "no 'q' parameter" in err
+
+    @pytest.mark.parametrize("values", ["2,,3", ",2", "2,", "2, ,3", ","])
+    def test_empty_value_list_entry_is_a_usage_error(self, values, capsys):
+        # An empty entry used to be dropped: "2,,3" ran mu = (2, 3) and exited 0.
+        code, out, err = run(["sweep", "lemma2", "--mu-values", values], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --mu-values: bad value list {values!r}\n")
+
+    @pytest.mark.parametrize("values", ["", " "])
+    def test_blank_value_list_has_no_values(self, values, capsys):
+        code, out, err = run(["sweep", "lemma2", "--mu-values", values], capsys)
+        assert (code, out, err) == (2, "", "error: parameter 'mu' has no values\n")
 
     def test_states_flag_rejected_for_grid_family(self, capsys):
         code, _, _ = run(["sweep", "lemma1", "--states", "10"], capsys)
@@ -727,6 +739,97 @@ class TestEvaluate:
         code, _, _ = run(evaluate_argv(path, "renyi", "2", "2", 1), capsys)
         assert code == 0
         assert shapes == [(n_qubits - 1, 4, 4)]
+
+    @pytest.mark.parametrize("name", ["canonical", "haar-3-11", "haar-4-21"])
+    @pytest.mark.parametrize("measure,index", [("tsallis", "2.5"), ("renyi", "3")])
+    def test_reaches_every_traced_layer(self, name, measure, index, tmp_path, capsys, monkeypatch):
+        # bench/tracer.py wraps these module attributes, and its layer probe's
+        # one evaluate call is the only caller of some of them: each must
+        # still be reached through its module attribute.
+        layers = [
+            (bounds, "chain_bound"), (bounds, "ordering_certificate"),
+            (kernel, "partial_trace"), (kernel, "hermitian_eigenvalues"),
+            (measures, "concurrence_two_qubit"), (measures, "spin_flip_spectrum"),
+            (measures, f"{measure}_pure"), (measures, {"tsallis": "g_q", "renyi": "f_alpha"}[measure]),
+        ]
+        calls = {}
+
+        def counted(label, fn):
+            def wrapper(*args, **kwargs):
+                calls[label] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, attr in layers:
+            label = f"{module.__name__}.{attr}"
+            calls[label] = 0
+            monkeypatch.setattr(module, attr, counted(label, getattr(module, attr)))
+        path = write_pinned_state(name, tmp_path)
+        code, _, err = run(evaluate_argv(path, measure, index, "2", 1), capsys)
+        assert (code, err) == (0, "")
+        assert [label for label, count in calls.items() if count == 0] == []
+
+    @pytest.mark.parametrize("name", ["canonical", "haar-4-21"])
+    def test_one_trace_call_for_the_pairs(self, name, tmp_path, capsys, monkeypatch):
+        # The pair densities come from one stacked trace; the full cut's
+        # spectrum takes the other.
+        path = write_pinned_state(name, tmp_path)
+        n_qubits = cli.load_state_file(str(path)).n_qubits
+        original = kernel.partial_trace
+        shapes = []
+
+        def counted(rho, n, keep):
+            shapes.append((np.shape(rho), sorted(keep)))
+            return original(rho, n, keep)
+
+        monkeypatch.setattr(kernel, "partial_trace", counted)
+        code, _, _ = run(evaluate_argv(path, "tsallis", "2.5", "2", 1), capsys)
+        assert code == 0
+        dim = 2**n_qubits
+        assert shapes == [((n_qubits - 1, dim, dim), [0, 1]), ((dim, dim), [1])]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_qubits=st.sampled_from([3, 4]))
+    def test_stacked_pair_trace_keeps_each_marginals_bits(self, data, n_qubits):
+        dim = 2**n_qubits
+        parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * dim, max_size=2 * dim))
+        amps = np.array(parts[:dim]) + 1j * np.array(parts[dim:])
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        state = states.PureState(n_qubits, amps / norm)
+        rho = states.density(state)
+        original = measures.concurrence_two_qubit
+        for pivot in range(n_qubits):
+            stacks = []
+
+            def recorded(pairs):
+                stacks.append(pairs)
+                return original(pairs)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(measures, "concurrence_two_qubit", recorded)
+                cli._cut_values(state, pivot, "tsallis", 2.5)
+            want = [kernel.partial_trace(rho, n_qubits, {pivot, b})
+                    for b in range(n_qubits) if b != pivot]
+            [got] = stacks
+            assert got.shape == (n_qubits - 1, 4, 4)
+            for member, pair in zip(got, want):
+                assert member.view(np.int64).tolist() == pair.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("name", ["canonical", "haar-3-11"])
+    def test_state_file_parsed_once(self, name, tmp_path, capsys, monkeypatch):
+        path = write_pinned_state(name, tmp_path)
+        original = json.loads
+        texts = []
+
+        def counted(text, *args, **kwargs):
+            texts.append(text)
+            return original(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted)
+        cli.load_state_file(str(path))
+        assert texts == [path.read_text()]
 
     def test_zero_pair_values_print_positive_zero_bounds(self, tmp_path, capsys):
         # f_alpha(0) with alpha > 1 divides log2(1) by 1 - alpha; the zero
