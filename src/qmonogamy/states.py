@@ -87,7 +87,7 @@ class AcinParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        lams = tuple(_to_float(v, "amplitudes") for v in self.lambdas)
+        lams = tuple([_to_float(v, "amplitudes") for v in self.lambdas])
         if len(lams) != 5:
             raise ValueError(f"need exactly 5 amplitudes, got {len(lams)}")
         if not all(math.isfinite(v) for v in lams):
@@ -113,7 +113,7 @@ class AcinParams:
     @classmethod
     def from_data(cls, data) -> "AcinParams":
         try:
-            lams = tuple(float(v) for v in data["lambda"])
+            lams = tuple([float(v) for v in data["lambda"]])
             phi = float(data.get("phi", 0.0))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed canonical-form JSON: {exc}") from exc

@@ -1,17 +1,18 @@
 """Grid and randomized sweep engine for inequality certification.
 
 Each inequality family is registered with its default grid axes, discrete
-parameter lists, domain predicate and vectorized margin function
-(LHS - RHS, signed, never clamped); a family that checks a regime's
-relation states only its kind, relation, regime and defaults, and the rest
-follows from them (``_regime_family``).  Sweeps are deterministic for a fixed
-spec: points are evaluated in a fixed order, argmin ties resolve to the
-lexicographically smallest point, and violations tied at the list's cap
-resolve to the earliest in sweep order (combo, then point).
+parameter lists, domain predicate and vectorized margin (LHS - RHS, signed,
+never clamped).  Every family but ``lemma1`` checks a relation row
+(``_RELATIONS``): an lhs builder, the terms of its checked bound and a grid
+domain, its margin the lhs minus the terms, left to right.  Sweeps are
+deterministic for a fixed spec: points are evaluated in a fixed order, argmin
+ties resolve to the lexicographically smallest point, and violations tied at
+the list's cap resolve to the earliest in sweep order (combo, then point).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -39,13 +40,13 @@ _UPPER = np.triu_indices(4, 1)
 # one margin evaluation (a few dozen arrays of 128 KB) stay in cache while
 # every combo runs over it.
 _SWEEP_BLOCK = 16384
-# Rows of one sweep's workspace (``_Workspace``), each as long as its
-# longest block.  A grid block takes at most ten: the positions of its
-# points on the two axes, the joint spectrum, its powers (the joint
-# entropy, then the x entropy), the y entropy and three margin rows; a full
-# mesh's tile takes six, for ``bounds.power_chain``.  A state block takes
-# nine: its x and y columns, the joint spectrum, its powers and three
-# margin rows, beside the block's own table (``_state_tables``).
+# Rows of one sweep's workspace (``_Workspace``), each as long as its longest
+# block.  A grid block takes at most ten: the positions of its points on the
+# two axes, the joint spectrum, its powers (the joint entropy, then the x
+# entropy), the y entropy and three margin rows (the margin, a pair tail, a
+# temporary); a full mesh's tile takes six, for ``bounds.power_chain``.  A
+# state block takes nine: its x and y columns, the joint spectrum, its powers
+# and the three margin rows.
 _WORKSPACE_ROWS = 10
 # Points a sweep takes at most (``SweepSpec``): a grid's mesh points plus
 # its samples, or a state family's states.  At the 3 x 10^7 points a second
@@ -78,15 +79,13 @@ class SweepSpec:
     def __post_init__(self):
         # A NaN or infinite tolerance would let no margin count as a violation.
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(
-                f"tolerance must be finite and positive, got {self.tolerance}"
-            )
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         # Counts are stored as ints: a boolean or a fraction fails here, by
         # name, and not deep in the point source.
         for count in ("random_samples", "seed"):
             object.__setattr__(self, count, kernel.as_integer(getattr(self, count), count, least=0))
-        grid = tuple((name, lo, hi, kernel.as_integer(steps, f"axis {name!r} steps"))
-                     for name, lo, hi, steps in self.grid)
+        grid = tuple([(name, lo, hi, kernel.as_integer(steps, f"axis {name!r} steps"))
+                      for name, lo, hi, steps in self.grid])
         object.__setattr__(self, "grid", grid)
         for name, lo, hi, steps in grid:
             # Every comparison with NaN is False, so the checks below and the
@@ -97,7 +96,7 @@ class SweepSpec:
                 raise ValueError(f"axis {name!r} needs >= 2 steps, got {steps}")
             if hi < lo:
                 raise ValueError(f"axis {name!r} has max {hi} < min {lo}")
-        params = tuple((name, tuple(values)) for name, values in self.params)
+        params = tuple([(name, tuple(values)) for name, values in self.params])
         object.__setattr__(self, "params", params)
         for name, values in params:
             if not values:
@@ -108,8 +107,8 @@ class SweepSpec:
 
         fam = family_of(self.family)
         for kind, expected, given in (("axes", fam.axes, grid), ("parameters", fam.params, params)):
-            expected = tuple(name for name, *_ in expected)
-            given = tuple(name for name, *_ in given)
+            expected = tuple([name for name, *_ in expected])
+            given = tuple([name for name, *_ in given])
             if sorted(given) != sorted(expected):
                 raise ValueError(f"family {fam.name!r} takes {kind} {expected}, got {given}")
         gates = {name: measures.Window(*window) for name, *window in fam.gates}
@@ -162,10 +161,10 @@ class SweepReport:
 
     ``min_margin`` and ``argmin`` cover the finite margins only and are None
     when no margin is finite.  ``violations`` holds at most
-    ``MAX_VIOLATIONS`` of the worst violating points, worst first and
-    equal margins in sweep order, and ``violations_total`` counts them all.  ``nonfinite`` counts the NaN or
-    infinite margins (overflow in the bound arithmetic); they are neither
-    minima nor violations.
+    ``MAX_VIOLATIONS`` of the worst violating points, worst first and equal
+    margins in sweep order, and ``violations_total`` counts them all.
+    ``nonfinite`` counts the NaN or infinite margins (overflow in the bound
+    arithmetic); they are neither minima nor violations.
     """
 
     family: str
@@ -178,19 +177,15 @@ class SweepReport:
     spec: SweepSpec = field(repr=False, compare=False, default=None)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family,
-                "points": self.points_checked,
-                "min_margin": self.min_margin,
-                "argmin": None if self.argmin is None else list(self.argmin),
-                "violations": [
-                    {"point": list(pt), "margin": m} for pt, m in self.violations
-                ],
-                "violations_total": self.violations_total,
-                "nonfinite": self.nonfinite,
-            }
-        )
+        return json.dumps({
+            "family": self.family,
+            "points": self.points_checked,
+            "min_margin": self.min_margin,
+            "argmin": None if self.argmin is None else list(self.argmin),
+            "violations": [{"point": list(pt), "margin": m} for pt, m in self.violations],
+            "violations_total": self.violations_total,
+            "nonfinite": self.nonfinite,
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -385,51 +380,45 @@ def _margin_power_chain(pts, combo):
     return np.minimum(lhs, loose, out=lhs)
 
 
-def _additive(regime: bounds.Regime):
-    """Margin z^k - x^k - y^k of the block's triple (z, x, y) at the combo's
-    index, with k the regime's degree (the superadditivity lemmas)."""
-    measure, index, k = regime.measure, regime.index, regime.degree
-
-    def margin(pts, combo):
-        # The block's memoised triple is never written.
-        z, x, y = _shared(pts, _grid_triple, measure, combo[index])
-        gap = _block_array(pts, "margin", z.shape)
-        if k == 1:
-            np.subtract(z, x, out=gap)
-            gap -= y
-        else:
-            np.power(z, k, out=gap)
-            for term in (x, y):
-                gap -= np.power(term, k, out=_block_array(pts, "power", term.shape))
-        return gap
-
-    return margin
+# The relation rows' builders take the points, the combo, the family's
+# ``bounds.Regime`` and its exponent's name.  An lhs is built into the margin
+# row after the first term, which may use it; memoised triples stay unwritten.
 
 
-def _powered(regime: bounds.Regime, power: str):
-    """Margin E^p - Q_new(e1, e2) of the regime's powered pair relation,
-    with (E, e1 >= e2) the block's triple at the combo's index and p the
-    combo's ``power``, the relation's exponent."""
-    measure, index = regime.measure, regime.index
-
-    def margin(pts, combo):
-        full, e1, e2 = _shared(pts, _ordered_triple, measure, combo[index])
-        p = combo[power]
-        rows = _block_array(pts, "margin", (3, *full.shape), rows=3)
-        bound = bounds._tail_core(e1, e2, regime.power(p), "new", regime.coupling, out=rows)
-        # E^p into a row that held the tail's temporaries.
-        return np.subtract(np.power(full, p, out=rows[1]), bound, out=bound)
-
-    return margin
+def _degree_power(values, k, pts, name):
+    """values^k into the block's array ``name``; at k = 1, values itself."""
+    return values if k == 1 else np.power(values, k, out=_block_array(pts, name, values.shape))
 
 
-def _margin_ckw(pts, combo):
-    c_ab, c_ac = pts["c_ab"], pts["c_ac"]
-    square = _block_array(pts, "power", c_ab.shape)
-    gap = _block_array(pts, "margin", c_ab.shape)
-    np.subtract(pts["c2_full"], np.square(c_ab, out=square), out=gap)
-    gap -= np.square(c_ac, out=square)
-    return gap
+def _sum_lhs(pts, combo, regime, power):
+    z, _, _ = _shared(pts, _grid_triple, regime.measure, combo[regime.index])
+    return _degree_power(z, regime.degree, pts, "margin")
+
+
+def _sum_terms(pts, combo, regime, power):
+    for term in _shared(pts, _grid_triple, regime.measure, combo[regime.index])[1:]:
+        yield _degree_power(term, regime.degree, pts, "term")
+
+
+def _powered_lhs(pts, combo, regime, power):
+    full, _, _ = _shared(pts, _ordered_triple, regime.measure, combo[regime.index])
+    return np.power(full, combo[power], out=_block_array(pts, "margin", (3, *full.shape), 3)[0])
+
+
+def _tail_terms(pts, combo, regime, power):
+    full, e1, e2 = _shared(pts, _ordered_triple, regime.measure, combo[regime.index])
+    rows, mu = _block_array(pts, "margin", (3, *full.shape), rows=3), regime.power(combo[power])
+    # The tail into row 1, its temporaries into rows 0 (the lhs's) and 2.
+    yield bounds._tail_core(e1, e2, mu, "new", regime.coupling, out=(rows[1], rows[0], rows[2]))
+
+
+def _ckw_lhs(pts, combo, regime, power):
+    return pts["c2_full"]
+
+
+def _ckw_terms(pts, combo, regime, power):
+    for name in ("c_ab", "c_ac"):
+        yield np.square(pts[name], out=_block_array(pts, "term", pts[name].shape))
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +472,13 @@ _POWERS = {"mu": "mu", "eta": "mu", "gamma": "gamma"}
 class Family:
     """One inequality family of the registry.
 
-    ``domain`` takes a dict of columns that broadcast together (the open-grid
-    axis views of a mesh, or equal-length sample columns) and returns a
-    boolean mask of their broadcast shape; a predicate that ignores some
-    columns may return a mask that only broadcasts to it, as
-    ``_domain_all`` does.  ``margin`` takes a dict of equal-length point
-    columns, a state table's with its grid twin's ``x`` and ``y``
-    (``_blocks``), and one parameter combo.  ``regime`` names the
-    ``bounds.REGIMES`` row of the relation the family checks, if any.
+    ``domain`` takes a dict of columns that broadcast together (a mesh's
+    open-grid axis views, or equal-length sample columns) and returns a
+    boolean mask that broadcasts to their shape (``_domain_all``'s to any).
+    ``margin`` takes a dict of equal-length point columns, a state table's
+    with its grid twin's ``x`` and ``y`` (``_blocks``), and one combo.
+    Every family but ``lemma1`` takes both from its relation row
+    (``_RELATIONS``).  ``regime`` names its ``bounds.REGIMES`` row, if any.
     """
 
     name: str
@@ -509,29 +497,57 @@ class Family:
             row = bounds.REGIMES[self.regime]
             windows[row.index] = row.window
         names = [name for name, *_ in self.axes] + [name for name, _ in self.params]
-        return tuple((name, *windows[name]) for name in names)
+        return tuple([(name, *windows[name]) for name in names])
 
 
-_GRID_AXES = (("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60))
 # A kind's default axes.
-_KINDS = {"grid": _GRID_AXES, "state": ()}
-# A relation's grid domain.  A grid point (x, y) is a pair of concurrences
-# (C_ab, C_ac), which CKW keeps in the unit disc, and the powered tails need
-# e1 >= e2, so x >= y.
-_GRID_DOMAINS = {"additive": _domain_disc, "powered": _domain_disc_ordered}
+_KINDS = {"grid": (("x", 0.0, 1.0, 60), ("y", 0.0, 1.0, 60)), "state": ()}
+
+
+@dataclass(frozen=True)
+class Relation:
+    """A relation row, lhs >= the sum of its checked bound's terms: the
+    builders of the lhs and of the terms (yielded one at a time, each read
+    before the next reuses its rows), and the relation's grid domain."""
+
+    lhs: callable
+    terms: callable
+    domain: callable
+
+    def margin(self, pts, combo, regime=None, power=None):
+        """The one margin rule: the lhs minus the terms, left to right."""
+        terms = self.terms(pts, combo, regime, power)
+        first = next(terms)
+        lhs = self.lhs(pts, combo, regime, power)
+        gap = np.subtract(lhs, first, out=_block_array(pts, "margin", lhs.shape))
+        for term in terms:
+            gap -= term
+        return gap
+
+
+# The relation rows.  A grid point (x, y) is a pair of concurrences
+# (C_ab, C_ac), which CKW keeps in the unit disc.
+_RELATIONS = {
+    # z^k >= x^k + y^k of the block's triple (z, x, y), with k the regime's
+    # degree: the superadditivity lemmas.
+    "additive": Relation(_sum_lhs, _sum_terms, _domain_disc),
+    # E^p >= Q_new(e1, e2), the new pair tail of the block's ordered triple
+    # (E, e1 >= e2) under the regime's coupling, so x >= y on a grid.
+    "powered": Relation(_powered_lhs, _tail_terms, _domain_disc_ordered),
+    # C^2(A|BC) >= C_AB^2 + C_AC^2 on a state table's columns.
+    "ckw": Relation(_ckw_lhs, _ckw_terms, _domain_all),
+}
 
 
 def _regime_family(name, kind, relation, regime, index_values, **exponent):
     """The family that checks ``regime``'s ``relation`` (``"additive"`` or
-    ``"powered"``) on the points of its ``kind`` (``"grid"`` or ``"state"``).
-
-    Its parameters are the regime's index, with ``index_values``, then a
-    powered relation's exponent, named with its values.
-    """
-    row = bounds.REGIMES[regime]
-    domain = _GRID_DOMAINS[relation] if kind == "grid" else _domain_all
-    margin = _additive(row) if relation == "additive" else _powered(row, *exponent)
+    ``"powered"``) on the points of its ``kind`` (``"grid"`` or ``"state"``),
+    with the row's margin and grid domain.  Its parameters are the regime's
+    index, with ``index_values``, then a powered relation's named exponent."""
+    row, rel = bounds.REGIMES[regime], _RELATIONS[relation]
+    margin = functools.partial(rel.margin, regime=row, power=next(iter(exponent), None))
     params = ((row.index, index_values), *exponent.items())
+    domain = rel.domain if kind == "grid" else _domain_all
     return Family(name, kind, _KINDS[kind], params, margin, domain, regime)
 
 
@@ -552,7 +568,7 @@ FAMILIES: dict[str, Family] = {
         _regime_family("lemma2", "grid", "powered", "tsallis_q2to3", (2.0, 2.5, 3.0), mu=_MU),
         _regime_family("lemma5", "grid", "powered", "renyi_ge2", (2.0, 3.0), mu=_MU),
         _regime_family("lemma6", "grid", "powered", "renyi_window", _WINDOW_ALPHA, gamma=_GAMMA),
-        Family("ckw", "state", (), (), _margin_ckw),
+        Family("ckw", "state", (), (), _RELATIONS["ckw"].margin, _RELATIONS["ckw"].domain),
         _regime_family("remark1", "state", "powered", "tsallis_q2to3", (2.0, 2.5, 3.0), eta=_MU),
         _regime_family("remark2", "state", "powered", "renyi_ge2", (2.0, 3.0), mu=_MU),
         _regime_family(
@@ -577,16 +593,10 @@ def default_spec(family: str, **overrides) -> SweepSpec:
     """Spec with the family's default grid/params; keyword overrides allowed."""
     fam = family_of(family)
     grid = fam.kind == "grid"
-    base = dict(
-        family=fam.name,
-        grid=fam.axes,
-        params=fam.params,
-        random_samples=DEFAULT_RANDOM_SAMPLES if grid else DEFAULT_STATES,
-        seed=0,
-        tolerance=GRID_TOLERANCE if grid else STATE_TOLERANCE,
-    )
-    base.update(overrides)
-    return SweepSpec(**base)
+    base = dict(family=fam.name, grid=fam.axes, params=fam.params, seed=0,
+                random_samples=DEFAULT_RANDOM_SAMPLES if grid else DEFAULT_STATES,
+                tolerance=GRID_TOLERANCE if grid else STATE_TOLERANCE)
+    return SweepSpec(**{**base, **overrides})
 
 
 def _combos(spec: SweepSpec):
@@ -612,7 +622,7 @@ def _scan(margins: np.ndarray, columns, tail: tuple, tolerance: float):
     """
 
     def point_of(i):
-        return tuple(float(col[i]) for col in columns) + tail
+        return tuple([float(col[i]) for col in columns]) + tail
 
     margins = margins.reshape(-1)
 
@@ -671,7 +681,7 @@ def _grid_points(fam: Family, spec: SweepSpec) -> tuple[dict[str, np.ndarray], n
     if none); the domain runs on about one sweep block of mesh rows at a time.
     """
     axis_names = [name for name, *_ in spec.grid]
-    shape = tuple(steps for *_, steps in spec.grid)
+    shape = tuple([steps for *_, steps in spec.grid])
     tables = [np.empty(steps + spec.random_samples) for steps in shape]
     for table, (_, lo, hi, steps) in zip(tables, spec.grid):
         table[:steps] = np.linspace(lo, hi, steps)
@@ -881,22 +891,17 @@ def _run_blocks(spec: SweepSpec, tables, runs, workspace):
 
 
 def _sweep(spec: SweepSpec) -> SweepReport:
-    """Evaluate the family's margin at every point for every parameter combo.
-
-    Points come from the grid mesh plus rejection samples for grid families
-    and from one ``_state_tables`` call a block for state-level ones
-    (``_blocks``).  A point is reported as ``(*coordinates, *param
-    values)``, the coordinates being the axis values on a grid and the
-    state index for a state-level family.
-
-    Every combo runs over one block before the next block, into one
-    accumulator per combo.  Blocks come in point order and the accumulators
-    are folded in combo order, so the report equals that of one pass over
-    all points, combo after combo.
+    """Evaluate the family's margin at every point (``_blocks``) for every
+    parameter combo; a point is reported as ``(*coordinates, *param
+    values)``, its axis values on a grid or its state index.  Every combo
+    runs over one block before the next block, into one accumulator per
+    combo.  Blocks come in point order and the accumulators are folded in
+    combo order, so the report equals that of one pass over all points,
+    combo after combo.
     """
     fam = family_of(spec.family)
     combos = list(_combos(spec))
-    tails = [tuple(combo[name] for name, _ in spec.params) for combo in combos]
+    tails = [tuple([combo[name] for name, _ in spec.params]) for combo in combos]
     empty = (math.inf, None, [], 0, 0)
     per_combo = [empty] * len(combos)
     checked = 0
@@ -930,23 +935,18 @@ def _sweep(spec: SweepSpec) -> SweepReport:
 
 
 def run_sweep(spec: SweepSpec) -> SweepReport:
-    """Evaluate any family's margin, grid or state-level, over its spec's points.
-
-    Deterministic for a fixed spec; reports the signed minimum margin, its
-    location, and the worst of the points whose margin falls below
-    -tolerance along with their count.
-    """
+    """Evaluate any family's margin over its spec's points: deterministic
+    for a fixed spec, it reports the signed minimum margin, its location,
+    and the worst of the points whose margin falls below -tolerance along
+    with their count."""
     return _sweep(spec)
 
 
 def run_state_check(family: str, n_states: int = DEFAULT_STATES, seed: int = 0) -> SweepReport:
     """Monogamy margins of a state-level family's default spec over
-    ``n_states`` seeded random 3-qubit pure states.
-
-    The two pair marginals are ordered by value before the tightened pair
-    bound is applied, matching the two branches of the N=3 relations.  Other
-    parameters or tolerances need a spec and ``run_sweep``.
-    """
+    ``n_states`` seeded random 3-qubit pure states, the two pair marginals
+    ordered by value as in the two branches of the N=3 relations.  Other
+    parameters or tolerances need a spec and ``run_sweep``."""
     fam = family_of(family)
     if fam.kind != "state":
         raise ValueError(f"family {fam.name!r} is grid-level; use run_sweep")

@@ -1339,6 +1339,136 @@ def test_state_margins_equal_the_pairwise_conversion(family, seed):
             assert np.array_equal(margins, reference), combo
 
 
+# The families that check a relation row (``verify._RELATIONS``): all but lemma1.
+RELATION_FAMILIES = [name for name in verify.FAMILY_NAMES if name != "lemma1"]
+# Exponents past which 2^mu overflows: mu (or eta) above 1024, and gamma = 2 mu.
+OVERFLOWING = {"mu": (1020.0, 1100.0), "eta": (1020.0, 1100.0), "gamma": (2040.0, 2200.0)}
+
+
+def relation_of(fam):
+    """The relation row a family checks, its regime and its exponent's name."""
+    if fam.regime is None:
+        return verify._RELATIONS["ckw"], None, None
+    power = fam.params[1][0] if len(fam.params) > 1 else None
+    relation = verify._RELATIONS["additive" if power is None else "powered"]
+    return relation, bounds.REGIMES[fam.regime], power
+
+
+@st.composite
+def relation_sweeps(draw):
+    """A small spec of a family that checks a relation row, and a block
+    size.  An exponent may lie where its tail overflows."""
+    fam = verify.family_of(draw(st.sampled_from(RELATION_FAMILIES)))
+    gates = {name: (lo, hi, hi_open) for name, lo, hi, hi_open in fam.gates}
+
+    def values(name, count, unique=True):
+        lo, hi, hi_open = gates[name]
+        floats = st.floats(lo, min(hi, lo + 7.0), exclude_max=hi_open)
+        if name in OVERFLOWING:
+            floats |= st.floats(*OVERFLOWING[name])
+        floats = floats.filter(lambda value: sweep_takes(fam, name, value))
+        return draw(st.lists(floats, min_size=count, max_size=count, unique=unique))
+
+    params = tuple((name, tuple(values(name, draw(st.integers(1, 2))))) for name, _ in fam.params)
+    fields = {"params": params, "seed": draw(st.integers(0, 2**32 - 1))}
+    if fam.kind == "state":
+        spec = verify.default_spec(fam.name, random_samples=draw(st.integers(1, 300)), **fields)
+    else:
+        grid = tuple(
+            (name, *sorted(values(name, 2, unique=False)), draw(st.integers(2, 25)))
+            for name, *_ in fam.axes
+        )
+        spec = spec_or_reject(fam.name, grid=grid, random_samples=draw(st.integers(0, 60)), **fields)
+        try:
+            verify._grid_points(fam, spec)
+        except ValueError as exc:
+            # A box that meets its domain on a line only: no sample lands.
+            assert str(exc) == f"rejection sampling failed to reach {spec.random_samples} points"
+            reject()
+    return spec, draw(st.integers(1, 400))
+
+
+def public_relation(fam, columns, combo):
+    """The lhs, the bound's terms and the margin of ``fam``'s relation at
+    the points ``columns`` (plain arrays), from the public API: the
+    conversions ``measures.g_q`` / ``f_alpha`` of each point's
+    concurrences (a state's full cut is the entropy of its pivot spectrum),
+    ``bounds.pair_bound_new``, and CKW's squares."""
+    if fam.regime is None:
+        c2_full, c_ab, c_ac = columns["c2_full"], columns["c_ab"], columns["c_ac"]
+        return c2_full, [c_ab**2, c_ac**2], c2_full - c_ab**2 - c_ac**2
+    regime = bounds.REGIMES[fam.regime]
+    value, x, y = combo[regime.index], columns["x"], columns["y"]
+    if regime.measure == "tsallis":
+        full = measures.g_q(x * x + y * y, value)
+        e1, e2 = measures.g_q(x * x, value), measures.g_q(y * y, value)
+    else:
+        full = measures.f_alpha(np.minimum(1.0, np.sqrt(x * x + y * y)), value)
+        e1, e2 = measures.f_alpha(x, value), measures.f_alpha(y, value)
+    if "lam_hi" in columns:
+        of_spectrum = getattr(measures, measures.MEASURES[regime.measure].of_spectrum)
+        full = of_spectrum(np.stack([columns["lam_hi"], columns["lam_lo"]], axis=-1), value)
+    if len(fam.params) == 1:  # z^k >= x^k + y^k
+        k = regime.degree
+        z, xk, yk = (v if k == 1 else np.power(v, k) for v in (full, e1, e2))
+        return z, [xk, yk], z - xk - yk
+    p = combo[fam.params[1][0]]
+    mu = p / 2.0 if regime.coupling == "squared" else p
+    lhs, tail = np.power(full, p), bounds.pair_bound_new(e1, e2, mu, regime.coupling)
+    return lhs, [tail], lhs - tail
+
+
+def same_bits(got, want, shape):
+    """Whether ``got``, broadcast to the block's point ``shape`` and
+    raveled, has the bits of the flat ``want``."""
+    got = np.broadcast_to(got, shape).ravel()
+    return np.array_equal(got.view(np.int64), np.asarray(want, dtype=float).view(np.int64))
+
+
+class TestRelationRows:
+    @settings(max_examples=80, deadline=None)
+    @given(relation_sweeps())
+    # 2^mu overflows on a grid (x >= 0.5 >= y keeps whole rows: open-grid
+    # tiles) and on states (mu = gamma / 2 = 1050).
+    @example((verify.default_spec("lemma2", grid=(("x", 0.5, 0.7, 9), ("y", 0.0, 0.5, 7)),
+                                  params=(("q", (2.5,)), ("mu", (2.0, 1030.0)))), 16))
+    @example((verify.default_spec("remark3", random_samples=50,
+                                  params=(("alpha", (1.5,)), ("gamma", (2100.0,)))), 16))
+    def test_rows_equal_the_public_api_bit_for_bit(self, case):
+        # Each row's lhs, each of its terms and the margin its rule derives,
+        # on the engine's blocks (tiles, row runs and samples, or state
+        # tables), against the same quantities built on the block's points
+        # as plain columns.
+        spec, block_size = case
+        fam = verify.family_of(spec.family)
+        relation, regime, power = relation_of(fam)
+        if fam.kind == "grid":
+            assert fam.domain is relation.domain
+        checked = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_SWEEP_BLOCK", block_size)
+            for block, _ in verify._blocks(fam, spec):
+                if fam.kind == "grid":
+                    columns = flat_columns(block, ("x", "y"))
+                else:
+                    columns = {name: np.array(column) for name, column in block.items()}
+                for combo in verify._combos(spec):
+                    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                        # Copied: each term is rewritten by the next, the
+                        # margin by the next combo.
+                        lhs = np.array(relation.lhs(block, combo, regime, power))
+                        terms = [np.array(t) for t in relation.terms(block, combo, regime, power)]
+                        margin = np.array(fam.margin(block, combo))
+                        want_lhs, want_terms, want_margin = public_relation(fam, columns, combo)
+                    assert same_bits(lhs, want_lhs, margin.shape), combo
+                    assert len(terms) == len(want_terms)
+                    for term, want in zip(terms, want_terms):
+                        assert same_bits(term, want, margin.shape), combo
+                    assert same_bits(margin, want_margin, margin.shape), combo
+                    checked += margin.size
+        assert checked > 0
+
+
 def state_tables_peak(n_states, seed):
     """``verify._state_tables(n_states, seed)`` and the tracemalloc peak of
     the call."""
