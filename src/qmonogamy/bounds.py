@@ -282,25 +282,31 @@ def _tail_values(head, lead, e2, last, full, squared: bool, coefficients, out=No
     return tails
 
 
+def _check_tails(names):
+    for name in names:
+        if name not in _TAILS:
+            raise ValueError(f"unknown tail {name!r}; expected one of {tuple(_TAILS)}")
+
+
 def _tail(e1, e2, mu, name: str, coupling: str = "linear"):
     """Pair tail ``name`` (a key of ``_TAILS``) of the ordered pair e1 >= e2:
     every check, then ``_tail_core``."""
-    if name not in _TAILS:
-        raise ValueError(f"unknown tail {name!r}; expected one of {tuple(_TAILS)}")
+    _check_tails((name,))
     mu = check_power(mu)
     a, b = _check_ordered(e1, e2)
     _coupling_exponent(mu, coupling)  # refuses an array mu and an unknown coupling
-    vals = _tail_core(a, b, mu, name, coupling)
+    [vals] = _tail_core(a, b, mu, (name,), coupling)
     return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
 
 
-def _tail_core(a, b, mu: float, name: str, coupling: str, out=None):
+def _tail_core(a, b, mu: float, names: tuple, coupling: str, out=None) -> list:
     """``_tail`` of float arrays a >= b that ``_check_ordered`` has passed, a
-    power mu that ``check_power`` has passed and a known tail and coupling,
+    power mu that ``check_power`` has passed and known tails and coupling,
     with no check of its own: the sweeps check a block's pair once and call
-    this for every combo.  Returns an array, or a numpy scalar for 0-d a and
-    b.  ``out``, three arrays of their broadcast shape (or one ``(3, *shape)``
-    array), takes the tail in the first, its temporaries in the others."""
+    this for every combo.  Returns a list of one tail per name, each an array
+    or, for 0-d a and b, a numpy scalar.  ``out``, for one name only, is three
+    arrays of their broadcast shape (or one ``(3, *shape)`` array): the tail in
+    the first, its temporaries in the others."""
     k = _DEGREE[coupling]
     pow_ = k * mu
     if out is None:
@@ -311,11 +317,10 @@ def _tail_core(a, b, mu: float, name: str, coupling: str, out=None):
     # read before ``_tail_values`` overwrites it (one coefficient).
     vals, weighted, head = out
     lead, last = np.power(a, pow_ - k, out=vals), np.power(b, pow_, out=weighted)
-    [vals] = _tail_values(
+    return _tail_values(
         np.power(a, pow_, out=head), lead, b, last, _TWO**mu, k == 2,
-        [_TAILS[name](mu)], (vals, weighted),
+        [_TAILS[name](mu) for name in names], (vals, weighted) if len(names) == 1 else None,
     )
-    return vals
 
 
 def pair_bound_new(e1, e2, mu, coupling: str = "linear"):
@@ -378,9 +383,8 @@ def chain_bound(values, m: int, mu: float, coupling: str = "linear", tail="new")
     m = kernel.as_integer(m, "split index")
     if not 0 <= m <= n - 2:
         raise ValueError(f"split index {m} outside 0..{n - 2}")
-    # 2^mu and the tail weight 2^mu - 1 of the chain expansion.
-    full = _TWO**mu
-    h = full - 1.0
+    # The tail weight 2^mu - 1 of the chain expansion.
+    h = _TWO**mu - 1.0
     pow_ = _coupling_exponent(mu, coupling)
     # numpy scalars, whose powers overflow to inf as ``_TWO``'s do.
     vals = np.array(vals)
@@ -392,16 +396,8 @@ def chain_bound(values, m: int, mu: float, coupling: str = "linear", tail="new")
         total += h ** (m + 1) * sum(vals[j - 1] ** pow_ for j in range(m + 1, n - 2))
         pair, depth = (vals[-1], vals[-2]), m
     names = tail if isinstance(tail, tuple) else (tail,)
-    for name in names:
-        if name not in _TAILS:
-            raise ValueError(f"unknown tail {name!r}; expected one of {tuple(_TAILS)}")
-    a, b = _check_ordered(*pair)
-    k = _DEGREE[coupling]
-    # ``_tail_core``'s powers, in its order, shared by every name's tail.
-    lead, last = np.power(a, pow_ - k), np.power(b, pow_)
-    tails = _tail_values(
-        np.power(a, pow_), lead, b, last, full, k == 2, [_TAILS[name](mu) for name in names]
-    )
+    _check_tails(names)
+    tails = _tail_core(*_check_ordered(*pair), mu, names, coupling)
     # Not tuple() of a generator: its resized tuple grows the tuple free list.
     chains = [float(total + h**depth * q) for q in tails]
     return tuple(chains) if isinstance(tail, tuple) else chains[0]

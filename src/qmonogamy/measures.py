@@ -300,8 +300,7 @@ def renyi_two_qubit(rho, alpha) -> float | np.ndarray:
 _RANK_CUTOFF = 1e-10
 # Refinement steps whose proposals a restart draws at once.  Every restart
 # of a call holds its block from the first step, so this sets the oracle's
-# peak memory: 8 steps of padded rank-2 proposals take 1 KiB per restart,
-# 200 KiB at the default 200 restarts, plus the draws they are copied from.
+# peak memory.
 _PROPOSAL_BLOCK = 8
 
 

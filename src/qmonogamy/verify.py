@@ -2,12 +2,10 @@
 
 Each inequality family is registered with its default grid axes, discrete
 parameter lists, domain predicate and vectorized margin (LHS - RHS, signed,
-never clamped).  Every family but ``lemma1`` checks a relation row
-(``_RELATIONS``): an lhs builder, the terms of its checked bound and a grid
-domain, its margin the lhs minus the terms, left to right.  Sweeps are
-deterministic for a fixed spec: points are evaluated in a fixed order, argmin
-ties resolve to the lexicographically smallest point, and violations tied at
-the list's cap resolve to the earliest in sweep order (combo, then point).
+never clamped).  Sweeps are deterministic for a fixed spec: points are
+evaluated in a fixed order, argmin ties resolve to the lexicographically
+smallest point, and violations tied at the list's cap resolve to the
+earliest in sweep order (combo, then point).
 """
 
 from __future__ import annotations
@@ -23,37 +21,30 @@ import numpy as np
 from . import bounds, kernel, measures, states
 
 GRID_TOLERANCE = 1e-12
+_DISC_SLACK = 1e-12  # roundoff ``_domain_disc`` admits past the circle
 STATE_TOLERANCE = 1e-9
 DEFAULT_RANDOM_SAMPLES = 500
 DEFAULT_STATES = 1000
 # Violating points a report lists (the worst ones); the rest are only counted.
 MAX_VIOLATIONS = 100
-# States per stack in ``_state_tables``: large enough that the fixed cost of
-# each of the block's few dozen numpy calls is small beside its per-state
-# work, small enough that their intermediates (columns of 32 or 64 KB, a
-# few MB in all) stay in cache and add little to a sweep's peak memory.
+# States per stack in ``_state_tables``: enough that each numpy call's fixed
+# cost is small beside its per-state work, few enough that the intermediates
+# stay in cache and add little to a sweep's peak memory.
 _STATE_BLOCK = 4096
 # The pairs (i, j), i < j, of the four columns of a pivot cut's amplitude
 # matrix: its 2 x 2 minors (``_state_tables``).
 _UPPER = np.triu_indices(4, 1)
-# Points per block in ``_sweep``: a block's columns and the temporaries of
-# one margin evaluation (a few dozen arrays of 128 KB) stay in cache while
-# every combo runs over it.
+# Points per block in ``_sweep``: a block's columns and one margin's
+# temporaries stay in cache while every combo runs over it.
 _SWEEP_BLOCK = 16384
 # Rows of one sweep's workspace (``_Workspace``), each as long as its longest
-# block.  A grid block takes at most ten: the positions of its points on the
-# two axes, the joint spectrum, its powers (the joint entropy, then the x
-# entropy), the y entropy and three margin rows (the margin, a pair tail, a
-# temporary); a full mesh's tile takes six, for ``bounds.power_chain``.  A
-# state block takes nine: its x and y columns, the joint spectrum, its powers
-# and the three margin rows.
+# block: ten for a grid block (two axis positions, the joint spectrum, its
+# powers, the y entropy, three margin rows), six for a full mesh's tile
+# (``bounds.power_chain``), nine for a state block (x and y for positions).
 _WORKSPACE_ROWS = 10
 # Points a sweep takes at most (``SweepSpec``): a grid's mesh points plus
-# its samples, or a state family's states.  At the 3 x 10^7 points a second
-# of the benchmark's grid sweeps (one core, every combo counted), 10^12 take
-# eight hours with one combo and days with 12-44, and 10^12 states take
-# eleven days at 10^6 a second.  It also keeps every table (10^12 float64s)
-# and state draw (1.3 x 10^14 bytes) far below the largest array size.
+# its samples, or a state family's states.  More would run for days, and the
+# cap keeps every axis table and state draw far below the largest array size.
 _MAX_POINTS = 10**12
 
 
@@ -66,7 +57,10 @@ class SweepSpec:
     (``bounds.check_power``) and index, then its size: a state family
     needs at least one state, and no sweep takes more than
     ``_MAX_POINTS`` points (``size`` words them).  Last, a grid family's
-    box must meet its domain (``_box_meets_domain``).
+    box must meet its domain (``_box_meets_domain``); still, an unsampled
+    box whose mesh misses it, or a sampled one whose overlap has a positive
+    but tiny area, stops at run time.  Value lists become tuples, so a list
+    or an array gives the same, hashable spec.
     """
 
     family: str
@@ -140,7 +134,7 @@ class SweepSpec:
             raise ValueError(f"a sweep of {self.size} is past the cap of {_MAX_POINTS} points")
         # A box that misses the domain leaves no mesh point and no sample;
         # the messages are the ones ``_grid_points`` would stop with.
-        if fam.kind == "grid" and not _box_meets_domain(fam, grid):
+        if fam.kind == "grid" and not _box_meets_domain(fam, grid, self.random_samples > 0):
             if self.random_samples:
                 raise ValueError(f"rejection sampling failed to reach {self.random_samples} points")
             raise ValueError("sweep domain is empty")
@@ -306,7 +300,8 @@ def _grid_spectra(pts, squared):
 
     x^2 and y^2 are squared once per axis value and gathered (or broadcast)
     to the points, into the rows of the joint spectrum, which
-    ``qubit_spectrum`` reads before it writes them."""
+    ``qubit_spectrum`` reads before it writes them.  The per-axis spectra
+    are fresh arrays: an axis's run can be longer than a block."""
     (x, x_at), (y, y_at) = (_axis_values(pts, name) for name in ("x", "y"))
     squares = [x * x, y * y]
     shape = np.broadcast(x, y).shape if x_at is None else x_at.shape
@@ -409,7 +404,7 @@ def _tail_terms(pts, combo, regime, power):
     full, e1, e2 = _shared(pts, _ordered_triple, regime.measure, combo[regime.index])
     rows, mu = _block_array(pts, "margin", (3, *full.shape), rows=3), regime.power(combo[power])
     # The tail into row 1, its temporaries into rows 0 (the lhs's) and 2.
-    yield bounds._tail_core(e1, e2, mu, "new", regime.coupling, out=(rows[1], rows[0], rows[2]))
+    yield from bounds._tail_core(e1, e2, mu, ("new",), regime.coupling, (rows[1], rows[0], rows[2]))
 
 
 def _ckw_lhs(pts, combo, regime, power):
@@ -432,25 +427,32 @@ def _domain_all(pts):
 
 def _domain_disc(pts):
     x, y = pts["x"], pts["y"]
-    return x * x + y * y <= 1.0 + 1e-12
+    return x * x + y * y <= 1.0 + _DISC_SLACK
 
 
 def _domain_disc_ordered(pts):
     return _domain_disc(pts) & (pts["x"] >= pts["y"])
 
 
-def _box_meets_domain(fam, grid) -> bool:
+def _box_meets_domain(fam, grid, sampled: bool) -> bool:
     """Whether the box of a grid family's axis bounds meets its domain.
 
     Lowering y keeps a point of the disc or of the ordered disc inside, so
     a box meets either iff its bottom edge does: the disc at the corner
     (x_lo, y_lo), the ordered disc at the edge's point nearest the diagonal
-    x = y.  Both points are tested with the domain itself, slack included.
-    Any other domain keeps every point.
+    x = y, each tested with the domain itself.  A ``sampled`` box with an
+    axis wider than the slack must also meet it where the sampler can hit
+    it: those axes open, x > y, and no slack on the circle when both are
+    wide.  Any other domain keeps every point.
     """
     if fam.domain not in (_domain_disc, _domain_disc_ordered):
         return True
-    (_, x_lo, x_hi, _), (_, y_lo, _, _) = sorted(grid)  # x, then y
+    (_, x_lo, x_hi, _), (_, y_lo, y_hi, _) = sorted(grid)  # x, then y
+    wide = [hi - lo > _DISC_SLACK for lo, hi in ((x_lo, x_hi), (y_lo, y_hi))]
+    if sampled and any(wide):
+        x = max(x_lo, y_lo) if fam.domain is _domain_disc_ordered else x_lo
+        inside = x * x + y_lo * y_lo < 1.0 + (0.0 if all(wide) else _DISC_SLACK)
+        return inside and (fam.domain is _domain_disc or x_hi > y_lo)
     return any(fam.domain({"x": x, "y": y_lo}) for x in (x_lo, min(max(y_lo, x_lo), x_hi)))
 
 
@@ -679,6 +681,8 @@ def _grid_points(fam: Family, spec: SweepSpec) -> tuple[dict[str, np.ndarray], n
     each rejection sample.  ``runs`` holds one ``(start, stop)`` column per
     mesh row, which keeps the second axis's entries ``start:stop`` (``(0, 0)``
     if none); the domain runs on about one sweep block of mesh rows at a time.
+    Every registered domain is monotone in each axis under IEEE rounding, so
+    it keeps one run a row; a row that keeps more raises ValueError.
     """
     axis_names = [name for name, *_ in spec.grid]
     shape = tuple([steps for *_, steps in spec.grid])

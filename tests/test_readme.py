@@ -1,12 +1,13 @@
-"""The README's Python examples run as written, and the sizes it quotes
-are the code's."""
+"""The README's Python examples run as written, the sizes it quotes are
+the code's, and it covers every family and subcommand."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
-from qmonogamy import verify
+from qmonogamy import cli, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
@@ -32,3 +33,15 @@ def test_readme_quotes_block_sizes():
 @pytest.mark.parametrize("quoted,name", CONSTANTS)
 def test_quoted_constant_is_the_code_value(quoted, name):
     assert int(quoted) == getattr(verify, name), name
+
+
+def test_readme_covers_every_family_and_subcommand():
+    text = README.read_text()
+    rows = set(re.findall(r"^\| `(\w+)` +\|", text, re.M))
+    assert set(verify.FAMILY_NAMES) <= rows
+    [subparsers] = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for sub in subparsers.choices:
+        assert re.search(rf"^qmonogamy {sub}\b", text, re.M), sub

@@ -1556,6 +1556,15 @@ def grid_point_specs(draw):
     return fam, spec_or_reject(fam.name, grid=grid, random_samples=samples, seed=seed)
 
 
+def open_domain(fam, pts):
+    """The interior of the family's domain, with no slack: x^2 + y^2 < 1,
+    and x > y for the ordered disc."""
+    if fam.domain is verify._domain_all:
+        return fam.domain(pts)
+    inside = pts["x"] * pts["x"] + pts["y"] * pts["y"] < 1.0
+    return inside & (pts["x"] > pts["y"]) if fam.domain is verify._domain_disc_ordered else inside
+
+
 class TestBoxMeetsDomain:
     @pytest.mark.parametrize(
         ("family", "grid", "samples", "message"),
@@ -1567,6 +1576,12 @@ class TestBoxMeetsDomain:
             # the diagonal, (0.8, 0.8), outside the disc; the corner (0, 0.8)
             # is inside the disc but not ordered.
             ("lemma5", (("x", 0.0, 1.0, 60), ("y", 0.8, 1.0, 60)), 0, "sweep domain is empty"),
+            # Sampled boxes whose overlap has no area: the segment x = 0 meets
+            # x >= y only at (0, 0), and the box's corner (0.6, 0.8) is on the arc.
+            ("lemma2", (("x", 0.0, 0.0, 60), ("y", 0.0, 1.0, 60)), 5,
+             "rejection sampling failed to reach 5 points"),
+            ("gqsuper", (("x", 0.6, 0.9, 10), ("y", 0.8, 0.9, 10)), 5,
+             "rejection sampling failed to reach 5 points"),
         ],
     )
     def test_refused_when_made(self, family, grid, samples, message, monkeypatch):
@@ -1594,9 +1609,16 @@ class TestBoxMeetsDomain:
             # no sample, and stops with the same message.
             fields = types.SimpleNamespace(grid=grid, random_samples=samples, seed=seed)
             assert column_bytes(meshgrid_points, fam, fields) == refusal
-        # A box with a point of the domain on a 101 x 101 mesh of it is made.
-        dense = np.meshgrid(*(np.linspace(lo, hi, 101) for _, lo, hi, _ in grid), indexing="ij")
-        if fam.domain(dict(zip((name for name, *_ in grid), dense))).any():
+        # A box with a point of the domain on a 101 x 101 mesh of it is made
+        # when it asks for no samples, or when a mesh point off the edges of
+        # its nonzero-width axes lies in the open domain, so that its overlap
+        # with the domain has area.
+        axes = [np.linspace(lo, hi, 101) for _, lo, hi, _ in grid]
+        dense = dict(zip((name for name, *_ in grid), np.meshgrid(*axes, indexing="ij")))
+        if samples:
+            inner = [axis[1:-1] if axis[0] < axis[-1] else axis[:1] for axis in axes]
+            dense = dict(zip(dense, np.meshgrid(*inner, indexing="ij")))
+        if open_domain(fam, dense).any() if samples else fam.domain(dense).any():
             assert refusal is None
 
 
