@@ -220,9 +220,7 @@ def power_chain(x, mu, out=None):
     tight, loose, naive = _tail_values(
         1.0, 1.0, arr, last, _TWO**mu, False, coefficients, out=(*out[1:4], out[5])
     )
-    if np.ndim(x) == 0:
-        return float(lhs), float(tight), float(loose), float(naive)
-    return lhs, tight, loose, naive
+    return tuple([measures._like(v) for v in (lhs, tight, loose, naive)])
 
 
 def _check_ordered(e1, e2):
@@ -284,7 +282,7 @@ def _tail_values(head, lead, e2, last, full, squared: bool, coefficients, out=No
 
 def _check_tails(names):
     for name in names:
-        if name not in _TAILS:
+        if not isinstance(name, str) or name not in _TAILS:
             raise ValueError(f"unknown tail {name!r}; expected one of {tuple(_TAILS)}")
 
 
@@ -296,7 +294,7 @@ def _tail(e1, e2, mu, name: str, coupling: str = "linear"):
     a, b = _check_ordered(e1, e2)
     _coupling_exponent(mu, coupling)  # refuses an array mu and an unknown coupling
     [vals] = _tail_core(a, b, mu, (name,), coupling)
-    return float(vals) if np.ndim(e1) == 0 and np.ndim(e2) == 0 else vals
+    return measures._like(vals)
 
 
 def _tail_core(a, b, mu: float, names: tuple, coupling: str, out=None) -> list:
@@ -361,8 +359,9 @@ def chain_bound(values, m: int, mu: float, coupling: str = "linear", tail="new")
     ``Q(v[N-2], v[N-1])``; smaller ``m`` swaps the tail onto
     ``Q(v[N-1], v[N-2])`` and reweights the middle block.  ``tail`` selects
     the pairwise tail: "new" for the tightened one, "prior" or "naive".  A
-    tuple of names gives one chain per name from one pass (checks, head sum
-    and the tail pair's powers shared), each with its one-name call's bits.
+    tuple or list of names gives a tuple of one chain per name from one
+    pass (checks, head sum and the tail pair's powers shared), each with
+    its one-name call's bits.
     """
     mu = check_power(mu)
     flat = "entanglement values must be a flat list of numbers, got"
@@ -395,12 +394,13 @@ def chain_bound(values, m: int, mu: float, coupling: str = "linear", tail="new")
         total = sum(h ** (i - 1) * vals[i - 1] ** pow_ for i in range(1, m + 1))
         total += h ** (m + 1) * sum(vals[j - 1] ** pow_ for j in range(m + 1, n - 2))
         pair, depth = (vals[-1], vals[-2]), m
-    names = tail if isinstance(tail, tuple) else (tail,)
+    several = isinstance(tail, (tuple, list))
+    names = tuple(tail) if several else (tail,)
     _check_tails(names)
     tails = _tail_core(*_check_ordered(*pair), mu, names, coupling)
     # Not tuple() of a generator: its resized tuple grows the tuple free list.
     chains = [float(total + h**depth * q) for q in tails]
-    return tuple(chains) if isinstance(tail, tuple) else chains[0]
+    return tuple(chains) if several else chains[0]
 
 
 def compare_chain(lhs: float, values, m: int, mu: float, regime: str) -> BoundReport:

@@ -99,8 +99,9 @@ def _checked_unit_interval(x, name: str, out=None):
     return np.clip(arr, 0.0, 1.0, out=out)
 
 
-def _like(x, values: np.ndarray):
-    return float(values) if np.ndim(x) == 0 else values
+def _like(values: np.ndarray):
+    """``values`` as a float when it is one value (0-d), else as it is."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def qubit_spectrum(x, *, squared: bool, out=None) -> np.ndarray:
@@ -145,7 +146,7 @@ def _closed_form(measure: str, x, index):
             raise ValueError(f"{row.index} {value} below the analytic threshold {lo:.6f}")
         raise ValueError(f"{row.index} {value} outside the analytic window [{lo:.6f}, {hi:.6f}]")
     of_spectrum = globals()[row.of_spectrum]
-    return _like(x, of_spectrum(qubit_spectrum(x, squared=row.squared), value))
+    return _like(of_spectrum(qubit_spectrum(x, squared=row.squared), value))
 
 
 def g_q(x, q) -> float | np.ndarray:
@@ -264,7 +265,7 @@ def concurrence_two_qubit(rho) -> float | np.ndarray:
     spectrum); a stack of states gives one value per member."""
     s0, s1, s2, s3 = spin_flip_spectrum(rho).T
     gap = s0 - s1 - s2 - s3
-    return _like(gap, np.where(gap > 0.0, gap, 0.0))
+    return _like(np.where(gap > 0.0, gap, 0.0))
 
 
 def tsallis_pure(state: PureState, side_a, q) -> float:

@@ -40,7 +40,8 @@ _SWEEP_BLOCK = 16384
 # Rows of one sweep's workspace (``_Workspace``), each as long as its longest
 # block: ten for a grid block (two axis positions, the joint spectrum, its
 # powers, the y entropy, three margin rows), six for a full mesh's tile
-# (``bounds.power_chain``), nine for a state block (x and y for positions).
+# (``bounds.power_chain``) and eight for lemma1's samples (two positions and
+# those six), nine for a state block (x and y for positions).
 _WORKSPACE_ROWS = 10
 # Points a sweep takes at most (``SweepSpec``): a grid's mesh points plus
 # its samples, or a state family's states.  More would run for days, and the
@@ -59,8 +60,9 @@ class SweepSpec:
     ``_MAX_POINTS`` points (``size`` words them).  Last, a grid family's
     box must meet its domain (``_box_meets_domain``); still, an unsampled
     box whose mesh misses it, or a sampled one whose overlap has a positive
-    but tiny area, stops at run time.  Value lists become tuples, so a list
-    or an array gives the same, hashable spec.
+    but tiny area, stops at run time.  Value lists become tuples of floats,
+    so a list or an array, of any numeric type, gives the same, hashable
+    spec, and a report prints its values as floats.
     """
 
     family: str
@@ -90,7 +92,7 @@ class SweepSpec:
                 raise ValueError(f"axis {name!r} needs >= 2 steps, got {steps}")
             if hi < lo:
                 raise ValueError(f"axis {name!r} has max {hi} < min {lo}")
-        params = tuple([(name, tuple(values)) for name, values in self.params])
+        params = tuple([(name, tuple(map(float, values))) for name, values in self.params])
         object.__setattr__(self, "params", params)
         for name, values in params:
             if not values:
@@ -226,13 +228,13 @@ class _Block(dict):
 
     A full grid mesh is walked as open-grid tiles: the first axis a
     ``(rows, 1)`` column, the second a ``(1, n)`` row, both views of the
-    axis tables.  A block of any other grid holds, for each axis in
-    ``axes``, the run of its table that the block's points use and each
-    point's position in it; its column of that axis is gathered on first
-    read.  Keeps the last result of each function ``_shared`` calls on it,
-    so the combos of one block build its qubit spectra once for every ``q``
-    or ``alpha``, and the combos that share a ``q`` or ``alpha``
-    (consecutive in ``_combos``) convert the block once.
+    axis tables.  Any other grid block, samples included, holds, for each
+    axis in ``axes``, the run of its table that the block's points use and
+    each point's position in it; its column of that axis is gathered on
+    first read.  Keeps the last result of each function ``_shared`` calls
+    on it, so the combos of one block build its qubit spectra once for
+    every ``q`` or ``alpha``, and the combos that share a ``q`` or
+    ``alpha`` (consecutive in ``_combos``) convert the block once.
     """
 
     def __init__(self, columns, workspace, axes=()):
@@ -646,15 +648,7 @@ def _scan(margins: np.ndarray, columns, tail: tuple, tolerance: float):
     if local_min >= -tolerance:
         return local_min, best_point, [], 0, nonfinite
     bad = (margins < -tolerance).nonzero()[0]
-    worst = bad
-    if bad.size > MAX_VIOLATIONS:
-        # Every margin below the cut value, then the earliest of its ties.
-        bad_margins = margins[bad]
-        cut = np.partition(bad_margins, MAX_VIOLATIONS - 1)[MAX_VIOLATIONS - 1]
-        below = bad[bad_margins < cut]
-        ties = bad[bad_margins == cut][: MAX_VIOLATIONS - below.size]
-        worst = np.concatenate([below, ties])
-    worst = worst[np.lexsort((worst, margins[worst]))]  # by margin, then position
+    worst = bad[np.lexsort((bad, margins[bad]))][:MAX_VIOLATIONS]  # by margin, then position
     violations = [(point_of(int(i)), float(margins[i])) for i in worst]
     return local_min, best_point, violations, int(bad.size), nonfinite
 
@@ -809,7 +803,8 @@ def _blocks(fam: Family, spec: SweepSpec):
     most ``_SWEEP_BLOCK`` points a ``_Block``, all sharing one workspace
     (``_Workspace``), and the columns ``_scan`` reports them by: a grid mesh
     that keeps every row whole as open-grid tiles (``_tile_blocks``), any
-    other as its row runs (``_run_blocks``), the states as one fresh
+    other as its row runs, and every grid's samples as one-point row runs
+    (``_run_blocks``), the states as one fresh
     ``_state_tables`` table a block, with each state's grid twin
     (``_grid_triple``) as its ``x`` and ``y``.
     """
@@ -835,7 +830,8 @@ def _blocks(fam: Family, spec: SweepSpec):
 def _tile_blocks(spec: SweepSpec, tables, runs, workspace):
     """A full mesh as open-grid tiles, ``(rows, 1)`` views of the first axis
     against ``(1, n)`` views of the second, a row longer than
-    ``_SWEEP_BLOCK`` split into chunks; then the samples, as flat blocks."""
+    ``_SWEEP_BLOCK`` split into chunks; then the samples as ``_run_blocks``
+    walks them after a mesh that keeps no run."""
     names, steps = list(tables), [steps for *_, steps in spec.grid]
     n_rows, n_cols = steps
     first, second = (table[:n] for table, n in zip(tables.values(), steps))
@@ -851,10 +847,7 @@ def _tile_blocks(spec: SweepSpec, tables, runs, workspace):
                 _Coordinate(row[0], lambda i, n=n: i % n),
             ]
             yield _Block(dict(zip(names, (column, row))), workspace), coordinates
-    for start in range(0, spec.random_samples, _SWEEP_BLOCK):
-        stop = min(start + _SWEEP_BLOCK, spec.random_samples)
-        columns = [table[n + start : n + stop] for table, n in zip(tables.values(), steps)]
-        yield _Block(dict(zip(names, columns)), workspace), columns
+    yield from _run_blocks(spec, tables, np.zeros_like(runs), workspace)
 
 
 def _run_blocks(spec: SweepSpec, tables, runs, workspace):

@@ -156,6 +156,12 @@ class TestPowerChain:
         assert tight == pytest.approx(1.0 + (4 / 3) * 0.5 + (4 - 4 / 3 - 1) * 0.25, abs=1e-15)
         assert loose == pytest.approx(2.0, abs=1e-15)
         assert naive == pytest.approx(1.75, abs=1e-15)
+        # A scalar x with a list or an array of powers gives one array each.
+        for mus in ([1.0, 2.0], np.array([2.0])):
+            chain = bounds.power_chain(0.5, mus)
+            assert all(type(v) is np.ndarray and v.shape == np.shape(mus) for v in chain)
+            for k, mu in enumerate(mus):
+                assert [v[k] for v in chain] == pytest.approx(bounds.power_chain(0.5, mu), abs=1e-15)
 
     def test_chain_dominance_grid(self):
         xs = np.linspace(0.0, 1.0, 50)
@@ -841,9 +847,12 @@ class TestOnePassChain:
         values = tail_ordered(values, min(m, len(values) - 1))
         m = min(m, len(values) - 1)
         for coupling in bounds.COUPLINGS:
-            got = bounds.chain_bound(values, m, mu, coupling, TAIL_NAMES)
             want = [bounds.chain_bound(values, m, mu, coupling, name) for name in TAIL_NAMES]
-            assert [bits(v) for v in got] == [bits(v) for v in want], coupling
+            # A tuple or a list of names gives a tuple of chains.
+            for names in (TAIL_NAMES, list(TAIL_NAMES)):
+                got = bounds.chain_bound(values, m, mu, coupling, names)
+                assert type(got) is tuple
+                assert [bits(v) for v in got] == [bits(v) for v in want], coupling
             # A single name is one float, not a one-entry tuple.
             assert type(want[0]) is float
 
@@ -888,6 +897,8 @@ class TestOnePassChain:
             (([0.1, 0.5], 1, 2.0, "linear", TAIL_NAMES),
              r"^hypothesis violated: e1 < e2 \(caller must order\)$"),
             (([0.5, 0.2, 0.3], 2, 2.0), r"^hypothesis violated: e1 < e2"),
+            # A name that is not a string is unknown, not unhashable.
+            (([0.1, 0.5], 1, 2.0, "linear", [["new"]]), r"^unknown tail \['new'\]"),
         ],
     )
     def test_chain_bound_messages(self, args, message):

@@ -197,6 +197,16 @@ class TestSweepSpec:
             assert hash(spec) == hash(expected)
             assert all(type(vals) is tuple for _, vals in spec.params)
 
+    def test_params_are_stored_as_floats(self):
+        # A report's points hold the spec's values, so a float32 or an int
+        # value prints as its float twin, which is what the CLI prints.
+        grid = (("x", 0.0, 1.0, 20), ("y", 0.0, 1.0, 20))
+        twin = verify.default_spec("lemma2", grid=grid, params=(("q", (2.5,)), ("mu", (2.0,))))
+        for params in ((("q", np.float32([2.5])), ("mu", (2.0,))), (("q", (2.5,)), ("mu", (2,)))):
+            spec = verify.default_spec("lemma2", grid=grid, params=params)
+            assert all(type(v) is float for _, values in spec.params for v in values)
+            assert verify.run_sweep(spec).to_json() == verify.run_sweep(twin).to_json()
+
     @pytest.mark.parametrize("family", verify.STATE_FAMILIES)
     def test_state_family_without_states_is_refused_when_made(self, family):
         with pytest.raises(ValueError, match=f"^family '{family}' needs at least one state, got 0$"):
